@@ -11,8 +11,10 @@ GO ?= go
 ## deterministic allocation gate on the tracing-disabled hot path.
 check: vet build test race f17-smoke f18-smoke trace-smoke service-smoke fleet-smoke chaos-smoke metrics-smoke attack-smoke par-smoke bench-smoke bench-gate
 
+## vet: go vet, and fail when gofmt would reformat any file.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -21,7 +23,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/sim/ ./internal/experiment/ ./internal/station/ ./internal/fleet/
+	$(GO) test -race ./internal/sim/ ./internal/experiment/ ./internal/station/ ./internal/fleet/ ./internal/wsncrypto/ ./internal/wsn/
 	$(GO) test -race -run 'Deputy|Takeover|HeadCrash|Churn|CrashRecover|Failover' ./internal/core/
 
 ## f17-smoke: quick pass over the degraded-recovery ablation — fails if the

@@ -16,11 +16,11 @@ import (
 // seams they use.
 type basePolicy struct{}
 
-func (basePolicy) Configure(*core.Config)                               {}
-func (basePolicy) Scout(*core.Protocol, *wsn.Env, *rand.Rand) error     { return nil }
-func (basePolicy) Arm(*Round)                                           {}
-func (basePolicy) Observe(*Round, *message.Message)                     {}
-func (basePolicy) Resolve(*Round)                                       {}
+func (basePolicy) Configure(*core.Config)                           {}
+func (basePolicy) Scout(*core.Protocol, *wsn.Env, *rand.Rand) error { return nil }
+func (basePolicy) Arm(*Round)                                       {}
+func (basePolicy) Observe(*Round, *message.Message)                 {}
+func (basePolicy) Resolve(*Round)                                   {}
 func (basePolicy) Intercept(_ *Round, _ topo.NodeID, m *message.Message) *message.Message {
 	return m
 }
@@ -80,10 +80,10 @@ type Collusion struct {
 	victimIdx int
 
 	// Per-round capture.
-	seen  map[pairKey]bool
-	facts []shareFact
-	fRows []field.Element // F_j by roster index, from the announce echo
-	sum   field.Element
+	seen         map[pairKey]bool
+	facts        []shareFact
+	fRows        []field.Element // F_j by roster index, from the announce echo
+	sum          field.Element
 	haveAnnounce bool
 }
 

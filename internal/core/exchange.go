@@ -41,16 +41,17 @@ type shareScratch struct {
 //
 //	pass 1 (serial, ascending node ID): draw each participant's jitter and
 //	       masking coefficients from the round RNG — a fixed consumption
-//	       order regardless of worker count — and pre-warm the sealer cache
-//	       entry for every (sender, target) pair a worker will read;
+//	       order regardless of worker count — and key the link state of
+//	       every (sender, target) pair a worker will read;
 //	pass 2 (parallel): pure per-participant frame construction into the
 //	       participant's own sharePrep slot. No RNG, no map writes, no
 //	       shared buffers — results are independent of scheduling;
 //	pass 3 (serial, ascending node ID): schedule the send events.
 //
-// Per-sealer nonce streams stay deterministic too: each directional sealer
-// (a, b) is touched by exactly one sender's pass-2 task, and any later
-// sub-exchange Seal on the same pair runs at (serial) event time.
+// Per-direction nonce streams stay deterministic too: direction a→b of a
+// link is sealed by exactly one sender's pass-2 task (b→a, perhaps on
+// another worker, advances its own counter), and any later sub-exchange
+// Seal on the same pair runs at (serial) event time.
 func (p *Protocol) scheduleShareExchange() {
 	p.phaseMark(trace.PhaseExchange, "polynomial share distribution")
 	window := p.cfg.AssembleAt - p.cfg.SharesAt

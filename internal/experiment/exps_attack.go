@@ -98,10 +98,10 @@ var _ = register(Experiment{
 		for _, px := range pxs {
 			px := px
 			type sample struct {
-				ok                  bool
-				attempts, breaches  float64
-				m                   float64
-				analytic            float64
+				ok                 bool
+				attempts, breaches float64
+				m                  float64
+				analytic           float64
 			}
 			samples, err := collectTrials(trials, func(t int) (sample, error) {
 				seed := trialSeed(cfg.Seed, n, t)

@@ -35,8 +35,8 @@ type proxyMetrics struct {
 	// Per-target instrument handles, index = ring ordinal.
 	attempts  []*telemetry.Counter
 	hedges    []*telemetry.Counter
-	retryXpt  []*telemetry.Counter // transport-failure retries
-	retryBusy []*telemetry.Counter // 503-with-Retry-After retries
+	retryXpt  []*telemetry.Counter   // transport-failure retries
+	retryBusy []*telemetry.Counter   // 503-with-Retry-After retries
 	lat       []*telemetry.Histogram // cumulative, exposed at /metricsz
 	latWin    []*telemetry.Rolling   // recent window, feeds the hedge delay
 }

@@ -90,7 +90,12 @@ type Env struct {
 	// engine, radio, and MAC share it.
 	Sink trace.Sink
 
-	sealers map[[2]topo.NodeID]*wsncrypto.Sealer
+	// links holds the sealing state of every link keyed since the last
+	// Reset, one slot per unordered pair; linkIdx maps the sorted pair to
+	// its slot. Reset truncates the slab and clears the map, so later
+	// rounds reuse both.
+	links   []wsncrypto.Link
+	linkIdx map[[2]topo.NodeID]int32
 }
 
 // SetSink installs the flight-recorder sink across every layer of the
@@ -193,13 +198,13 @@ func NewEnv(cfg Config) (*Env, error) {
 		Rng:      rng,
 		Keys:     keys,
 		Readings: readings,
-		sealers:  make(map[[2]topo.NodeID]*wsncrypto.Sealer),
+		linkIdx:  make(map[[2]topo.NodeID]int32),
 	}, nil
 }
 
 // Reset rewinds the environment to a freshly-built state under the given
 // seed without re-deploying the topology: the event engine, radio medium,
-// MAC, traffic counters, key material, sealer cache, RNG, and readings all
+// MAC, traffic counters, key material, link states, RNG, and readings all
 // return to exactly the state NewEnv would have produced for this topology
 // and seed. Resetting to the original Cfg.Seed therefore replays a run
 // bit-for-bit; a different seed keeps the deployment but re-draws every
@@ -231,7 +236,9 @@ func (e *Env) Reset(seed int64) error {
 	default:
 		return fmt.Errorf("wsn: unknown key scheme %d", e.Cfg.KeyScheme)
 	}
-	clear(e.sealers)
+	clear(e.links) // drop the old key schedules
+	e.links = e.links[:0]
+	clear(e.linkIdx)
 	e.Readings[0] = 0
 	span := e.Cfg.ReadingMax - e.Cfg.ReadingMin
 	for i := 1; i < e.Cfg.Nodes; i++ {
@@ -273,55 +280,64 @@ func (e *Env) ReadingElement(id topo.NodeID) field.Element {
 	return field.FromInt(e.Readings[id])
 }
 
-// sealerFor returns the directional sealer a uses to talk to b, or nil when
-// the key scheme gives the pair no shared key.
-func (e *Env) sealerFor(a, b topo.NodeID) (*wsncrypto.Sealer, error) {
+// linkFor returns the sealing state of the a<->b link, keying it on first
+// use, or an error when the key scheme gives the pair no shared key.
+func (e *Env) linkFor(a, b topo.NodeID) (*wsncrypto.Link, error) {
 	k := [2]topo.NodeID{a, b}
-	if s, ok := e.sealers[k]; ok {
-		return s, nil
+	if a > b {
+		k = [2]topo.NodeID{b, a}
+	}
+	if i, ok := e.linkIdx[k]; ok {
+		return &e.links[i], nil
 	}
 	key, ok := e.Keys.LinkKey(a, b)
 	if !ok {
 		return nil, fmt.Errorf("wsn: no link key for %d<->%d", a, b)
 	}
-	s, err := wsncrypto.NewSealer(key)
-	if err != nil {
+	e.links = append(e.links, wsncrypto.Link{})
+	l := &e.links[len(e.links)-1]
+	if err := l.Init(&key); err != nil {
+		e.links = e.links[:len(e.links)-1]
 		return nil, err
 	}
-	e.sealers[k] = s
-	return s, nil
+	e.linkIdx[k] = int32(len(e.links) - 1)
+	return l, nil
 }
 
-// WarmSealer materialises the directional sealer cache entry for a→b and
-// reports whether the pair shares a key. A round engine that fans Seal
-// calls out to a worker pool calls this serially first: once every sealer
-// a worker will touch exists, the parallel phase only reads the map.
+// WarmSealer keys the a<->b link if it is not keyed yet and reports whether
+// the pair shares a key. A round engine that fans Seal calls out to a
+// worker pool calls this serially first: once every link a worker will
+// touch exists, the parallel phase only reads the slab and the map, and
+// the two directions of a link advance separate nonce counters.
 func (e *Env) WarmSealer(a, b topo.NodeID) bool {
-	_, err := e.sealerFor(a, b)
+	_, err := e.linkFor(a, b)
 	return err == nil
 }
 
 // Seal encrypts a payload from a to b. Returns an error when the key scheme
 // leaves the pair keyless (possible under EG predistribution).
 func (e *Env) Seal(a, b topo.NodeID, plaintext []byte) ([]byte, error) {
-	s, err := e.sealerFor(a, b)
+	l, err := e.linkFor(a, b)
 	if err != nil {
 		return nil, err
 	}
-	return s.Seal(plaintext), nil
+	dir := 0
+	if a > b {
+		dir = 1
+	}
+	return l.Seal(dir, plaintext), nil
 }
 
 // Open decrypts a payload sent from a to b.
 func (e *Env) Open(a, b topo.NodeID, envelope []byte) ([]byte, error) {
-	s, err := e.sealerFor(b, a) // same symmetric key; the sealer cache is directional only for nonces
+	l, err := e.linkFor(a, b)
 	if err != nil {
 		return nil, err
 	}
-	return s.Open(envelope)
+	return l.Open(envelope)
 }
 
-// HasLinkKey reports whether a and b share a key.
+// HasLinkKey reports whether a and b share a key, without deriving it.
 func (e *Env) HasLinkKey(a, b topo.NodeID) bool {
-	_, ok := e.Keys.LinkKey(a, b)
-	return ok
+	return e.Keys.HasKey(a, b)
 }

@@ -2,6 +2,7 @@ package wsn
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"time"
 
@@ -111,6 +112,48 @@ func TestSealOpenAcrossEnv(t *testing.T) {
 	if !env.HasLinkKey(3, 7) {
 		t.Error("pairwise scheme always has link keys")
 	}
+}
+
+// TestLinkNoncesPerDirection pins the nonce sequence of each direction of a
+// link: both directions share one key schedule, but each numbers its
+// envelopes from 1 on its own.
+func TestLinkNoncesPerDirection(t *testing.T) {
+	env, err := NewEnv(DefaultConfig(10, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nonce := func(a, b topo.NodeID) uint64 {
+		ct, err := env.Seal(a, b, []byte("x"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return binary.BigEndian.Uint64(ct)
+	}
+	got := []uint64{nonce(3, 7), nonce(3, 7), nonce(7, 3), nonce(3, 7), nonce(7, 3), nonce(2, 7)}
+	want := []uint64{1, 2, 1, 3, 2, 1}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("nonces %v, want %v", got, want)
+		}
+	}
+	if err := env.Reset(5); err != nil {
+		t.Fatal(err)
+	}
+	if n := nonce(7, 3); n != 1 {
+		t.Errorf("first nonce after Reset = %d, want 1", n)
+	}
+}
+
+func TestHasLinkKeyDoesNotAllocate(t *testing.T) {
+	env, err := NewEnv(DefaultConfig(10, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var has bool
+	if n := testing.AllocsPerRun(100, func() { has = env.HasLinkKey(3, 7) }); n != 0 {
+		t.Errorf("HasLinkKey: %v allocs, want 0", n)
+	}
+	_ = has
 }
 
 func TestEGEnvKeylessPairs(t *testing.T) {

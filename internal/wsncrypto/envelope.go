@@ -5,10 +5,12 @@ import (
 	"crypto/cipher"
 	"crypto/hmac"
 	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash"
+	"sync"
 )
 
 // Envelope framing:
@@ -28,83 +30,147 @@ const (
 // ErrAuth reports a failed authentication tag check.
 var ErrAuth = errors.New("wsncrypto: authentication failed")
 
-// Sealer encrypts and authenticates payloads under one link key, keeping a
-// monotonic nonce counter. One Sealer per (sender, key) pair. The HMAC state
-// and its sum buffer are long-lived and Reset per call — a simulated round
-// seals thousands of shares, and rebuilding two SHA-256 digests for each one
-// dominated the allocation profile. Not safe for concurrent use.
-type Sealer struct {
-	block   cipher.Block
-	mac     hash.Hash
-	sum     []byte // scratch for mac.Sum
-	counter uint64
+// midstateSize is the length of a marshaled SHA-256 state.
+const midstateSize = 108
+
+// resumableHash is a SHA-256 digest that can save and restore its state.
+type resumableHash interface {
+	hash.Hash
+	encoding.BinaryMarshaler
+	encoding.BinaryUnmarshaler
 }
 
-// NewSealer builds a Sealer from a link key of at least 32 bytes.
-func NewSealer(key []byte) (*Sealer, error) {
-	if len(key) < 32 {
-		return nil, fmt.Errorf("wsncrypto: key too short: %d bytes", len(key))
-	}
-	block, err := aes.NewCipher(key[:32])
+// binaryAppender is the allocation-free form of MarshalBinary that SHA-256
+// digests implement from Go 1.24 on.
+type binaryAppender interface {
+	AppendBinary(b []byte) ([]byte, error)
+}
+
+// scratch is the per-call working memory of Seal and Open: a digest to
+// resume the HMAC midstates in, the digest's output, and the CTR counter
+// block and keystream; keying a link also passes its pad blocks through
+// it. It comes from a pool so that none of it is allocated per call and
+// concurrent callers never share it.
+type scratch struct {
+	h       resumableHash
+	sum     [sha256.Size]byte
+	ctr, ks [aes.BlockSize]byte
+	pad     [sha256.BlockSize]byte
+}
+
+var scratchPool = sync.Pool{New: func() any {
+	return &scratch{h: sha256.New().(resumableHash)}
+}}
+
+// keyState is everything sealing under one link key needs: the AES key
+// schedule, and the SHA-256 states after absorbing the HMAC key's inner and
+// outer pad blocks. It holds no hash object, so any number of callers may
+// share it read-only.
+type keyState struct {
+	block        cipher.Block
+	inner, outer [midstateSize]byte
+}
+
+// init derives the key schedule and the HMAC midstates of key. The MAC key
+// is SHA-256("mac:" ‖ key).
+func (k *keyState) init(key *[KeySize]byte) error {
+	block, err := aes.NewCipher(key[:])
 	if err != nil {
-		return nil, fmt.Errorf("wsncrypto: %w", err)
+		return fmt.Errorf("wsncrypto: %w", err)
 	}
-	mk := sha256.Sum256(append([]byte("mac:"), key[:32]...))
-	return &Sealer{
-		block: block,
-		mac:   hmac.New(sha256.New, mk[:]),
-		sum:   make([]byte, 0, sha256.Size),
-	}, nil
+	var in [4 + KeySize]byte
+	copy(in[:], "mac:")
+	copy(in[4:], key[:])
+	mk := sha256.Sum256(in[:])
+	ipad, opad := hmacPads(mk[:])
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	sc.pad = ipad
+	if err := midstate(&k.inner, sc); err != nil {
+		return err
+	}
+	sc.pad = opad
+	if err := midstate(&k.outer, sc); err != nil {
+		return err
+	}
+	k.block = block
+	return nil
 }
 
-// tag computes the truncated HMAC over body into the scratch buffer.
-func (s *Sealer) tag(body []byte) []byte {
-	s.mac.Reset()
-	s.mac.Write(body)
-	s.sum = s.mac.Sum(s.sum[:0])
-	return s.sum[:tagSize]
+// midstate stores in dst the SHA-256 state after hashing sc.pad.
+func midstate(dst *[midstateSize]byte, sc *scratch) error {
+	h := sc.h
+	h.Reset()
+	h.Write(sc.pad[:])
+	var st []byte
+	var err error
+	if a, ok := h.(binaryAppender); ok {
+		st, err = a.AppendBinary(dst[:0])
+	} else {
+		st, err = h.MarshalBinary()
+	}
+	if err != nil {
+		return fmt.Errorf("wsncrypto: %w", err)
+	}
+	if len(st) != midstateSize {
+		return fmt.Errorf("wsncrypto: SHA-256 state is %d bytes, want %d", len(st), midstateSize)
+	}
+	copy(dst[:], st)
+	return nil
 }
 
-// Seal encrypts plaintext, returning nonce || ciphertext || tag.
-func (s *Sealer) Seal(plaintext []byte) []byte {
-	s.counter++
-	out := make([]byte, nonceSize+len(plaintext)+tagSize)
-	binary.BigEndian.PutUint64(out, s.counter)
-	var iv [aes.BlockSize]byte
-	copy(iv[:], out[:nonceSize])
-	ctrXOR(s.block, &iv, out[nonceSize:nonceSize+len(plaintext)], plaintext)
-	copy(out[nonceSize+len(plaintext):], s.tag(out[:nonceSize+len(plaintext)]))
+// tag computes HMAC-SHA256 over body by resuming the two midstates, and
+// returns its truncated prefix, which lives in sc.
+func (k *keyState) tag(sc *scratch, body []byte) []byte {
+	_ = sc.h.UnmarshalBinary(k.inner[:]) // a state this digest type marshaled
+	sc.h.Write(body)
+	inner := sc.h.Sum(sc.sum[:0])
+	_ = sc.h.UnmarshalBinary(k.outer[:])
+	sc.h.Write(inner)
+	return sc.h.Sum(sc.sum[:0])[:tagSize]
+}
+
+// seal encrypts plaintext under nonce, returning nonce || ciphertext || tag.
+func (k *keyState) seal(nonce uint64, plaintext []byte) []byte {
+	n := nonceSize + len(plaintext)
+	out := make([]byte, n+tagSize)
+	binary.BigEndian.PutUint64(out, nonce)
+	sc := scratchPool.Get().(*scratch)
+	k.ctrXOR(sc, out[:nonceSize], out[nonceSize:n], plaintext)
+	copy(out[n:], k.tag(sc, out[:n]))
+	scratchPool.Put(sc)
 	return out
 }
 
-// Open verifies and decrypts an envelope produced by Seal under the same key.
-func (s *Sealer) Open(envelope []byte) ([]byte, error) {
+// open verifies and decrypts an envelope sealed under the same key. It is
+// total: any input either opens or returns an error.
+func (k *keyState) open(envelope []byte) ([]byte, error) {
 	if len(envelope) < Overhead {
 		return nil, fmt.Errorf("wsncrypto: envelope too short: %d", len(envelope))
 	}
-	body := envelope[:len(envelope)-tagSize]
-	if !hmac.Equal(s.tag(body), envelope[len(envelope)-tagSize:]) {
+	n := len(envelope) - tagSize
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	if !hmac.Equal(k.tag(sc, envelope[:n]), envelope[n:]) {
 		return nil, ErrAuth
 	}
-	var iv [aes.BlockSize]byte
-	copy(iv[:], envelope[:nonceSize])
-	pt := make([]byte, len(body)-nonceSize)
-	ctrXOR(s.block, &iv, pt, body[nonceSize:])
+	pt := make([]byte, n-nonceSize)
+	k.ctrXOR(sc, envelope[:nonceSize], pt, envelope[nonceSize:n])
 	return pt, nil
 }
 
-// ctrXOR applies AES-CTR under iv without constructing a stream-cipher
-// object: Seal and Open run once per frame, and the per-call cipher.NewCTR
-// allocation was a measurable slice of a round's garbage. Semantics match
-// cipher.NewCTR — the full 16-byte IV is a big-endian counter.
-func ctrXOR(b cipher.Block, iv *[aes.BlockSize]byte, dst, src []byte) {
-	var ks [aes.BlockSize]byte
-	ctr := *iv
+// ctrXOR applies AES-CTR with the counter and keystream blocks in sc:
+// Seal and Open run once per frame, so neither a cipher.NewCTR object nor
+// heap-escaping blocks are built per call. Semantics match cipher.NewCTR
+// with the IV nonce ‖ 0⁸ — the full 16-byte IV is a big-endian counter.
+func (k *keyState) ctrXOR(sc *scratch, nonce, dst, src []byte) {
+	sc.ctr = [aes.BlockSize]byte{}
+	copy(sc.ctr[:], nonce)
 	for off := 0; off < len(src); off += aes.BlockSize {
-		b.Encrypt(ks[:], ctr[:])
+		k.block.Encrypt(sc.ks[:], sc.ctr[:])
 		for i := aes.BlockSize - 1; i >= 0; i-- {
-			ctr[i]++
-			if ctr[i] != 0 {
+			sc.ctr[i]++
+			if sc.ctr[i] != 0 {
 				break
 			}
 		}
@@ -113,7 +179,69 @@ func ctrXOR(b cipher.Block, iv *[aes.BlockSize]byte, dst, src []byte) {
 			n = aes.BlockSize
 		}
 		for i := 0; i < n; i++ {
-			dst[off+i] = src[off+i] ^ ks[i]
+			dst[off+i] = src[off+i] ^ sc.ks[i]
 		}
 	}
+}
+
+// Sealer encrypts and authenticates payloads under one link key, keeping a
+// monotonic nonce counter. One Sealer per (sender, key) pair. Not safe for
+// concurrent Seal calls; Open may run concurrently.
+type Sealer struct {
+	key     keyState
+	counter uint64
+}
+
+// NewSealer builds a Sealer from a link key of at least 32 bytes; only the
+// first 32 are used.
+func NewSealer(key []byte) (*Sealer, error) {
+	if len(key) < KeySize {
+		return nil, fmt.Errorf("wsncrypto: key too short: %d bytes", len(key))
+	}
+	s := &Sealer{}
+	if err := s.key.init((*[KeySize]byte)(key)); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Seal encrypts plaintext, returning nonce || ciphertext || tag.
+func (s *Sealer) Seal(plaintext []byte) []byte {
+	s.counter++
+	return s.key.seal(s.counter, plaintext)
+}
+
+// Open verifies and decrypts an envelope produced by Seal under the same key.
+func (s *Sealer) Open(envelope []byte) ([]byte, error) {
+	return s.key.open(envelope)
+}
+
+// Link is the sealing state of one undirected link: one key schedule and
+// one pair of HMAC midstates serve both directions, and each direction has
+// its own nonce counter, so it numbers its envelopes exactly as a Sealer of
+// its own would. Seals in opposite directions may run concurrently; seals
+// in one direction may not.
+type Link struct {
+	key  keyState
+	sent [2]uint64 // per direction: envelopes sealed so far
+}
+
+// Init keys the link and rewinds both nonce counters, overwriting whatever
+// the link held before.
+func (l *Link) Init(key *[KeySize]byte) error {
+	l.sent = [2]uint64{}
+	return l.key.init(key)
+}
+
+// Seal encrypts plaintext in direction dir (0 or 1), returning
+// nonce || ciphertext || tag.
+func (l *Link) Seal(dir int, plaintext []byte) []byte {
+	l.sent[dir]++
+	return l.key.seal(l.sent[dir], plaintext)
+}
+
+// Open verifies and decrypts an envelope sealed on this link in either
+// direction.
+func (l *Link) Open(envelope []byte) ([]byte, error) {
+	return l.key.open(envelope)
 }

@@ -12,21 +12,25 @@
 package wsncrypto
 
 import (
-	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/topo"
 )
+
+// KeySize is the length of every link key.
+const KeySize = 32
 
 // KeyScheme exposes the key-sharing structure of a network.
 type KeyScheme interface {
 	// LinkKey returns the symmetric key protecting the a<->b link and
 	// whether one exists. Keys are symmetric in (a, b).
-	LinkKey(a, b topo.NodeID) ([]byte, bool)
+	LinkKey(a, b topo.NodeID) ([KeySize]byte, bool)
+	// HasKey reports whether LinkKey(a, b) would find a key, without
+	// deriving it.
+	HasKey(a, b topo.NodeID) bool
 	// ThirdPartyCanRead reports whether the observer node holds key
 	// material sufficient to decrypt traffic on the a<->b link. Always
 	// false for pairwise keys; possible under random predistribution.
@@ -39,33 +43,61 @@ type KeyScheme interface {
 // the idealised key distribution in which no third party ever shares a
 // link key.
 type PairwiseScheme struct {
-	master []byte
+	// ipad and opad are the master secret XOR the HMAC pads: a derivation
+	// hashes one of them in front of its message instead of keying a new
+	// HMAC object.
+	ipad, opad [sha256.BlockSize]byte
 }
 
 var _ KeyScheme = (*PairwiseScheme)(nil)
 
 // NewPairwiseScheme builds the scheme from a master secret.
 func NewPairwiseScheme(master []byte) *PairwiseScheme {
-	m := append([]byte(nil), master...)
-	return &PairwiseScheme{master: m}
+	s := &PairwiseScheme{}
+	s.ipad, s.opad = hmacPads(master)
+	return s
 }
 
-// LinkKey derives HMAC(master, sort(a,b)).
-func (s *PairwiseScheme) LinkKey(a, b topo.NodeID) ([]byte, bool) {
+// hmacPads returns key XOR ipad and key XOR opad, the two blocks that
+// HMAC-SHA256 hashes in front of the message and of the inner digest. A key
+// longer than one block is hashed first, as in crypto/hmac.
+func hmacPads(key []byte) (ipad, opad [sha256.BlockSize]byte) {
+	if len(key) > sha256.BlockSize {
+		sum := sha256.Sum256(key)
+		key = sum[:]
+	}
+	copy(ipad[:], key)
+	copy(opad[:], key)
+	for i := range ipad {
+		ipad[i] ^= 0x36
+		opad[i] ^= 0x5c
+	}
+	return ipad, opad
+}
+
+// LinkKey derives HMAC-SHA256(master, sort(a,b)) as two SHA-256 sums over
+// stack buffers.
+func (s *PairwiseScheme) LinkKey(a, b topo.NodeID) ([KeySize]byte, bool) {
 	if a == b {
-		return nil, false
+		return [KeySize]byte{}, false
 	}
 	lo, hi := a, b
 	if lo > hi {
 		lo, hi = hi, lo
 	}
-	mac := hmac.New(sha256.New, s.master)
-	var buf [8]byte
-	binary.BigEndian.PutUint32(buf[:4], uint32(int32(lo)))
-	binary.BigEndian.PutUint32(buf[4:], uint32(int32(hi)))
-	mac.Write(buf[:])
-	return mac.Sum(nil), true
+	var in [sha256.BlockSize + 8]byte
+	copy(in[:], s.ipad[:])
+	binary.BigEndian.PutUint32(in[sha256.BlockSize:], uint32(int32(lo)))
+	binary.BigEndian.PutUint32(in[sha256.BlockSize+4:], uint32(int32(hi)))
+	var out [sha256.BlockSize + sha256.Size]byte
+	copy(out[:], s.opad[:])
+	inner := sha256.Sum256(in[:])
+	copy(out[sha256.BlockSize:], inner[:])
+	return sha256.Sum256(out[:]), true
 }
+
+// HasKey implements KeyScheme: every pair of distinct nodes has a key.
+func (s *PairwiseScheme) HasKey(a, b topo.NodeID) bool { return a != b }
 
 // ThirdPartyCanRead is always false: pairwise keys are never shared.
 func (s *PairwiseScheme) ThirdPartyCanRead(observer, a, b topo.NodeID) bool {
@@ -84,7 +116,7 @@ type EGScheme struct {
 	poolSize int
 	ringSize int
 	rings    []map[int]struct{} // per node: set of pool key indices
-	poolKeys [][]byte
+	poolKeys [][KeySize]byte
 }
 
 var _ KeyScheme = (*EGScheme)(nil)
@@ -98,14 +130,12 @@ func NewEGScheme(rng *rand.Rand, n, poolSize, ringSize int) (*EGScheme, error) {
 		poolSize: poolSize,
 		ringSize: ringSize,
 		rings:    make([]map[int]struct{}, n),
-		poolKeys: make([][]byte, poolSize),
+		poolKeys: make([][KeySize]byte, poolSize),
 	}
 	for i := range s.poolKeys {
-		k := make([]byte, 32)
-		for j := range k {
-			k[j] = byte(rng.Intn(256))
+		for j := range s.poolKeys[i] {
+			s.poolKeys[i][j] = byte(rng.Intn(256))
 		}
-		s.poolKeys[i] = k
 	}
 	for i := range s.rings {
 		ring := make(map[int]struct{}, ringSize)
@@ -124,29 +154,33 @@ func (s *EGScheme) sharedKeyIndex(a, b topo.NodeID) int {
 	if len(rb) < len(ra) {
 		ra, rb = rb, ra
 	}
-	candidates := make([]int, 0, len(ra))
+	best := -1
 	for idx := range ra {
+		if best >= 0 && idx >= best {
+			continue
+		}
 		if _, ok := rb[idx]; ok {
-			candidates = append(candidates, idx)
+			best = idx
 		}
 	}
-	if len(candidates) == 0 {
-		return -1
-	}
-	sort.Ints(candidates)
-	return candidates[0]
+	return best
 }
 
 // LinkKey implements KeyScheme.
-func (s *EGScheme) LinkKey(a, b topo.NodeID) ([]byte, bool) {
+func (s *EGScheme) LinkKey(a, b topo.NodeID) ([KeySize]byte, bool) {
 	if a == b {
-		return nil, false
+		return [KeySize]byte{}, false
 	}
 	idx := s.sharedKeyIndex(a, b)
 	if idx < 0 {
-		return nil, false
+		return [KeySize]byte{}, false
 	}
 	return s.poolKeys[idx], true
+}
+
+// HasKey implements KeyScheme.
+func (s *EGScheme) HasKey(a, b topo.NodeID) bool {
+	return a != b && s.sharedKeyIndex(a, b) >= 0
 }
 
 // ThirdPartyCanRead implements KeyScheme: true iff the observer's ring

@@ -17,7 +17,7 @@ func TestPairwiseKeysSymmetric(t *testing.T) {
 	if !ok1 || !ok2 {
 		t.Fatal("pairwise keys must always exist")
 	}
-	if !bytes.Equal(k1, k2) {
+	if k1 != k2 {
 		t.Error("LinkKey not symmetric")
 	}
 }
@@ -27,7 +27,7 @@ func TestPairwiseKeysDistinctPerPair(t *testing.T) {
 	k1, _ := s.LinkKey(1, 2)
 	k2, _ := s.LinkKey(1, 3)
 	k3, _ := s.LinkKey(2, 3)
-	if bytes.Equal(k1, k2) || bytes.Equal(k1, k3) || bytes.Equal(k2, k3) {
+	if k1 == k2 || k1 == k3 || k2 == k3 {
 		t.Error("pairwise keys collide")
 	}
 }
@@ -72,7 +72,7 @@ func TestEGSharedKeySymmetric(t *testing.T) {
 			if ok1 != ok2 {
 				t.Fatalf("asymmetric existence for %d,%d", a, b)
 			}
-			if ok1 && !bytes.Equal(k1, k2) {
+			if ok1 && k1 != k2 {
 				t.Fatalf("asymmetric key for %d,%d", a, b)
 			}
 		}
@@ -153,11 +153,11 @@ func TestEGConnectivityDegenerate(t *testing.T) {
 func TestSealOpenRoundTrip(t *testing.T) {
 	scheme := NewPairwiseScheme([]byte("secret"))
 	key, _ := scheme.LinkKey(1, 2)
-	sender, err := NewSealer(key)
+	sender, err := NewSealer(key[:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	receiver, err := NewSealer(key)
+	receiver, err := NewSealer(key[:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestSealerRejectsShortKey(t *testing.T) {
 
 func TestOpenRejectsTamperedCiphertext(t *testing.T) {
 	key, _ := NewPairwiseScheme([]byte("k")).LinkKey(1, 2)
-	s, err := NewSealer(key)
+	s, err := NewSealer(key[:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,8 +197,8 @@ func TestOpenRejectsWrongKey(t *testing.T) {
 	scheme := NewPairwiseScheme([]byte("k"))
 	k1, _ := scheme.LinkKey(1, 2)
 	k2, _ := scheme.LinkKey(1, 3)
-	s1, _ := NewSealer(k1)
-	s2, _ := NewSealer(k2)
+	s1, _ := NewSealer(k1[:])
+	s2, _ := NewSealer(k2[:])
 	env := s1.Seal([]byte("data"))
 	if _, err := s2.Open(env); !errors.Is(err, ErrAuth) {
 		t.Errorf("wrong key: err = %v, want ErrAuth", err)
@@ -207,7 +207,7 @@ func TestOpenRejectsWrongKey(t *testing.T) {
 
 func TestOpenRejectsTruncated(t *testing.T) {
 	key, _ := NewPairwiseScheme([]byte("k")).LinkKey(1, 2)
-	s, _ := NewSealer(key)
+	s, _ := NewSealer(key[:])
 	if _, err := s.Open([]byte{1, 2, 3}); err == nil {
 		t.Error("truncated envelope should fail")
 	}
@@ -215,7 +215,7 @@ func TestOpenRejectsTruncated(t *testing.T) {
 
 func TestNoncesUnique(t *testing.T) {
 	key, _ := NewPairwiseScheme([]byte("k")).LinkKey(1, 2)
-	s, _ := NewSealer(key)
+	s, _ := NewSealer(key[:])
 	seen := make(map[string]bool)
 	for i := 0; i < 100; i++ {
 		env := s.Seal([]byte("x"))
@@ -229,7 +229,7 @@ func TestNoncesUnique(t *testing.T) {
 
 func TestCiphertextDiffersAcrossSeals(t *testing.T) {
 	key, _ := NewPairwiseScheme([]byte("k")).LinkKey(1, 2)
-	s, _ := NewSealer(key)
+	s, _ := NewSealer(key[:])
 	a := s.Seal([]byte("same plaintext"))
 	b := s.Seal([]byte("same plaintext"))
 	if bytes.Equal(a[nonceSize:len(a)-tagSize], b[nonceSize:len(b)-tagSize]) {
