@@ -1,15 +1,16 @@
 GO ?= go
 
-.PHONY: check vet build test race bench-smoke bench bench-gate f17-smoke f18-smoke trace-smoke service-smoke par-smoke fleet-smoke chaos-smoke metrics-smoke attack-smoke
+.PHONY: check vet build test race bench-smoke bench bench-gate f17-smoke f18-smoke trace-smoke service-smoke par-smoke fleet-smoke chaos-smoke metrics-smoke attack-smoke fuzz-smoke
 
 ## check: the full local verify — vet, build, tests (race on the
 ## concurrency-sensitive packages), quick resilience- and failover-
 ## experiment smokes, a traced-failover forensics smoke, the base-station
 ## service smoke, the fleet-coordinator smoke, the chaos availability
 ## drill, the telemetry/exposition smoke, the parallel-determinism smoke,
-## a one-iteration benchmark smoke through the trend harness, and the
+## a short fuzz pass over the wire decoders and link crypto, a
+## one-iteration benchmark smoke through the trend harness, and the
 ## deterministic allocation gate on the tracing-disabled hot path.
-check: vet build test race f17-smoke f18-smoke trace-smoke service-smoke fleet-smoke chaos-smoke metrics-smoke attack-smoke par-smoke bench-smoke bench-gate
+check: vet build test race f17-smoke f18-smoke trace-smoke service-smoke fleet-smoke chaos-smoke metrics-smoke attack-smoke par-smoke fuzz-smoke bench-smoke bench-gate
 
 ## vet: go vet, and fail when gofmt would reformat any file.
 vet:
@@ -118,6 +119,23 @@ attack-smoke:
 par-smoke:
 	$(GO) test -race -count=1 -run 'TestParallelMatchesSerial' .
 	@echo "par-smoke OK: parallel rounds bit-identical to serial under -race"
+
+## fuzz-smoke: run every fuzz target of the wire decoders (which spoofed
+## frames reach through MAC.Inject) and of the link crypto for FUZZTIME
+## each, with the standard library's fuzzer only; go test -fuzz takes one
+## target per run.
+FUZZTIME ?= 5s
+fuzz-smoke:
+	@set -e; for pkg in ./internal/message ./internal/wsncrypto; do \
+		list=$$($(GO) test -list '^Fuzz' $$pkg) || exit 1; \
+		targets=$$(printf '%s\n' "$$list" | grep '^Fuzz' || true); \
+		if [ -z "$$targets" ]; then echo "fuzz-smoke: no Fuzz targets in $$pkg"; exit 1; fi; \
+		for target in $$targets; do \
+			echo "fuzz $$pkg $$target"; \
+			$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) $$pkg; \
+		done; \
+	done
+	@echo "fuzz-smoke OK: every decoder and Open target ran $(FUZZTIME) clean"
 
 bench-smoke:
 	$(GO) run ./cmd/benchtrend -quick

@@ -368,10 +368,10 @@ func (p *Protocol) announceFMatrix(st *nodeState, effMask uint64) []field.Elemen
 // transmissions), absorption (heads and the base station), and reverse-path
 // relaying (members).
 func (p *Protocol) onAnnounce(at topo.NodeID, msg *message.Message) {
-	a, err := message.UnmarshalAnnounce(msg.Payload)
-	if err != nil {
+	if err := message.UnmarshalAnnounceInto(msg.Payload, &p.rxAnnounce); err != nil {
 		return
 	}
+	a := p.rxAnnounce // shares the scratch's slices: copy what is kept
 	st := &p.nodes[at]
 
 	// Any copy of our head's announce — first transmission or relayed —

@@ -270,6 +270,14 @@ type Protocol struct {
 	// buffer is consumed within one event.
 	scratchRows [][]field.Element
 
+	// Receive-path decode scratch: every overheard announce and roster, and
+	// the inner frame of every relay, is decoded into these rather than into
+	// fresh values. Safe for the same reason — receptions are events on the
+	// serial loop — and the handlers copy whatever they keep.
+	rxAnnounce message.Announce
+	rxRoster   message.Roster
+	rxInner    message.Message
+
 	// par is the resolved worker-pool width (Config.Parallelism, with 0
 	// mapped to GOMAXPROCS at construction).
 	par int

@@ -187,8 +187,12 @@ func (p *Protocol) onRelay(at topo.NodeID, msg *message.Message) {
 	if err != nil {
 		return
 	}
-	inner, err := message.Unmarshal(r.Inner)
-	if err != nil {
+	// The inner frame is decoded into scratch whose payload aliases the
+	// relay's. Round and payload are read first: a relay nested in a relay
+	// re-enters here with msg pointing at that same scratch.
+	round, payload := msg.Round, msg.Payload
+	inner := &p.rxInner
+	if err := message.UnmarshalInto(r.Inner, inner); err != nil {
 		return
 	}
 	if inner.To == at {
@@ -203,7 +207,7 @@ func (p *Protocol) onRelay(at topo.NodeID, msg *message.Message) {
 	if st.role != roleHead && !st.tookOver {
 		return
 	}
-	p.env.MAC.Send(message.Build(message.KindRelay, at, inner.To, msg.Round, msg.Payload))
+	p.env.MAC.Send(message.Build(message.KindRelay, at, inner.To, round, payload))
 }
 
 // onShare decrypts a received share and records it by roster index.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/field"
@@ -296,10 +297,10 @@ func (p *Protocol) finalRosters() {
 // remnant).
 func (p *Protocol) onRoster(at topo.NodeID, msg *message.Message) {
 	st := &p.nodes[at]
-	r, err := message.UnmarshalRoster(msg.Payload)
-	if err != nil {
+	if err := message.UnmarshalRosterInto(msg.Payload, &p.rxRoster); err != nil {
 		return
 	}
+	r := p.rxRoster // shares the scratch's entries: copy before keeping them
 	if len(r.Entries) == 0 && r.Head != msg.From {
 		// Deputy-announced dissolution of a dead head's remnant: only that
 		// cluster's members act, and only on their designated deputy's word.
@@ -359,7 +360,7 @@ func (p *Protocol) onRoster(at topo.NodeID, msg *message.Message) {
 		st.head = msg.From
 		st.headSilent = false
 	}
-	p.installRoster(at, r)
+	p.installRoster(at, message.Roster{Head: r.Head, Entries: slices.Clone(r.Entries)})
 }
 
 // canonicalizeSeeds overwrites every roster entry's seed with the position

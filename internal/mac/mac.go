@@ -101,12 +101,21 @@ type port struct {
 	// lookup in the whole simulation.
 	dedup []seqEntry
 
-	id       topo.NodeID
+	id topo.NodeID
+	// Transmit FIFO: frames queue[qhead:] wait in order. The read index
+	// rewinds to 0 whenever the queue drains, so a port reuses one backing
+	// array instead of re-slicing past its front and reallocating on the
+	// next append.
 	queue    []*message.Message
+	qhead    int
 	cw       int
 	csTries  int
 	txTries  int
 	ackTimer sim.Timer // pending ACK timeout
+	// ACKs owed, oldest first from acks[ackHead]; each has one ackDueFn
+	// event scheduled SIFS after its frame arrived.
+	acks    []ackEntry
+	ackHead int
 
 	// Timer callbacks built once at layer construction: ports schedule
 	// thousands of backoff and completion events per round, and closing
@@ -114,12 +123,39 @@ type port struct {
 	attemptFn    func()
 	bcastDoneFn  func()
 	ackTimeoutFn func()
+	ackDueFn     func()
 }
 
 // seqEntry is one sender's dedup slot.
 type seqEntry struct {
 	from topo.NodeID
 	seq  uint16
+}
+
+// ackEntry is one ACK a port owes: the acknowledged frame's sender, round
+// and sequence number.
+type ackEntry struct {
+	to    topo.NodeID
+	round uint16
+	seq   uint16
+}
+
+// queued returns the number of frames waiting in the transmit queue.
+func (p *port) queued() int { return len(p.queue) - p.qhead }
+
+// pop removes the frame at the head of the transmit queue.
+func (p *port) pop() {
+	p.queue[p.qhead] = nil
+	p.qhead++
+	if p.qhead == len(p.queue) {
+		p.queue, p.qhead = p.queue[:0], 0
+	}
+}
+
+// clearQueue empties the transmit queue, keeping its backing array.
+func (p *port) clearQueue() {
+	clear(p.queue)
+	p.queue, p.qhead = p.queue[:0], 0
 }
 
 // NewLayer builds the MAC over a medium for a network of n nodes and takes
@@ -156,6 +192,7 @@ func NewLayer(eng *sim.Engine, medium *radio.Medium, n int, rng *rand.Rand, cfg 
 			l.kick(p)
 		}
 		p.ackTimeoutFn = func() { l.ackTimedOut(p) }
+		p.ackDueFn = func() { l.ackDue(p) }
 	}
 	return l, nil
 }
@@ -168,7 +205,8 @@ func NewLayer(eng *sim.Engine, medium *radio.Medium, n int, rng *rand.Rand, cfg 
 func (l *Layer) Reset() {
 	for i := range l.ports {
 		p := &l.ports[i]
-		p.queue = nil
+		p.clearQueue()
+		p.acks, p.ackHead = p.acks[:0], 0
 		p.pending = false
 		p.cw = l.cfg.MinCW
 		p.csTries = 0
@@ -230,9 +268,9 @@ func (l *Layer) SetReceiver(id topo.NodeID, r Receiver) {
 func (l *Layer) Disable(id topo.NodeID) {
 	p := &l.ports[id]
 	p.dead = true
-	purged := len(p.queue)
-	l.drops += len(p.queue)
-	p.queue = nil
+	purged := p.queued()
+	l.drops += purged
+	p.clearQueue()
 	if p.awaiting != nil {
 		p.awaiting = nil
 		l.drops++
@@ -277,7 +315,7 @@ func (l *Layer) Send(msg *message.Message) {
 // frame mid-ARQ.
 func (l *Layer) QueueLen(id topo.NodeID) int {
 	p := &l.ports[id]
-	n := len(p.queue)
+	n := p.queued()
 	if p.awaiting != nil {
 		n++
 	}
@@ -295,7 +333,7 @@ func (l *Layer) Retransmissions() int { return l.retxTx }
 
 // kick arranges the next send attempt if none is pending.
 func (l *Layer) kick(p *port) {
-	if p.pending || (len(p.queue) == 0 && p.awaiting == nil) {
+	if p.pending || (p.queued() == 0 && p.awaiting == nil) {
 		return
 	}
 	p.pending = true
@@ -310,11 +348,11 @@ func (l *Layer) attempt(p *port) {
 	}
 	msg := p.awaiting
 	if msg == nil {
-		if len(p.queue) == 0 {
+		if p.queued() == 0 {
 			p.pending = false
 			return
 		}
-		msg = p.queue[0]
+		msg = p.queue[p.qhead]
 	}
 	if l.medium.BusyWithin(p.id, l.cfg.DIFS) {
 		p.csTries++
@@ -330,7 +368,7 @@ func (l *Layer) attempt(p *port) {
 	}
 	// Claim the frame before the air time elapses.
 	if p.awaiting == nil {
-		p.queue = p.queue[1:]
+		p.pop()
 		if !msg.IsBroadcast() && msg.Kind != message.KindAck {
 			p.awaiting = msg
 		}
@@ -359,8 +397,8 @@ func (l *Layer) attempt(p *port) {
 func (l *Layer) abandon(p *port) {
 	if p.awaiting != nil {
 		p.awaiting = nil
-	} else if len(p.queue) > 0 {
-		p.queue = p.queue[1:]
+	} else if p.queued() > 0 {
+		p.pop()
 	}
 	l.drops++
 	l.emitDrop(p.id, "cs-exhausted", "carrier sense gave up after %d deferrals", p.csTries)
@@ -412,7 +450,7 @@ func (l *Layer) onReceive(at topo.NodeID, msg *message.Message) {
 		return // ACKs never reach the protocol layer
 	}
 	if msg.To == at {
-		l.sendAck(at, msg)
+		l.sendAck(p, msg)
 	}
 	// Duplicate suppression (retransmissions repeat the same seq). Hits
 	// move to the front of the table: senders transmit in bursts, so the
@@ -441,24 +479,29 @@ accept:
 	}
 }
 
-// sendAck transmits an immediate ACK after SIFS, bypassing the queue and
-// carrier sense (ACKs have priority, as in 802.11).
-func (l *Layer) sendAck(at topo.NodeID, msg *message.Message) {
-	ack := &message.Message{
-		Kind:  message.KindAck,
-		From:  at,
-		To:    msg.From,
-		Round: msg.Round,
-		Seq:   msg.Seq,
-	}
+// sendAck schedules an immediate ACK of msg after SIFS, bypassing the queue
+// and carrier sense (ACKs have priority, as in 802.11). The ACK waits in the
+// port's FIFO, not in a closure, and goes on the air as a frame the medium
+// stores in its own recycled transmission record, so acknowledging a
+// unicast allocates nothing.
+func (l *Layer) sendAck(p *port, msg *message.Message) {
+	p.acks = append(p.acks, ackEntry{to: msg.From, round: msg.Round, seq: msg.Seq})
 	l.acksTx++
-	l.eng.After(l.cfg.SIFS, func() {
-		// Half-duplex: if this node is mid-transmission, the ACK is lost
-		// anyway; transmit regardless and let the medium decide.
-		if _, err := l.medium.Transmit(at, ack); err != nil {
-			l.drops++
-		}
-	})
+	l.eng.After(l.cfg.SIFS, p.ackDueFn)
+}
+
+// ackDue transmits the oldest ACK the port owes. Every ACK is scheduled
+// exactly SIFS after its frame and the engine fires equal times in
+// scheduling order, so the events pop the FIFO in the order it was filled.
+func (l *Layer) ackDue(p *port) {
+	a := p.acks[p.ackHead]
+	p.ackHead++
+	if p.ackHead == len(p.acks) {
+		p.acks, p.ackHead = p.acks[:0], 0
+	}
+	// Half-duplex: if this node is mid-transmission, the ACK is lost
+	// anyway; transmit regardless and let the medium decide.
+	l.medium.TransmitAck(p.id, a.to, a.round, a.seq)
 }
 
 // backoffDelay draws a uniform delay in [1, cw] slots.

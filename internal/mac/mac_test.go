@@ -13,7 +13,7 @@ import (
 	"repro/internal/topo"
 )
 
-func setup(t *testing.T, nodes int, seed int64) (*sim.Engine, *topo.Network, *metrics.Recorder, *radio.Medium, *Layer) {
+func setup(t testing.TB, nodes int, seed int64) (*sim.Engine, *topo.Network, *metrics.Recorder, *radio.Medium, *Layer) {
 	t.Helper()
 	net, err := topo.NewNetwork(topo.Config{
 		Field:        geom.Field{Width: 100, Height: 100},

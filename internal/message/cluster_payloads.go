@@ -88,6 +88,45 @@ func UnmarshalRoster(buf []byte) (Roster, error) {
 	return r, nil
 }
 
+// UnmarshalRosterInto decodes a Roster payload into *r, reusing the
+// capacity of r.Entries, so a receiver that decodes every overheard roster
+// into one scratch value allocates nothing once warm. It accepts and
+// rejects exactly what UnmarshalRoster does; on error *r is left unchanged.
+// The next call overwrites r.Entries, so a caller that keeps the roster
+// must copy it.
+func UnmarshalRosterInto(buf []byte, r *Roster) error {
+	if len(buf) < 5 {
+		return ErrTruncated
+	}
+	n := int(buf[4])
+	if n > MaxClusterSize {
+		return fmt.Errorf("message: roster of %d exceeds max %d", n, MaxClusterSize)
+	}
+	if len(buf) < 5+n*8 {
+		return ErrTruncated
+	}
+	r.Head = topo.NodeID(int32(binary.BigEndian.Uint32(buf)))
+	r.Entries = resize(r.Entries, n)
+	off := 5
+	for i := range r.Entries {
+		r.Entries[i] = RosterEntry{
+			ID:   topo.NodeID(int32(binary.BigEndian.Uint32(buf[off:]))),
+			Seed: field.Element(binary.BigEndian.Uint32(buf[off+4:])),
+		}
+		off += 8
+	}
+	return nil
+}
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // Assembled is a member's cleartext in-cluster report of its column sums
 // F_j — one per additive component — together with the bitmask of roster
 // indices whose shares it incorporated. The mask is the loss-visibility
@@ -371,6 +410,61 @@ func UnmarshalAnnounce(buf []byte) (Announce, error) {
 	return a, nil
 }
 
+// UnmarshalAnnounceInto decodes an Announce payload into *a, reusing the
+// capacity of its slices, each child's Totals vector included. A witness
+// overhears every announce in
+// range, so decoding into one scratch value makes that allocation-free once
+// warm. It accepts and rejects exactly what UnmarshalAnnounce does and
+// yields an equal value, except that an empty field may be a non-nil slice
+// of length 0; on error *a is left unchanged. The next call overwrites
+// every slice, so a caller that keeps any part of the announce must copy it.
+func UnmarshalAnnounceInto(buf []byte, a *Announce) error {
+	if len(buf) < 20 {
+		return ErrTruncated
+	}
+	c := int(buf[8])
+	hasSums := buf[9] == 1
+	members := int(buf[10])
+	nc := int(buf[11])
+	if c == 0 || c > MaxComponents || members > MaxClusterSize {
+		return fmt.Errorf("message: bad announce dims c=%d m=%d", c, members)
+	}
+	sumLen := 0
+	if hasSums {
+		sumLen = c
+	}
+	if len(buf) < 20+sumLen*4+members*c*4+nc*(8+c*4) {
+		return ErrTruncated
+	}
+	a.Origin = topo.NodeID(int32(binary.BigEndian.Uint32(buf)))
+	a.ClusterCnt = binary.BigEndian.Uint32(buf[4:])
+	a.Components = uint8(c)
+	a.Mask = binary.BigEndian.Uint64(buf[12:])
+	a.ClusterSums = resize(a.ClusterSums, sumLen)
+	off := getElems(buf, 20, a.ClusterSums)
+	a.FMatrix = resize(a.FMatrix, members*c)
+	off = getElems(buf, off, a.FMatrix)
+	a.Children = resize(a.Children, nc)
+	for i := range a.Children {
+		ch := &a.Children[i]
+		ch.Child = topo.NodeID(int32(binary.BigEndian.Uint32(buf[off:])))
+		ch.Count = binary.BigEndian.Uint32(buf[off+4:])
+		ch.Totals = resize(ch.Totals, c)
+		off = getElems(buf, off+8, ch.Totals)
+	}
+	return nil
+}
+
+// getElems fills dst from the big-endian words at buf[off:] and returns the
+// offset just past them.
+func getElems(buf []byte, off int, dst []field.Element) int {
+	for i := range dst {
+		dst[i] = field.Element(binary.BigEndian.Uint32(buf[off:]))
+		off += 4
+	}
+	return off
+}
+
 // Takeover is a deputy's head-failover claim, broadcast to the cluster when
 // the head-silence watchdog expires: neither a Reassemble nor the head's
 // Announce arrived by the cluster's announce deadline. Head names the silent
@@ -416,7 +510,9 @@ func MarshalRelay(r Relay) ([]byte, error) {
 	return buf, nil
 }
 
-// UnmarshalRelay decodes a Relay payload.
+// UnmarshalRelay decodes a Relay payload. Inner is a view into buf, capped
+// at its own length, not a copy: the relay hop forwards or unwraps it within
+// the same reception.
 func UnmarshalRelay(buf []byte) (Relay, error) {
 	if len(buf) < 2 {
 		return Relay{}, ErrTruncated
@@ -425,5 +521,5 @@ func UnmarshalRelay(buf []byte) (Relay, error) {
 	if len(buf) < 2+n {
 		return Relay{}, ErrTruncated
 	}
-	return Relay{Inner: append([]byte(nil), buf[2:2+n]...)}, nil
+	return Relay{Inner: buf[2 : 2+n : 2+n]}, nil
 }

@@ -150,27 +150,42 @@ func (m *Message) Marshal() ([]byte, error) {
 	return buf, nil
 }
 
-// Unmarshal decodes a frame produced by Marshal.
+// Unmarshal decodes a frame produced by Marshal into a new Message that
+// owns a copy of the payload.
 func Unmarshal(buf []byte) (*Message, error) {
-	if len(buf) < HeaderSize {
-		return nil, ErrTruncated
+	m := &Message{}
+	if err := UnmarshalInto(buf, m); err != nil {
+		return nil, err
 	}
-	m := &Message{
+	if m.Payload != nil {
+		m.Payload = append([]byte(nil), m.Payload...)
+	}
+	return m, nil
+}
+
+// UnmarshalInto decodes a frame produced by Marshal into *m without
+// copying: m.Payload is a view into buf, capped at the payload's length, or
+// nil when the payload is empty. On error *m is left unchanged.
+func UnmarshalInto(buf []byte, m *Message) error {
+	if len(buf) < HeaderSize {
+		return ErrTruncated
+	}
+	if !Kind(buf[0]).Valid() {
+		return fmt.Errorf("message: invalid kind %d", buf[0])
+	}
+	plen := int(binary.BigEndian.Uint16(buf[13:]))
+	if len(buf) < HeaderSize+plen {
+		return ErrTruncated
+	}
+	*m = Message{
 		Kind:  Kind(buf[0]),
 		From:  topo.NodeID(int32(binary.BigEndian.Uint32(buf[1:]))),
 		To:    topo.NodeID(int32(binary.BigEndian.Uint32(buf[5:]))),
 		Round: binary.BigEndian.Uint16(buf[9:]),
 		Seq:   binary.BigEndian.Uint16(buf[11:]),
 	}
-	if !m.Kind.Valid() {
-		return nil, fmt.Errorf("message: invalid kind %d", buf[0])
-	}
-	plen := int(binary.BigEndian.Uint16(buf[13:]))
-	if len(buf) < HeaderSize+plen {
-		return nil, ErrTruncated
-	}
 	if plen > 0 {
-		m.Payload = append([]byte(nil), buf[HeaderSize:HeaderSize+plen]...)
+		m.Payload = buf[HeaderSize : HeaderSize+plen : HeaderSize+plen]
 	}
-	return m, nil
+	return nil
 }

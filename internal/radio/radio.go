@@ -21,8 +21,12 @@ import (
 )
 
 // Handler consumes a delivered frame at a node. The frame is already
-// decoded; handlers must not retain the message beyond the call unless they
-// copy it.
+// decoded, and every receiver in range gets the same pointer. Handlers must
+// not modify the message, and must not retain it, its payload, or anything
+// decoded into reused scratch beyond the call unless they copy it: an ACK
+// frame lives inside the medium's recycled transmission record, and the
+// protocols decode overheard payloads into scratch the next reception
+// overwrites.
 type Handler func(at topo.NodeID, msg *message.Message)
 
 // Config parameterises the medium.
@@ -70,6 +74,9 @@ type transmission struct {
 	cell       int    // sender's cell in Medium.grid
 	slot       int    // position within Medium.cells[cell]
 	fire       func() // delivery closure, built once per pooled node
+	// ack holds the frame itself for transmissions from TransmitAck, with
+	// msg pointing here; it is recycled together with the node.
+	ack message.Message
 }
 
 // Medium is the shared channel. One Medium serves one simulated network.
@@ -229,10 +236,29 @@ func (m *Medium) Transmit(from topo.NodeID, msg *message.Message) (time.Duration
 	if err := msg.Validate(); err != nil { // encodability, without the bytes
 		return 0, fmt.Errorf("radio: %w", err)
 	}
+	t := m.allocTransmission()
+	t.msg = msg
+	return m.launch(t, from), nil
+}
+
+// TransmitAck puts a MAC acknowledgement from `from` to `to` on the air and
+// returns its duration. The frame is stored by value in the transmission
+// record, which the medium recycles after delivery, so an ACK allocates
+// nothing; receivers get a pointer into that record and must not keep it.
+func (m *Medium) TransmitAck(from, to topo.NodeID, round, seq uint16) time.Duration {
+	t := m.allocTransmission()
+	t.ack = message.Message{Kind: message.KindAck, From: from, To: to, Round: round, Seq: seq}
+	t.msg = &t.ack
+	return m.launch(t, from)
+}
+
+// launch starts t's frame on the air from node `from` and schedules its
+// delivery at end-of-frame.
+func (m *Medium) launch(t *transmission, from topo.NodeID) time.Duration {
+	msg := t.msg
 	size := msg.WireSize()
 	dur := m.AirTime(size)
-	t := m.allocTransmission()
-	t.from, t.msg, t.wireSize = from, msg, size
+	t.from, t.wireSize = from, size
 	t.start, t.end = m.eng.Now(), m.eng.Now()+dur
 	if dur > m.maxDur {
 		m.maxDur = dur
@@ -246,7 +272,7 @@ func (m *Medium) Transmit(from topo.NodeID, msg *message.Message) (time.Duration
 		m.rec.OnTransmit(from, msg.Kind.String(), size)
 	}
 	m.eng.At(t.end, t.fire)
-	return dur, nil
+	return dur
 }
 
 // allocTransmission takes a node from the free list or mints one, building

@@ -86,12 +86,10 @@ func (e *Engine) SetEventLimit(n uint64) { e.limit = n }
 // the per-event hot loop stays untouched.
 func (e *Engine) SetSink(s trace.Sink) { e.sink = s }
 
-// emitRun records one run-lifecycle event when tracing is enabled. The
-// format runs behind the nil check so disabled runs pay nothing for it.
+// emitRun records one run-lifecycle event. Callers check e.sink first, so
+// a run with tracing disabled neither formats the detail nor boxes its
+// arguments: a drained Run then allocates nothing.
 func (e *Engine) emitRun(cause, format string, args ...any) {
-	if e.sink == nil {
-		return
-	}
 	e.sink.Emit(trace.Event{At: e.now, Cluster: trace.NoCluster,
 		Phase: trace.PhaseEngine, Type: trace.TypeEngine, Cause: cause,
 		Detail: fmt.Sprintf(format, args...)})
@@ -173,17 +171,23 @@ func (e *Engine) Stop() { e.stopped = true }
 // optional horizon (0 = none) passes. Events scheduled exactly at the
 // horizon still run.
 func (e *Engine) Run(horizon time.Duration) error {
-	e.emitRun("run", fmt.Sprintf("pending=%d horizon=%v", e.Pending(), horizon))
+	if e.sink != nil {
+		e.emitRun("run", "pending=%d horizon=%v", e.Pending(), horizon)
+	}
 	for len(e.queue) > 0 {
 		if e.stopped {
-			e.emitRun("stopped", fmt.Sprintf("processed=%d", e.ran))
+			if e.sink != nil {
+				e.emitRun("stopped", "processed=%d", e.ran)
+			}
 			return ErrStopped
 		}
 		if horizon > 0 && e.queue[0].at > horizon {
 			// Leave the event queued so a later Run with a larger horizon
 			// resumes exactly where this one paused.
 			e.now = horizon
-			e.emitRun("paused", fmt.Sprintf("pending=%d", e.Pending()))
+			if e.sink != nil {
+				e.emitRun("paused", "pending=%d", e.Pending())
+			}
 			return nil
 		}
 		ev := e.pop()
@@ -196,7 +200,9 @@ func (e *Engine) Run(horizon time.Duration) error {
 		e.ran++
 		if e.limit > 0 && e.ran > e.limit {
 			e.recycle(ev)
-			e.emitRun("limit", fmt.Sprintf("limit=%d", e.limit))
+			if e.sink != nil {
+				e.emitRun("limit", "limit=%d", e.limit)
+			}
 			return fmt.Errorf("sim: event limit %d exceeded at t=%v", e.limit, e.now)
 		}
 		fn := ev.fn
@@ -206,7 +212,9 @@ func (e *Engine) Run(horizon time.Duration) error {
 		e.recycle(ev)
 		fn()
 	}
-	e.emitRun("drained", fmt.Sprintf("processed=%d", e.ran))
+	if e.sink != nil {
+		e.emitRun("drained", "processed=%d", e.ran)
+	}
 	return nil
 }
 

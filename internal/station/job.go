@@ -157,8 +157,9 @@ func (j *Job) Cancel() {
 	j.mu.Lock()
 	queued := j.state == JobQueued
 	j.mu.Unlock()
-	if queued && j.finish(repro.QueryAnswer{}, context.Canceled) {
+	if queued && j.settle(repro.QueryAnswer{}, context.Canceled) {
 		j.st.cancelFinished(j)
+		j.publish()
 	}
 }
 
@@ -182,9 +183,12 @@ func (j *Job) setRunning(worker int) {
 	j.mu.Unlock()
 }
 
-// finish moves the job to its terminal state exactly once; the first
-// caller wins and the return value reports whether this call did it.
-func (j *Job) finish(ans repro.QueryAnswer, err error) bool {
+// settle moves the job to its terminal state exactly once; the first
+// caller wins and the return value reports whether this call did it. The
+// winner must then call publish, which releases the waiters: in between,
+// the station counts the outcome, so a client that sees the job finished
+// also sees it in /statsz.
+func (j *Job) settle(ans repro.QueryAnswer, err error) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state == JobDone || j.state == JobFailed || j.state == JobCanceled {
@@ -200,9 +204,11 @@ func (j *Job) finish(ans repro.QueryAnswer, err error) bool {
 		j.state, j.err = JobFailed, err
 	}
 	j.timerStop()
-	close(j.done)
 	return true
 }
+
+// publish releases everyone waiting on a settled job.
+func (j *Job) publish() { close(j.done) }
 
 // JobStatus is the wire view of a job — what GET /v1/jobs/{id} returns and
 // what a sync POST /v1/query responds with once the job finishes.

@@ -44,6 +44,24 @@ func TestSyncQueryJobDeadlineIsFailedNotAborted(t *testing.T) {
 	}
 }
 
+// TestStatszCountsSyncQueryOnReturn is the regression gate for the
+// finish-ordering race: the station used to release a job's waiters before
+// counting its outcome, so a client reading /statsz right after its sync
+// query returned could find the query missing from completed.
+func TestStatszCountsSyncQueryOnReturn(t *testing.T) {
+	_, srv := newTestServer(t, testConfig(2, 8))
+	for i := int64(1); i <= 20; i++ {
+		if resp, data := postJSON(t, srv.URL+"/v1/query", `{"kind":"sum"}`); resp.StatusCode != http.StatusOK {
+			t.Fatalf("query %d: %d %s", i, resp.StatusCode, data)
+		}
+		var stats Stats
+		getJSON(t, srv.URL+"/statsz", &stats)
+		if stats.Completed != i {
+			t.Fatalf("/statsz right after sync query %d: completed = %d", i, stats.Completed)
+		}
+	}
+}
+
 // TestSyncQueryClientAbortStillCancels covers the other side of the same
 // seam: when the CLIENT disappears, the handler must still cancel the job
 // rather than leak the epoch's result into a finished job nobody owns.

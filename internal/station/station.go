@@ -387,9 +387,10 @@ func cause(ctx context.Context) error {
 }
 
 func (s *Station) finish(job *Job, ans repro.QueryAnswer, err error) {
-	if !job.finish(ans, err) {
+	if !job.settle(ans, err) {
 		return // lost the race against Cancel-while-queued
 	}
+	defer job.publish() // only once the outcome is counted
 	s.metrics.finished(job.spec.Kind, job.State())
 	if ran := job.RunTime(); ran > 0 {
 		s.metrics.run.Observe(ran)
