@@ -60,7 +60,7 @@ func BenchmarkFigResilience(b *testing.B)     { benchExperiment(b, "F17-resilien
 
 func benchProtocolRound(b *testing.B, run func(dep *Deployment) (Result, error)) {
 	b.Helper()
-	benchRoundN(b, 400, func(dep *Deployment) error {
+	benchRoundN(b, 400, true, func(dep *Deployment) error {
 		_, err := run(dep)
 		return err
 	})
@@ -68,8 +68,11 @@ func benchProtocolRound(b *testing.B, run func(dep *Deployment) (Result, error))
 
 // benchRoundN deploys n nodes once at the reference density (the field side
 // scales with sqrt(n) to hold ~20 neighbours per node) and measures one full
-// aggregation round — formation included — per iteration.
-func benchRoundN(b *testing.B, n int, run func(dep *Deployment) error) {
+// aggregation round — formation included — per iteration. With warmup, one
+// untimed round runs first: a layer's first round grows its port queues and
+// pools, and without the warm-up that one-off cost weighs five times more
+// in a 5-iteration allocation gate than in a 1s-benchtime snapshot of ~25.
+func benchRoundN(b *testing.B, n int, warmup bool, run func(dep *Deployment) error) {
 	b.Helper()
 	// Deploy once; each iteration Resets to a fresh per-iteration seed so the
 	// timer measures the aggregation round, not topology construction.
@@ -80,6 +83,11 @@ func benchRoundN(b *testing.B, n int, run func(dep *Deployment) error) {
 	})
 	if err != nil {
 		b.Fatal(err)
+	}
+	if warmup {
+		if err := run(dep); err != nil {
+			b.Fatal(err)
+		}
 	}
 	var ms runtime.MemStats
 	var mallocs uint64
@@ -129,7 +137,7 @@ func BenchmarkRound(b *testing.B) {
 				//   go test -bench 'BenchmarkRound$/n=100k' -benchtime 1x .
 				b.Skip("n=100k is skipped under -short")
 			}
-			benchRoundN(b, n, func(dep *Deployment) error {
+			benchRoundN(b, n, false, func(dep *Deployment) error {
 				_, err := dep.RunCluster(ClusterOptions{MaxHops: scaleHops(n)})
 				return err
 			})
@@ -141,7 +149,7 @@ func BenchmarkRound(b *testing.B) {
 // worker-pool speedup is measurable from one snapshot (compare against
 // BenchmarkRound/n=10k, which runs at GOMAXPROCS).
 func BenchmarkRoundSerial(b *testing.B) {
-	benchRoundN(b, 10_000, func(dep *Deployment) error {
+	benchRoundN(b, 10_000, false, func(dep *Deployment) error {
 		_, err := dep.RunCluster(ClusterOptions{Parallelism: 1, MaxHops: scaleHops(10_000)})
 		return err
 	})

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/message"
 	"repro/internal/metrics"
 )
 
@@ -19,7 +20,7 @@ func TestModelValidation(t *testing.T) {
 
 func TestNodeCost(t *testing.T) {
 	rec := metrics.NewRecorder()
-	rec.OnTransmit(1, "hello", 100) // 100 B, 1 frame
+	rec.OnTransmit(1, message.KindHello, 100) // 100 B, 1 frame
 	rec.OnReceive(1, 50)
 	m := Model{TxPerByte: 1, RxPerByte: 2, TxPerMsg: 10, RxPerMsg: 5}
 	// 100*1 + 1*10 + 50*2 = 210.
@@ -33,8 +34,8 @@ func TestNodeCost(t *testing.T) {
 
 func TestAuditReport(t *testing.T) {
 	rec := metrics.NewRecorder()
-	rec.OnTransmit(0, "x", 10)
-	rec.OnTransmit(1, "x", 30)
+	rec.OnTransmit(0, message.KindHello, 10)
+	rec.OnTransmit(1, message.KindHello, 30)
 	m := Model{TxPerByte: 1, TxPerMsg: 0}
 	r, err := m.Audit(rec, 3)
 	if err != nil {

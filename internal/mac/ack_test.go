@@ -14,7 +14,8 @@ import (
 // TestAcksDueTogetherBothSent covers a receiver that owes two ACKs within
 // one SIFS. On an ideal channel two frames can reach one node at the same
 // instant, so both ACKs fall due together; both must go on the air, in the
-// order their frames arrived, each naming its own frame.
+// order their frames arrived, each naming its own frame and reaching its
+// own addressee.
 func TestAcksDueTogetherBothSent(t *testing.T) {
 	net, err := topo.NewNetwork(topo.Config{
 		Field: geom.Field{Width: 100, Height: 100}, Range: 200, Nodes: 4, Seed: 16,
@@ -33,13 +34,18 @@ func TestAcksDueTogetherBothSent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Node 3 is a bystander that logs every ACK it overhears.
-	var acks []message.Message
-	med.SetHandler(3, func(at topo.NodeID, m *message.Message) {
+	// Log every ACK handed to a node on its way into the MAC. The medium
+	// hands an ACK only to its addressee, so the log sees each ACK once.
+	type delivery struct {
+		at  topo.NodeID
+		ack message.Message
+	}
+	var acks []delivery
+	med.SetHandler(func(at topo.NodeID, link int, m *message.Message) {
 		if m.Kind == message.KindAck {
-			acks = append(acks, *m)
+			acks = append(acks, delivery{at, *m})
 		}
-		layer.onReceive(at, m)
+		layer.onReceive(at, link, m)
 	})
 	// Inject skips carrier sense, so both frames share the air and end at
 	// the same instant.
@@ -54,17 +60,18 @@ func TestAcksDueTogetherBothSent(t *testing.T) {
 	if err := eng.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	want := []message.Message{
-		{Kind: message.KindAck, From: 1, To: 0, Round: 5, Seq: 7},
-		{Kind: message.KindAck, From: 1, To: 2, Round: 6, Seq: 9},
+	want := []delivery{
+		{0, message.Message{Kind: message.KindAck, From: 1, To: 0, Round: 5, Seq: 7}},
+		{2, message.Message{Kind: message.KindAck, From: 1, To: 2, Round: 6, Seq: 9}},
 	}
 	if len(acks) != len(want) {
-		t.Fatalf("overheard %d ACKs, want %d: %+v", len(acks), len(want), acks)
+		t.Fatalf("addressees got %d ACKs, want %d: %+v", len(acks), len(want), acks)
 	}
-	for i := range want {
-		if acks[i].Kind != want[i].Kind || acks[i].From != want[i].From || acks[i].To != want[i].To ||
-			acks[i].Round != want[i].Round || acks[i].Seq != want[i].Seq {
-			t.Errorf("ACK %d = %+v, want %+v", i, acks[i], want[i])
+	for i, w := range want {
+		got := acks[i]
+		if got.at != w.at || got.ack.Kind != w.ack.Kind || got.ack.From != w.ack.From || got.ack.To != w.ack.To ||
+			got.ack.Round != w.ack.Round || got.ack.Seq != w.ack.Seq {
+			t.Errorf("ACK %d = %+v at %d, want %+v at %d", i, got.ack, got.at, w.ack, w.at)
 		}
 	}
 	if layer.AcksSent() != 2 {

@@ -6,11 +6,11 @@
 // are fire-and-forget; the aggregation protocols tolerate residual
 // broadcast loss, matching the lineage papers' ns-2 setup.
 //
-// The MAC owns the medium's receive path: it installs itself as every
-// node's radio handler, absorbs ACKs, answers unicasts, de-duplicates
-// retransmissions, and hands everything else to the protocol receiver —
-// including frames addressed to other nodes, because the cluster protocol's
-// witnesses rely on promiscuous overhearing.
+// The MAC owns the medium's receive path: it installs itself as the radio
+// handler, absorbs ACKs, answers unicasts, de-duplicates retransmissions,
+// and hands everything else to the protocol receiver — including frames
+// addressed to other nodes, because the cluster protocol's witnesses rely
+// on promiscuous overhearing.
 package mac
 
 import (
@@ -75,31 +75,38 @@ func DefaultConfig() Config {
 type Layer struct {
 	eng     *sim.Engine
 	medium  *radio.Medium
+	net     *topo.Network
 	rng     *rand.Rand
 	cfg     Config
-	ports   []port // flat: one reception touches one contiguous port record
-	drops   int    // frames abandoned (CS exhaustion, ARQ exhaustion, encode errors)
+	ports   []port
+	drops   int // frames abandoned (CS exhaustion, ARQ exhaustion, encode errors)
 	acksTx  int
 	retxTx  int
 	recvers []Receiver
 	sink    trace.Sink // flight recorder; nil = disabled
 	tap     Tap        // adversary seam; nil = disabled
+
+	// Receive-path state lives in dense arrays, not in the ports, so an
+	// overheard frame — most receptions — never loads a port record.
+	dead []bool // crashed nodes: radio silent both ways
+	// lastSeq[l] is one more than the last sequence number accepted over
+	// directed radio link l (topo.Network.Link), i.e. by l's receiver from
+	// l's sender; 0 means nothing accepted yet. One frame's receivers sit on
+	// consecutive links, so its dedup checks walk one contiguous run.
+	lastSeq []uint32
+	// spoofSeq is the last sequence number accepted per (receiver, claimed
+	// sender) pair that has no radio link: frames injected under the name
+	// of a non-adjacent node or of a phantom ID outside the network.
+	spoofSeq map[[2]topo.NodeID]uint16
 }
 
-// port field order is deliberate: every reception in the simulation loads
-// this record from a 100k-entry array, so the receive-path fields — dead,
-// awaiting, the dedup table header — lead the struct to land in one cache
-// line; transmit-side state follows.
+// port holds one node's transmit and ARQ state. A reception loads it only
+// when the frame is addressed to the node: to answer a unicast or to
+// consume an ACK.
 type port struct {
-	dead     bool             // crashed node: radio silent both ways
 	pending  bool             // a send attempt or ARQ exchange is in flight
 	seq      uint16           // last sequence number assigned
 	awaiting *message.Message // unicast awaiting ACK
-	// Duplicate-suppression table: last seq accepted per sender. A port only
-	// ever hears its radio neighbours (~20 at reference density), so a
-	// linear-scan slice beats a map on every reception — this is the hottest
-	// lookup in the whole simulation.
-	dedup []seqEntry
 
 	id topo.NodeID
 	// Transmit FIFO: frames queue[qhead:] wait in order. The read index
@@ -124,12 +131,6 @@ type port struct {
 	bcastDoneFn  func()
 	ackTimeoutFn func()
 	ackDueFn     func()
-}
-
-// seqEntry is one sender's dedup slot.
-type seqEntry struct {
-	from topo.NodeID
-	seq  uint16
 }
 
 // ackEntry is one ACK a port owes: the acknowledged frame's sender, round
@@ -159,33 +160,31 @@ func (p *port) clearQueue() {
 }
 
 // NewLayer builds the MAC over a medium for a network of n nodes and takes
-// ownership of the medium's receive handlers.
+// ownership of the medium's receive handler.
 func NewLayer(eng *sim.Engine, medium *radio.Medium, n int, rng *rand.Rand, cfg Config) (*Layer, error) {
 	if cfg.Slot <= 0 || cfg.SIFS < 0 || cfg.DIFS <= cfg.SIFS || cfg.MinCW < 1 ||
 		cfg.MaxCW < cfg.MinCW || cfg.MaxCSRetries < 1 || cfg.MaxTxRetries < 0 ||
 		cfg.AckTimeout <= 0 {
 		return nil, fmt.Errorf("mac: invalid config %+v", cfg)
 	}
+	net := medium.Network()
 	l := &Layer{
-		eng:     eng,
-		medium:  medium,
-		rng:     rng,
-		cfg:     cfg,
-		ports:   make([]port, n),
-		recvers: make([]Receiver, n),
+		eng:      eng,
+		medium:   medium,
+		net:      net,
+		rng:      rng,
+		cfg:      cfg,
+		ports:    make([]port, n),
+		recvers:  make([]Receiver, n),
+		dead:     make([]bool, n),
+		lastSeq:  make([]uint32, net.Links()),
+		spoofSeq: make(map[[2]topo.NodeID]uint16),
 	}
-	for i := range l.ports {
-		l.ports[i] = port{
-			id: topo.NodeID(i),
-			cw: cfg.MinCW,
-		}
-		id := topo.NodeID(i)
-		medium.SetHandler(id, func(at topo.NodeID, msg *message.Message) {
-			l.onReceive(at, msg)
-		})
-	}
+	medium.SetHandler(l.onReceive)
 	for i := range l.ports {
 		p := &l.ports[i]
+		p.id = topo.NodeID(i)
+		p.cw = cfg.MinCW
 		p.attemptFn = func() { l.attempt(p) }
 		p.bcastDoneFn = func() {
 			p.pending = false
@@ -215,12 +214,11 @@ func (l *Layer) Reset() {
 		p.awaiting = nil
 		p.ackTimer.Cancel()
 		p.ackTimer = sim.Timer{}
-		p.dedup = p.dedup[:0]
-		p.dead = false
 	}
-	for i := range l.recvers {
-		l.recvers[i] = nil
-	}
+	clear(l.recvers)
+	clear(l.dead)
+	clear(l.lastSeq)
+	clear(l.spoofSeq)
 	l.drops = 0
 	l.acksTx = 0
 	l.retxTx = 0
@@ -242,6 +240,13 @@ func (l *Layer) SetTap(t Tap) { l.tap = t }
 // (a replayed frame that reuses its original Seq is eaten by receiver
 // dedup; a fresh Seq gets through). Returns the medium's encode error,
 // if any.
+//
+// Receivers de-duplicate by the claimed sender msg.From, not by the radio
+// that sent the frame: when from ≠ msg.From, a receiver looks up the
+// claimed sender's own link to it, and a claimed sender with no such link
+// (out of range, or a phantom ID outside the network) is tracked in a side
+// table. A spoofed frame is therefore suppressed exactly as if the claimed
+// sender had transmitted it.
 func (l *Layer) Inject(from topo.NodeID, msg *message.Message) error {
 	_, err := l.medium.Transmit(from, msg)
 	return err
@@ -266,8 +271,8 @@ func (l *Layer) SetReceiver(id topo.NodeID, r Receiver) {
 // (fail-stop). Queued frames are dropped. Used by the failure-injection
 // experiments; Enable models a reboot at a later instant.
 func (l *Layer) Disable(id topo.NodeID) {
+	l.dead[id] = true
 	p := &l.ports[id]
-	p.dead = true
 	purged := p.queued()
 	l.drops += purged
 	p.clearQueue()
@@ -287,21 +292,21 @@ func (l *Layer) Disable(id topo.NodeID) {
 // state Disable cleared — queue, pending ARQ, ack timer — stays empty, so
 // the node resumes with a cold transceiver, exactly like a reboot.
 func (l *Layer) Enable(id topo.NodeID) {
-	l.ports[id].dead = false
+	l.dead[id] = false
 }
 
 // Disabled reports whether a node has been crashed.
-func (l *Layer) Disabled(id topo.NodeID) bool { return l.ports[id].dead }
+func (l *Layer) Disabled(id topo.NodeID) bool { return l.dead[id] }
 
 // Send queues a frame for transmission from msg.From. The MAC assigns the
 // sequence number. Frames are sent in FIFO order per node.
 func (l *Layer) Send(msg *message.Message) {
-	p := &l.ports[msg.From]
-	if p.dead {
+	if l.dead[msg.From] {
 		l.drops++
 		l.emitDrop(msg.From, "dead-port", "%s to %d queued on crashed node", msg.Kind, msg.To)
 		return
 	}
+	p := &l.ports[msg.From]
 	p.seq++
 	msg.Seq = p.seq
 	if l.tap != nil {
@@ -342,7 +347,7 @@ func (l *Layer) kick(p *port) {
 
 // attempt performs carrier sense and either transmits or backs off.
 func (l *Layer) attempt(p *port) {
-	if p.dead {
+	if l.dead[p.id] {
 		p.pending = false
 		return
 	}
@@ -432,14 +437,16 @@ func (l *Layer) ackTimedOut(p *port) {
 	l.eng.After(l.backoffDelay(p.cw), p.attemptFn)
 }
 
-// onReceive is the radio handler for every node.
-func (l *Layer) onReceive(at topo.NodeID, msg *message.Message) {
-	p := &l.ports[at]
-	if p.dead {
+// onReceive is the radio handler for every node; link is the directed link
+// from the frame's transmitter to at.
+func (l *Layer) onReceive(at topo.NodeID, link int, msg *message.Message) {
+	if l.dead[at] {
 		return
 	}
 	if msg.Kind == message.KindAck {
-		if msg.To == at && p.awaiting != nil && msg.Seq == p.awaiting.Seq && msg.From == p.awaiting.To {
+		// The medium hands an ACK only to its addressee.
+		p := &l.ports[at]
+		if p.awaiting != nil && msg.Seq == p.awaiting.Seq && msg.From == p.awaiting.To {
 			p.awaiting = nil
 			p.txTries = 0
 			p.ackTimer.Cancel()
@@ -450,25 +457,11 @@ func (l *Layer) onReceive(at topo.NodeID, msg *message.Message) {
 		return // ACKs never reach the protocol layer
 	}
 	if msg.To == at {
-		l.sendAck(p, msg)
+		l.sendAck(&l.ports[at], msg)
 	}
-	// Duplicate suppression (retransmissions repeat the same seq). Hits
-	// move to the front of the table: senders transmit in bursts, so the
-	// next frame usually resolves in the first slot.
-	for i := range p.dedup {
-		if p.dedup[i].from == msg.From {
-			if p.dedup[i].seq == msg.Seq {
-				return
-			}
-			p.dedup[i].seq = msg.Seq
-			if i > 0 {
-				p.dedup[0], p.dedup[i] = p.dedup[i], p.dedup[0]
-			}
-			goto accept
-		}
+	if l.duplicate(at, link, msg) { // retransmissions repeat the same seq
+		return
 	}
-	p.dedup = append(p.dedup, seqEntry{from: msg.From, seq: msg.Seq})
-accept:
 	if l.tap != nil {
 		if msg = l.tap.OnDeliver(at, msg); msg == nil {
 			return
@@ -477,6 +470,44 @@ accept:
 	if r := l.recvers[at]; r != nil {
 		r(at, msg)
 	}
+}
+
+// duplicate reports whether at has already accepted msg.Seq as the latest
+// frame from msg.From, and otherwise records it as accepted. The table is
+// keyed by the directed link msg.From → at: the link the frame arrived
+// over when msg.From sent it, else the claimed sender's own link to at.
+func (l *Layer) duplicate(at topo.NodeID, link int, msg *message.Message) bool {
+	from := msg.From
+	if uint(from) >= uint(l.net.Size()) {
+		link = -1 // a phantom: no link at all
+	} else if uint(link-l.net.Link(from, 0)) >= uint(l.net.Degree(from)) {
+		link = l.claimedLink(from, at) // spoofed: msg.From did not transmit it
+	}
+	if link < 0 {
+		key := [2]topo.NodeID{at, from}
+		if last, ok := l.spoofSeq[key]; ok && last == msg.Seq {
+			return true
+		}
+		l.spoofSeq[key] = msg.Seq
+		return false
+	}
+	want := uint32(msg.Seq) + 1
+	if l.lastSeq[link] == want {
+		return true
+	}
+	l.lastSeq[link] = want
+	return false
+}
+
+// claimedLink returns the id of the link from → at, or -1 when from is not
+// in range of at.
+func (l *Layer) claimedLink(from, at topo.NodeID) int {
+	for i, nb := range l.net.Neighbors(from) {
+		if nb == at {
+			return l.net.Link(from, i)
+		}
+	}
+	return -1
 }
 
 // sendAck schedules an immediate ACK of msg after SIFS, bypassing the queue

@@ -54,7 +54,7 @@ const (
 	kindEnd
 )
 
-var kindNames = map[Kind]string{
+var kindNames = [kindEnd]string{
 	KindHello:        "hello",
 	KindJoin:         "join",
 	KindShare:        "share",
@@ -78,8 +78,8 @@ var kindNames = map[Kind]string{
 
 // String names the kind.
 func (k Kind) String() string {
-	if s, ok := kindNames[k]; ok {
-		return s
+	if k.Valid() {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }

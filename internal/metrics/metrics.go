@@ -6,10 +6,10 @@ package metrics
 
 import (
 	"fmt"
-	"maps"
 	"sort"
 	"strings"
 
+	"repro/internal/message"
 	"repro/internal/topo"
 )
 
@@ -27,21 +27,18 @@ type Recorder struct {
 	rxMsgs     []int
 	collisions int
 	dropped    int // frames lost to collisions (receiver-side)
-	byKind     map[string]int
-	msgsByKind map[string]int
+	// Per-kind totals, indexed by the Kind byte itself: counting a frame is
+	// two array adds, and the string labels are only built when read.
+	kindBytes [256]int
+	kindMsgs  [256]int
 }
 
 // NewRecorder returns an empty Recorder.
-func NewRecorder() *Recorder {
-	return &Recorder{
-		byKind:     make(map[string]int),
-		msgsByKind: make(map[string]int),
-	}
-}
+func NewRecorder() *Recorder { return &Recorder{} }
 
 // Reset clears every counter, returning the Recorder to its just-built
-// state. It keeps the allocated slices and maps so a reused deployment does
-// not churn the heap between trials.
+// state. It keeps the allocated slices so a reused deployment does not
+// churn the heap between trials.
 func (r *Recorder) Reset() {
 	clear(r.txBytes)
 	clear(r.rxBytes)
@@ -49,8 +46,8 @@ func (r *Recorder) Reset() {
 	clear(r.rxMsgs)
 	r.collisions = 0
 	r.dropped = 0
-	clear(r.byKind)
-	clear(r.msgsByKind)
+	clear(r.kindBytes[:])
+	clear(r.kindMsgs[:])
 }
 
 // ensure grows the per-node counters to cover id.
@@ -66,12 +63,12 @@ func (r *Recorder) ensure(id topo.NodeID) {
 }
 
 // OnTransmit records a frame leaving node from.
-func (r *Recorder) OnTransmit(from topo.NodeID, kind string, bytes int) {
+func (r *Recorder) OnTransmit(from topo.NodeID, kind message.Kind, bytes int) {
 	r.ensure(from)
 	r.txBytes[from] += bytes
 	r.txMsgs[from]++
-	r.byKind[kind] += bytes
-	r.msgsByKind[kind]++
+	r.kindBytes[kind] += bytes
+	r.kindMsgs[kind]++
 }
 
 // OnReceive records a successfully delivered frame at node to.
@@ -149,13 +146,21 @@ func (r *Recorder) Collisions() int { return r.collisions }
 // Dropped returns the number of receptions lost to collisions.
 func (r *Recorder) Dropped() int { return r.dropped }
 
-// TxMessagesOfKind returns how many frames of one kind went on the air.
-func (r *Recorder) TxMessagesOfKind(kind string) int { return r.msgsByKind[kind] }
+// TxMessagesOfKind returns how many frames of one kind, named by its
+// Kind.String() label, went on the air.
+func (r *Recorder) TxMessagesOfKind(kind string) int {
+	for k, n := range r.kindMsgs {
+		if n > 0 && message.Kind(k).String() == kind {
+			return n
+		}
+	}
+	return 0
+}
 
 // AppMessages returns transmitted frames excluding MAC-level ACKs — the
 // quantity the lineage papers count as "messages per node".
 func (r *Recorder) AppMessages() int {
-	return r.TotalTxMessages() - r.msgsByKind["ack"]
+	return r.TotalTxMessages() - r.kindMsgs[message.KindAck]
 }
 
 // Traffic is a point-in-time value copy of a Recorder's totals, safe to
@@ -194,16 +199,26 @@ func (t *Traffic) Add(o Traffic) {
 	t.Dropped += o.Dropped
 }
 
-// BytesByKind returns a copy of the per-message-kind byte totals.
+// BytesByKind returns the per-message-kind byte totals, keyed by
+// Kind.String() label, for every kind that went on the air.
 func (r *Recorder) BytesByKind() map[string]int {
-	return maps.Clone(r.byKind)
+	out := make(map[string]int)
+	for k, n := range r.kindMsgs {
+		if n > 0 {
+			out[message.Kind(k).String()] = r.kindBytes[k]
+		}
+	}
+	return out
 }
 
-// KindsSorted returns kind labels in deterministic order.
+// KindsSorted returns the labels of the kinds that went on the air, in
+// deterministic order.
 func (r *Recorder) KindsSorted() []string {
-	keys := make([]string, 0, len(r.byKind))
-	for k := range r.byKind {
-		keys = append(keys, k)
+	var keys []string
+	for k, n := range r.kindMsgs {
+		if n > 0 {
+			keys = append(keys, message.Kind(k).String())
+		}
 	}
 	sort.Strings(keys)
 	return keys

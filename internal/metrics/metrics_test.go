@@ -3,13 +3,15 @@ package metrics
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/message"
 )
 
 func TestRecorderCounters(t *testing.T) {
 	r := NewRecorder()
-	r.OnTransmit(1, "hello", 30)
-	r.OnTransmit(1, "share", 50)
-	r.OnTransmit(2, "hello", 30)
+	r.OnTransmit(1, message.KindHello, 30)
+	r.OnTransmit(1, message.KindShare, 50)
+	r.OnTransmit(2, message.KindHello, 30)
 	r.OnReceive(3, 30)
 	r.OnReceive(3, 50)
 	r.OnCollision()
@@ -37,9 +39,9 @@ func TestRecorderCounters(t *testing.T) {
 
 func TestRecorderByKind(t *testing.T) {
 	r := NewRecorder()
-	r.OnTransmit(1, "hello", 30)
-	r.OnTransmit(2, "hello", 30)
-	r.OnTransmit(1, "ack", 23)
+	r.OnTransmit(1, message.KindHello, 30)
+	r.OnTransmit(2, message.KindHello, 30)
+	r.OnTransmit(1, message.KindAck, 23)
 	byKind := r.BytesByKind()
 	if byKind["hello"] != 60 || byKind["ack"] != 23 {
 		t.Errorf("byKind = %v", byKind)
@@ -63,8 +65,8 @@ func TestRecorderByKind(t *testing.T) {
 
 func TestRecorderReset(t *testing.T) {
 	r := NewRecorder()
-	r.OnTransmit(1, "hello", 30)
-	r.OnTransmit(2, "ack", 23)
+	r.OnTransmit(1, message.KindHello, 30)
+	r.OnTransmit(2, message.KindAck, 23)
 	r.OnReceive(3, 30)
 	r.OnCollision()
 	r.OnDrop()
@@ -89,9 +91,9 @@ func TestRecorderReset(t *testing.T) {
 		t.Errorf("AppMessages after Reset = %d", got)
 	}
 
-	// The recorder must stay fully usable after Reset: the maps are cleared
-	// in place, not dropped.
-	r.OnTransmit(1, "share", 50)
+	// The recorder must stay fully usable after Reset: the counters are
+	// cleared in place, not dropped.
+	r.OnTransmit(1, message.KindShare, 50)
 	r.OnReceive(2, 50)
 	if r.TotalTxBytes() != 50 || r.NodeTxMessages(1) != 1 || r.NodeRxMessages(2) != 1 {
 		t.Errorf("recorder unusable after Reset: tx=%d msgs=%d rx=%d",
@@ -120,7 +122,7 @@ func TestNodeRxMessages(t *testing.T) {
 
 func TestKindsSortedDeterministic(t *testing.T) {
 	r := NewRecorder()
-	for _, kind := range []string{"share", "hello", "announce", "ack", "roster"} {
+	for _, kind := range []message.Kind{message.KindShare, message.KindHello, message.KindAnnounce, message.KindAck, message.KindRoster} {
 		r.OnTransmit(1, kind, 10)
 	}
 	want := []string{"ack", "announce", "hello", "roster", "share"}
@@ -203,8 +205,8 @@ func TestRoundResultZeroDivision(t *testing.T) {
 
 func TestTrafficSnapshotAndAdd(t *testing.T) {
 	r := NewRecorder()
-	r.OnTransmit(1, "report", 40)
-	r.OnTransmit(2, "ack", 8)
+	r.OnTransmit(1, message.KindReading, 40)
+	r.OnTransmit(2, message.KindAck, 8)
 	r.OnReceive(3, 40)
 	r.OnCollision()
 	r.OnDrop()
@@ -226,7 +228,7 @@ func TestTrafficSnapshotAndAdd(t *testing.T) {
 	}
 
 	// The snapshot is a value copy: later recording must not leak into it.
-	r.OnTransmit(1, "report", 100)
+	r.OnTransmit(1, message.KindReading, 100)
 	if got.TxBytes != 48 {
 		t.Error("Traffic snapshot aliases the live Recorder")
 	}

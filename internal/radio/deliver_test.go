@@ -12,8 +12,8 @@ import (
 )
 
 // cellMedium builds a 400-node deployment on a field sized for the given
-// mean degree and returns its medium, with a counting handler on every
-// node, and the node whose degree is closest to it.
+// mean degree and returns its medium, with a handler counting deliveries,
+// and the node whose degree is closest to it.
 func cellMedium(tb testing.TB, degree float64, delivered *int) (*sim.Engine, *Medium, topo.NodeID) {
 	tb.Helper()
 	const nodes, rng = 400, 50.0
@@ -29,9 +29,9 @@ func cellMedium(tb testing.TB, degree float64, delivered *int) (*sim.Engine, *Me
 	if err != nil {
 		tb.Fatal(err)
 	}
+	med.SetHandler(func(topo.NodeID, int, *message.Message) { *delivered++ })
 	best := topo.NodeID(1)
 	for id := 0; id < nodes; id++ {
-		med.SetHandler(topo.NodeID(id), func(topo.NodeID, *message.Message) { *delivered++ })
 		if math.Abs(float64(net.Degree(topo.NodeID(id)))-degree) < math.Abs(float64(net.Degree(best))-degree) {
 			best = topo.NodeID(id)
 		}
@@ -67,13 +67,14 @@ func BenchmarkRadioDeliver(b *testing.B) {
 
 // TestTransmitAckAllocatesNothing gates the medium's ACK path: once the
 // transmission pool is warm, an ACK goes on the air and reaches every
-// neighbour without allocating, and receivers see the frame it describes.
+// neighbour without allocating, and its addressee sees the frame it
+// describes.
 func TestTransmitAckAllocatesNothing(t *testing.T) {
 	delivered := 0
 	eng, med, from := cellMedium(t, 20, &delivered)
 	to := med.net.Neighbors(from)[0]
 	var got message.Message
-	med.SetHandler(to, func(_ topo.NodeID, m *message.Message) { got = *m })
+	med.SetHandler(func(_ topo.NodeID, _ int, m *message.Message) { got = *m })
 	ack := func() {
 		med.TransmitAck(from, to, 3, 4)
 		if err := eng.Run(0); err != nil {

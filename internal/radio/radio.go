@@ -3,7 +3,8 @@
 // half-duplex radios, and receiver-side collisions (including hidden
 // terminals). Delivery is promiscuous — every in-range node hears every
 // frame — because the cluster protocol's integrity witnesses rely on
-// overhearing; addressing is filtered above the radio.
+// overhearing; addressing is filtered above the radio. The one exception is
+// the MAC acknowledgement, which is handed only to its addressee.
 package radio
 
 import (
@@ -20,14 +21,24 @@ import (
 	"repro/internal/trace"
 )
 
-// Handler consumes a delivered frame at a node. The frame is already
-// decoded, and every receiver in range gets the same pointer. Handlers must
-// not modify the message, and must not retain it, its payload, or anything
-// decoded into reused scratch beyond the call unless they copy it: an ACK
-// frame lives inside the medium's recycled transmission record, and the
-// protocols decode overheard payloads into scratch the next reception
-// overwrites.
-type Handler func(at topo.NodeID, msg *message.Message)
+// Handler consumes a frame delivered to node at. link is the dense id
+// (topo.Network.Link) of the directed radio link the frame arrived over,
+// from its physical transmitter to at; it names the transmitter, which a
+// spoofed msg.From does not. One handler serves every node, so the medium
+// keeps no per-node closures.
+//
+// The frame is already decoded, and every receiver in range gets the same
+// pointer. Handlers must not modify the message, and must not retain it,
+// its payload, or anything decoded into reused scratch beyond the call
+// unless they copy it: an ACK frame lives inside the medium's recycled
+// transmission record, and the protocols decode overheard payloads into
+// scratch the next reception overwrites.
+//
+// A KindAck frame is handed only to its addressee, msg.To. Every other
+// receiver in range still hears it — collision, fading and loss are decided
+// and recorded for it as for any frame — but only the addressee could act
+// on an ACK, so bystanders are not called.
+type Handler func(at topo.NodeID, link int, msg *message.Message)
 
 // Config parameterises the medium.
 type Config struct {
@@ -93,12 +104,13 @@ type Medium struct {
 	net         *topo.Network
 	rec         *metrics.Recorder
 	cfg         Config
-	rng         *rand.Rand // fading draws; nil unless cfg.Fading
-	handlers    []Handler
+	rng         *rand.Rand        // fading draws; nil unless cfg.Fading
+	handler     Handler           // receive path for every node; nil = deliver nothing
 	active      []*transmission   // recent transmissions kept for overlap checks
 	pool        []*transmission   // free list of pruned nodes (delivery closures kept)
 	grid        geom.Grid         // deployment spatial index (cell = radio range)
 	cells       [][]*transmission // active bucketed by sender cell
+	cellEnd     []time.Duration   // latest end of any frame a cell's senders put on the air
 	scratch     []*transmission   // per-delivery interferer candidates, reused
 	nextPruneAt time.Duration     // next instant a full prune scan may run
 	maxDur      time.Duration     // longest frame airtime seen; bounds retention
@@ -126,13 +138,13 @@ func NewMedium(eng *sim.Engine, net *topo.Network, rec *metrics.Recorder, cfg Co
 	}
 	grid := net.Grid()
 	return &Medium{
-		eng:      eng,
-		net:      net,
-		rec:      rec,
-		cfg:      cfg,
-		handlers: make([]Handler, net.Size()),
-		grid:     grid,
-		cells:    make([][]*transmission, grid.Cells()),
+		eng:     eng,
+		net:     net,
+		rec:     rec,
+		cfg:     cfg,
+		grid:    grid,
+		cells:   make([][]*transmission, grid.Cells()),
+		cellEnd: make([]time.Duration, grid.Cells()),
 	}, nil
 }
 
@@ -154,6 +166,7 @@ func (m *Medium) Reset() {
 		}
 		m.cells[c] = b[:0]
 	}
+	clear(m.cellEnd)
 	m.maxDur = 0
 }
 
@@ -177,10 +190,13 @@ func (m *Medium) emitDrop(rcv topo.NodeID, t *transmission, cause string) {
 		Detail: fmt.Sprintf("%s from %d (%dB)", t.msg.Kind, t.from, t.wireSize)})
 }
 
-// SetHandler installs the receive callback for a node.
-func (m *Medium) SetHandler(id topo.NodeID, h Handler) {
-	m.handlers[id] = h
-}
+// SetHandler installs the receive callback for every node. With none
+// installed, frames go on the air but no reception is decided or recorded.
+func (m *Medium) SetHandler(h Handler) { m.handler = h }
+
+// Network returns the radio graph the medium propagates over; its link ids
+// are the ones handlers receive.
+func (m *Medium) Network() *topo.Network { return m.net }
 
 // AirTime returns the serialization delay of a frame of the given on-air
 // size in bytes.
@@ -203,7 +219,7 @@ func (m *Medium) BusyWithin(id topo.NodeID, guard time.Duration) bool {
 	now := m.eng.Now()
 	busy := false
 	m.grid.VisitNeighborhood(m.net.Position(id), func(cell int) {
-		if busy {
+		if busy || m.cellEnd[cell]+guard <= now {
 			return
 		}
 		for _, t := range m.cells[cell] {
@@ -268,8 +284,9 @@ func (m *Medium) launch(t *transmission, from topo.NodeID) time.Duration {
 	t.cell = m.grid.CellIndex(m.net.Position(from))
 	t.slot = len(m.cells[t.cell])
 	m.cells[t.cell] = append(m.cells[t.cell], t)
+	m.cellEnd[t.cell] = max(m.cellEnd[t.cell], t.end)
 	if m.rec != nil {
-		m.rec.OnTransmit(from, msg.Kind.String(), size)
+		m.rec.OnTransmit(from, msg.Kind, size)
 	}
 	m.eng.At(t.end, t.fire)
 	return dur
@@ -308,9 +325,15 @@ func (m *Medium) recycleTransmission(t *transmission) {
 // the temporal-overlap set is usually empty, which short-circuits the whole
 // per-receiver corruption scan.
 func (m *Medium) deliver(t *transmission) {
+	if m.handler == nil {
+		return
+	}
 	cand := m.scratch[:0]
 	if !m.cfg.Ideal {
 		m.grid.VisitBlock(m.net.Position(t.from), 2, func(cell int) {
+			if m.cellEnd[cell] <= t.start {
+				return // everything sent from this cell ended before t began
+			}
 			for _, o := range m.cells[cell] {
 				if o != t && o.end > t.start && o.start < t.end {
 					cand = append(cand, o)
@@ -318,11 +341,10 @@ func (m *Medium) deliver(t *transmission) {
 			}
 		})
 	}
-	for _, rcv := range m.net.Neighbors(t.from) {
-		h := m.handlers[rcv]
-		if h == nil {
-			continue
-		}
+	msg := t.msg
+	ack := msg.Kind == message.KindAck
+	link := m.net.Link(t.from, 0)
+	for i, rcv := range m.net.Neighbors(t.from) {
 		if !m.cfg.Ideal && len(cand) > 0 && m.corruptedAmong(cand, rcv) {
 			if m.rec != nil {
 				m.rec.OnCollision()
@@ -338,7 +360,7 @@ func (m *Medium) deliver(t *transmission) {
 			m.emitDrop(rcv, t, "fading")
 			continue
 		}
-		if !m.cfg.Ideal && m.lost(t.msg) {
+		if !m.cfg.Ideal && m.lost(msg) {
 			if m.rec != nil {
 				m.rec.OnDrop()
 			}
@@ -348,7 +370,10 @@ func (m *Medium) deliver(t *transmission) {
 		if m.rec != nil {
 			m.rec.OnReceive(rcv, t.wireSize)
 		}
-		h(rcv, t.msg)
+		if ack && rcv != msg.To {
+			continue // heard and charged, but only the addressee acts on an ACK
+		}
+		m.handler(rcv, link+i, msg)
 	}
 	for i := range cand {
 		cand[i] = nil

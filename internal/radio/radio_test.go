@@ -77,14 +77,11 @@ func TestAirTime(t *testing.T) {
 }
 
 func TestBroadcastReachesAllNeighbors(t *testing.T) {
-	eng, net, rec, med := testSetup(t, 5, 2, DefaultConfig())
+	eng, _, rec, med := testSetup(t, 5, 2, DefaultConfig())
 	got := make(map[topo.NodeID]int)
-	for i := 0; i < net.Size(); i++ {
-		id := topo.NodeID(i)
-		med.SetHandler(id, func(at topo.NodeID, msg *message.Message) {
-			got[at]++
-		})
-	}
+	med.SetHandler(func(at topo.NodeID, _ int, msg *message.Message) {
+		got[at]++
+	})
 	if _, err := med.Transmit(0, frame(0, message.BroadcastID)); err != nil {
 		t.Fatal(err)
 	}
@@ -106,12 +103,9 @@ func TestPromiscuousDelivery(t *testing.T) {
 	// A unicast frame is still heard by third parties (witness overhearing).
 	eng, _, _, med := testSetup(t, 3, 3, DefaultConfig())
 	heard := make(map[topo.NodeID]*message.Message)
-	for i := 0; i < 3; i++ {
-		id := topo.NodeID(i)
-		med.SetHandler(id, func(at topo.NodeID, msg *message.Message) {
-			heard[at] = msg
-		})
-	}
+	med.SetHandler(func(at topo.NodeID, _ int, msg *message.Message) {
+		heard[at] = msg
+	})
 	if _, err := med.Transmit(0, frame(0, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -127,13 +121,11 @@ func TestPromiscuousDelivery(t *testing.T) {
 }
 
 func TestCollisionDropsBoth(t *testing.T) {
-	eng, net, rec, med := testSetup(t, 4, 4, DefaultConfig())
+	eng, _, rec, med := testSetup(t, 4, 4, DefaultConfig())
 	delivered := 0
-	for i := 0; i < net.Size(); i++ {
-		med.SetHandler(topo.NodeID(i), func(at topo.NodeID, msg *message.Message) {
-			delivered++
-		})
-	}
+	med.SetHandler(func(at topo.NodeID, _ int, msg *message.Message) {
+		delivered++
+	})
 	// Two simultaneous transmissions; everyone is in range of both.
 	if _, err := med.Transmit(0, frame(0, message.BroadcastID)); err != nil {
 		t.Fatal(err)
@@ -153,13 +145,11 @@ func TestCollisionDropsBoth(t *testing.T) {
 }
 
 func TestIdealChannelIgnoresCollisions(t *testing.T) {
-	eng, net, _, med := testSetup(t, 4, 4, Config{BitrateBps: 1e6, Ideal: true})
+	eng, _, _, med := testSetup(t, 4, 4, Config{BitrateBps: 1e6, Ideal: true})
 	delivered := 0
-	for i := 0; i < net.Size(); i++ {
-		med.SetHandler(topo.NodeID(i), func(at topo.NodeID, msg *message.Message) {
-			delivered++
-		})
-	}
+	med.SetHandler(func(at topo.NodeID, _ int, msg *message.Message) {
+		delivered++
+	})
 	med.Transmit(0, frame(0, message.BroadcastID))
 	med.Transmit(1, frame(1, message.BroadcastID))
 	if err := eng.Run(0); err != nil {
@@ -174,12 +164,9 @@ func TestIdealChannelIgnoresCollisions(t *testing.T) {
 func TestHalfDuplexReceiverTransmitting(t *testing.T) {
 	eng, _, _, med := testSetup(t, 3, 5, DefaultConfig())
 	received := make(map[topo.NodeID]bool)
-	for i := 0; i < 3; i++ {
-		id := topo.NodeID(i)
-		med.SetHandler(id, func(at topo.NodeID, msg *message.Message) {
-			received[at] = true
-		})
-	}
+	med.SetHandler(func(at topo.NodeID, _ int, msg *message.Message) {
+		received[at] = true
+	})
 	// Node 1 transmits a long frame; node 0 starts mid-way. Node 1 must not
 	// receive node 0's frame (it was talking), and 2 hears neither cleanly.
 	long := message.Build(message.KindReading, 1, message.BroadcastID, 1, make([]byte, 200))
@@ -201,11 +188,9 @@ func TestHalfDuplexReceiverTransmitting(t *testing.T) {
 func TestSequentialTransmissionsAllDelivered(t *testing.T) {
 	eng, _, rec, med := testSetup(t, 3, 6, DefaultConfig())
 	count := 0
-	for i := 0; i < 3; i++ {
-		med.SetHandler(topo.NodeID(i), func(at topo.NodeID, msg *message.Message) {
-			count++
-		})
-	}
+	med.SetHandler(func(at topo.NodeID, _ int, msg *message.Message) {
+		count++
+	})
 	// Space transmissions beyond airtime: no overlap, no loss.
 	for i := 0; i < 5; i++ {
 		i := i
@@ -269,12 +254,9 @@ func TestLateCollisionStillDetected(t *testing.T) {
 	// in between and trigger pruning.
 	eng, _, _, med := testSetup(t, 5, 10, DefaultConfig())
 	delivered := make(map[topo.NodeID]int)
-	for i := 0; i < 5; i++ {
-		id := topo.NodeID(i)
-		med.SetHandler(id, func(at topo.NodeID, msg *message.Message) {
-			delivered[at]++
-		})
-	}
+	med.SetHandler(func(at topo.NodeID, _ int, msg *message.Message) {
+		delivered[at]++
+	})
 	long := message.Build(message.KindReading, 0, message.BroadcastID, 1, make([]byte, 500))
 	med.Transmit(0, long) // airtime ≈ 4.1 ms
 	eng.After(4*time.Millisecond, func() {
@@ -343,10 +325,11 @@ func TestFadingLosesEdgeFramesMore(t *testing.T) {
 		t.Skip("topology lacks near/far pair")
 	}
 	counts := map[topo.NodeID]int{}
-	for _, id := range []topo.NodeID{near, far} {
-		id := id
-		med.SetHandler(id, func(at topo.NodeID, m *message.Message) { counts[at]++ })
-	}
+	med.SetHandler(func(at topo.NodeID, _ int, m *message.Message) {
+		if at == near || at == far {
+			counts[at]++
+		}
+	})
 	const frames = 400
 	for i := 0; i < frames; i++ {
 		i := i
@@ -387,7 +370,7 @@ func TestLossInjectionDropsExpectedFraction(t *testing.T) {
 	eng, _, rec, med := testSetup(t, 2, 1, Config{BitrateBps: 1e6, LossRate: 0.5})
 	med.SetFadingSource(rand.New(rand.NewSource(7)))
 	got := 0
-	med.SetHandler(1, func(at topo.NodeID, m *message.Message) { got++ })
+	med.SetHandler(func(at topo.NodeID, _ int, m *message.Message) { got++ })
 	const frames = 600
 	for i := 0; i < frames; i++ {
 		at := time.Duration(i) * time.Millisecond
@@ -412,7 +395,7 @@ func TestLossByKindOverridesUniformRate(t *testing.T) {
 	eng, _, _, med := testSetup(t, 2, 1, cfg)
 	med.SetFadingSource(rand.New(rand.NewSource(7)))
 	got := 0
-	med.SetHandler(1, func(at topo.NodeID, m *message.Message) { got++ })
+	med.SetHandler(func(at topo.NodeID, _ int, m *message.Message) { got++ })
 	const frames = 50
 	for i := 0; i < frames; i++ {
 		at := time.Duration(i) * time.Millisecond
@@ -428,7 +411,7 @@ func TestLossByKindOverridesUniformRate(t *testing.T) {
 	eng2, _, _, med2 := testSetup(t, 2, 1, cfg)
 	med2.SetFadingSource(rand.New(rand.NewSource(7)))
 	got2 := 0
-	med2.SetHandler(1, func(at topo.NodeID, m *message.Message) { got2++ })
+	med2.SetHandler(func(at topo.NodeID, _ int, m *message.Message) { got2++ })
 	for i := 0; i < frames; i++ {
 		at := time.Duration(i) * time.Millisecond
 		eng2.After(at, func() { med2.Transmit(0, frame(0, 1)) })
@@ -438,5 +421,78 @@ func TestLossByKindOverridesUniformRate(t *testing.T) {
 	}
 	if got2 > frames/4 {
 		t.Errorf("targeted kind delivered %d of %d at 99%% loss", got2, frames)
+	}
+}
+
+// TestHandlerGetsTransmitterLink pins the link argument: a frame from s
+// reaches its i-th neighbour over link Link(s, i), whatever the frame
+// claims as its sender.
+func TestHandlerGetsTransmitterLink(t *testing.T) {
+	eng, net, _, med := testSetup(t, 5, 2, Config{BitrateBps: 1e6, Ideal: true})
+	got := make(map[topo.NodeID]int)
+	med.SetHandler(func(at topo.NodeID, link int, msg *message.Message) { got[at] = link })
+	// Node 2 transmits a frame claiming to come from node 0.
+	if _, err := med.Transmit(2, frame(0, message.BroadcastID)); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	nbrs := net.Neighbors(2)
+	if len(got) != len(nbrs) {
+		t.Fatalf("delivered to %d nodes, want %d", len(got), len(nbrs))
+	}
+	for i, rcv := range nbrs {
+		if got[rcv] != net.Link(2, i) {
+			t.Errorf("node %d got link %d, want Link(2, %d) = %d", rcv, got[rcv], i, net.Link(2, i))
+		}
+	}
+}
+
+// TestAckReachesOnlyAddressee pins the ACK rule: every receiver in range
+// hears an ACK — it is counted in the recorder's rx bytes and messages, and
+// it collides like any frame — but only the addressee's handler is called.
+func TestAckReachesOnlyAddressee(t *testing.T) {
+	eng, net, rec, med := testSetup(t, 5, 2, DefaultConfig())
+	handled := make(map[topo.NodeID]int)
+	med.SetHandler(func(at topo.NodeID, _ int, msg *message.Message) {
+		if msg.Kind != message.KindAck {
+			t.Fatalf("node %d handled a %s", at, msg.Kind)
+		}
+		handled[at]++
+	})
+	// An ACK alone on the air: heard by all four other nodes.
+	heard := net.Neighbors(0) // fully connected: everyone but the sender
+	wire := (&message.Message{Kind: message.KindAck}).WireSize()
+	med.TransmitAck(0, 1, 1, 1)
+	if err := eng.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if len(handled) != 1 || handled[1] != 1 {
+		t.Fatalf("handlers called %v, want only the addressee 1", handled)
+	}
+	for _, id := range heard {
+		if rec.NodeRxMessages(id) != 1 || rec.NodeRxBytes(id) != wire {
+			t.Errorf("node %d: rx %d msgs / %d B, want 1 / %d", id, rec.NodeRxMessages(id), rec.NodeRxBytes(id), wire)
+		}
+	}
+	if rec.Collisions() != 0 {
+		t.Fatalf("collisions = %d on a lone ACK", rec.Collisions())
+	}
+	// Two ACKs on the air together: every reception of either collides,
+	// bystanders' included, and no handler runs.
+	clear(handled)
+	eng.After(time.Millisecond, func() {
+		med.TransmitAck(0, 1, 1, 2)
+		med.TransmitAck(2, 3, 1, 3)
+	})
+	if err := eng.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if len(handled) != 0 {
+		t.Errorf("handlers called %v during a collision", handled)
+	}
+	if want := net.Degree(0) + net.Degree(2); rec.Collisions() != want {
+		t.Errorf("collisions = %d, want %d (one per receiver of each ACK)", rec.Collisions(), want)
 	}
 }

@@ -23,8 +23,12 @@ type Network struct {
 	field     geom.Field
 	rng       float64 // radio range in meters
 	positions []geom.Point
-	neighbors [][]NodeID
-	grid      geom.Grid // spatial index with cell side = radio range
+	// Adjacency in compressed-sparse-row form: node i's neighbours are
+	// adj[off[i]:off[i+1]], so position k of that row is also the dense id
+	// off[i]+k of the directed link i → adj[off[i]+k].
+	adj  []NodeID
+	off  []int
+	grid geom.Grid // spatial index with cell side = radio range
 
 	gridOccupied int // cells holding at least one node
 	gridMax      int // nodes in the fullest cell
@@ -75,12 +79,13 @@ func NewNetwork(cfg Config) (*Network, error) {
 	return n, nil
 }
 
-// buildNeighbors fills the adjacency lists with a grid-bucketed range
+// buildNeighbors fills the adjacency rows with a grid-bucketed range
 // query over geom.Grid (near-linear for uniform deployments). The same
 // grid is retained for per-round spatial queries by the radio medium.
 func (n *Network) buildNeighbors() {
 	count := len(n.positions)
-	n.neighbors = make([][]NodeID, count)
+	n.adj = n.adj[:0]
+	n.off = make([]int, count+1)
 	n.grid = geom.NewGrid(n.field, n.rng)
 	ix := geom.IndexPoints(n.grid, n.positions)
 	occ := make([]int, n.grid.Cells())
@@ -98,13 +103,11 @@ func (n *Network) buildNeighbors() {
 	}
 	for i, p := range n.positions {
 		ix.Near(p, func(j int) {
-			if j == i {
-				return
-			}
-			if p.InRange(n.positions[j], n.rng) {
-				n.neighbors[i] = append(n.neighbors[i], NodeID(j))
+			if j != i && p.InRange(n.positions[j], n.rng) {
+				n.adj = append(n.adj, NodeID(j))
 			}
 		})
+		n.off[i+1] = len(n.adj)
 	}
 }
 
@@ -137,21 +140,30 @@ func (n *Network) Position(id NodeID) geom.Point { return n.positions[id] }
 
 // Neighbors returns the one-hop neighbours of id. The returned slice is
 // owned by the network; callers must not mutate it.
-func (n *Network) Neighbors(id NodeID) []NodeID { return n.neighbors[id] }
+func (n *Network) Neighbors(id NodeID) []NodeID {
+	lo, hi := n.off[id], n.off[id+1]
+	return n.adj[lo:hi:hi]
+}
 
 // Degree returns the number of one-hop neighbours of id.
-func (n *Network) Degree(id NodeID) int { return len(n.neighbors[id]) }
+func (n *Network) Degree(id NodeID) int { return n.off[id+1] - n.off[id] }
+
+// Links returns the number of directed radio links: the sum of all degrees.
+// Link ids are dense in [0, Links()).
+func (n *Network) Links() int { return len(n.adj) }
+
+// Link returns the id of the directed link from `from` to its i-th
+// neighbour, Neighbors(from)[i]. A node's outgoing links are consecutive,
+// so Link(from, 0) ≤ l < Link(from, 0)+Degree(from) holds exactly for the
+// links that leave from.
+func (n *Network) Link(from NodeID, i int) int { return n.off[from] + i }
 
 // AverageDegree returns the mean node degree.
 func (n *Network) AverageDegree() float64 {
 	if len(n.positions) == 0 {
 		return 0
 	}
-	total := 0
-	for _, nbrs := range n.neighbors {
-		total += len(nbrs)
-	}
-	return float64(total) / float64(len(n.positions))
+	return float64(len(n.adj)) / float64(len(n.positions))
 }
 
 // InRange reports whether a and b can hear each other.
@@ -171,7 +183,7 @@ func (n *Network) HopDistances(root NodeID) []int {
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, nb := range n.neighbors[cur] {
+		for _, nb := range n.Neighbors(cur) {
 			if dist[nb] < 0 {
 				dist[nb] = dist[cur] + 1
 				queue = append(queue, nb)

@@ -231,3 +231,40 @@ func TestInRange(t *testing.T) {
 		}
 	}
 }
+
+// TestLinkIDsDense pins the link index: walking every node's neighbour row
+// in order visits link ids 0, 1, …, Links()-1 exactly once, and a caller
+// appending to one row cannot overwrite the next.
+func TestLinkIDsDense(t *testing.T) {
+	n, err := NewNetwork(defaultConfig(200, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	for id := 0; id < n.Size(); id++ {
+		from := NodeID(id)
+		if n.Degree(from) != len(n.Neighbors(from)) {
+			t.Fatalf("node %d: Degree %d, row length %d", id, n.Degree(from), len(n.Neighbors(from)))
+		}
+		for i := range n.Neighbors(from) {
+			if l := n.Link(from, i); l != next {
+				t.Fatalf("Link(%d, %d) = %d, want %d", id, i, l, next)
+			}
+			next++
+		}
+	}
+	if next != n.Links() {
+		t.Fatalf("rows hold %d links, Links() = %d", next, n.Links())
+	}
+	if got, want := n.AverageDegree(), float64(n.Links())/float64(n.Size()); got != want {
+		t.Errorf("AverageDegree = %v, want %v", got, want)
+	}
+	row := n.Neighbors(0)
+	following := append([]NodeID(nil), n.Neighbors(1)...)
+	_ = append(row, -1)
+	for i, nb := range n.Neighbors(1) {
+		if nb != following[i] {
+			t.Fatal("appending to Neighbors(0) overwrote Neighbors(1)")
+		}
+	}
+}
