@@ -56,8 +56,8 @@ func drainAll(t *testing.T, errChs ...chan error) {
 
 // TestShardedFleetServesAndDrains boots aggd in -shards mode, proves the
 // wire surface still serves (including a fleet-spanning fanout that must
-// agree across shards), checks the fleet-shaped /statsz, and drains on
-// SIGTERM end to end.
+// agree across shards), checks the per-shard /metricsz series, and drains
+// on SIGTERM end to end.
 func TestShardedFleetServesAndDrains(t *testing.T) {
 	addr, errCh := bootDaemon(t,
 		"-addr", "127.0.0.1:0", "-shards", "2", "-workers", "1", "-queue", "8",
@@ -97,22 +97,14 @@ func TestShardedFleetServesAndDrains(t *testing.T) {
 		t.Fatalf("fanout across the daemon fleet: %d jobs agree=%v", len(fan.Jobs), fan.Agree)
 	}
 
-	resp, err = http.Get("http://" + addr + "/statsz")
-	if err != nil {
-		t.Fatal(err)
+	m := scrape(t, addr)
+	for _, shard := range []string{"0", "1"} {
+		if got := m.Sum("agg_station_workers", "shard", shard); got != 1 {
+			t.Errorf("shard %s workers = %v, want 1", shard, got)
+		}
 	}
-	var stats struct {
-		Shards int `json:"shards"`
-		Merged struct {
-			Workers int `json:"workers"`
-		} `json:"merged"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if stats.Shards != 2 || stats.Merged.Workers != 2 {
-		t.Errorf("fleet statsz: shards=%d merged.workers=%d", stats.Shards, stats.Merged.Workers)
+	if got := m.Sum("agg_station_workers"); got != 2 {
+		t.Errorf("fleet workers = %v, want 2", got)
 	}
 
 	drainAll(t, errCh)
@@ -120,8 +112,9 @@ func TestShardedFleetServesAndDrains(t *testing.T) {
 
 // TestJoinProxyCoordinatesRemoteShards boots two shard daemons with
 // distinct ID prefixes plus a -join coordinator over them, and proves a
-// query through the proxy is served by a real shard and the merged
-// observability fans in.
+// query through the proxy is served by a real shard, the proxy's breakers
+// read closed on its /metricsz, and the shards' own /metricsz count the
+// served job.
 func TestJoinProxyCoordinatesRemoteShards(t *testing.T) {
 	s0, err0 := bootDaemon(t,
 		"-addr", "127.0.0.1:0", "-idprefix", "s0-", "-workers", "1", "-queue", "8",
@@ -159,23 +152,16 @@ func TestJoinProxyCoordinatesRemoteShards(t *testing.T) {
 		t.Errorf("proxied job poll = %d, want 200", resp.StatusCode)
 	}
 
-	resp, err = http.Get("http://" + proxy + "/statsz")
-	if err != nil {
-		t.Fatal(err)
+	pm := scrape(t, proxy)
+	for _, target := range []string{"0", "1"} {
+		if got := pm.Sum("agg_proxy_breaker_state", "target", target, "state", "closed"); got != 1 {
+			t.Errorf("proxy target %s breaker closed = %v, want 1", target, got)
+		}
 	}
-	var stats struct {
-		Shards      int `json:"shards"`
-		Unreachable int `json:"unreachable"`
-		Merged      struct {
-			Completed int64 `json:"completed"`
-		} `json:"merged"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if stats.Shards != 2 || stats.Unreachable != 0 || stats.Merged.Completed < 1 {
-		t.Errorf("proxied statsz: %+v", stats)
+	completed := scrape(t, s0).Sum("agg_station_jobs_total", "outcome", "done") +
+		scrape(t, s1).Sum("agg_station_jobs_total", "outcome", "done")
+	if completed < 1 {
+		t.Errorf("shards count %v done jobs after a proxied query", completed)
 	}
 
 	drainAll(t, err0, err1, errp)

@@ -13,7 +13,7 @@
 //	aggd -addr :8080 -shards 3 -chaos plan.json -traceout fleet.jsonl
 //	curl -d '{"kind":"sum"}' http://localhost:8080/v1/query
 //	curl -d '{"kind":"sum","fanout":true}' 'http://localhost:8080/v1/query?partial=1'
-//	curl http://localhost:8080/statsz
+//	curl http://localhost:8080/metricsz
 //
 // -chaos arms a deterministic fault-injection plan (internal/chaos JSON:
 // seed + per-shard crash/latency/errors/queue-full windows) against the
@@ -25,7 +25,12 @@
 //
 // Every response carries an X-Agg-Request-Id header (assigned at ingress,
 // propagated by a -join proxy to its targets); /metricsz serves Prometheus
-// text-format telemetry on every topology.
+// text-format telemetry on every topology — the one counter surface:
+// admission, job outcomes, protocol events, per-worker rounds and traffic,
+// with -tracestats the workers' flight-recorder counts, and under -shards
+// the fleet's own counters next to each shard's series (shard="i").
+// -observe serves pprof on a second listener. Every listener cuts off
+// clients that stall their headers or body (station.NewServer).
 //
 // SIGINT/SIGTERM trigger a graceful drain: the listener stops accepting,
 // queued and in-flight epochs finish (bounded by -draintimeout), schedules
@@ -35,7 +40,6 @@ package main
 import (
 	"context"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"hash/fnv"
@@ -46,7 +50,6 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -99,8 +102,8 @@ func run(args []string) (*flag.FlagSet, error) {
 		loss       = fs.Float64("loss", 0, "injected iid frame-loss rate in [0, 1)")
 		timeout    = fs.Duration("timeout", 0, "per-job timeout, admission to completion (0 = none)")
 		draintmo   = fs.Duration("draintimeout", 30*time.Second, "graceful-drain bound on shutdown")
-		tracestats = fs.Bool("tracestats", false, "attach flight-recorder counters to every worker (merged into /statsz)")
-		observe    = fs.String("observe", "", "serve live station stats (expvar) and pprof on this second address, e.g. :6060")
+		tracestats = fs.Bool("tracestats", false, "count every worker's flight-recorder events into /metricsz (agg_trace_*)")
+		observe    = fs.String("observe", "", "serve pprof on this second address, e.g. :6060")
 		chaosPlan  = fs.String("chaos", "", "arm a fault-injection plan from this JSON file (see internal/chaos)")
 		traceout   = fs.String("traceout", "", "append fleet events (faults, shard health, breakers) and request spans to this JSONL file for aggtrace -why outage / -why request")
 	)
@@ -198,14 +201,13 @@ func run(args []string) (*flag.FlagSet, error) {
 	}
 
 	// Build whichever coordinator topology was asked for. All three serve
-	// the identical HTTP surface; only drain semantics and /statsz payloads
-	// differ, and both are behind small interfaces. The chaos controller
-	// attaches at each topology's natural seam: the proxy's transport, the
-	// fleet's shard gate, or a wrapper around the single station.
+	// the identical HTTP surface; only drain semantics and the /metricsz
+	// series differ. The chaos controller attaches at each topology's
+	// natural seam: the proxy's transport, the fleet's shard gate, or a
+	// wrapper around the single station.
 	var (
 		handler http.Handler
 		drainer interface{ Drain(context.Context) error }
-		stats   func() any
 		banner  string
 	)
 	switch {
@@ -228,7 +230,6 @@ func run(args []string) (*flag.FlagSet, error) {
 		}
 		handler = station.NewAPI(fl).Handler()
 		drainer = fl
-		stats = func() any { return fl.Stats() }
 		banner = fmt.Sprintf("%d shards x %d workers, queue %d/shard, %d-node deployments, seed %d",
 			*shards, *workers, *queue, *nodes, *seed)
 	default:
@@ -238,7 +239,6 @@ func run(args []string) (*flag.FlagSet, error) {
 		}
 		handler = station.NewAPI(chaos.Wrap(st, ctl)).Handler()
 		drainer = st
-		stats = func() any { return st.Stats() }
 		banner = fmt.Sprintf("%d workers, queue %d, %d-node deployments, seed %d",
 			*workers, *queue, *nodes, *seed)
 	}
@@ -246,8 +246,8 @@ func run(args []string) (*flag.FlagSet, error) {
 		banner += fmt.Sprintf(", chaos plan armed (%d fault windows)", len(ctl.Plan().Faults))
 	}
 
-	if *observe != "" && stats != nil {
-		if err := serveObserve(*observe, stats); err != nil {
+	if *observe != "" {
+		if err := serveObserve(*observe); err != nil {
 			return fs, err
 		}
 	}
@@ -256,7 +256,7 @@ func run(args []string) (*flag.FlagSet, error) {
 	if err != nil {
 		return fs, fmt.Errorf("listen %s: %w", *addr, err)
 	}
-	srv := &http.Server{Handler: handler}
+	srv := station.NewServer(handler)
 	fmt.Printf("aggd: serving on http://%s (%s)\n", ln.Addr(), banner)
 	ctl.Start() // arm the fault windows the instant traffic can arrive
 	if listening != nil {
@@ -306,38 +306,16 @@ func targetHosts(targets []string) map[string]int {
 	return out
 }
 
-// observed lets a process that runs the server more than once (tests)
-// re-point the published expvar at the live stats source instead of
-// re-publishing, which panics.
-var observed struct {
-	mu    sync.Mutex
-	stats func() any
-}
-
-// serveObserve publishes live serving stats over expvar ("aggd_station" on
-// /debug/vars — a station.Stats or fleet.Stats payload, depending on the
-// topology) next to the stock pprof handlers on a second listener, kept
+// serveObserve serves the stock pprof handlers on a second listener, kept
 // off the serving address so profiling never competes with query traffic.
-func serveObserve(addr string, stats func() any) error {
-	observed.mu.Lock()
-	first := observed.stats == nil
-	observed.stats = stats
-	observed.mu.Unlock()
-	if first {
-		expvar.Publish("aggd_station", expvar.Func(func() any {
-			observed.mu.Lock()
-			cur := observed.stats
-			observed.mu.Unlock()
-			return cur()
-		}))
-	}
+func serveObserve(addr string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return fmt.Errorf("-observe %s: %w", addr, err)
 	}
-	fmt.Printf("observe: expvar on http://%s/debug/vars, pprof on /debug/pprof\n", ln.Addr())
+	fmt.Printf("observe: pprof on http://%s/debug/pprof\n", ln.Addr())
 	go func() {
-		if err := http.Serve(ln, nil); err != nil {
+		if err := station.NewServer(http.DefaultServeMux).Serve(ln); err != nil {
 			fmt.Fprintln(os.Stderr, "aggd: observe:", err)
 		}
 	}()

@@ -3,6 +3,8 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"strings"
 	"syscall"
@@ -135,4 +137,61 @@ func TestFlagParseErrorsExitTwo(t *testing.T) {
 	if !strings.Contains(fmt.Sprint(err), "invalid value") {
 		t.Fatalf("unexpected parse error: %v", err)
 	}
+}
+
+// TestSlowHeaderClientIsCutOff: a client that opens a connection and
+// dribbles an unfinished request header must be disconnected once
+// station.ReadHeaderTimeout lapses, an oversized header must be refused,
+// and neither may stop a well-behaved query from being served meanwhile.
+func TestSlowHeaderClientIsCutOff(t *testing.T) {
+	addr, errCh := bootDaemon(t,
+		"-addr", "127.0.0.1:0", "-workers", "1", "-queue", "8",
+		"-nodes", "80", "-seed", "7", "-ideal", "-draintimeout", "30s")
+
+	slow, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer slow.Close()
+	start := time.Now()
+	if _, err := io.WriteString(slow, "GET /healthz HTTP/1.1\r\nHost: aggd\r\n"); err != nil {
+		t.Fatal(err)
+	}
+
+	status, _ := postBody(t, "http://"+addr+"/v1/query", `{"kind":"sum"}`)
+	if status != http.StatusOK {
+		t.Errorf("query next to a stalled client: %d, want 200", status)
+	}
+
+	// The header never completes: the server must hang up (EOF, or a 408
+	// before closing) within the header timeout plus scheduling slack.
+	if err := slow.SetReadDeadline(time.Now().Add(station.ReadHeaderTimeout + 10*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(slow)
+	if err != nil {
+		t.Fatalf("stalled connection still open after %v: %v", time.Since(start), err)
+	}
+	if len(got) > 0 && !strings.HasPrefix(string(got), "HTTP/1.1 408") {
+		t.Errorf("stalled connection answered %q", got)
+	}
+	if waited := time.Since(start); waited < station.ReadHeaderTimeout {
+		t.Errorf("stalled connection closed after %v, before the %v header timeout", waited, station.ReadHeaderTimeout)
+	}
+
+	req, err := http.NewRequest(http.MethodGet, "http://"+addr+"/healthz", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Padding", strings.Repeat("x", 2*station.MaxHeaderBytes))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestHeaderFieldsTooLarge {
+		t.Errorf("oversized header: %d, want 431", resp.StatusCode)
+	}
+
+	drainAll(t, errCh)
 }

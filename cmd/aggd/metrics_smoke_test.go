@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -27,7 +26,7 @@ func postBody(t *testing.T, url, body string) (int, http.Header) {
 }
 
 // scrape pulls /metricsz and returns the parsed samples.
-func scrape(t *testing.T, addr string) map[string]float64 {
+func scrape(t *testing.T, addr string) telemetry.Samples {
 	t.Helper()
 	resp, err := http.Get("http://" + addr + "/metricsz")
 	if err != nil {
@@ -51,7 +50,8 @@ func scrape(t *testing.T, addr string) map[string]float64 {
 // with a trace sink, push a mixed-kind burst through it, and require that
 // (1) /metricsz parses with the per-shard series dashboards key on,
 // (2) counters are monotone across scrapes under live traffic,
-// (3) the per-shard job counts agree with /statsz, and
+// (3) the done jobs it counts equal the 200s the test itself received —
+// one per shard for each fan-out plus one per burst request — and
 // (4) after drain, the trace file reconstructs a correlated request's span
 // tree — fan-out, per-shard admit/run/done, merge — from the id the HTTP
 // layer returned.
@@ -64,6 +64,7 @@ func TestMetricsSmoke(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
+	served := 0 // jobs the client saw finish with a 200
 	burst := func(n int) {
 		rep, err := station.RunLoad(ctx, station.LoadConfig{
 			BaseURL: "http://" + addr, Concurrency: 4, Requests: n,
@@ -74,6 +75,7 @@ func TestMetricsSmoke(t *testing.T) {
 		if rep.Errors > 0 {
 			t.Fatalf("burst errors: %+v", rep)
 		}
+		served += int(rep.Requests)
 	}
 
 	// A fan-out first guarantees BOTH shards serve at least one job — plain
@@ -82,6 +84,7 @@ func TestMetricsSmoke(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("fanout warm-up: %d", code)
 	}
+	served += 2 // one job per shard
 	burst(30)
 	first := scrape(t, addr)
 	for _, key := range []string{
@@ -108,29 +111,10 @@ func TestMetricsSmoke(t *testing.T) {
 		}
 	}
 
-	// Per-shard done counts in the exposition must agree with /statsz.
-	resp, err := http.Get("http://" + addr + "/statsz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stats struct {
-		Merged struct {
-			Completed float64 `json:"completed"`
-		} `json:"merged"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	final := scrape(t, addr)
-	var done float64
-	for key, v := range final {
-		if strings.HasPrefix(key, "agg_station_jobs_total{") && strings.Contains(key, `outcome="done"`) {
-			done += v
-		}
-	}
-	if done != stats.Merged.Completed {
-		t.Errorf("metrics count %v done jobs, /statsz says %v", done, stats.Merged.Completed)
+	// The exposition's done jobs, summed over shards and kinds, must be
+	// exactly the jobs this client got 200s for.
+	if done := scrape(t, addr).Sum("agg_station_jobs_total", "outcome", "done"); done != float64(served) {
+		t.Errorf("metrics count %v done jobs, the client was served %d", done, served)
 	}
 
 	// One correlated fan-out, id captured from the response header.

@@ -7,11 +7,15 @@
 //	aggsim -protocol tag -nodes 600 -ideal
 //	aggsim -protocol ipda -slices 3 -count
 //	aggsim -protocol cluster -polluter auto -delta 5000 -localize
+//	aggsim -rounds 20 -attack collude:2,tamper -observe :6060
+//
+// -observe serves /metricsz (the run's flight-recorder counts, plus the
+// campaign's counters under -attack) and pprof while the run is in
+// flight, and prints the final exposition when it ends.
 package main
 
 import (
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
@@ -20,11 +24,11 @@ import (
 	_ "net/http/pprof" // /debug/pprof on the -observe endpoint
 	"os"
 	"runtime"
-	"sort"
 
 	"repro"
 	"repro/internal/attack"
 	"repro/internal/cliutil"
+	"repro/internal/station"
 	"repro/internal/telemetry"
 )
 
@@ -61,7 +65,7 @@ func run(args []string) (*flag.FlagSet, error) {
 		localize = fs.Bool("localize", false, "run O(log N) attacker localization")
 		traceCap = fs.Int("trace", 0, "record and dump up to N protocol trace events")
 		traceOut = fs.String("traceout", "", "stream the flight recording as JSONL to this file (read it with aggtrace)")
-		observe  = fs.String("observe", "", "serve live run metrics (expvar) and pprof on this address, e.g. :6060")
+		observe  = fs.String("observe", "", "serve live run metrics (/metricsz) and pprof on this address, e.g. :6060")
 	)
 	if err := cliutil.Parse(fs, args); err != nil {
 		return fs, err
@@ -135,10 +139,11 @@ func run(args []string) (*flag.FlagSet, error) {
 				}
 			}()
 		}
-		var snapshot func() map[string]int64
+		var reg *telemetry.Registry
 		if *observe != "" {
-			snapshot = dep.TraceStats()
-			if err := serveObserve(*observe, snapshot); err != nil {
+			reg = telemetry.NewRegistry()
+			dep.TraceCounts(reg)
+			if err := serveObserve(*observe, reg); err != nil {
 				return err
 			}
 		}
@@ -162,15 +167,8 @@ func run(args []string) (*flag.FlagSet, error) {
 				if err != nil {
 					return err
 				}
-				if *observe != "" {
-					reg := telemetry.NewRegistry()
+				if reg != nil {
 					camp.Instrument(reg)
-					http.HandleFunc("/metricsz", func(w http.ResponseWriter, _ *http.Request) {
-						w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-						if err := reg.WritePrometheus(w); err != nil {
-							http.Error(w, err.Error(), http.StatusInternalServerError)
-						}
-					})
 				}
 				results, rep, err := dep.RunClusterCampaign(copts, camp)
 				if err != nil {
@@ -181,7 +179,7 @@ func run(args []string) (*flag.FlagSet, error) {
 					printResult(r)
 				}
 				printCampaign(rep)
-				printStats(snapshot)
+				printMetrics(reg)
 				return dumpIfEnabled(dumpTrace)
 			}
 			if *localize {
@@ -201,7 +199,7 @@ func run(args []string) (*flag.FlagSet, error) {
 					fmt.Printf("--- round %d ---\n", i+1)
 					printResult(r)
 				}
-				printStats(snapshot)
+				printMetrics(reg)
 				return dumpIfEnabled(dumpTrace)
 			}
 			res, err = dep.RunCluster(copts)
@@ -216,7 +214,7 @@ func run(args []string) (*flag.FlagSet, error) {
 			return err
 		}
 		printResult(res)
-		printStats(snapshot)
+		printMetrics(reg)
 		return dumpIfEnabled(dumpTrace)
 	}
 	return fs, simulate()
@@ -260,38 +258,35 @@ func validate(nodes int, field, radio, loss, crash, hcrash,
 	return err
 }
 
-// serveObserve publishes the flight recorder's live counters over expvar
-// ("aggsim_trace" on /debug/vars) next to the stock pprof handlers, on a
-// background listener that lives for the rest of the run.
-func serveObserve(addr string, snapshot func() map[string]int64) error {
-	expvar.Publish("aggsim_trace", expvar.Func(func() any { return snapshot() }))
+// serveObserve serves the registry on /metricsz next to the stock pprof
+// handlers, on a background listener that lives for the rest of the run.
+func serveObserve(addr string, reg *telemetry.Registry) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return fmt.Errorf("-observe %s: %w", addr, err)
 	}
-	fmt.Printf("observe: expvar on http://%s/debug/vars, pprof on /debug/pprof\n", ln.Addr())
+	mux := http.NewServeMux()
+	mux.Handle("/debug/pprof/", http.DefaultServeMux)
+	mux.HandleFunc("GET /metricsz", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", telemetry.ContentType)
+		_ = reg.WritePrometheus(w) // client gone; nothing useful to do
+	})
+	fmt.Printf("observe: metrics on http://%s/metricsz, pprof on /debug/pprof\n", ln.Addr())
 	go func() {
-		if err := http.Serve(ln, nil); err != nil {
+		if err := station.NewServer(mux).Serve(ln); err != nil {
 			fmt.Fprintln(os.Stderr, "aggsim: observe:", err)
 		}
 	}()
 	return nil
 }
 
-func printStats(snapshot func() map[string]int64) {
-	if snapshot == nil {
+// printMetrics prints the final /metricsz exposition of an observed run.
+func printMetrics(reg *telemetry.Registry) {
+	if reg == nil {
 		return
 	}
-	snap := snapshot()
-	keys := make([]string, 0, len(snap))
-	for k := range snap {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	fmt.Println("\n--- trace counters ---")
-	for _, k := range keys {
-		fmt.Printf("%-28s %d\n", k, snap[k])
-	}
+	fmt.Println("\n--- metrics ---")
+	_ = reg.WritePrometheus(os.Stdout)
 }
 
 func dumpIfEnabled(dumpTrace func(io.Writer) error) error {

@@ -200,8 +200,8 @@ func TestFleetPartialFanoutDegrades(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := f.Stats().Degraded; got != 1 {
-		t.Errorf("degraded counter = %d, want 1", got)
+	if got := scrapeFleet(t, f)["agg_fleet_degraded_total"]; got != 1 {
+		t.Errorf("degraded counter = %v, want 1", got)
 	}
 	found := false
 	for _, ev := range col.Events() {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"net/http"
 	"strings"
 	"time"
 
@@ -73,7 +72,7 @@ func RunChaos(ctx context.Context, cfg Config, plan chaos.Plan, load station.Loa
 	if err != nil {
 		return ChaosReport{}, err
 	}
-	srv := &http.Server{Handler: station.NewAPI(fl).Handler()}
+	srv := station.NewServer(station.NewAPI(fl).Handler())
 	go func() { _ = srv.Serve(ln) }()
 	defer srv.Close()
 
@@ -84,14 +83,13 @@ func RunChaos(ctx context.Context, cfg Config, plan chaos.Plan, load station.Loa
 		return ChaosReport{}, err
 	}
 
-	stats := fl.Stats()
 	events := col.Events()
 	out := ChaosReport{
 		Shards:   fl.Shards(),
 		Plan:     plan,
 		Load:     rep,
-		Restarts: stats.Restarts,
-		Degraded: stats.Degraded,
+		Restarts: fl.metrics.restarts.Value(),
+		Degraded: fl.metrics.degraded.Value(),
 		Events:   events,
 	}
 	if total := rep.Requests + rep.Errors; total > 0 {

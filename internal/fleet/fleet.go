@@ -27,10 +27,10 @@
 //     are restarted with exponential backoff + jitter, and re-admitted
 //     only after K consecutive healthy probes (supervisor.go). Faults are
 //     injected on purpose through Config.Chaos (internal/chaos).
-//   - Observation: Stats() merges every shard's counters into one
-//     fleet-wide view via trace.MergeSnapshots and repro.Traffic folding,
-//     with the per-shard breakdown preserved; health and fault transitions
-//     are emitted as typed trace events for aggtrace -why outage.
+//   - Observation: WriteMetrics serves the coordinator's registry and every
+//     shard's under a shard="i" label as one exposition (metrics.go);
+//     health and fault transitions are emitted as typed trace events for
+//     aggtrace -why outage.
 package fleet
 
 import (
@@ -43,7 +43,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro"
 	"repro/internal/chaos"
 	"repro/internal/station"
 	"repro/internal/topo"
@@ -123,11 +122,6 @@ type Fleet struct {
 
 	supStop chan struct{}
 	supDone chan struct{}
-
-	shed     atomic.Int64 // admissions served by a non-owner shard
-	rejected atomic.Int64 // admissions rejected by the whole fleet
-	restarts atomic.Int64 // supervisor-initiated shard restarts
-	degraded atomic.Int64 // fan-outs answered partially
 }
 
 // New builds Shards stations and the hash ring over them, and starts the
@@ -209,8 +203,8 @@ func (f *Fleet) emit(shard int, typ, cause, detail string) {
 // Shards returns the shard count.
 func (f *Fleet) Shards() int { return len(f.slots) }
 
-// Shard exposes one shard's current station for tests and the daemon's
-// observe hook (nil while the shard is killed).
+// Shard exposes one shard's current station (nil while the shard is
+// killed).
 func (f *Fleet) Shard(i int) *station.Station { return f.slots[i].st.Load() }
 
 // Owner returns the ring owner for a spec — which shard the query lands on
@@ -279,7 +273,7 @@ func (f *Fleet) Submit(spec station.QuerySpec) (*station.Job, error) {
 		switch {
 		case err == nil:
 			if n > 0 {
-				f.shed.Add(1)
+				f.metrics.shed.Inc()
 			}
 			f.metrics.avail.Record(true)
 			return job, nil
@@ -294,7 +288,7 @@ func (f *Fleet) Submit(spec station.QuerySpec) (*station.Job, error) {
 	// The whole fleet refused: compose ONE rejection. Full beats down
 	// beats draining — both leading conditions are the retryable ones the
 	// backoff hint exists for, and full implies capacity will free first.
-	f.rejected.Add(1)
+	f.metrics.rejected.Inc()
 	f.metrics.avail.Record(false)
 	switch {
 	case sawFull:
@@ -328,7 +322,7 @@ func (f *Fleet) SubmitAll(spec station.QuerySpec, partial bool) ([]*station.Job,
 			j.Cancel()
 		}
 		if errors.Is(err, station.ErrQueueFull) || errors.Is(err, station.ErrUnavailable) {
-			f.rejected.Add(1)
+			f.metrics.rejected.Inc()
 			f.metrics.avail.Record(false)
 		}
 		return nil, nil, err
@@ -366,7 +360,7 @@ func (f *Fleet) SubmitAll(spec station.QuerySpec, partial bool) ([]*station.Job,
 		return refuse(-1, station.ErrUnavailable)
 	}
 	if len(missing) > 0 {
-		f.degraded.Add(1)
+		f.metrics.degraded.Inc()
 		if f.cfg.Trace != nil {
 			f.emit(missing[0], trace.TypeDegraded, "partial-fanout",
 				fmt.Sprintf("missing=%v served=%d", missing, len(jobs)))
@@ -603,95 +597,4 @@ func (f *Fleet) Drain(ctx context.Context) error {
 		errs = append(errs, fmt.Errorf("fleet: fan-out watchers still running: %w", ctx.Err()))
 	}
 	return errors.Join(errs...)
-}
-
-// ShardStats is one shard's stats tagged with its ordinal and health.
-type ShardStats struct {
-	Shard int    `json:"shard"`
-	State string `json:"state"`
-	station.Stats
-}
-
-// Stats is the fleet-wide /statsz payload: a merged roll-up (counters
-// summed, flight-recorder snapshots folded through trace.MergeSnapshots,
-// radio traffic folded through repro.Traffic) plus the per-shard detail
-// and the coordinator's own shed/reject/restart accounting.
-type Stats struct {
-	Shards   int   `json:"shards"`
-	Draining bool  `json:"draining"`
-	Shed     int64 `json:"shed"`     // admissions served off-owner
-	Rejected int64 `json:"rejected"` // fleet-wide composed rejections
-	Restarts int64 `json:"restarts"` // supervisor-initiated shard restarts
-	Degraded int64 `json:"degraded"` // fan-outs answered partially
-
-	Merged   station.Stats `json:"merged"`
-	Traffic  repro.Traffic `json:"traffic"` // radio traffic summed over every worker
-	PerShard []ShardStats  `json:"per_shard"`
-}
-
-// Stats snapshots the fleet. Safe while epochs are in flight.
-func (f *Fleet) Stats() Stats {
-	out := Stats{
-		Shards:   len(f.slots),
-		Draining: f.draining.Load(),
-		Shed:     f.shed.Load(),
-		Rejected: f.rejected.Load(),
-		Restarts: f.restarts.Load(),
-		Degraded: f.degraded.Load(),
-	}
-	var per []station.Stats
-	for _, sl := range f.slots {
-		ss := ShardStats{Shard: sl.id, State: sl.State()}
-		if sh := sl.st.Load(); sh != nil {
-			ss.Stats = sh.Stats()
-			per = append(per, ss.Stats)
-		}
-		out.PerShard = append(out.PerShard, ss)
-	}
-	out.Merged = MergeStats(per...)
-	out.Merged.Draining = out.Draining
-	for _, s := range per {
-		for _, w := range s.WorkerStats {
-			out.Traffic.Add(w.Traffic)
-		}
-	}
-	return out
-}
-
-// StatsPayload is the /statsz body for a fleet backend.
-func (f *Fleet) StatsPayload() any { return f.Stats() }
-
-// MergeStats folds per-shard station stats into one fleet-wide view:
-// counters sum, queue depth and capacity sum, worker rosters concatenate,
-// trace snapshots merge key-wise, schedules concatenate. It is also how
-// the -join proxy merges /statsz payloads fetched from remote shards.
-func MergeStats(stats ...station.Stats) station.Stats {
-	var m station.Stats
-	traces := make([]map[string]int64, 0, len(stats))
-	for _, s := range stats {
-		m.Workers += s.Workers
-		m.QueueLen += s.QueueLen
-		m.QueueCap += s.QueueCap
-		m.Accepted += s.Accepted
-		m.Rejected += s.Rejected
-		m.Completed += s.Completed
-		m.Failed += s.Failed
-		m.Canceled += s.Canceled
-		m.Alarms += s.Alarms
-		m.IntegrityRejected += s.IntegrityRejected
-		m.DegradedClusters += s.DegradedClusters
-		m.FailedClusters += s.FailedClusters
-		m.Takeovers += s.Takeovers
-		m.Promotions += s.Promotions
-		m.WorkerStats = append(m.WorkerStats, s.WorkerStats...)
-		m.Schedules = append(m.Schedules, s.Schedules...)
-		if len(s.Trace) > 0 {
-			traces = append(traces, s.Trace)
-		}
-	}
-	if len(traces) > 0 {
-		m.Trace = trace.MergeSnapshots(traces...)
-	}
-	sort.Slice(m.Schedules, func(i, j int) bool { return m.Schedules[i].ID < m.Schedules[j].ID })
-	return m
 }

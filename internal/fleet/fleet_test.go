@@ -167,15 +167,15 @@ func TestFleetSmoke(t *testing.T) {
 		t.Error("fleet resolved a nonexistent job ID")
 	}
 
-	stats := f.Stats()
-	if stats.Shards != 3 || stats.Merged.Workers != 3 {
-		t.Errorf("fleet stats shape: %d shards, %d merged workers", stats.Shards, stats.Merged.Workers)
+	m := scrapeFleet(t, f)
+	if f.Shards() != 3 || m.Sum("agg_station_workers") != 3 {
+		t.Errorf("fleet shape: %d shards, %v workers", f.Shards(), m.Sum("agg_station_workers"))
 	}
-	if stats.Merged.Completed < 6 {
-		t.Errorf("merged completed = %d, want >= 6", stats.Merged.Completed)
+	if done := m.Sum("agg_station_jobs_total", "outcome", "done"); done < 6 {
+		t.Errorf("fleet-wide completed = %v, want >= 6", done)
 	}
-	if stats.Traffic.TxBytes == 0 {
-		t.Error("merged fleet traffic is zero after served epochs")
+	if m.Sum("agg_station_worker_traffic_total", "field", "tx_bytes") == 0 {
+		t.Error("fleet traffic is zero after served epochs")
 	}
 }
 
@@ -211,8 +211,8 @@ func TestFleetShedsToNextOwnerOnDrain(t *testing.T) {
 	if _, err := job.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got := f.Stats().Shed; got != 1 {
-		t.Errorf("shed counter = %d, want 1", got)
+	if got := scrapeFleet(t, f)["agg_fleet_shed_total"]; got != 1 {
+		t.Errorf("shed counter = %v, want 1", got)
 	}
 }
 
@@ -252,8 +252,8 @@ func TestFleetComposesBackpressure(t *testing.T) {
 	if !errors.Is(err, station.ErrQueueFull) {
 		t.Fatalf("fleet-full submit = %v, want ErrQueueFull", err)
 	}
-	if got := f.Stats().Rejected; got < 1 {
-		t.Errorf("composed rejections = %d, want >= 1", got)
+	if got := scrapeFleet(t, f)["agg_fleet_rejected_total"]; got < 1 {
+		t.Errorf("composed rejections = %v, want >= 1", got)
 	}
 }
 
@@ -462,20 +462,14 @@ func TestFleetHTTP(t *testing.T) {
 		t.Fatal("fanout answers not bit-identical across shards")
 	}
 
-	var stats Stats
-	resp, err = http.Get(srv.URL + "/statsz")
-	if err != nil {
-		t.Fatal(err)
+	m := scrapeURL(t, srv.URL)
+	for _, shard := range []string{"0", "1"} {
+		if got := m.Sum("agg_station_workers", "shard", shard); got != 1 {
+			t.Errorf("shard %s workers = %v, want 1 (one series per shard)", shard, got)
+		}
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if stats.Shards != 2 || len(stats.PerShard) != 2 {
-		t.Errorf("fleet statsz: %d shards, %d per-shard entries", stats.Shards, len(stats.PerShard))
-	}
-	if stats.Merged.Completed < 3 {
-		t.Errorf("merged completed = %d, want >= 3 (1 sync + 2 fanout)", stats.Merged.Completed)
+	if done := m.Sum("agg_station_jobs_total", "outcome", "done"); done < 3 {
+		t.Errorf("fleet-wide completed = %v, want >= 3 (1 sync + 2 fanout)", done)
 	}
 }
 
@@ -507,26 +501,5 @@ func TestRing(t *testing.T) {
 		if n < 4096/4/4 {
 			t.Errorf("shard %d owns only %d/4096 keys — ring badly unbalanced", s, n)
 		}
-	}
-}
-
-// TestMergeStats: counters sum, schedules concatenate sorted, trace maps
-// fold key-wise.
-func TestMergeStats(t *testing.T) {
-	a := station.Stats{Workers: 2, QueueCap: 8, Accepted: 10, Completed: 9, Failed: 1,
-		Trace:     map[string]int64{"events_total": 5},
-		Schedules: []station.ScheduleStatus{{ID: "s1-sched-2"}}}
-	b := station.Stats{Workers: 3, QueueCap: 8, Accepted: 7, Completed: 7,
-		Trace:     map[string]int64{"events_total": 3, "drops": 1},
-		Schedules: []station.ScheduleStatus{{ID: "s0-sched-1"}}}
-	m := MergeStats(a, b)
-	if m.Workers != 5 || m.QueueCap != 16 || m.Accepted != 17 || m.Completed != 16 || m.Failed != 1 {
-		t.Errorf("merged counters wrong: %+v", m)
-	}
-	if m.Trace["events_total"] != 8 || m.Trace["drops"] != 1 {
-		t.Errorf("merged trace wrong: %v", m.Trace)
-	}
-	if len(m.Schedules) != 2 || m.Schedules[0].ID != "s0-sched-1" {
-		t.Errorf("merged schedules wrong: %+v", m.Schedules)
 	}
 }

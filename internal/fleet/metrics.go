@@ -13,7 +13,7 @@ import (
 // can see — shedding, composed rejections, supervisor activity, fan-out
 // latency per shard, and the rolling availability window — while each
 // shard's own registry is merged in under a shard="i" label at exposition
-// time, the way /statsz merges shard snapshots.
+// time, so one scrape reads the whole fleet with no merge code.
 
 // availTarget is the serving availability objective the error-budget burn
 // gauge is computed against (three nines over the rolling window).
@@ -31,6 +31,11 @@ type metrics struct {
 	reg    *telemetry.Registry
 	avail  *telemetry.Window
 	fanout []*telemetry.Histogram // per-shard fan-out completion latency
+
+	shed     *telemetry.Counter // admissions served by a non-owner shard
+	rejected *telemetry.Counter // admissions rejected by the whole fleet
+	restarts *telemetry.Counter // supervisor-initiated shard restarts
+	degraded *telemetry.Counter // fan-outs answered partially
 }
 
 // shardStates are the supervisor states exposed as 0/1 gauges.
@@ -40,19 +45,18 @@ var shardStates = []string{
 
 func (f *Fleet) newMetrics() *metrics {
 	reg := telemetry.NewRegistry()
-	m := &metrics{reg: reg, avail: telemetry.NewWindow(availWindow, availRes)}
-
-	mirror := func(a interface{ Load() int64 }) func() float64 {
-		return func() float64 { return float64(a.Load()) }
+	m := &metrics{
+		reg:   reg,
+		avail: telemetry.NewWindow(availWindow, availRes),
+		shed: reg.Counter("agg_fleet_shed_total",
+			"Admissions served by a non-owner shard after shedding."),
+		rejected: reg.Counter("agg_fleet_rejected_total",
+			"Admissions the whole fleet refused (one composed rejection each)."),
+		restarts: reg.Counter("agg_fleet_restarts_total",
+			"Supervisor-initiated shard restarts."),
+		degraded: reg.Counter("agg_fleet_degraded_total",
+			"Fan-outs answered partially (some shards missing)."),
 	}
-	reg.CounterFunc("agg_fleet_shed_total",
-		"Admissions served by a non-owner shard after shedding.", mirror(&f.shed))
-	reg.CounterFunc("agg_fleet_rejected_total",
-		"Admissions the whole fleet refused (one composed rejection each).", mirror(&f.rejected))
-	reg.CounterFunc("agg_fleet_restarts_total",
-		"Supervisor-initiated shard restarts.", mirror(&f.restarts))
-	reg.CounterFunc("agg_fleet_degraded_total",
-		"Fan-outs answered partially (some shards missing).", mirror(&f.degraded))
 
 	for _, sl := range f.slots {
 		sl := sl

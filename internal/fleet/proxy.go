@@ -25,9 +25,10 @@ import (
 // the ring key, then the raw body is forwarded to the owning shard, with
 // the identical shed-on-503/draining walk a local fleet performs. Job and
 // schedule handles are resolved by asking shards in order (shards stamp
-// globally-unique IDs, so at most one answers), /statsz fans out and
-// merges through MergeStats, and /healthz probes every target
-// concurrently and merges the per-shard states.
+// globally-unique IDs, so at most one answers), and /healthz probes every
+// target concurrently and merges the per-shard states. /metricsz serves
+// only the proxy's own transport telemetry (proxymetrics.go); each shard
+// listener serves its own.
 //
 // Failure handling mirrors the in-process supervisor, adapted to remote
 // targets the proxy cannot restart:
@@ -193,7 +194,6 @@ func (p *Proxy) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/schedules/{id}/results", p.forwardByID("/v1/schedules/", "/results"))
 	mux.HandleFunc("DELETE /v1/schedules/{id}", p.forwardByID("/v1/schedules/"))
 	mux.HandleFunc("GET /healthz", p.handleHealthz)
-	mux.HandleFunc("GET /statsz", p.handleStatsz)
 	mux.HandleFunc("GET /metricsz", p.handleMetricsz)
 	// The proxy is the fleet's ingress: it mints the request id here and
 	// propagates it to every target, so one id follows the request across
@@ -467,48 +467,6 @@ func (p *Proxy) probeHealth(target string) string {
 	default:
 		return trace.ShardDown
 	}
-}
-
-// proxyStats is the proxy's /statsz payload: the same merged-plus-detail
-// shape an in-process fleet serves, built from payloads fetched off the
-// remote shards, plus the proxy's own breaker states.
-type proxyStats struct {
-	Shards      int           `json:"shards"`
-	Unreachable int           `json:"unreachable,omitempty"`
-	Breakers    []string      `json:"breakers"`
-	Merged      station.Stats `json:"merged"`
-	Traffic     repro.Traffic `json:"traffic"`
-	PerShard    []ShardStats  `json:"per_shard"`
-}
-
-func (p *Proxy) handleStatsz(w http.ResponseWriter, _ *http.Request) {
-	out := proxyStats{Shards: len(p.targets)}
-	for _, b := range p.breakers {
-		out.Breakers = append(out.Breakers, b.current())
-	}
-	var per []station.Stats
-	for i := range p.targets {
-		// Internal scrape: no correlation id, so no serve-trace stages.
-		resp, err := p.get(i, "", "/statsz")
-		if err != nil || resp.status != http.StatusOK {
-			out.Unreachable++
-			continue
-		}
-		var s station.Stats
-		if err := json.Unmarshal(resp.body, &s); err != nil {
-			out.Unreachable++
-			continue
-		}
-		per = append(per, s)
-		out.PerShard = append(out.PerShard, ShardStats{Shard: i, Stats: s})
-	}
-	out.Merged = MergeStats(per...)
-	for _, s := range per {
-		for _, ws := range s.WorkerStats {
-			out.Traffic.Add(ws.Traffic)
-		}
-	}
-	writeProxyJSON(w, http.StatusOK, out)
 }
 
 // shardResponse is one forwarded exchange, replayed to the client.

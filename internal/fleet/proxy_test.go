@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -12,6 +13,7 @@ import (
 
 	"repro"
 	"repro/internal/station"
+	"repro/internal/telemetry"
 )
 
 // proxyRig is two real aggd-shaped shard servers behind a Proxy — the
@@ -162,23 +164,33 @@ func TestProxyObservation(t *testing.T) {
 		t.Fatalf("proxy healthz: %d %v", resp.StatusCode, hz)
 	}
 
-	resp, err = http.Get(rig.proxy.URL + "/statsz")
-	if err != nil {
-		t.Fatal(err)
+	// The proxy serves only its own transport telemetry; each shard
+	// listener serves its own counters, scraped here directly.
+	pm := scrapeURL(t, rig.proxy.URL)
+	for _, target := range []string{"0", "1"} {
+		if got := pm.Sum("agg_proxy_breaker_state", "target", target, "state", "closed"); got != 1 {
+			t.Errorf("target %s breaker closed = %v, want 1", target, got)
+		}
 	}
-	var ps proxyStats
-	if err := json.NewDecoder(resp.Body).Decode(&ps); err != nil {
-		t.Fatal(err)
+	var completed, workers, txBytes float64
+	for _, st := range rig.shards {
+		var buf bytes.Buffer
+		if err := st.WriteMetrics(&buf); err != nil {
+			t.Fatal(err)
+		}
+		m, err := telemetry.ParseText(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		completed += m.Sum("agg_station_jobs_total", "outcome", "done")
+		workers += m["agg_station_workers"]
+		txBytes += m.Sum("agg_station_worker_traffic_total", "field", "tx_bytes")
 	}
-	resp.Body.Close()
-	if ps.Shards != 2 || ps.Unreachable != 0 || len(ps.PerShard) != 2 {
-		t.Fatalf("proxy statsz shape: %+v", ps)
+	if completed < 2 || workers != 2 {
+		t.Errorf("shard series: completed=%v workers=%v", completed, workers)
 	}
-	if ps.Merged.Completed < 2 || ps.Merged.Workers != 2 {
-		t.Errorf("proxy merged stats: completed=%d workers=%d", ps.Merged.Completed, ps.Merged.Workers)
-	}
-	if ps.Traffic.TxBytes == 0 {
-		t.Error("proxy merged traffic is zero after served epochs")
+	if txBytes == 0 {
+		t.Error("shard traffic is zero after served epochs")
 	}
 }
 

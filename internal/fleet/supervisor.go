@@ -197,7 +197,7 @@ func (f *Fleet) superviseSlot(cfg SupervisorConfig, sl *slot, b *supSlot) {
 			sl.st.Store(st)
 			b.killed = false
 		}
-		f.restarts.Add(1)
+		f.metrics.restarts.Inc()
 		b.healthyStreak = 0
 		f.transition(sl, trace.ShardRestarting,
 			fmt.Sprintf("attempt %d; probation %d probes", b.attempts, cfg.ReadmitAfter))

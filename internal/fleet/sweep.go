@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"net/http"
 	"strings"
 	"time"
 
@@ -69,7 +68,7 @@ func runOne(ctx context.Context, cfg Config, load station.LoadConfig, conc int) 
 	if err != nil {
 		return station.LoadReport{}, err
 	}
-	srv := &http.Server{Handler: station.NewAPI(fl).Handler()}
+	srv := station.NewServer(station.NewAPI(fl).Handler())
 	go func() { _ = srv.Serve(ln) }()
 	defer srv.Close()
 

@@ -187,7 +187,7 @@ func (j *Job) setRunning(worker int) {
 // caller wins and the return value reports whether this call did it. The
 // winner must then call publish, which releases the waiters: in between,
 // the station counts the outcome, so a client that sees the job finished
-// also sees it in /statsz.
+// also sees it in agg_station_jobs_total on /metricsz.
 func (j *Job) settle(ans repro.QueryAnswer, err error) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()

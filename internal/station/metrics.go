@@ -2,17 +2,17 @@ package station
 
 import (
 	"io"
+	"strconv"
 
 	"repro"
 	"repro/internal/telemetry"
 )
 
-// Serving-path metrics. The registry is built once in New and instrument
-// handles are resolved up front, so the per-job cost is a histogram
-// Observe plus one counter Add — both allocation-free. Counters that
-// already exist as station atomics (admission, protocol outcomes) are
-// mirrored via CounterFunc/GaugeFunc closures read at exposition time, so
-// the serving path keeps single bookkeeping.
+// Serving-path metrics. The registry is the station's only counter store:
+// it is built once in New with every instrument handle resolved up front,
+// so the per-job cost is two histogram Observes plus a handful of counter
+// Adds — all allocation-free. Queue and pool shape are gauges read at
+// exposition time.
 
 // jobOutcome indexes the per-kind outcome counters.
 const (
@@ -24,18 +24,39 @@ const (
 
 var outcomeNames = [outcomeCount]string{"done", "failed", "canceled"}
 
+// trafficFields label the per-worker radio traffic counters, one per
+// repro.Traffic field in declaration order (see trafficValues).
+var trafficFields = [...]string{
+	"tx_bytes", "rx_bytes", "tx_messages", "rx_messages", "app_messages", "collisions", "dropped",
+}
+
+func trafficValues(t repro.Traffic) [len(trafficFields)]int {
+	return [...]int{t.TxBytes, t.RxBytes, t.TxMessages, t.RxMessages, t.AppMessages, t.Collisions, t.Dropped}
+}
+
 // metrics is the station's instrument set.
 type metrics struct {
 	reg       *telemetry.Registry
 	queueWait *telemetry.Histogram // admission → worker pickup
 	run       *telemetry.Histogram // worker pickup → finish
 	// jobs[kind][outcome], kind indexed by repro.QueryKind (1-based).
-	jobs [int(repro.QueryMax) + 1][outcomeCount]*telemetry.Counter
+	jobs               [int(repro.QueryMax) + 1][outcomeCount]*telemetry.Counter
+	accepted, rejected *telemetry.Counter
+	// Protocol outcomes accumulated over completed answers.
+	alarms, integrityRejected, degradedClusters *telemetry.Counter
+	failedClusters, takeovers, promotions       *telemetry.Counter
+	workers                                     []workerMetrics
 }
 
-// newMetrics builds the station registry and wires the mirror closures
-// onto the station's existing atomics.
-func (s *Station) newMetrics() *metrics {
+// workerMetrics is one pool slot's epoch accounting.
+type workerMetrics struct {
+	rounds  *telemetry.Counter
+	traffic [len(trafficFields)]*telemetry.Counter
+}
+
+// newMetrics builds the station registry: the counters the serving path
+// increments, and the gauges read off the queue and pool at scrape time.
+func (s *Station) newMetrics(workers int) *metrics {
 	reg := telemetry.NewRegistry()
 	m := &metrics{
 		reg: reg,
@@ -51,32 +72,29 @@ func (s *Station) newMetrics() *metrics {
 				"kind", k.String(), "outcome", outcomeNames[o])
 		}
 	}
-
-	mirror := func(a interface{ Load() int64 }) func() float64 {
-		return func() float64 { return float64(a.Load()) }
+	m.accepted = reg.Counter("agg_station_submitted_total", "Admission verdicts.", "result", "accepted")
+	m.rejected = reg.Counter("agg_station_submitted_total", "Admission verdicts.", "result", "rejected")
+	protocol := func(event string) *telemetry.Counter {
+		return reg.Counter("agg_station_protocol_total",
+			"Protocol outcomes accumulated over completed answers.", "event", event)
 	}
-	reg.CounterFunc("agg_station_submitted_total",
-		"Admission verdicts.", mirror(&s.accepted), "result", "accepted")
-	reg.CounterFunc("agg_station_submitted_total",
-		"Admission verdicts.", mirror(&s.rejected), "result", "rejected")
-	reg.CounterFunc("agg_station_protocol_total",
-		"Protocol outcomes accumulated over completed answers.",
-		mirror(&s.alarms), "event", "alarm")
-	reg.CounterFunc("agg_station_protocol_total",
-		"Protocol outcomes accumulated over completed answers.",
-		mirror(&s.integrityRejected), "event", "integrity_rejected")
-	reg.CounterFunc("agg_station_protocol_total",
-		"Protocol outcomes accumulated over completed answers.",
-		mirror(&s.degradedClusters), "event", "degraded_cluster")
-	reg.CounterFunc("agg_station_protocol_total",
-		"Protocol outcomes accumulated over completed answers.",
-		mirror(&s.failedClstrs), "event", "failed_cluster")
-	reg.CounterFunc("agg_station_protocol_total",
-		"Protocol outcomes accumulated over completed answers.",
-		mirror(&s.takeovers), "event", "takeover")
-	reg.CounterFunc("agg_station_protocol_total",
-		"Protocol outcomes accumulated over completed answers.",
-		mirror(&s.promotions), "event", "promotion")
+	m.alarms = protocol("alarm")
+	m.integrityRejected = protocol("integrity_rejected")
+	m.degradedClusters = protocol("degraded_cluster")
+	m.failedClusters = protocol("failed_cluster")
+	m.takeovers = protocol("takeover")
+	m.promotions = protocol("promotion")
+	m.workers = make([]workerMetrics, workers)
+	for i := range m.workers {
+		id := strconv.Itoa(i)
+		m.workers[i].rounds = reg.Counter("agg_station_worker_rounds_total",
+			"Epochs each pool worker ran, canceled ones included.", "worker", id)
+		for f, field := range trafficFields {
+			m.workers[i].traffic[f] = reg.Counter("agg_station_worker_traffic_total",
+				"Radio traffic each pool worker's deployment carried, by field.",
+				"worker", id, "field", field)
+		}
+	}
 
 	reg.GaugeFunc("agg_station_queue_depth",
 		"Jobs waiting in the admission queue.",
@@ -98,14 +116,32 @@ func (s *Station) newMetrics() *metrics {
 	return m
 }
 
-// finished records one terminal job into the per-kind outcome counters.
-func (m *metrics) finished(kind repro.QueryKind, state JobState) {
+// ran records one epoch a worker executed and the traffic it carried.
+func (m *metrics) ran(worker int, t repro.Traffic) {
+	wm := &m.workers[worker]
+	wm.rounds.Inc()
+	for f, v := range trafficValues(t) {
+		wm.traffic[f].Add(int64(v))
+	}
+}
+
+// finished records one terminal job into the per-kind outcome counters,
+// and a completed answer's protocol outcomes.
+func (m *metrics) finished(kind repro.QueryKind, state JobState, ans repro.QueryAnswer) {
 	if kind < repro.QuerySum || kind > repro.QueryMax {
 		return
 	}
 	switch state {
 	case JobDone:
 		m.jobs[int(kind)][outcomeDone].Inc()
+		m.alarms.Add(int64(ans.Alarms()))
+		if !ans.Accepted {
+			m.integrityRejected.Inc()
+		}
+		m.degradedClusters.Add(int64(ans.Round.DegradedClusters))
+		m.failedClusters.Add(int64(ans.Round.FailedClusters))
+		m.takeovers.Add(int64(ans.Round.Takeovers))
+		m.promotions.Add(int64(ans.Round.Promotions))
 	case JobFailed:
 		m.jobs[int(kind)][outcomeFailed].Inc()
 	case JobCanceled:

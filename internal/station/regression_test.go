@@ -44,20 +44,18 @@ func TestSyncQueryJobDeadlineIsFailedNotAborted(t *testing.T) {
 	}
 }
 
-// TestStatszCountsSyncQueryOnReturn is the regression gate for the
+// TestMetricszCountsSyncQueryOnReturn is the regression gate for the
 // finish-ordering race: the station used to release a job's waiters before
-// counting its outcome, so a client reading /statsz right after its sync
-// query returned could find the query missing from completed.
-func TestStatszCountsSyncQueryOnReturn(t *testing.T) {
+// counting its outcome, so a client scraping right after its sync query
+// returned could find the query missing from the done jobs.
+func TestMetricszCountsSyncQueryOnReturn(t *testing.T) {
 	_, srv := newTestServer(t, testConfig(2, 8))
-	for i := int64(1); i <= 20; i++ {
+	for i := 1; i <= 20; i++ {
 		if resp, data := postJSON(t, srv.URL+"/v1/query", `{"kind":"sum"}`); resp.StatusCode != http.StatusOK {
 			t.Fatalf("query %d: %d %s", i, resp.StatusCode, data)
 		}
-		var stats Stats
-		getJSON(t, srv.URL+"/statsz", &stats)
-		if stats.Completed != i {
-			t.Fatalf("/statsz right after sync query %d: completed = %d", i, stats.Completed)
+		if done := jobs(scrapeHTTP(t, srv.URL), "done"); done != float64(i) {
+			t.Fatalf("/metricsz right after sync query %d: agg_station_jobs_total{outcome=\"done\"} = %v", i, done)
 		}
 	}
 }

@@ -99,13 +99,13 @@ func TestServiceSmoke(t *testing.T) {
 		}
 	}
 
-	stats := st.Stats()
-	if stats.Completed < 43 { // 1 smoke query + 42 burst requests
-		t.Errorf("completed = %d, want >= 43", stats.Completed)
+	m := scrape(t, st)
+	if done := jobs(m, "done"); done < 43 { // 1 smoke query + 42 burst requests
+		t.Errorf("completed = %v, want >= 43", done)
 	}
-	for _, w := range stats.WorkerStats {
-		if w.Rounds == 0 {
-			t.Errorf("worker %d served nothing — pool not spreading load", w.ID)
+	for w := 0; w < cfg.Workers; w++ {
+		if workerRounds(m, w) == 0 {
+			t.Errorf("worker %d served nothing — pool not spreading load", w)
 		}
 	}
 }

@@ -66,9 +66,9 @@ type Config struct {
 	Deploy  repro.Options        // deployment template, one instance per worker
 	Cluster repro.ClusterOptions // protocol options applied to every query
 
-	// TraceStats attaches a live trace.Stats sink to every worker
-	// deployment; Stats() then carries the merged counters (the /statsz
-	// "trace" block).
+	// TraceStats attaches a counting sink to every worker deployment; the
+	// agg_trace_* series it feeds sum across workers in the station's
+	// registry and are served on /metricsz.
 	TraceStats bool
 
 	// Trace, when non-nil, receives serving-layer request lifecycle events
@@ -147,7 +147,7 @@ func (q QuerySpec) EffectiveSeed(template int64) int64 {
 	return template
 }
 
-// Station is the serving layer: pool + queue + scheduler + counters.
+// Station is the serving layer: pool + queue + scheduler + metrics.
 type Station struct {
 	cfg     Config
 	queue   chan *Job
@@ -167,13 +167,6 @@ type Station struct {
 	nextJob   atomic.Int64
 	nextSched atomic.Int64
 
-	// Outcome counters (see Stats).
-	accepted, rejected             atomic.Int64
-	completed, failed, canceled    atomic.Int64
-	alarms, integrityRejected      atomic.Int64
-	degradedClusters, failedClstrs atomic.Int64
-	takeovers, promotions          atomic.Int64
-
 	// testHookRunning, when non-nil, fires after a job transitions to
 	// JobRunning and before its epoch executes — the seam the
 	// cancellation-mid-epoch and backpressure tests use to act at a
@@ -182,15 +175,10 @@ type Station struct {
 }
 
 // worker is one pool slot: a goroutine that exclusively owns one
-// Deployment. Only rounds/traffic are read from outside, under wmu.
+// Deployment.
 type worker struct {
-	id        int
-	dep       *repro.Deployment
-	statsSnap func() map[string]int64 // nil unless Config.TraceStats
-
-	wmu     sync.Mutex
-	rounds  int64
-	traffic repro.Traffic
+	id  int
+	dep *repro.Deployment
 }
 
 // New builds the pool (one deployment per worker) and starts serving.
@@ -211,7 +199,7 @@ func New(cfg Config) (*Station, error) {
 		jobs:      make(map[string]*Job),
 		schedules: make(map[string]*Schedule),
 	}
-	st.metrics = st.newMetrics()
+	st.metrics = st.newMetrics(cfg.Workers)
 	st.testHookRunning = cfg.RunningHook
 	for i := 0; i < cfg.Workers; i++ {
 		dep, err := repro.NewDeployment(cfg.Deploy)
@@ -220,7 +208,7 @@ func New(cfg Config) (*Station, error) {
 		}
 		w := &worker{id: i, dep: dep}
 		if cfg.TraceStats {
-			w.statsSnap = dep.TraceStats()
+			dep.TraceCounts(st.metrics.reg)
 		}
 		if cfg.AttachSinks != nil {
 			if flush := cfg.AttachSinks(i, dep); flush != nil {
@@ -284,12 +272,12 @@ func (s *Station) Submit(spec QuerySpec) (*Job, error) {
 	select {
 	case s.queue <- job:
 		s.jobs[job.id] = job
-		s.accepted.Add(1)
+		s.metrics.accepted.Inc()
 		s.emitRequest(job, trace.StageAdmit, "kind="+spec.Kind.String())
 		return job, nil
 	default:
 		job.timerStop()
-		s.rejected.Add(1)
+		s.metrics.rejected.Inc()
 		return nil, ErrQueueFull
 	}
 }
@@ -353,10 +341,7 @@ func (s *Station) execute(w *worker, job *Job) {
 	if err == nil {
 		ans, err = w.dep.RunQuery(job.spec.Kind, s.cfg.Cluster)
 	}
-	w.wmu.Lock()
-	w.rounds++
-	w.traffic.Add(w.dep.Traffic())
-	w.wmu.Unlock()
+	s.metrics.ran(w.id, w.dep.Traffic())
 	// Cancellation mid-epoch is best-effort: the simulation round is not
 	// interruptible, so the epoch runs to completion and the result is
 	// discarded here.
@@ -391,28 +376,17 @@ func (s *Station) finish(job *Job, ans repro.QueryAnswer, err error) {
 		return // lost the race against Cancel-while-queued
 	}
 	defer job.publish() // only once the outcome is counted
-	s.metrics.finished(job.spec.Kind, job.State())
+	s.metrics.finished(job.spec.Kind, job.State(), ans)
 	if ran := job.RunTime(); ran > 0 {
 		s.metrics.run.Observe(ran)
 	}
 	switch job.State() {
 	case JobCanceled:
-		s.canceled.Add(1)
 		s.emitRequest(job, trace.StageCanceled, "")
 	case JobFailed:
-		s.failed.Add(1)
 		s.emitRequest(job, trace.StageFailed, fmt.Sprintf("ran=%v", job.RunTime()))
 	case JobDone:
-		s.completed.Add(1)
 		s.emitRequest(job, trace.StageDone, fmt.Sprintf("ran=%v", job.RunTime()))
-		s.alarms.Add(int64(ans.Alarms()))
-		if !ans.Accepted {
-			s.integrityRejected.Add(1)
-		}
-		s.degradedClusters.Add(int64(ans.Round.DegradedClusters))
-		s.failedClstrs.Add(int64(ans.Round.FailedClusters))
-		s.takeovers.Add(int64(ans.Round.Takeovers))
-		s.promotions.Add(int64(ans.Round.Promotions))
 	}
 	s.retire(job)
 }
@@ -432,8 +406,7 @@ func (s *Station) retire(job *Job) {
 
 // cancelFinished lets Job.Cancel retire a still-queued job immediately.
 func (s *Station) cancelFinished(job *Job) {
-	s.canceled.Add(1)
-	s.metrics.finished(job.spec.Kind, JobCanceled)
+	s.metrics.finished(job.spec.Kind, JobCanceled, repro.QueryAnswer{})
 	s.emitRequest(job, trace.StageCanceled, "queued=true")
 	s.retire(job)
 }
@@ -512,86 +485,6 @@ func (s *Station) Draining() bool {
 	return s.draining
 }
 
-// WorkerStatus is one pool slot's live accounting.
-type WorkerStatus struct {
-	ID      int           `json:"id"`
-	Rounds  int64         `json:"rounds"`
-	Traffic repro.Traffic `json:"traffic"`
-}
-
-// Stats is the station's live view — the /statsz payload.
-type Stats struct {
-	Workers  int  `json:"workers"`
-	QueueLen int  `json:"queue_len"`
-	QueueCap int  `json:"queue_cap"`
-	Draining bool `json:"draining"`
-
-	Accepted  int64 `json:"accepted"`
-	Rejected  int64 `json:"rejected"` // queue-full rejections
-	Completed int64 `json:"completed"`
-	Failed    int64 `json:"failed"`
-	Canceled  int64 `json:"canceled"`
-
-	// Protocol outcome counters accumulated over completed answers.
-	Alarms            int64 `json:"alarms"`
-	IntegrityRejected int64 `json:"integrity_rejected"`
-	DegradedClusters  int64 `json:"degraded_clusters"`
-	FailedClusters    int64 `json:"failed_clusters"`
-	Takeovers         int64 `json:"takeovers"`
-	Promotions        int64 `json:"promotions"`
-
-	WorkerStats []WorkerStatus   `json:"worker_stats"`
-	Schedules   []ScheduleStatus `json:"schedules,omitempty"`
-
-	// Trace carries the merged per-worker flight-recorder counters when
-	// Config.TraceStats is on.
-	Trace map[string]int64 `json:"trace,omitempty"`
-}
-
-// Stats snapshots the station. Safe to call from any goroutine while
-// epochs are in flight.
-func (s *Station) Stats() Stats {
-	st := Stats{
-		Workers:  len(s.workers),
-		QueueLen: len(s.queue),
-		QueueCap: cap(s.queue),
-		Draining: s.Draining(),
-
-		Accepted:  s.accepted.Load(),
-		Rejected:  s.rejected.Load(),
-		Completed: s.completed.Load(),
-		Failed:    s.failed.Load(),
-		Canceled:  s.canceled.Load(),
-
-		Alarms:            s.alarms.Load(),
-		IntegrityRejected: s.integrityRejected.Load(),
-		DegradedClusters:  s.degradedClusters.Load(),
-		FailedClusters:    s.failedClstrs.Load(),
-		Takeovers:         s.takeovers.Load(),
-		Promotions:        s.promotions.Load(),
-	}
-	var snaps []map[string]int64
-	for _, w := range s.workers {
-		w.wmu.Lock()
-		ws := WorkerStatus{ID: w.id, Rounds: w.rounds, Traffic: w.traffic}
-		w.wmu.Unlock()
-		st.WorkerStats = append(st.WorkerStats, ws)
-		if w.statsSnap != nil {
-			snaps = append(snaps, w.statsSnap())
-		}
-	}
-	if len(snaps) > 0 {
-		st.Trace = trace.MergeSnapshots(snaps...)
-	}
-	s.mu.Lock()
-	for _, sc := range s.schedules {
-		st.Schedules = append(st.Schedules, sc.Status())
-	}
-	s.mu.Unlock()
-	sort.Slice(st.Schedules, func(i, j int) bool { return st.Schedules[i].ID < st.Schedules[j].ID })
-	return st
-}
-
 // ScheduleStatuses lists the registered schedules, sorted by ID.
 func (s *Station) ScheduleStatuses() []ScheduleStatus {
 	s.mu.Lock()
@@ -603,7 +496,3 @@ func (s *Station) ScheduleStatuses() []ScheduleStatus {
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
-
-// StatsPayload is the /statsz body — Stats for a single station; a fleet
-// backend substitutes its merged fleet-wide view here.
-func (s *Station) StatsPayload() any { return s.Stats() }

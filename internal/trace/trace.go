@@ -3,8 +3,8 @@
 // layer of the simulation — the event engine, the radio medium, the MAC,
 // and each core protocol phase — emits Events into a Sink; sinks include
 // a bounded in-memory ring buffer (Tracer), a JSONL stream writer for
-// offline forensics with cmd/aggtrace, and a thread-safe Stats counter
-// set for live observation over expvar.
+// offline forensics with cmd/aggtrace, and a CountSink that totals events
+// into a telemetry registry for live observation on /metricsz.
 //
 // Tracing is optional and designed to vanish when disabled: every emit
 // site guards on a nil sink before building the event, so the hot path
@@ -156,7 +156,8 @@ func (e Event) String() string {
 
 // Sink consumes flight-recorder events. Implementations must tolerate
 // being called from the (single-threaded) simulation loop; sinks read
-// concurrently by other goroutines (Stats) synchronise internally.
+// concurrently by other goroutines synchronise internally (CountSink's
+// registry series are atomic).
 type Sink interface {
 	Emit(Event)
 }
@@ -194,16 +195,6 @@ func (t *Tracer) Emit(ev Event) {
 		t.dropped++
 	}
 	t.total++
-}
-
-// Record is the legacy formatted-event shim: category maps to the event
-// type, the formatted text to Detail. Nil tracers are valid no-ops.
-func (t *Tracer) Record(at time.Duration, node topo.NodeID, category, format string, args ...any) {
-	if t == nil {
-		return
-	}
-	t.Emit(Event{At: at, Node: node, Cluster: NoCluster, Type: category,
-		Detail: fmt.Sprintf(format, args...)})
 }
 
 // Len returns the number of retained events.

@@ -2,16 +2,19 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 func TestNilTracerIsNoOp(t *testing.T) {
 	var tr *Tracer
-	tr.Record(time.Second, 1, "x", "y") // must not panic
-	tr.Emit(Event{Type: "x"})
+	tr.Emit(Event{Type: "x"}) // must not panic
 	if tr.Len() != 0 || tr.Total() != 0 {
 		t.Error("nil tracer should report zero")
 	}
@@ -28,8 +31,9 @@ func TestNilTracerIsNoOp(t *testing.T) {
 
 func TestRecordAndEvents(t *testing.T) {
 	tr := New(10)
-	tr.Record(time.Second, 3, "election", "became head pc=%.2f", 0.25)
-	tr.Record(2*time.Second, 4, "join", "joined %d", 3)
+	tr.Emit(Event{At: time.Second, Node: 3, Cluster: NoCluster, Type: "election",
+		Detail: fmt.Sprintf("became head pc=%.2f", 0.25)})
+	tr.Emit(Event{At: 2 * time.Second, Node: 4, Cluster: 4, Type: "join", Detail: "joined 3"})
 	if tr.Len() != 2 || tr.Total() != 2 {
 		t.Fatalf("len=%d total=%d", tr.Len(), tr.Total())
 	}
@@ -37,11 +41,11 @@ func TestRecordAndEvents(t *testing.T) {
 	if evs[0].Type != "election" || evs[1].Node != 4 {
 		t.Errorf("events = %+v", evs)
 	}
-	if evs[0].Cluster != NoCluster {
-		t.Errorf("legacy Record should leave the event unscoped, got cluster %d", evs[0].Cluster)
+	if evs[0].Cluster != NoCluster || evs[1].Cluster != 4 {
+		t.Errorf("cluster scope not kept: %d, %d", evs[0].Cluster, evs[1].Cluster)
 	}
 	if !strings.Contains(evs[0].Detail, "0.25") {
-		t.Errorf("formatting lost: %q", evs[0].Detail)
+		t.Errorf("detail lost: %q", evs[0].Detail)
 	}
 	if !strings.Contains(evs[0].String(), "election") {
 		t.Errorf("String = %q", evs[0].String())
@@ -62,7 +66,7 @@ func TestEventStringCarriesCauseAndCluster(t *testing.T) {
 func TestRingEviction(t *testing.T) {
 	tr := New(3)
 	for i := 0; i < 5; i++ {
-		tr.Record(time.Duration(i)*time.Second, 1, "c", "%d", i)
+		tr.Emit(Event{At: time.Duration(i) * time.Second, Node: 1, Type: "c", Detail: strconv.Itoa(i)})
 	}
 	if tr.Len() != 3 || tr.Total() != 5 {
 		t.Fatalf("len=%d total=%d", tr.Len(), tr.Total())
@@ -76,8 +80,8 @@ func TestRingEviction(t *testing.T) {
 
 func TestCapacityClamped(t *testing.T) {
 	tr := New(0)
-	tr.Record(0, 1, "a", "x")
-	tr.Record(0, 1, "a", "y")
+	tr.Emit(Event{Node: 1, Type: "a", Detail: "x"})
+	tr.Emit(Event{Node: 1, Type: "a", Detail: "y"})
 	if tr.Len() != 1 {
 		t.Errorf("len = %d", tr.Len())
 	}
@@ -85,9 +89,9 @@ func TestCapacityClamped(t *testing.T) {
 
 func TestDumpFilters(t *testing.T) {
 	tr := New(10)
-	tr.Record(0, 1, "election", "a")
-	tr.Record(0, 2, "join", "b")
-	tr.Record(0, 1, "join", "c")
+	tr.Emit(Event{Node: 1, Type: "election", Detail: "a"})
+	tr.Emit(Event{Node: 2, Type: "join", Detail: "b"})
+	tr.Emit(Event{Node: 1, Type: "join", Detail: "c"})
 
 	var all strings.Builder
 	if err := tr.Dump(&all, AllEvents()); err != nil {
@@ -116,8 +120,8 @@ func TestDumpFilters(t *testing.T) {
 
 func TestDumpMentionsEviction(t *testing.T) {
 	tr := New(1)
-	tr.Record(0, 1, "a", "x")
-	tr.Record(0, 1, "a", "y")
+	tr.Emit(Event{Node: 1, Type: "a", Detail: "x"})
+	tr.Emit(Event{Node: 1, Type: "a", Detail: "y"})
 	var b strings.Builder
 	if err := tr.Dump(&b, AllEvents()); err != nil {
 		t.Fatal(err)
@@ -129,9 +133,9 @@ func TestDumpMentionsEviction(t *testing.T) {
 
 func TestCounts(t *testing.T) {
 	tr := New(10)
-	tr.Record(0, 1, "a", "")
-	tr.Record(0, 1, "a", "")
-	tr.Record(0, 1, "b", "")
+	tr.Emit(Event{Node: 1, Type: "a"})
+	tr.Emit(Event{Node: 1, Type: "a"})
+	tr.Emit(Event{Node: 1, Type: "b"})
 	c := tr.Counts()
 	if c["a"] != 2 || c["b"] != 1 {
 		t.Errorf("counts = %v", c)
@@ -221,14 +225,31 @@ func TestFan(t *testing.T) {
 	}
 }
 
+// scrapeCounts renders a registry and parses it back, the way /metricsz
+// readers see it.
+func scrapeCounts(t *testing.T, reg *telemetry.Registry) telemetry.Samples {
+	t.Helper()
+	var b bytes.Buffer
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := telemetry.ParseText(&b)
+	if err != nil {
+		t.Fatalf("exposition does not parse: %v\n%s", err, b.String())
+	}
+	return samples
+}
+
 func TestStats(t *testing.T) {
-	s := NewStats()
+	reg := telemetry.NewRegistry()
+	s := NewCountSink(reg)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() { // concurrent scrape while emitting must be race-free
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			s.Snapshot()
+			var b bytes.Buffer
+			_ = reg.WritePrometheus(&b)
 		}
 	}()
 	for i := 0; i < 100; i++ {
@@ -236,43 +257,53 @@ func TestStats(t *testing.T) {
 	}
 	s.Emit(Event{Round: 9, Type: TypeCrash})
 	wg.Wait()
-	snap := s.Snapshot()
-	if snap["events_total"] != 101 || snap["type."+TypeAlarm] != 100 ||
-		snap["type."+TypeCrash] != 1 || snap["phase."+PhaseAnnounce] != 100 {
-		t.Errorf("snapshot = %v", snap)
+	got := scrapeCounts(t, reg)
+	if got.Sum("agg_trace_events_total") != 101 ||
+		got[`agg_trace_events_total{type="alarm"}`] != 100 ||
+		got[`agg_trace_events_total{type="crash"}`] != 1 ||
+		got[`agg_trace_phase_events_total{phase="announce"}`] != 100 ||
+		got.Sum("agg_trace_phase_events_total") != 100 {
+		t.Errorf("counts = %v", got)
 	}
-	if snap["round"] != 9 {
-		t.Errorf("round high-water = %d", snap["round"])
-	}
-	keys := s.Keys()
-	if len(keys) != len(snap) {
-		t.Errorf("keys %v vs snapshot %v", keys, snap)
-	}
-	for i := 1; i < len(keys); i++ {
-		if keys[i-1] >= keys[i] {
-			t.Errorf("keys not sorted: %v", keys)
-		}
+	// The phase-less crash is counted by type only; both gauges are
+	// high-water marks, so the later At=0 event does not pull sim time back.
+	if got["agg_trace_round"] != 9 || got["agg_trace_sim_time_ns"] != 99 {
+		t.Errorf("high-water round/sim time = %v/%v", got["agg_trace_round"], got["agg_trace_sim_time_ns"])
 	}
 }
 
-func TestMergeSnapshots(t *testing.T) {
-	a := map[string]int64{"events_total": 3, "alarm": 1, "round": 5, "sim_time_ns": 100}
-	b := map[string]int64{"events_total": 4, "takeover": 2, "round": 2, "sim_time_ns": 900}
-	got := MergeSnapshots(a, b)
-	want := map[string]int64{
-		// Counters sum across workers; "round" and "sim_time_ns" describe a
-		// single deployment's progress, so the merged view takes the max.
-		"events_total": 7, "alarm": 1, "takeover": 2, "round": 5, "sim_time_ns": 900,
+// TestCountSinksShareRegistry: sinks over one registry (one per pool
+// worker) present a single view — counts add across sinks, disjoint types
+// keep their own series, and round and sim time take the furthest
+// progress any sink saw rather than a sum.
+func TestCountSinksShareRegistry(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	if got := scrapeCounts(t, reg); got.Sum("agg_trace_events_total") != 0 || got["agg_trace_round"] != 0 {
+		t.Fatalf("empty registry counts = %v", got)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("MergeSnapshots = %v, want %v", got, want)
+	a, b := NewCountSink(reg), NewCountSink(reg)
+	for i := 0; i < 2; i++ {
+		a.Emit(Event{At: 100, Round: 7, Phase: PhaseAnnounce, Type: TypeAlarm})
+	}
+	for i := 0; i < 3; i++ {
+		b.Emit(Event{At: 1500, Round: 3, Phase: PhaseAnnounce, Type: TypeAlarm})
+	}
+	b.Emit(Event{At: 900, Round: 2, Phase: PhaseRadio, Type: TypeDrop})
+	got := scrapeCounts(t, reg)
+	want := map[string]float64{
+		`agg_trace_events_total{type="alarm"}`:           5,
+		`agg_trace_events_total{type="drop"}`:            1,
+		`agg_trace_phase_events_total{phase="announce"}`: 5,
+		`agg_trace_phase_events_total{phase="radio"}`:    1,
+		"agg_trace_round":                                7,
+		"agg_trace_sim_time_ns":                          1500,
 	}
 	for k, v := range want {
 		if got[k] != v {
-			t.Errorf("MergeSnapshots[%q] = %d, want %d", k, got[k], v)
+			t.Errorf("%s = %v, want %v", k, got[k], v)
 		}
 	}
-	if out := MergeSnapshots(); len(out) != 0 {
-		t.Errorf("empty merge should be empty, got %v", out)
+	if len(got) != len(want) {
+		t.Errorf("series = %v, want exactly %v", got, want)
 	}
 }

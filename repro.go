@@ -33,6 +33,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/sdap"
 	"repro/internal/tag"
+	"repro/internal/telemetry"
 	"repro/internal/topo"
 	"repro/internal/trace"
 	"repro/internal/wsn"
@@ -81,18 +82,6 @@ type Traffic struct {
 	Dropped     int `json:"dropped"`
 }
 
-// Add accumulates another snapshot into t — how a pool of deployments
-// folds per-worker traffic into one total.
-func (t *Traffic) Add(o Traffic) {
-	t.TxBytes += o.TxBytes
-	t.RxBytes += o.RxBytes
-	t.TxMessages += o.TxMessages
-	t.RxMessages += o.RxMessages
-	t.AppMessages += o.AppMessages
-	t.Collisions += o.Collisions
-	t.Dropped += o.Dropped
-}
-
 // Traffic snapshots the deployment's traffic counters. Like every other
 // method it must be serialized with runs; capture the snapshot between
 // rounds, not during one.
@@ -111,7 +100,7 @@ func (d *Deployment) Traffic() Traffic {
 
 // EnableTrace turns on in-memory flight recording with the given
 // ring-buffer capacity and returns a dump function that writes the retained
-// events to w. It composes with TraceTo and TraceStats: each attaches an
+// events to w. It composes with TraceTo and TraceCounts: each attaches an
 // additional sink to the same event stream.
 func (d *Deployment) EnableTrace(capacity int) func(w io.Writer) error {
 	tr := trace.New(capacity)
@@ -129,14 +118,12 @@ func (d *Deployment) TraceTo(w io.Writer) func() error {
 	return j.Close
 }
 
-// TraceStats attaches a live, concurrency-safe counter sink and returns
-// its snapshot function: per-type and per-phase event counts plus round and
-// virtual-time high-water marks. Safe to call from another goroutine while
-// a run is in flight — this backs aggsim's -observe expvar endpoint.
-func (d *Deployment) TraceStats() func() map[string]int64 {
-	s := trace.NewStats()
-	d.env.SetSink(trace.Fan(d.env.Sink, s))
-	return s.Snapshot
+// TraceCounts attaches a counting sink whose series — per-type and
+// per-phase event counts plus round and virtual-time high-water marks —
+// live in reg, so /metricsz can scrape them while a run is in flight.
+// Deployments counting into one registry share its series.
+func (d *Deployment) TraceCounts(reg *telemetry.Registry) {
+	d.env.SetSink(trace.Fan(d.env.Sink, trace.NewCountSink(reg)))
 }
 
 // NewDeployment places the network and wires the full substrate.

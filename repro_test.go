@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/telemetry"
 )
 
 func TestNewDeploymentDefaults(t *testing.T) {
@@ -274,7 +276,8 @@ func TestTraceSinksCompose(t *testing.T) {
 	dump := dep.EnableTrace(500)
 	var jsonl strings.Builder
 	closeTrace := dep.TraceTo(&jsonl)
-	snapshot := dep.TraceStats()
+	reg := telemetry.NewRegistry()
+	dep.TraceCounts(reg)
 	if _, err := dep.RunCluster(ClusterOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -291,9 +294,16 @@ func TestTraceSinksCompose(t *testing.T) {
 	if !strings.Contains(jsonl.String(), `"type":"lifecycle"`) {
 		t.Error("JSONL sink missing lifecycle events")
 	}
-	snap := snapshot()
-	if snap["events_total"] == 0 || snap["type.lifecycle"] == 0 {
-		t.Errorf("stats sink counters: %v", snap)
+	var exp strings.Builder
+	if err := reg.WritePrometheus(&exp); err != nil {
+		t.Fatal(err)
+	}
+	counts, err := telemetry.ParseText(strings.NewReader(exp.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if counts.Sum("agg_trace_events_total") == 0 || counts.Sum("agg_trace_events_total", "type", "lifecycle") == 0 {
+		t.Errorf("counting sink series: %v", counts)
 	}
 }
 
