@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race bench-smoke bench bench-gate f17-smoke f18-smoke trace-smoke service-smoke par-smoke fleet-smoke chaos-smoke metrics-smoke attack-smoke fuzz-smoke
+.PHONY: check vet build test race results-check bench-smoke bench bench-gate f17-smoke f18-smoke trace-smoke service-smoke par-smoke fleet-smoke chaos-smoke metrics-smoke attack-smoke fuzz-smoke
 
 ## check: the full local verify — vet, build, tests (race on the
 ## concurrency-sensitive packages), quick resilience- and failover-
@@ -9,9 +9,10 @@ GO ?= go
 ## drill, the telemetry/exposition smoke, the parallel-determinism smoke,
 ## a short fuzz pass over the wire decoders, link crypto and exposition
 ## parser, a
-## one-iteration benchmark smoke through the trend harness, and the
-## deterministic allocation gate on the tracing-disabled hot path.
-check: vet build test race f17-smoke f18-smoke trace-smoke service-smoke fleet-smoke chaos-smoke metrics-smoke attack-smoke par-smoke fuzz-smoke bench-smoke bench-gate
+## one-iteration benchmark smoke through the trend harness, the
+## deterministic allocation gate on the tracing-disabled hot path, and the
+## byte-for-byte check of the committed results/ CSVs.
+check: vet build test race results-check f17-smoke f18-smoke trace-smoke service-smoke fleet-smoke chaos-smoke metrics-smoke attack-smoke par-smoke fuzz-smoke bench-smoke bench-gate
 
 ## vet: go vet, and fail when gofmt would reformat any file.
 vet:
@@ -27,6 +28,29 @@ test:
 race:
 	$(GO) test -race ./internal/sim/ ./internal/experiment/ ./internal/station/ ./internal/fleet/ ./internal/wsncrypto/ ./internal/wsn/ ./internal/telemetry/ ./internal/trace/
 	$(GO) test -race -run 'Deputy|Takeover|HeadCrash|Churn|CrashRecover|Failover' ./internal/core/
+
+## results-check: regenerate every experiment at full fidelity into a
+## temporary directory and require each committed results/ CSV to match
+## byte for byte. A deterministic experiment without a committed CSV, or a
+## committed CSV without an experiment, fails too. RESULTS_WALLCLOCK lists
+## the experiments whose output depends on wall-clock time (request counts
+## of the serving drills); they are neither committed nor compared.
+RESULTS_WALLCLOCK = F19-availability
+results-check:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./cmd/experiments -csv "$$tmp" > /dev/null; \
+	fail=0; \
+	for f in "$$tmp"/*.csv; do \
+		id=$$(basename "$$f" .csv); \
+		case " $(RESULTS_WALLCLOCK) " in *" $$id "*) continue ;; esac; \
+		if [ ! -f "results/$$id.csv" ]; then echo "results-check: no committed results/$$id.csv"; fail=1; continue; fi; \
+		cmp "results/$$id.csv" "$$f" || fail=1; \
+	done; \
+	for f in results/*.csv; do \
+		[ -f "$$tmp/$$(basename "$$f")" ] || { echo "results-check: $$f matches no experiment"; fail=1; }; \
+	done; \
+	if [ $$fail -ne 0 ]; then echo "results-check: regenerate with: $(GO) run ./cmd/experiments -csv results/ (then drop $(RESULTS_WALLCLOCK))"; exit 1; fi
+	@echo "results-check OK: every committed results/ CSV regenerates byte for byte"
 
 ## f17-smoke: quick pass over the degraded-recovery ablation — fails if the
 ## loss-injection path or subset recovery stops producing rows.
