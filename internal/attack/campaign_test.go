@@ -1,11 +1,15 @@
 package attack
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/field"
 	"repro/internal/shares"
+	"repro/internal/trace"
+	"repro/internal/wsn"
 )
 
 // smallCluster draws one concrete m=3 sharing round with canonical seeds:
@@ -221,5 +225,29 @@ func TestCampaignValidation(t *testing.T) {
 	}
 	if _, err := NewCampaign(1, 3); err == nil {
 		t.Error("no policies: expected error")
+	}
+}
+
+// TestDriveSurfacesNoTarget checks that a scout with nothing to attack is a
+// *ScoutError, which seed-sweeping harnesses skip, and that Drive puts back
+// the trace sink it detached for the scout.
+func TestDriveSurfacesNoTarget(t *testing.T) {
+	env, err := wsn.NewEnv(wsn.DefaultConfig(60, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := trace.New(16)
+	env.SetSink(sink)
+	camp, err := NewCampaign(3, 2, &Collusion{Colluders: 50, Px: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = camp.Drive(env, core.DefaultConfig())
+	var se *ScoutError
+	if !errors.As(err, &se) || se.Policy != "collude" {
+		t.Fatalf("Drive error = %v, want a collude *ScoutError", err)
+	}
+	if env.Sink != trace.Sink(sink) {
+		t.Errorf("sink after Drive = %v, want the one attached before", env.Sink)
 	}
 }

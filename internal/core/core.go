@@ -256,9 +256,7 @@ type Protocol struct {
 	orphansRejoined int  // members re-adopted into neighbouring clusters
 	inRepair        bool // the cross-round repair window is open (Join semantics)
 
-	startBytes int
-	startMsgs  int
-	startApp   int
+	start metrics.Mark // traffic at round start
 
 	// comps, when non-nil, holds the active query's additive components;
 	// the round then aggregates the whole component vector at once
@@ -505,9 +503,7 @@ func (p *Protocol) Run(round uint16) (metrics.RoundResult, error) {
 	p.takeovers = 0
 	p.promotions = 0
 	p.orphansRejoined = 0
-	p.startBytes = p.env.Rec.TotalTxBytes()
-	p.startMsgs = p.env.Rec.TotalTxMessages()
-	p.startApp = p.env.Rec.AppMessages()
+	p.start = p.env.Rec.Mark()
 
 	for i := 0; i < n; i++ {
 		id := topo.NodeID(i)
@@ -554,7 +550,7 @@ func (p *Protocol) result() metrics.RoundResult {
 	reported := p.bsSums[0].Int()
 	cnt := int64(p.bsCount)
 	accepted := len(p.bsAlarms) == 0 && cnt <= p.env.TrueCount()
-	return metrics.RoundResult{
+	res := metrics.RoundResult{
 		Protocol:         "icpda",
 		TrueSum:          p.env.TrueSum(),
 		TrueCount:        p.env.TrueCount(),
@@ -569,10 +565,9 @@ func (p *Protocol) result() metrics.RoundResult {
 		Takeovers:        p.takeovers,
 		Promotions:       p.promotions,
 		OrphansRejoined:  p.orphansRejoined,
-		TxBytes:          p.env.Rec.TotalTxBytes() - p.startBytes,
-		TxMessages:       p.env.Rec.TotalTxMessages() - p.startMsgs,
-		AppMessages:      p.env.Rec.AppMessages() - p.startApp,
 	}
+	p.env.Rec.FillSince(p.start, &res)
+	return res
 }
 
 // scheduleCrashes fail-stops a CrashRate fraction of sensor nodes at

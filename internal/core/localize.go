@@ -75,9 +75,7 @@ func (p *Protocol) RunRetaining(round uint16) (metrics.RoundResult, error) {
 	p.takeovers = 0
 	p.promotions = 0
 	p.orphansRejoined = 0
-	p.startBytes = p.env.Rec.TotalTxBytes()
-	p.startMsgs = p.env.Rec.TotalTxMessages()
-	p.startApp = p.env.Rec.AppMessages()
+	p.start = p.env.Rec.Mark()
 
 	base := p.cfg.SharesAt
 	var offset time.Duration
@@ -102,6 +100,17 @@ func (p *Protocol) RunRetaining(round uint16) (metrics.RoundResult, error) {
 		return metrics.RoundResult{}, fmt.Errorf("core: %w", err)
 	}
 	return p.result(), nil
+}
+
+// Epoch runs one measurement epoch of steady-state operation: round 1
+// forms the clusters (Run); every later round re-samples the sensors'
+// readings and re-runs on the retained structure (RunRetaining).
+func (p *Protocol) Epoch(round uint16) (metrics.RoundResult, error) {
+	if round == 1 {
+		return p.Run(round)
+	}
+	p.env.ResampleReadings()
+	return p.RunRetaining(round)
 }
 
 // Heads returns the cluster heads elected in the last Run, in ascending ID

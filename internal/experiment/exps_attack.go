@@ -1,27 +1,20 @@
 package experiment
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 
 	"repro/internal/attack"
 	"repro/internal/core"
-	"repro/internal/trace"
-	"repro/internal/wsn"
 )
 
-// campaignTrial mirrors the facade's dry-scout → reset → attacked-replay
-// flow on the experiment harness's internal plumbing: scout a clean round 1,
-// lock the campaign's targets, rewind the environment to the same seed, and
-// replay the identical rounds with the campaign installed at the MAC tap
-// seam and in the trace fan. applicable=false when the topology offered no
-// target for some policy (skipped trial, not an error).
+// campaignTrial runs a campaign over the given policies against the
+// cluster protocol on a fresh deployment (attack.Campaign.Drive).
+// applicable=false when the topology offered no target for some policy
+// (skipped trial, not an error).
 func campaignTrial(n int, seed int64, rounds int, policies ...attack.Policy) (attack.Report, bool, error) {
-	env, err := wsn.NewEnv(envConfig(n, seed, false))
-	if err != nil {
-		return attack.Report{}, false, err
-	}
-	_, dry, err := runCoreEnv(env, nil)
+	env, err := trialEnv(n, seed, false)
 	if err != nil {
 		return attack.Report{}, false, err
 	}
@@ -29,44 +22,15 @@ func campaignTrial(n int, seed int64, rounds int, policies ...attack.Policy) (at
 	if err != nil {
 		return attack.Report{}, false, err
 	}
-	if err := camp.Scout(dry, env); err != nil {
+	_, rep, err := camp.Drive(env, core.DefaultConfig())
+	var noTarget *attack.ScoutError
+	if errors.As(err, &noTarget) {
 		return attack.Report{}, false, nil // no viable target on this topology
 	}
-	if err := env.Reset(seed); err != nil {
-		return attack.Report{}, false, err
-	}
-	cfg := core.DefaultConfig()
-	camp.Configure(&cfg)
-	p, err := core.New(env, cfg)
 	if err != nil {
 		return attack.Report{}, false, err
 	}
-	env.SetSink(trace.Fan(env.Sink, camp))
-	env.MAC.SetTap(camp)
-	defer env.MAC.SetTap(nil)
-	for r := 1; r <= rounds; r++ {
-		camp.BeginRound(uint16(r))
-		var res = struct {
-			accepted bool
-			cnt, tc  int64
-		}{}
-		if r == 1 {
-			rr, err := p.Run(uint16(r))
-			if err != nil {
-				return attack.Report{}, false, err
-			}
-			res.accepted, res.cnt, res.tc = rr.Accepted, rr.ReportedCnt, rr.TrueCount
-		} else {
-			env.ResampleReadings()
-			rr, err := p.RunRetaining(uint16(r))
-			if err != nil {
-				return attack.Report{}, false, err
-			}
-			res.accepted, res.cnt, res.tc = rr.Accepted, rr.ReportedCnt, rr.TrueCount
-		}
-		camp.EndRound(attack.RoundStats{Accepted: res.accepted, ReportedCnt: res.cnt, TrueCount: res.tc})
-	}
-	return camp.Report(), true, nil
+	return rep, true, nil
 }
 
 // F20: simulated privacy capacity — the campaign engine's Sen–Maitra
@@ -157,7 +121,11 @@ var _ = register(Experiment{
 // roster it implies is a round-1 structural property, so a fresh dry run at
 // the same seed reproduces it exactly.
 func mClusterOf(seed int64, n int, pol *attack.Collusion) int {
-	_, dry, err := runCore(n, seed, false, nil)
+	env, err := trialEnv(n, seed, false)
+	if err != nil {
+		return 0
+	}
+	_, dry, err := runOnce(env, core.New, core.DefaultConfig())
 	if err != nil {
 		return 0
 	}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/radio"
+	"repro/internal/tag"
 	"repro/internal/topo"
 	"repro/internal/wsn"
 )
@@ -33,11 +34,11 @@ var _ = register(Experiment{
 			detected, runs := 0, 0
 			for t := 0; t < trials; t++ {
 				seed := trialSeed(cfg.Seed, n, t)
-				env, err := wsn.NewEnv(envConfig(n, seed, false))
+				env, err := trialEnv(n, seed, false)
 				if err != nil {
 					return nil, err
 				}
-				_, dry, err := runCoreEnv(env, nil)
+				_, dry, err := runOnce(env, core.New, core.DefaultConfig())
 				if err != nil {
 					return nil, err
 				}
@@ -60,12 +61,12 @@ var _ = register(Experiment{
 				if err := env.Reset(seed); err != nil {
 					return nil, err
 				}
-				r, _, err := runCoreEnv(env, func(c *core.Config) {
-					c.Polluter = polluter
-					c.PollutionDelta = 9999
-					c.Target = core.PolluteOwnSum
-					c.Colluders = colluders
-				})
+				ccfg := core.DefaultConfig()
+				ccfg.Polluter = polluter
+				ccfg.PollutionDelta = 9999
+				ccfg.Target = core.PolluteOwnSum
+				ccfg.Colluders = colluders
+				r, _, err := runOnce(env, core.New, ccfg)
 				if err != nil {
 					return nil, err
 				}
@@ -105,11 +106,11 @@ var _ = register(Experiment{
 			var tagTotal, coreTotal, coreMean, coreMax, lifetime float64
 			for t := 0; t < trials; t++ {
 				seed := trialSeed(cfg.Seed, n, t)
-				env, err := wsn.NewEnv(envConfig(n, seed, false))
+				env, err := trialEnv(n, seed, false)
 				if err != nil {
 					return nil, err
 				}
-				if _, err := runTAGOn(env); err != nil {
+				if _, _, err := runOnce(env, tag.New, tag.DefaultConfig()); err != nil {
 					return nil, err
 				}
 				repT, err := model.Audit(env.Rec, n)
@@ -123,7 +124,7 @@ var _ = register(Experiment{
 				if err := env.Reset(seed); err != nil {
 					return nil, err
 				}
-				if _, err := runCoreOn(env); err != nil {
+				if _, _, err := runOnce(env, core.New, core.DefaultConfig()); err != nil {
 					return nil, err
 				}
 				repC, err := model.Audit(env.Rec, n)
@@ -166,9 +167,14 @@ var _ = register(Experiment{
 		for _, rate := range rates {
 			var part, acc float64
 			rejected := 0
+			ccfg := core.DefaultConfig()
+			ccfg.CrashRate = rate
 			for t := 0; t < trials; t++ {
-				seed := trialSeed(cfg.Seed, n, t)
-				r, _, err := runCore(n, seed, false, func(c *core.Config) { c.CrashRate = rate })
+				env, err := trialEnv(n, trialSeed(cfg.Seed, n, t), false)
+				if err != nil {
+					return nil, err
+				}
+				r, _, err := runOnce(env, core.New, ccfg)
 				if err != nil {
 					return nil, err
 				}
@@ -198,12 +204,11 @@ var _ = register(Experiment{
 		totals := map[string]float64{}
 		var grand float64
 		for t := 0; t < trials; t++ {
-			seed := trialSeed(cfg.Seed, n, t)
-			env, err := wsn.NewEnv(envConfig(n, seed, false))
+			env, err := trialEnv(n, trialSeed(cfg.Seed, n, t), false)
 			if err != nil {
 				return nil, err
 			}
-			if _, err := runCoreOn(env); err != nil {
+			if _, _, err := runOnce(env, core.New, core.DefaultConfig()); err != nil {
 				return nil, err
 			}
 			for kind, b := range env.Rec.BytesByKind() {
@@ -260,7 +265,11 @@ var _ = register(Experiment{
 			var extra float64
 			for t := 0; t < trials; t++ {
 				seed := trialSeed(cfg.Seed, n, t)
-				tagRes, err := runTAG(n, seed, false)
+				env, err := trialEnv(n, seed, false)
+				if err != nil {
+					return nil, err
+				}
+				tagRes, _, err := runOnce(env, tag.New, tag.DefaultConfig())
 				if err != nil {
 					return nil, err
 				}
@@ -276,7 +285,10 @@ var _ = register(Experiment{
 					if det {
 						detected++
 					}
-					rc, _, err := runCore(n, seed, false, nil)
+					if env, err = trialEnv(n, seed, false); err != nil {
+						return nil, err
+					}
+					rc, _, err := runOnce(env, core.New, core.DefaultConfig())
 					if err != nil {
 						return nil, err
 					}
@@ -334,7 +346,7 @@ var _ = register(Experiment{
 				if err != nil {
 					return nil, err
 				}
-				rt, err := runTAGOn(env)
+				rt, _, err := runOnce(env, tag.New, tag.DefaultConfig())
 				if err != nil {
 					return nil, err
 				}
@@ -342,7 +354,7 @@ var _ = register(Experiment{
 				if err := env.Reset(seed); err != nil {
 					return nil, err
 				}
-				rc, err := runCoreOn(env)
+				rc, _, err := runOnce(env, core.New, core.DefaultConfig())
 				if err != nil {
 					return nil, err
 				}
@@ -380,9 +392,14 @@ var _ = register(Experiment{
 		const n = 400
 		for _, noWitness := range []bool{false, true} {
 			var bytes, acc float64
+			ccfg := core.DefaultConfig()
+			ccfg.NoWitness = noWitness
 			for t := 0; t < trials; t++ {
-				seed := trialSeed(cfg.Seed, n, t)
-				r, _, err := runCore(n, seed, false, func(c *core.Config) { c.NoWitness = noWitness })
+				env, err := trialEnv(n, trialSeed(cfg.Seed, n, t), false)
+				if err != nil {
+					return nil, err
+				}
+				r, _, err := runOnce(env, core.New, ccfg)
 				if err != nil {
 					return nil, err
 				}

@@ -2,8 +2,6 @@ package experiment
 
 import (
 	"repro/internal/core"
-	"repro/internal/metrics"
-	"repro/internal/wsn"
 )
 
 // F18: head-failover under targeted head crashes — the deputy ablation.
@@ -39,8 +37,7 @@ var _ = register(Experiment{
 				var part, finalPart, takeovers, promotions, orphans float64
 				accepted, alarmed := 0, 0
 				for t := 0; t < trials; t++ {
-					seed := trialSeed(cfg.Seed, n, t)
-					env, err := wsn.NewEnv(envConfig(n, seed, false))
+					env, err := trialEnv(n, trialSeed(cfg.Seed, n, t), false)
 					if err != nil {
 						return nil, err
 					}
@@ -48,11 +45,11 @@ var _ = register(Experiment{
 					if err != nil {
 						return nil, err
 					}
-					results, err := runCoreRounds(env, p, rounds)
-					if err != nil {
-						return nil, err
-					}
-					for _, r := range results {
+					for round := uint16(1); round <= rounds; round++ {
+						r, err := p.Epoch(round)
+						if err != nil {
+							return nil, err
+						}
 						part += r.ParticipationRate()
 						takeovers += float64(r.Takeovers)
 						promotions += float64(r.Promotions)
@@ -63,8 +60,10 @@ var _ = register(Experiment{
 						if r.Alarms > 0 {
 							alarmed++
 						}
+						if round == rounds {
+							finalPart += r.ParticipationRate()
+						}
 					}
-					finalPart += results[rounds-1].ParticipationRate()
 				}
 				name := "failover-on"
 				if noFailover {
@@ -92,25 +91,4 @@ func coreFailoverConfig(rate float64, noFailover bool) core.Config {
 	cfg.HeadCrashRate = rate
 	cfg.NoFailover = noFailover
 	return cfg
-}
-
-// runCoreRounds drives a multi-round aggregation: one full Run, then
-// retained rounds on the surviving structure with fresh readings.
-func runCoreRounds(env *wsn.Env, p *core.Protocol, rounds int) ([]metrics.RoundResult, error) {
-	out := make([]metrics.RoundResult, 0, rounds)
-	for r := 1; r <= rounds; r++ {
-		var res metrics.RoundResult
-		var err error
-		if r == 1 {
-			res, err = p.Run(uint16(r))
-		} else {
-			env.ResampleReadings()
-			res, err = p.RunRetaining(uint16(r))
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, res)
-	}
-	return out, nil
 }

@@ -2,8 +2,9 @@ package experiment
 
 import (
 	"repro/internal/core"
+	"repro/internal/ipda"
 	"repro/internal/shares"
-	"repro/internal/wsn"
+	"repro/internal/tag"
 )
 
 // T1: network size vs average node degree (the lineage papers' Table I).
@@ -21,7 +22,7 @@ var _ = register(Experiment{
 		}
 		for _, n := range sizes(cfg.Quick) {
 			mean, err := meanOf(trials, func(t int) (float64, error) {
-				env, err := wsn.NewEnv(wsn.DefaultConfig(n, trialSeed(cfg.Seed, n, t)))
+				env, err := trialEnv(n, trialSeed(cfg.Seed, n, t), false)
 				if err != nil {
 					return 0, err
 				}
@@ -56,9 +57,14 @@ var _ = register(Experiment{
 		const n = 400
 		for _, pc := range pcs {
 			var heads, size, viable, coverage float64
+			ccfg := core.DefaultConfig()
+			ccfg.Pc = pc
 			for t := 0; t < trials; t++ {
-				_, p, err := runCore(n, trialSeed(cfg.Seed, n, t), false,
-					func(c *core.Config) { c.Pc = pc })
+				env, err := trialEnv(n, trialSeed(cfg.Seed, n, t), false)
+				if err != nil {
+					return nil, err
+				}
+				_, p, err := runOnce(env, core.New, ccfg)
 				if err != nil {
 					return nil, err
 				}
@@ -107,15 +113,25 @@ var _ = register(Experiment{
 			type sample struct{ cc, cp, ic, ip, tc float64 }
 			samples, err := collectTrials(trials, func(t int) (sample, error) {
 				seed := trialSeed(cfg.Seed, n, t)
-				r1, _, err := runCore(n, seed, false, nil)
+				env, err := trialEnv(n, seed, false)
 				if err != nil {
 					return sample{}, err
 				}
-				r2, _, err := runIPDA(n, seed, false, nil)
+				r1, _, err := runOnce(env, core.New, core.DefaultConfig())
 				if err != nil {
 					return sample{}, err
 				}
-				r3, err := runTAG(n, seed, false)
+				if env, err = trialEnv(n, seed, false); err != nil {
+					return sample{}, err
+				}
+				r2, _, err := runOnce(env, ipda.New, ipda.DefaultConfig())
+				if err != nil {
+					return sample{}, err
+				}
+				if env, err = trialEnv(n, seed, false); err != nil {
+					return sample{}, err
+				}
+				r3, _, err := runOnce(env, tag.New, tag.DefaultConfig())
 				if err != nil {
 					return sample{}, err
 				}

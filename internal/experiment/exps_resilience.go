@@ -33,6 +33,8 @@ var _ = register(Experiment{
 			for _, noDegrade := range []bool{false, true} {
 				var part, acc, degraded, failed float64
 				rejected := 0
+				ccfg := core.DefaultConfig()
+				ccfg.NoDegrade = noDegrade
 				for t := 0; t < trials; t++ {
 					seed := trialSeed(cfg.Seed, n, t)
 					ecfg := envConfig(n, seed, false)
@@ -41,7 +43,7 @@ var _ = register(Experiment{
 					if err != nil {
 						return nil, err
 					}
-					r, _, err := runCoreEnv(env, func(c *core.Config) { c.NoDegrade = noDegrade })
+					r, _, err := runOnce(env, core.New, ccfg)
 					if err != nil {
 						return nil, err
 					}

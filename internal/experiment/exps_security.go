@@ -6,8 +6,6 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/core"
-	"repro/internal/topo"
-	"repro/internal/wsn"
 )
 
 // F4: privacy capacity — disclosure probability vs px.
@@ -157,11 +155,11 @@ var _ = register(Experiment{
 // applicable=false when the topology offered no suitable attacker (skipped
 // trial).
 func pollutionTrial(n int, seed int64, delta int64, target core.PollutionTarget) (detected, applicable bool, err error) {
-	env, err := wsn.NewEnv(envConfig(n, seed, false))
+	env, err := trialEnv(n, seed, false)
 	if err != nil {
 		return false, false, err
 	}
-	_, dry, err := runCoreEnv(env, nil)
+	_, dry, err := runOnce(env, core.New, core.DefaultConfig())
 	if err != nil {
 		return false, false, err
 	}
@@ -172,12 +170,11 @@ func pollutionTrial(n int, seed int64, delta int64, target core.PollutionTarget)
 	if err := env.Reset(seed); err != nil {
 		return false, false, err
 	}
-	var attacker topo.NodeID = polluter
-	r, _, err := runCoreEnv(env, func(c *core.Config) {
-		c.Polluter = attacker
-		c.PollutionDelta = delta
-		c.Target = target
-	})
+	cfg := core.DefaultConfig()
+	cfg.Polluter = polluter
+	cfg.PollutionDelta = delta
+	cfg.Target = target
+	r, _, err := runOnce(env, core.New, cfg)
 	if err != nil {
 		return false, false, err
 	}
@@ -207,7 +204,11 @@ var _ = register(Experiment{
 			}
 			samples, err := collectTrials(trials, func(t int) (sample, error) {
 				seed := trialSeed(cfg.Seed, n, t)
-				_, dry, err := runCore(n, seed, false, nil)
+				env, err := trialEnv(n, seed, false)
+				if err != nil {
+					return sample{}, err
+				}
+				_, dry, err := runOnce(env, core.New, core.DefaultConfig())
 				if err != nil {
 					return sample{}, err
 				}
@@ -215,11 +216,14 @@ var _ = register(Experiment{
 				if polluter < 0 {
 					return sample{}, nil
 				}
-				_, p, err := runCoreNoRun(n, seed, func(c *core.Config) {
-					c.Polluter = polluter
-					c.PollutionDelta = 12345
-					c.Target = core.PolluteOwnSum
-				})
+				if env, err = trialEnv(n, seed, false); err != nil {
+					return sample{}, err
+				}
+				ccfg := core.DefaultConfig()
+				ccfg.Polluter = polluter
+				ccfg.PollutionDelta = 12345
+				ccfg.Target = core.PolluteOwnSum
+				p, err := core.New(env, ccfg)
 				if err != nil {
 					return sample{}, err
 				}

@@ -1,10 +1,12 @@
 package experiment
 
 import (
-	"fmt"
 	"math"
 
+	"repro/internal/core"
 	"repro/internal/ipda"
+	"repro/internal/tag"
+	"repro/internal/wsn"
 )
 
 // F2: bandwidth consumption vs network size across protocols.
@@ -20,24 +22,39 @@ var _ = register(Experiment{
 			Columns: []string{"nodes", "tag_B", "icpda_B", "ipda_l1_B", "ipda_l2_B", "icpda/tag", "ipda_l2/tag"},
 			Notes:   "iPDA paper predicts ipda_l2/tag ~ (2l+1)/2 = 2.5 in app messages; bytes track it loosely.",
 		}
+		ipdaL1, ipdaL2 := ipda.DefaultConfig(), ipda.DefaultConfig()
+		ipdaL1.L, ipdaL2.L = 1, 2
 		for _, n := range sizes(cfg.Quick) {
 			n := n
 			type sample struct{ tag, core, ipda1, ipda2 float64 }
 			samples, err := collectTrials(trials, func(t int) (sample, error) {
 				seed := trialSeed(cfg.Seed, n, t)
-				r, err := runTAG(n, seed, false)
+				env, err := trialEnv(n, seed, false)
 				if err != nil {
 					return sample{}, err
 				}
-				rc, _, err := runCore(n, seed, false, nil)
+				r, _, err := runOnce(env, tag.New, tag.DefaultConfig())
 				if err != nil {
 					return sample{}, err
 				}
-				r1, _, err := runIPDA(n, seed, false, func(c *ipda.Config) { c.L = 1 })
+				if env, err = trialEnv(n, seed, false); err != nil {
+					return sample{}, err
+				}
+				rc, _, err := runOnce(env, core.New, core.DefaultConfig())
 				if err != nil {
 					return sample{}, err
 				}
-				r2, _, err := runIPDA(n, seed, false, func(c *ipda.Config) { c.L = 2 })
+				if env, err = trialEnv(n, seed, false); err != nil {
+					return sample{}, err
+				}
+				r1, _, err := runOnce(env, ipda.New, ipdaL1)
+				if err != nil {
+					return sample{}, err
+				}
+				if env, err = trialEnv(n, seed, false); err != nil {
+					return sample{}, err
+				}
+				r2, _, err := runOnce(env, ipda.New, ipdaL2)
 				if err != nil {
 					return sample{}, err
 				}
@@ -85,15 +102,25 @@ var _ = register(Experiment{
 			type sample struct{ ta, ca, ia float64 }
 			samples, err := collectTrials(trials, func(t int) (sample, error) {
 				seed := trialSeed(cfg.Seed, n, t)
-				r, err := runTAG(n, seed, true)
+				env, err := trialEnv(n, seed, true)
 				if err != nil {
 					return sample{}, err
 				}
-				rc, _, err := runCore(n, seed, true, nil)
+				r, _, err := runOnce(env, tag.New, tag.DefaultConfig())
 				if err != nil {
 					return sample{}, err
 				}
-				ri, _, err := runIPDA(n, seed, true, nil)
+				if env, err = trialEnv(n, seed, true); err != nil {
+					return sample{}, err
+				}
+				rc, _, err := runOnce(env, core.New, core.DefaultConfig())
+				if err != nil {
+					return sample{}, err
+				}
+				if env, err = trialEnv(n, seed, true); err != nil {
+					return sample{}, err
+				}
+				ri, _, err := runOnce(env, ipda.New, ipda.DefaultConfig())
 				if err != nil {
 					return sample{}, err
 				}
@@ -134,7 +161,11 @@ var _ = register(Experiment{
 			falseAlarms := 0
 			for t := 0; t < trials; t++ {
 				seed := trialSeed(cfg.Seed, n, t)
-				_, p, err := runIPDA(n, seed, true, nil)
+				env, err := trialEnv(n, seed, true)
+				if err != nil {
+					return nil, err
+				}
+				_, p, err := runOnce(env, ipda.New, ipda.DefaultConfig())
 				if err != nil {
 					return nil, err
 				}
@@ -144,7 +175,10 @@ var _ = register(Experiment{
 				if diff > maxDiff {
 					maxDiff = diff
 				}
-				rc, _, err := runCore(n, seed, true, nil)
+				if env, err = trialEnv(n, seed, true); err != nil {
+					return nil, err
+				}
+				rc, _, err := runOnce(env, core.New, core.DefaultConfig())
 				if err != nil {
 					return nil, err
 				}
@@ -174,23 +208,24 @@ var _ = register(Experiment{
 			Columns: []string{"scheme", "icpda_part", "icpda_acc"},
 			Notes:   "EG (pool 1000, ring 60) leaves some member pairs keyless: clusters fail more often.",
 		}
-		type schemeRow struct {
-			name string
-			mut  func(cfgW *wsnConfigProxy)
-		}
-		schemes := []schemeRow{
-			{"pairwise", func(w *wsnConfigProxy) {}},
-			{"eg-1000-60", func(w *wsnConfigProxy) { w.eg = true; w.pool = 1000; w.ring = 60 }},
-			{"eg-1000-30", func(w *wsnConfigProxy) { w.eg = true; w.pool = 1000; w.ring = 30 }},
-		}
+		schemes := []struct {
+			name       string
+			pool, ring int // EG key pool and ring size; 0 = pairwise keys
+		}{{"pairwise", 0, 0}, {"eg-1000-60", 1000, 60}, {"eg-1000-30", 1000, 30}}
 		const n = 400
 		for _, s := range schemes {
 			var part, acc float64
 			for t := 0; t < trials; t++ {
-				seed := trialSeed(cfg.Seed, n, t)
-				proxy := wsnConfigProxy{}
-				s.mut(&proxy)
-				r, err := runCoreWithKeys(n, seed, proxy)
+				ecfg := envConfig(n, trialSeed(cfg.Seed, n, t), false)
+				if s.pool > 0 {
+					ecfg.KeyScheme = wsn.KeyEG
+					ecfg.EGPoolSize, ecfg.EGRingSize = s.pool, s.ring
+				}
+				env, err := wsn.NewEnv(ecfg)
+				if err != nil {
+					return nil, err
+				}
+				r, _, err := runOnce(env, core.New, core.DefaultConfig())
 				if err != nil {
 					return nil, err
 				}
@@ -203,16 +238,3 @@ var _ = register(Experiment{
 		return res, nil
 	},
 })
-
-// wsnConfigProxy keeps the key-scheme ablation readable.
-type wsnConfigProxy struct {
-	eg         bool
-	pool, ring int
-}
-
-func (w wsnConfigProxy) String() string {
-	if !w.eg {
-		return "pairwise"
-	}
-	return fmt.Sprintf("eg-%d-%d", w.pool, w.ring)
-}

@@ -3,10 +3,7 @@ package experiment
 import (
 	"fmt"
 
-	"repro/internal/core"
-	"repro/internal/ipda"
 	"repro/internal/metrics"
-	"repro/internal/sdap"
 	"repro/internal/tag"
 	"repro/internal/wsn"
 )
@@ -26,118 +23,21 @@ func envConfig(n int, seed int64, count bool) wsn.Config {
 	return cfg
 }
 
-// runTAG executes one TAG round on a fresh deployment.
-func runTAG(n int, seed int64, count bool) (metrics.RoundResult, error) {
-	env, err := wsn.NewEnv(envConfig(n, seed, count))
-	if err != nil {
-		return metrics.RoundResult{}, err
-	}
-	p, err := tag.New(env, tag.DefaultConfig())
-	if err != nil {
-		return metrics.RoundResult{}, err
-	}
-	return p.Run(1)
+// trialEnv deploys the standard network for one trial.
+func trialEnv(n int, seed int64, count bool) (*wsn.Env, error) {
+	return wsn.NewEnv(envConfig(n, seed, count))
 }
 
-// runIPDA executes one iPDA round; mut may adjust the protocol config.
-func runIPDA(n int, seed int64, count bool, mut func(*ipda.Config)) (metrics.RoundResult, *ipda.Protocol, error) {
-	env, err := wsn.NewEnv(envConfig(n, seed, count))
+// runOnce builds one protocol on env with cfg and runs its first round. It
+// returns the typed protocol too, for the experiments that inspect its
+// state afterwards (cluster heads, tree sums, the scouted attacker).
+func runOnce[P metrics.Protocol, C any](env *wsn.Env, newP func(*wsn.Env, C) (P, error), cfg C) (metrics.RoundResult, P, error) {
+	p, err := newP(env, cfg)
 	if err != nil {
-		return metrics.RoundResult{}, nil, err
-	}
-	cfg := ipda.DefaultConfig()
-	if mut != nil {
-		mut(&cfg)
-	}
-	p, err := ipda.New(env, cfg)
-	if err != nil {
-		return metrics.RoundResult{}, nil, err
+		return metrics.RoundResult{}, p, err
 	}
 	res, err := p.Run(1)
 	return res, p, err
-}
-
-// runCore executes one cluster-protocol round on a fresh deployment; mut
-// may adjust the config.
-func runCore(n int, seed int64, count bool, mut func(*core.Config)) (metrics.RoundResult, *core.Protocol, error) {
-	env, err := wsn.NewEnv(envConfig(n, seed, count))
-	if err != nil {
-		return metrics.RoundResult{}, nil, err
-	}
-	return runCoreEnv(env, mut)
-}
-
-// runCoreEnv executes one cluster-protocol round on an existing environment.
-// Dry-run/replay trials reuse one deployment through env.Reset instead of
-// re-deploying the topology for every run at the same seed.
-func runCoreEnv(env *wsn.Env, mut func(*core.Config)) (metrics.RoundResult, *core.Protocol, error) {
-	cfg := core.DefaultConfig()
-	if mut != nil {
-		mut(&cfg)
-	}
-	p, err := core.New(env, cfg)
-	if err != nil {
-		return metrics.RoundResult{}, nil, err
-	}
-	res, err := p.Run(1)
-	return res, p, err
-}
-
-// runTAGOn runs TAG on a pre-built environment (energy audits need the
-// recorder afterwards).
-func runTAGOn(env *wsn.Env) (metrics.RoundResult, error) {
-	p, err := tag.New(env, tag.DefaultConfig())
-	if err != nil {
-		return metrics.RoundResult{}, err
-	}
-	return p.Run(1)
-}
-
-// runCoreOn runs the cluster protocol on a pre-built environment.
-func runCoreOn(env *wsn.Env) (metrics.RoundResult, error) {
-	p, err := core.New(env, core.DefaultConfig())
-	if err != nil {
-		return metrics.RoundResult{}, err
-	}
-	return p.Run(1)
-}
-
-// runCoreNoRun builds a cluster-protocol instance without executing a round
-// (used by the localization experiment, which drives rounds itself).
-func runCoreNoRun(n int, seed int64, mut func(*core.Config)) (*wsn.Env, *core.Protocol, error) {
-	env, err := wsn.NewEnv(envConfig(n, seed, false))
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg := core.DefaultConfig()
-	if mut != nil {
-		mut(&cfg)
-	}
-	p, err := core.New(env, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return env, p, nil
-}
-
-// runCoreWithKeys runs the cluster protocol under an alternative key
-// scheme (the F9 ablation).
-func runCoreWithKeys(n int, seed int64, proxy wsnConfigProxy) (metrics.RoundResult, error) {
-	cfg := envConfig(n, seed, false)
-	if proxy.eg {
-		cfg.KeyScheme = wsn.KeyEG
-		cfg.EGPoolSize = proxy.pool
-		cfg.EGRingSize = proxy.ring
-	}
-	env, err := wsn.NewEnv(cfg)
-	if err != nil {
-		return metrics.RoundResult{}, err
-	}
-	p, err := core.New(env, core.DefaultConfig())
-	if err != nil {
-		return metrics.RoundResult{}, err
-	}
-	return p.Run(1)
 }
 
 // meanOf runs fn over trials and averages the selected metric.
@@ -156,40 +56,32 @@ func meanOf(trials int, fn func(trial int) (float64, error)) (float64, error) {
 	return sum / float64(trials), nil
 }
 
-// sdapPollutionTrial runs the SDAP comparator against a pollution attack,
-// returning detection, applicability, and the round's byte cost.
+// sdapPollutionTrial runs the SDAP-class comparator (TAG with sampled
+// attestation) against a pollution attack, returning detection,
+// applicability, and the round's byte cost. A dry run without attestation
+// picks the polluter; Reset to the same seed then replays that deployment
+// with the attack on.
 func sdapPollutionTrial(n int, seed int64, delta int64, sampleFrac float64) (detected, applicable bool, txBytes int, err error) {
-	env, err := wsn.NewEnv(envConfig(n, seed, false))
+	env, err := trialEnv(n, seed, false)
 	if err != nil {
 		return false, false, 0, err
 	}
-	dryCfg := sdap.DefaultConfig()
-	dryCfg.SampleFraction = 0
-	dry, err := sdap.New(env, dryCfg)
+	_, dry, err := runOnce(env, tag.New, tag.DefaultConfig())
 	if err != nil {
-		return false, false, 0, err
-	}
-	if _, err := dry.Run(1); err != nil {
 		return false, false, 0, err
 	}
 	polluter := dry.PickAggregator()
 	if polluter < 0 {
 		return false, false, 0, nil
 	}
-	// Replay the same deployment with the attack enabled: Reset to the same
-	// seed reproduces the dry run bit-for-bit without re-deploying.
 	if err := env.Reset(seed); err != nil {
 		return false, false, 0, err
 	}
-	cfg := sdap.DefaultConfig()
+	cfg := tag.DefaultConfig()
 	cfg.SampleFraction = sampleFrac
 	cfg.Polluter = polluter
 	cfg.PollutionDelta = delta
-	p, err := sdap.New(env, cfg)
-	if err != nil {
-		return false, false, 0, err
-	}
-	r, err := p.Run(1)
+	r, _, err := runOnce(env, tag.New, cfg)
 	if err != nil {
 		return false, false, 0, err
 	}

@@ -91,7 +91,7 @@ type Protocol struct {
 	sumBlue  field.Element
 	cntBlue  uint32
 
-	startBytes, startMsgs, startApp int
+	start metrics.Mark // traffic at round start
 }
 
 // New wires an iPDA instance onto the environment's MAC.
@@ -119,9 +119,7 @@ func (p *Protocol) Run(round uint16) (metrics.RoundResult, error) {
 	for i := range p.nodes {
 		p.nodes[i].parent = -1
 	}
-	p.startBytes = p.env.Rec.TotalTxBytes()
-	p.startMsgs = p.env.Rec.TotalTxMessages()
-	p.startApp = p.env.Rec.AppMessages()
+	p.start = p.env.Rec.Mark()
 	for i := 0; i < n; i++ {
 		id := topo.NodeID(i)
 		p.env.MAC.SetReceiver(id, p.receive)
@@ -151,7 +149,7 @@ func (p *Protocol) Run(round uint16) (metrics.RoundResult, error) {
 	if diff < 0 {
 		diff = -diff
 	}
-	return metrics.RoundResult{
+	res := metrics.RoundResult{
 		Protocol:     "ipda",
 		TrueSum:      p.env.TrueSum(),
 		TrueCount:    p.env.TrueCount(),
@@ -160,10 +158,9 @@ func (p *Protocol) Run(round uint16) (metrics.RoundResult, error) {
 		Participants: participants,
 		Covered:      covered,
 		Accepted:     diff <= p.cfg.Th,
-		TxBytes:      p.env.Rec.TotalTxBytes() - p.startBytes,
-		TxMessages:   p.env.Rec.TotalTxMessages() - p.startMsgs,
-		AppMessages:  p.env.Rec.AppMessages() - p.startApp,
-	}, nil
+	}
+	p.env.Rec.FillSince(p.start, &res)
+	return res, nil
 }
 
 // TreeSums exposes the two trees' results for Th calibration experiments.

@@ -163,6 +163,25 @@ func (r *Recorder) AppMessages() int {
 	return r.TotalTxMessages() - r.kindMsgs[message.KindAck]
 }
 
+// Mark is a traffic checkpoint: the transmit totals at one instant, from
+// which a round's own traffic is measured.
+type Mark struct{ txBytes, txMsgs, appMsgs int }
+
+// Mark records the current transmit totals.
+func (r *Recorder) Mark() Mark {
+	msgs := r.TotalTxMessages()
+	return Mark{txBytes: r.TotalTxBytes(), txMsgs: msgs, appMsgs: msgs - r.kindMsgs[message.KindAck]}
+}
+
+// FillSince sets res's TxBytes, TxMessages and AppMessages to the traffic
+// transmitted since m.
+func (r *Recorder) FillSince(m Mark, res *RoundResult) {
+	now := r.Mark()
+	res.TxBytes = now.txBytes - m.txBytes
+	res.TxMessages = now.txMsgs - m.txMsgs
+	res.AppMessages = now.appMsgs - m.appMsgs
+}
+
 // Traffic is a point-in-time value copy of a Recorder's totals, safe to
 // hand across goroutine boundaries (the Recorder itself is single-owner).
 type Traffic struct {
@@ -222,6 +241,14 @@ func (r *Recorder) KindsSorted() []string {
 	}
 	sort.Strings(keys)
 	return keys
+}
+
+// Protocol is one aggregation protocol bound to a deployment: every Run
+// executes one round and returns the base station's view of it. The
+// cluster protocol, TAG (with or without sampled attestation) and iPDA all
+// satisfy it, which is what lets drivers and harnesses treat them alike.
+type Protocol interface {
+	Run(round uint16) (RoundResult, error)
 }
 
 // RoundResult captures the outcome of one aggregation round as seen at the

@@ -233,3 +233,18 @@ func TestTrafficSnapshotAndAdd(t *testing.T) {
 		t.Error("Traffic snapshot aliases the live Recorder")
 	}
 }
+
+func TestMarkFillSince(t *testing.T) {
+	r := NewRecorder()
+	r.OnTransmit(1, message.KindHello, 30)
+	m := r.Mark()
+	r.OnTransmit(2, message.KindShare, 50)
+	r.OnTransmit(3, message.KindAck, 11)
+	r.OnTransmit(7, message.KindShare, 50)
+	var res RoundResult
+	r.FillSince(m, &res)
+	if res.TxBytes != 111 || res.TxMessages != 3 || res.AppMessages != 2 {
+		t.Errorf("since mark: bytes %d msgs %d app %d, want 111 3 2",
+			res.TxBytes, res.TxMessages, res.AppMessages)
+	}
+}

@@ -3,6 +3,10 @@
 // additive aggregation, no privacy, no integrity protection. It is the
 // comparison point for every overhead/accuracy figure, exactly as in the
 // lineage papers.
+//
+// With a positive Config.SampleFraction the same tree becomes the
+// SDAP-class comparator: after aggregation the base station challenges a
+// random sample of aggregators to attest their subtrees (attest.go).
 package tag
 
 import (
@@ -16,19 +20,33 @@ import (
 	"repro/internal/wsn"
 )
 
-// Config tunes the protocol's schedule.
+// Config tunes the protocol's schedule and its optional attestation phase.
 type Config struct {
 	FormationWindow time.Duration // HELLO flood settling time
 	EpochSlot       time.Duration // per-hop transmission window
 	MaxHops         int           // deepest tree level scheduled
+
+	// AttestWindow is how long after aggregation the attestation phase
+	// runs.
+	AttestWindow time.Duration
+	// SampleFraction of aggregators (nodes with children) challenged per
+	// round; 0 runs plain TAG with no attestation phase.
+	SampleFraction float64
+
+	// Polluter adds PollutionDelta to the aggregate it forwards (-1 = none).
+	Polluter       topo.NodeID
+	PollutionDelta int64
 }
 
-// DefaultConfig returns a schedule ample for 600 nodes on 400 m × 400 m.
+// DefaultConfig returns plain TAG with a schedule ample for 600 nodes on
+// 400 m × 400 m.
 func DefaultConfig() Config {
 	return Config{
 		FormationWindow: 1500 * time.Millisecond,
 		EpochSlot:       150 * time.Millisecond,
 		MaxHops:         16,
+		AttestWindow:    2 * time.Second,
+		Polluter:        -1,
 	}
 }
 
@@ -37,6 +55,10 @@ type nodeState struct {
 	hops       int
 	childSum   field.Element
 	childCount uint32
+	aggregated bool          // received at least one child report
+	sent       field.Element // what this node reported upward
+	reported   bool
+	attestSeen bool // challenge-flood dedup
 }
 
 // Protocol is one TAG instance over an Env.
@@ -46,19 +68,24 @@ type Protocol struct {
 	nodes []nodeState
 	round uint16
 
-	startBytes, startMsgs, startApp int
+	detected bool
+	attested int
+	start    metrics.Mark
 }
 
 // New wires a TAG instance onto the environment's MAC.
 func New(env *wsn.Env, cfg Config) (*Protocol, error) {
-	if cfg.FormationWindow <= 0 || cfg.EpochSlot <= 0 || cfg.MaxHops < 1 {
+	if cfg.FormationWindow <= 0 || cfg.EpochSlot <= 0 || cfg.MaxHops < 1 ||
+		cfg.SampleFraction < 0 || cfg.SampleFraction > 1 ||
+		(cfg.SampleFraction > 0 && cfg.AttestWindow <= 0) {
 		return nil, fmt.Errorf("tag: invalid config %+v", cfg)
 	}
 	p := &Protocol{env: env, cfg: cfg}
 	return p, nil
 }
 
-// Run executes one query round and returns the base station's view.
+// Run executes one query round, plus the attestation phase when sampling
+// is on, and returns the base station's view.
 func (p *Protocol) Run(round uint16) (metrics.RoundResult, error) {
 	p.round = round
 	n := p.env.Net.Size()
@@ -66,9 +93,9 @@ func (p *Protocol) Run(round uint16) (metrics.RoundResult, error) {
 	for i := range p.nodes {
 		p.nodes[i].parent = -1
 	}
-	p.startBytes = p.env.Rec.TotalTxBytes()
-	p.startMsgs = p.env.Rec.TotalTxMessages()
-	p.startApp = p.env.Rec.AppMessages()
+	p.detected = false
+	p.attested = 0
+	p.start = p.env.Rec.Mark()
 	for i := 0; i < n; i++ {
 		id := topo.NodeID(i)
 		p.env.MAC.SetReceiver(id, p.receive)
@@ -80,6 +107,10 @@ func (p *Protocol) Run(round uint16) (metrics.RoundResult, error) {
 
 	// Epoch-scheduled aggregation: deeper nodes transmit earlier.
 	p.env.Eng.After(p.cfg.FormationWindow, func() { p.scheduleReports() })
+	if p.cfg.SampleFraction > 0 {
+		aggEnd := p.cfg.FormationWindow + time.Duration(p.cfg.MaxHops+1)*p.cfg.EpochSlot
+		p.env.Eng.After(aggEnd, func() { p.challenge() })
+	}
 
 	if err := p.env.Eng.Run(0); err != nil {
 		return metrics.RoundResult{}, fmt.Errorf("tag: %w", err)
@@ -92,19 +123,26 @@ func (p *Protocol) Run(round uint16) (metrics.RoundResult, error) {
 			covered++
 		}
 	}
-	return metrics.RoundResult{
-		Protocol:     "tag",
+	name, alarms := "tag", 0
+	if p.cfg.SampleFraction > 0 {
+		name = "sdap"
+	}
+	if p.detected {
+		alarms = 1
+	}
+	res := metrics.RoundResult{
+		Protocol:     name,
 		TrueSum:      p.env.TrueSum(),
 		TrueCount:    p.env.TrueCount(),
 		ReportedSum:  bs.childSum.Int(),
 		ReportedCnt:  int64(bs.childCount),
 		Participants: int(bs.childCount),
 		Covered:      covered,
-		Accepted:     true, // TAG has no integrity check
-		TxBytes:      p.env.Rec.TotalTxBytes() - p.startBytes,
-		TxMessages:   p.env.Rec.TotalTxMessages() - p.startMsgs,
-		AppMessages:  p.env.Rec.AppMessages() - p.startApp,
-	}, nil
+		Accepted:     !p.detected, // plain TAG has no integrity check
+		Alarms:       alarms,
+	}
+	p.env.Rec.FillSince(p.start, &res)
+	return res, nil
 }
 
 func (p *Protocol) sendHello(from topo.NodeID, hops int) {
@@ -129,6 +167,11 @@ func (p *Protocol) receive(at topo.NodeID, msg *message.Message) {
 		st := &p.nodes[at]
 		st.childSum = st.childSum.Add(agg.Sum)
 		st.childCount += agg.Count
+		st.aggregated = true
+	case message.KindAttest:
+		p.onAttest(at, msg)
+	case message.KindAttestResp:
+		p.onAttestResp(at, msg)
 	}
 }
 
@@ -169,6 +212,11 @@ func (p *Protocol) scheduleReports() {
 func (p *Protocol) report(id topo.NodeID) {
 	st := &p.nodes[id]
 	sum := st.childSum.Add(p.env.ReadingElement(id))
+	if id == p.cfg.Polluter {
+		sum = sum.Add(field.FromInt(p.cfg.PollutionDelta))
+	}
+	st.sent = sum
+	st.reported = true
 	p.env.MAC.Send(message.Build(
 		message.KindAggregate, id, st.parent, p.round,
 		message.MarshalAggregate(message.Aggregate{Sum: sum, Count: st.childCount + 1}),

@@ -6,7 +6,8 @@
 //
 //   - the cluster-based privacy+integrity protocol (the paper's
 //     contribution; package internal/core),
-//   - TAG (Madden et al.), the no-security baseline, and
+//   - TAG (Madden et al.), the no-security baseline, which with sampled
+//     attestation doubles as the SDAP-class statistical comparator, and
 //   - iPDA (He et al.), the disjoint-tree comparator —
 //
 // plus the adversary models and the experiment harness that regenerates
@@ -31,7 +32,6 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/ipda"
 	"repro/internal/metrics"
-	"repro/internal/sdap"
 	"repro/internal/tag"
 	"repro/internal/telemetry"
 	"repro/internal/topo"
@@ -319,9 +319,10 @@ func (o ClusterOptions) config() core.Config {
 	return cfg
 }
 
-// RunCluster executes one round of the cluster-based protocol.
-func (d *Deployment) RunCluster(o ClusterOptions) (Result, error) {
-	p, err := core.New(d.env, o.config())
+// runRound builds one protocol on the deployment and runs its first round:
+// the body every single-round Run* method shares.
+func runRound[P metrics.Protocol, C any](d *Deployment, newP func(*wsn.Env, C) (P, error), cfg C) (Result, error) {
+	p, err := newP(d.env, cfg)
 	if err != nil {
 		return Result{}, fmt.Errorf("repro: %w", err)
 	}
@@ -330,6 +331,11 @@ func (d *Deployment) RunCluster(o ClusterOptions) (Result, error) {
 		return Result{}, fmt.Errorf("repro: %w", err)
 	}
 	return fromRound(res), nil
+}
+
+// RunCluster executes one round of the cluster-based protocol.
+func (d *Deployment) RunCluster(o ClusterOptions) (Result, error) {
+	return runRound(d, core.New, o.config())
 }
 
 // RunClusterRounds executes `rounds` consecutive measurement epochs on one
@@ -351,13 +357,7 @@ func (d *Deployment) RunClusterRounds(rounds int, o ClusterOptions) ([]Result, e
 	}
 	out := make([]Result, 0, rounds)
 	for r := 1; r <= rounds; r++ {
-		var res metrics.RoundResult
-		if r == 1 {
-			res, err = p.Run(uint16(r))
-		} else {
-			d.env.ResampleReadings()
-			res, err = p.RunRetaining(uint16(r))
-		}
+		res, err := p.Epoch(uint16(r))
 		if err != nil {
 			return nil, fmt.Errorf("repro: round %d: %w", r, err)
 		}
@@ -375,73 +375,15 @@ func (d *Deployment) RunClusterRounds(rounds int, o ClusterOptions) ([]Result, e
 // It returns the per-round base-station results alongside the campaign's
 // breach/detection report.
 func (d *Deployment) RunClusterCampaign(o ClusterOptions, camp *attack.Campaign) ([]Result, attack.Report, error) {
-	rounds := camp.Rounds()
-	if rounds > math.MaxUint16 {
-		return nil, attack.Report{}, fmt.Errorf("repro: campaign rounds %d exceed the 16-bit round counter", rounds)
-	}
-	seed := d.env.Cfg.Seed
-
-	// Scouting dry run: fresh state, no sinks, no taps.
-	if err := d.env.Reset(seed); err != nil {
-		return nil, attack.Report{}, fmt.Errorf("repro: %w", err)
-	}
-	prevSink := d.env.Sink
-	d.env.SetSink(nil)
-	scout, err := core.New(d.env, o.config())
+	rounds, rep, err := camp.Drive(d.env, o.config())
 	if err != nil {
-		d.env.SetSink(prevSink)
 		return nil, attack.Report{}, fmt.Errorf("repro: %w", err)
 	}
-	if _, err := scout.Run(1); err != nil {
-		d.env.SetSink(prevSink)
-		return nil, attack.Report{}, fmt.Errorf("repro: scout round: %w", err)
+	out := make([]Result, len(rounds))
+	for i, res := range rounds {
+		out[i] = fromRound(res)
 	}
-	if err := camp.Scout(scout, d.env); err != nil {
-		d.env.SetSink(prevSink)
-		return nil, attack.Report{}, fmt.Errorf("repro: %w", err)
-	}
-
-	// Attacked replay: same seed, campaign tapped into the MAC and the
-	// trace fan, policy config hooks applied.
-	if err := d.env.Reset(seed); err != nil {
-		d.env.SetSink(prevSink)
-		return nil, attack.Report{}, fmt.Errorf("repro: %w", err)
-	}
-	cfg := o.config()
-	camp.Configure(&cfg)
-	p, err := core.New(d.env, cfg)
-	if err != nil {
-		d.env.SetSink(prevSink)
-		return nil, attack.Report{}, fmt.Errorf("repro: %w", err)
-	}
-	d.env.SetSink(trace.Fan(prevSink, camp))
-	d.env.MAC.SetTap(camp)
-	defer func() {
-		d.env.MAC.SetTap(nil)
-		d.env.SetSink(prevSink)
-	}()
-
-	out := make([]Result, 0, rounds)
-	for r := 1; r <= rounds; r++ {
-		camp.BeginRound(uint16(r))
-		var res metrics.RoundResult
-		if r == 1 {
-			res, err = p.Run(uint16(r))
-		} else {
-			d.env.ResampleReadings()
-			res, err = p.RunRetaining(uint16(r))
-		}
-		if err != nil {
-			return nil, attack.Report{}, fmt.Errorf("repro: round %d: %w", r, err)
-		}
-		camp.EndRound(attack.RoundStats{
-			Accepted:    res.Accepted,
-			ReportedCnt: res.ReportedCnt,
-			TrueCount:   res.TrueCount,
-		})
-		out = append(out, fromRound(res))
-	}
-	return out, camp.Report(), nil
+	return out, rep, nil
 }
 
 // LocalizationResult reports the bisection search outcome.
@@ -466,15 +408,7 @@ func (d *Deployment) LocalizePolluter(o ClusterOptions) (LocalizationResult, err
 
 // RunTAG executes one TAG round (no privacy, no integrity).
 func (d *Deployment) RunTAG() (Result, error) {
-	p, err := tag.New(d.env, tag.DefaultConfig())
-	if err != nil {
-		return Result{}, fmt.Errorf("repro: %w", err)
-	}
-	res, err := p.Run(1)
-	if err != nil {
-		return Result{}, fmt.Errorf("repro: %w", err)
-	}
-	return fromRound(res), nil
+	return runRound(d, tag.New, tag.DefaultConfig())
 }
 
 // IPDAOptions tunes the iPDA comparator.
@@ -503,15 +437,7 @@ func (d *Deployment) RunIPDA(o IPDAOptions) (Result, error) {
 		cfg.Polluter = topoID(o.Polluter)
 		cfg.PollutionDelta = o.PollutionDelta
 	}
-	p, err := ipda.New(d.env, cfg)
-	if err != nil {
-		return Result{}, fmt.Errorf("repro: %w", err)
-	}
-	res, err := p.Run(1)
-	if err != nil {
-		return Result{}, fmt.Errorf("repro: %w", err)
-	}
-	return fromRound(res), nil
+	return runRound(d, ipda.New, cfg)
 }
 
 // ExperimentIDs lists the reproduction's tables and figures.
@@ -552,7 +478,8 @@ type SDAPOptions struct {
 // witnesses: detection is probabilistic (≈ the sample fraction) and costs
 // attestation traffic, and there is no privacy protection at all.
 func (d *Deployment) RunSDAP(o SDAPOptions) (Result, error) {
-	cfg := sdap.DefaultConfig()
+	cfg := tag.DefaultConfig()
+	cfg.SampleFraction = 0.2
 	if o.SampleFraction > 0 {
 		cfg.SampleFraction = o.SampleFraction
 	}
@@ -560,13 +487,5 @@ func (d *Deployment) RunSDAP(o SDAPOptions) (Result, error) {
 		cfg.Polluter = topoID(o.Polluter)
 		cfg.PollutionDelta = o.PollutionDelta
 	}
-	p, err := sdap.New(d.env, cfg)
-	if err != nil {
-		return Result{}, fmt.Errorf("repro: %w", err)
-	}
-	res, err := p.Run(1)
-	if err != nil {
-		return Result{}, fmt.Errorf("repro: %w", err)
-	}
-	return fromRound(res), nil
+	return runRound(d, tag.New, cfg)
 }
