@@ -11,6 +11,8 @@ func TestRunProtocols(t *testing.T) {
 		{"-protocol", "cluster", "-nodes", "120", "-seed", "3", "-ideal"},
 		{"-protocol", "tag", "-nodes", "120", "-seed", "3", "-ideal"},
 		{"-protocol", "ipda", "-nodes", "120", "-seed", "3", "-ideal"},
+		{"-protocol", "sdap", "-nodes", "120", "-seed", "3", "-ideal"},
+		{"-protocol", "sdap", "-nodes", "120", "-seed", "3", "-polluter", "9", "-delta", "5000"},
 		{"-protocol", "cluster", "-nodes", "120", "-seed", "3", "-ideal", "-trace", "10"},
 		{"-protocol", "cluster", "-nodes", "120", "-seed", "3", "-count", "-grid"},
 		{"-protocol", "cluster", "-nodes", "120", "-seed", "3", "-ideal",
@@ -70,6 +72,7 @@ func TestBadInputsAreUsageErrors(t *testing.T) {
 		{"negative rounds", []string{"-rounds", "-3"}},
 		{"rounds above uint16", []string{"-rounds", "70000"}},
 		{"rounds on tag", []string{"-protocol", "tag", "-rounds", "3"}},
+		{"rounds on sdap", []string{"-protocol", "sdap", "-rounds", "3"}},
 		{"negative slices", []string{"-slices", "-1"}},
 		{"negative trace cap", []string{"-trace", "-5"}},
 		{"zero par", []string{"-par", "0"}},
