@@ -411,6 +411,73 @@ func FuzzUnmarshalReassemble(f *testing.F) {
 	fuzzFixed(f, 8, Reassemble{Mask: 0b10111}, MarshalReassemble, UnmarshalReassemble)
 }
 
+// FuzzUnmarshalAttestResp holds the attestation response to the fixed-width
+// contract, except that only verdict bytes 0 and 1 decode: a success
+// happens exactly when the input is long enough and its verdict byte is
+// valid, and re-encodes to the input prefix.
+func FuzzUnmarshalAttestResp(f *testing.F) {
+	f.Add(MarshalAttestResp(AttestResp{Subject: 5, Reported: 1234, Consistent: true}))
+	f.Add(MarshalAttestResp(AttestResp{Subject: -1, Reported: 7}))
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 5, 0, 0, 0, 9, 2})
+	f.Add(bytes.Repeat([]byte{0xFF}, attestRespSize+1))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		v, err := UnmarshalAttestResp(data)
+		if len(data) < attestRespSize {
+			if !errors.Is(err, ErrTruncated) {
+				t.Fatalf("%d-byte input: err = %v, want ErrTruncated", len(data), err)
+			}
+			return
+		}
+		if data[8] > 1 {
+			if err == nil {
+				t.Fatalf("verdict byte %d accepted as %+v", data[8], v)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("%d-byte input: %v", len(data), err)
+		}
+		if out := MarshalAttestResp(v); !bytes.Equal(out, data[:attestRespSize]) {
+			t.Fatalf("decoded %+v re-encodes to %x, input %x", v, out, data[:attestRespSize])
+		}
+	})
+}
+
+// FuzzUnmarshalIDList checks the attestation challenge's sample set: a
+// decode succeeds exactly when the input holds the announced count of IDs,
+// and a success re-encodes to the input prefix.
+func FuzzUnmarshalIDList(f *testing.F) {
+	seed, _ := MarshalIDList([]topo.NodeID{1, 42, -1, 300})
+	f.Add(seed)
+	f.Add([]byte{})
+	f.Add([]byte{0, 0})
+	f.Add([]byte{0xFF, 0xFF, 1, 2, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ids, err := UnmarshalIDList(data)
+		want := -1 // bytes a complete list needs; -1 when even the count is missing
+		if len(data) >= 2 {
+			want = 2 + 4*(int(data[0])<<8|int(data[1]))
+		}
+		if want < 0 || len(data) < want {
+			if !errors.Is(err, ErrTruncated) {
+				t.Fatalf("%d-byte input needing %d: err = %v, want ErrTruncated", len(data), want, err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("%d-byte input: %v", len(data), err)
+		}
+		out, err := MarshalIDList(ids)
+		if err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		if !bytes.Equal(out, data[:want]) {
+			t.Fatalf("decoded %v re-encodes to %x, input %x", ids, out, data[:want])
+		}
+	})
+}
+
 func FuzzUnmarshalValues(f *testing.F) {
 	seed, _ := MarshalValues([]field.Element{1, 2, 3})
 	f.Add(seed)

@@ -190,7 +190,7 @@ func UnmarshalAlarm(buf []byte) (Alarm, error) {
 	}, nil
 }
 
-// MarshalIDList encodes a list of node IDs (the SDAP-lite attestation
+// MarshalIDList encodes a list of node IDs (the SDAP-class attestation
 // challenge's sample set).
 func MarshalIDList(ids []topo.NodeID) ([]byte, error) {
 	if len(ids) > 0xFFFF {
@@ -246,10 +246,15 @@ func MarshalAttestResp(a AttestResp) []byte {
 	return buf
 }
 
-// UnmarshalAttestResp decodes an attestation response.
+// UnmarshalAttestResp decodes an attestation response. The verdict byte
+// must be 0 or 1: any other value is rejected rather than read as a
+// verdict, so every accepted frame re-encodes to itself.
 func UnmarshalAttestResp(buf []byte) (AttestResp, error) {
 	if len(buf) < attestRespSize {
 		return AttestResp{}, ErrTruncated
+	}
+	if buf[8] > 1 {
+		return AttestResp{}, fmt.Errorf("message: bad attestation verdict %d", buf[8])
 	}
 	return AttestResp{
 		Subject:    topo.NodeID(int32(binary.BigEndian.Uint32(buf))),
