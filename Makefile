@@ -7,8 +7,8 @@ GO ?= go
 ## experiment smokes, a traced-failover forensics smoke, the base-station
 ## service smoke, the fleet-coordinator smoke, the chaos availability
 ## drill, the telemetry/exposition smoke, the parallel-determinism smoke,
-## a short fuzz pass over the wire decoders, link crypto and exposition
-## parser, a
+## a short fuzz pass over the wire decoders, link crypto, exposition,
+## benchmark-output and fault-plan parsers, a
 ## one-iteration benchmark smoke through the trend harness, the
 ## deterministic allocation gate on the tracing-disabled hot path, and the
 ## byte-for-byte check of the committed results/ CSVs.
@@ -148,13 +148,14 @@ par-smoke:
 	@echo "par-smoke OK: parallel rounds bit-identical to serial under -race"
 
 ## fuzz-smoke: run every fuzz target of the wire decoders (which spoofed
-## frames reach through MAC.Inject), of the link crypto and of the
+## frames reach through MAC.Inject), of the link crypto, of the
 ## /metricsz exposition parser the serving tests read counters through,
-## for FUZZTIME each, with the standard library's fuzzer only; go test
-## -fuzz takes one target per run.
+## of the benchmark-output parser benchtrend snapshots through and of the
+## chaos fault-plan parser, for FUZZTIME each, with the standard
+## library's fuzzer only; go test -fuzz takes one target per run.
 FUZZTIME ?= 5s
 fuzz-smoke:
-	@set -e; for pkg in ./internal/message ./internal/wsncrypto ./internal/telemetry; do \
+	@set -e; for pkg in ./internal/message ./internal/wsncrypto ./internal/telemetry ./internal/benchio ./internal/chaos; do \
 		list=$$($(GO) test -list '^Fuzz' $$pkg) || exit 1; \
 		targets=$$(printf '%s\n' "$$list" | grep '^Fuzz' || true); \
 		if [ -z "$$targets" ]; then echo "fuzz-smoke: no Fuzz targets in $$pkg"; exit 1; fi; \
@@ -163,7 +164,7 @@ fuzz-smoke:
 			$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) $$pkg; \
 		done; \
 	done
-	@echo "fuzz-smoke OK: every decoder, Open and ParseText target ran $(FUZZTIME) clean"
+	@echo "fuzz-smoke OK: every decoder, Open, ParseText, Parse and ParsePlan target ran $(FUZZTIME) clean"
 
 bench-smoke:
 	$(GO) run ./cmd/benchtrend -quick

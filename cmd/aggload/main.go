@@ -1,35 +1,28 @@
 // Command aggload drives a closed-loop load test against a running aggd
 // instance: N concurrent clients issue synchronous queries of mixed kinds
 // back-to-back, honoring 503 backpressure with the server's retry hint.
-// With -shards it instead boots in-process fleets of the given shard
-// counts and sweeps the same burst across them, measuring how serving
-// throughput scales with shards.
 //
 // Usage:
 //
 //	aggload -addr http://localhost:8080 -c 8 -n 500
-//	aggload -addr http://localhost:8080 -c 16 -d 30s -kinds sum,min,max -out load.json
-//	aggload -shards 1,2,4 -c 4 -n 400 -nodes 80 -ideal -seed 7
+//	aggload -addr http://localhost:8080 -c 16 -d 30s -kinds sum,min,max
 //	aggload -chaos auto -seed 7 -nodes 80 -ideal -traceout fleet.jsonl
 //
 // -chaos runs an availability drill instead: it boots an in-process
-// fleet, arms a fault plan ("auto" = kill one of three shards mid-burst;
+// 3-shard fleet, arms a fault plan ("auto" = kill shard 2 mid-burst;
 // otherwise a plan file), verifies every served answer against the
 // offline reference, and reports availability, down->healthy recovery
-// time, and retry counts (snapshot metrics BenchmarkServeRecovery and
-// BenchmarkServeAvailability). Transport-level dial/reset failures are
-// retried with capped backoff in every mode; -traceout writes the fleet
-// events for aggtrace -why outage.
+// time, and retry counts. Transport-level dial/reset failures are retried
+// with capped backoff in both modes; -traceout writes the fleet events for
+// aggtrace -why outage.
 //
-// The human-readable summary goes to stderr; a benchio-compatible JSON
-// snapshot (BenchmarkServeLatency/{mean,p50,p95,p99}, BenchmarkServeThroughput,
-// or BenchmarkServeThroughput/shards=N in sweep mode) goes to stdout or
-// -out, so benchtrend can track serving latency the same way it tracks
-// simulator benchmarks.
+// The human-readable summary goes to stdout. Serving performance is
+// tracked by the BenchmarkServeThroughput/shards=N and
+// BenchmarkServeRecovery benchmarks, not by this command.
 //
 // Exit status: 0 on a clean run, 1 if any request errored (in -chaos mode
-// only a wrong answer fails — injected-fault errors are the experiment),
-// 2 on bad flags.
+// only a wrong answer fails — injected-fault errors are the experiment)
+// or the run could not start, 2 on bad flags.
 package main
 
 import (
@@ -40,14 +33,11 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"runtime"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	"repro"
-	"repro/internal/benchio"
 	"repro/internal/chaos"
 	"repro/internal/cliutil"
 	"repro/internal/fleet"
@@ -67,23 +57,19 @@ func run(args []string, stdout io.Writer) (*flag.FlagSet, error) {
 	fs := flag.NewFlagSet("aggload", flag.ContinueOnError)
 	var (
 		addr    = fs.String("addr", "http://localhost:8080", "base URL of the aggd instance")
-		conc    = fs.Int("c", 8, "concurrent closed-loop clients (per shard in sweep mode)")
+		conc    = fs.Int("c", 8, "concurrent closed-loop clients")
 		reqs    = fs.Int("n", 0, "total requests (default 100 when -d is unset)")
 		dur     = fs.Duration("d", 0, "run for a duration instead of a request count")
 		kinds   = fs.String("kinds", "", "comma-separated query kinds (default: all)")
 		timeout = fs.Duration("timeout", 30*time.Second, "per-request timeout")
-		out     = fs.String("out", "", "write the benchio JSON snapshot here instead of stdout")
 
-		// Sweep mode: boot in-process fleets instead of hitting -addr.
-		shards  = fs.String("shards", "", "comma-separated shard counts to sweep in-process (e.g. 1,2,4); ignores -addr")
-		workers = fs.Int("workers", 2, "sweep: deployment pool size per shard")
-		queue   = fs.Int("queue", 64, "sweep: admission queue depth per shard")
-		nodes   = fs.Int("nodes", 400, "sweep: nodes per worker deployment")
-		seed    = fs.Int64("seed", 1, "sweep: deployment template seed")
-		ideal   = fs.Bool("ideal", false, "sweep: error-free channel")
-
-		// Chaos mode: availability drill over an in-process fleet under a
-		// fault plan, with every served answer verified offline.
+		// Chaos mode: availability drill over an in-process 3-shard fleet
+		// under a fault plan, with every served answer verified offline.
+		workers  = fs.Int("workers", 2, "chaos: deployment pool size per shard")
+		queue    = fs.Int("queue", 64, "chaos: admission queue depth per shard")
+		nodes    = fs.Int("nodes", 400, "chaos: nodes per worker deployment")
+		seed     = fs.Int64("seed", 1, "chaos: deployment template seed")
+		ideal    = fs.Bool("ideal", false, "chaos: error-free channel")
 		chaosArg = fs.String("chaos", "", "run an availability drill: a fault-plan JSON file, or 'auto' for the canonical crash-one-shard plan")
 		traceout = fs.String("traceout", "", "chaos: also write the fleet's incident events to this JSONL file for aggtrace -why outage")
 	)
@@ -117,16 +103,7 @@ func run(args []string, stdout io.Writer) (*flag.FlagSet, error) {
 	if *timeout <= 0 {
 		return fs, cliutil.Usagef("-timeout must be positive, got %v", *timeout)
 	}
-	var shardCounts []int
-	if *shards != "" {
-		for _, s := range strings.Split(*shards, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || n < 1 {
-				return fs, cliutil.Usagef("-shards: %q is not a positive shard count", s)
-			}
-			shardCounts = append(shardCounts, n)
-		}
-	} else if !strings.HasPrefix(*addr, "http://") && !strings.HasPrefix(*addr, "https://") {
+	if !strings.HasPrefix(*addr, "http://") && !strings.HasPrefix(*addr, "https://") {
 		return fs, cliutil.Usagef("-addr must be an http(s) base URL, got %q", *addr)
 	}
 
@@ -151,105 +128,58 @@ func run(args []string, stdout io.Writer) (*flag.FlagSet, error) {
 		Timeout:     *timeout,
 	}
 
-	var (
-		snap    benchio.Snapshot
-		summary string
-		failed  error
-	)
-	date := time.Now().UTC().Format("2006-01-02")
-	if *chaosArg != "" {
-		n := 3
-		if len(shardCounts) > 0 {
-			n = shardCounts[0]
-		}
-		var plan chaos.Plan
-		if *chaosArg == "auto" {
-			run := *dur
-			if run == 0 {
-				run = 10 * time.Second // -n mode: anchor the windows anyway
-			}
-			plan = chaos.CrashOnePlan(*seed, n-1, run)
-		} else {
-			var err error
-			if plan, err = chaos.LoadPlan(*chaosArg); err != nil {
-				return fs, err
-			}
-		}
-		cfg := fleet.Config{Shards: n, Station: station.Config{
-			Workers:    *workers,
-			QueueDepth: *queue,
-			Deploy: repro.Options{
-				Nodes: *nodes,
-				Seed:  *seed,
-				Ideal: *ideal,
-			},
-		}}
-		rep, err := fleet.RunChaos(ctx, cfg, plan, load)
-		if err != nil {
-			return fs, err
-		}
-		snap = fleet.ChaosSnapshot(rep, date, runtime.Version(), hostname())
-		summary = fleet.ChaosSummary(rep)
-		if *traceout != "" {
-			if err := writeEvents(*traceout, rep.Events); err != nil {
-				return fs, err
-			}
-		}
-		if rep.Load.Wrong > 0 {
-			failed = fmt.Errorf("%w: %d served answers diverged from the offline reference",
-				errRequestsFailed, rep.Load.Wrong)
-		}
-	} else if len(shardCounts) > 0 {
-		base := fleet.Config{Station: station.Config{
-			Workers:    *workers,
-			QueueDepth: *queue,
-			Deploy: repro.Options{
-				Nodes: *nodes,
-				Seed:  *seed,
-				Ideal: *ideal,
-			},
-		}}
-		points, err := fleet.RunSweep(ctx, base, shardCounts, load)
-		if err != nil {
-			return fs, err
-		}
-		snap = fleet.SweepSnapshot(points, date, runtime.Version(), hostname())
-		summary = fleet.SweepSummary(points)
-		for _, pt := range points {
-			if pt.Report.Errors > 0 {
-				failed = fmt.Errorf("%w: shards=%d had %d errors (samples: %v)",
-					errRequestsFailed, pt.Shards, pt.Report.Errors, pt.Report.ErrSamples)
-				break
-			}
-		}
-	} else {
+	if *chaosArg == "" {
 		load.BaseURL = strings.TrimRight(*addr, "/")
 		rep, err := station.RunLoad(ctx, load)
 		if err != nil {
 			return fs, err
 		}
-		snap = rep.Snapshot(date, runtime.Version(), hostname())
-		summary = rep.String()
+		fmt.Fprintln(stdout, rep)
 		if rep.Errors > 0 {
-			failed = fmt.Errorf("%w: %d of %d (samples: %v)",
+			return fs, fmt.Errorf("%w: %d of %d (samples: %v)",
 				errRequestsFailed, rep.Errors, rep.Requests+rep.Errors, rep.ErrSamples)
 		}
+		return fs, nil
 	}
-	fmt.Fprintln(os.Stderr, summary)
 
-	w := stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
+	const shards = 3
+	var plan chaos.Plan
+	if *chaosArg == "auto" {
+		run := *dur
+		if run == 0 {
+			run = 10 * time.Second // -n mode: anchor the windows anyway
+		}
+		plan = chaos.CrashOnePlan(*seed, shards-1, run)
+	} else {
+		var err error
+		if plan, err = chaos.LoadPlan(*chaosArg); err != nil {
 			return fs, err
 		}
-		defer f.Close()
-		w = io.Writer(f)
 	}
-	if err := benchio.Write(w, snap); err != nil {
+	cfg := fleet.Config{Shards: shards, Station: station.Config{
+		Workers:    *workers,
+		QueueDepth: *queue,
+		Deploy: repro.Options{
+			Nodes: *nodes,
+			Seed:  *seed,
+			Ideal: *ideal,
+		},
+	}}
+	rep, err := fleet.RunChaos(ctx, cfg, plan, load)
+	if err != nil {
 		return fs, err
 	}
-	return fs, failed
+	fmt.Fprintln(stdout, fleet.ChaosSummary(rep))
+	if *traceout != "" {
+		if err := writeEvents(*traceout, rep.Events); err != nil {
+			return fs, err
+		}
+	}
+	if rep.Load.Wrong > 0 {
+		return fs, fmt.Errorf("%w: %d served answers diverged from the offline reference",
+			errRequestsFailed, rep.Load.Wrong)
+	}
+	return fs, nil
 }
 
 // writeEvents persists a drill's incident events as JSONL so aggtrace
@@ -264,12 +194,4 @@ func writeEvents(path string, events []trace.Event) error {
 		jl.Emit(ev)
 	}
 	return jl.Close() // flushes and closes f
-}
-
-func hostname() string {
-	h, err := os.Hostname()
-	if err != nil {
-		return "unknown"
-	}
-	return h
 }

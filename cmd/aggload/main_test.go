@@ -3,14 +3,14 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"repro"
-	"repro/internal/benchio"
 	"repro/internal/cliutil"
 	"repro/internal/station"
 )
@@ -36,10 +36,10 @@ func startAggd(t *testing.T) string {
 	return srv.URL
 }
 
-// TestLoadRunEmitsBenchioSnapshot drives a short burst against a live
-// serving stack and checks the stdout JSON parses back as a benchio
-// snapshot with latency and throughput benchmarks.
-func TestLoadRunEmitsBenchioSnapshot(t *testing.T) {
+// TestLoadRunPrintsSummary drives a short burst against a live serving
+// stack and checks the stdout summary counts every request, no errors and
+// a throughput line.
+func TestLoadRunPrintsSummary(t *testing.T) {
 	url := startAggd(t)
 	var stdout bytes.Buffer
 	if _, err := run([]string{
@@ -47,38 +47,34 @@ func TestLoadRunEmitsBenchioSnapshot(t *testing.T) {
 	}, &stdout); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	var snap benchio.Snapshot
-	if err := json.Unmarshal(stdout.Bytes(), &snap); err != nil {
-		t.Fatalf("stdout is not a benchio snapshot: %v\n%s", err, stdout.String())
-	}
-	for _, name := range []string{
-		"BenchmarkServeLatency/mean", "BenchmarkServeLatency/p50",
-		"BenchmarkServeLatency/p95", "BenchmarkServeLatency/p99",
-		"BenchmarkServeThroughput",
-	} {
-		if m, ok := snap.Benchmarks[name]; !ok || m.NsPerOp <= 0 {
-			t.Errorf("snapshot missing %s: %+v", name, m)
+	out := stdout.String()
+	for _, want := range []string{"requests: 9 ", "errors: 0 ", "throughput: "} {
+		if !strings.Contains(out, want) {
+			t.Errorf("summary lacks %q:\n%s", want, out)
 		}
 	}
 }
 
-// TestLoadOutFlagWritesFile: -out redirects the snapshot to a file.
-func TestLoadOutFlagWritesFile(t *testing.T) {
-	url := startAggd(t)
-	out := filepath.Join(t.TempDir(), "load.json")
-	var stdout bytes.Buffer
-	if _, err := run([]string{"-addr", url, "-c", "2", "-n", "4", "-out", out}, &stdout); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if stdout.Len() != 0 {
-		t.Errorf("-out set but stdout got %q", stdout.String())
-	}
-	snap, err := benchio.ReadFile(out)
-	if err != nil {
+// TestChaosPlanPastLastShardIsRuntimeError: a plan whose window names a
+// shard the 3-shard drill fleet does not have fails the run (exit 1)
+// instead of reporting a clean drill for a fault that never fired.
+func TestChaosPlanPastLastShardIsRuntimeError(t *testing.T) {
+	plan := filepath.Join(t.TempDir(), "plan.json")
+	if err := os.WriteFile(plan, []byte(`{"seed":7,"faults":[{"shard":3,"kind":"crash","at":"100ms"}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.Benchmarks) != 5 {
-		t.Errorf("snapshot has %d benchmarks, want 5", len(snap.Benchmarks))
+	var stdout bytes.Buffer
+	_, err := run([]string{
+		"-chaos", plan, "-d", "1s", "-workers", "1", "-nodes", "80", "-ideal", "-seed", "7",
+	}, &stdout)
+	if err == nil {
+		t.Fatalf("plan naming shard 3 ran a clean drill:\n%s", stdout.String())
+	}
+	if cliutil.IsUsage(err) {
+		t.Fatalf("want runtime error (exit 1), got usage error: %v", err)
+	}
+	if !strings.Contains(err.Error(), "shard 3") {
+		t.Errorf("error does not name the out-of-range shard: %v", err)
 	}
 }
 
@@ -123,39 +119,5 @@ func TestLoadBadFlagsAreUsageErrors(t *testing.T) {
 				t.Fatalf("want usage error (exit 2), got %T: %v", err, err)
 			}
 		})
-	}
-}
-
-// TestSweepModeEmitsShardedThroughput: -shards boots in-process fleets and
-// the snapshot carries one BenchmarkServeThroughput/shards=N point per
-// count, with the scaling table on stderr.
-func TestSweepModeEmitsShardedThroughput(t *testing.T) {
-	var stdout bytes.Buffer
-	if _, err := run([]string{
-		"-shards", "1,2", "-c", "2", "-n", "16",
-		"-workers", "1", "-queue", "8", "-nodes", "80", "-seed", "7", "-ideal",
-	}, &stdout); err != nil {
-		t.Fatalf("sweep run: %v", err)
-	}
-	var snap benchio.Snapshot
-	if err := json.Unmarshal(stdout.Bytes(), &snap); err != nil {
-		t.Fatalf("stdout is not a benchio snapshot: %v\n%s", err, stdout.String())
-	}
-	for _, name := range []string{
-		"BenchmarkServeThroughput/shards=1",
-		"BenchmarkServeThroughput/shards=2",
-	} {
-		if m, ok := snap.Benchmarks[name]; !ok || m.NsPerOp <= 0 {
-			t.Errorf("snapshot missing %s: %+v", name, m)
-		}
-	}
-}
-
-// TestSweepBadShardCountsAreUsageErrors: malformed -shards lists fail fast.
-func TestSweepBadShardCountsAreUsageErrors(t *testing.T) {
-	for _, bad := range []string{"0", "-2", "abc", "1,,2", "1,zero"} {
-		if _, err := run([]string{"-shards", bad}, &bytes.Buffer{}); err == nil || !cliutil.IsUsage(err) {
-			t.Errorf("-shards %q: want usage error, got %v", bad, err)
-		}
 	}
 }

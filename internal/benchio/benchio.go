@@ -78,17 +78,32 @@ func Parse(r io.Reader) (map[string]Metrics, error) {
 	return out, nil
 }
 
-// trimProcSuffix drops a trailing "-<digits>" (the GOMAXPROCS marker) from a
-// benchmark name, leaving sub-benchmark paths like "Benchmark/m=16" intact.
+// trimProcSuffix drops every trailing "-<digits>" from a benchmark name,
+// leaving sub-benchmark paths like "Benchmark/m=16" intact. go test appends
+// the GOMAXPROCS marker only when it is not 1, so a sub-benchmark whose own
+// name ends in -<digits> keys the same on every core count only when all
+// such suffixes go.
 func trimProcSuffix(name string) string {
-	i := strings.LastIndexByte(name, '-')
-	if i < 0 {
-		return name
+	for {
+		i := strings.LastIndexByte(name, '-')
+		if i < 0 || !allDigits(name[i+1:]) {
+			return name
+		}
+		name = name[:i]
 	}
-	if _, err := strconv.Atoi(name[i+1:]); err != nil {
-		return name
+}
+
+// allDigits reports whether s is a non-empty run of ASCII digits.
+func allDigits(s string) bool {
+	if s == "" {
+		return false
 	}
-	return name[:i]
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return false
+		}
+	}
+	return true
 }
 
 // WriteFile stores a snapshot as indented JSON.
@@ -98,16 +113,6 @@ func WriteFile(path string, s Snapshot) error {
 		return fmt.Errorf("benchio: %w", err)
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// Write streams a snapshot as indented JSON (same encoding as WriteFile).
-func Write(w io.Writer, s Snapshot) error {
-	data, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return fmt.Errorf("benchio: %w", err)
-	}
-	_, err = w.Write(append(data, '\n'))
-	return err
 }
 
 // ReadFile loads a snapshot.
@@ -176,19 +181,12 @@ type Delta struct {
 	Ratio  float64
 }
 
-// Compare reports every benchmark present in both snapshots whose ns/op or
-// allocs/op grew by more than threshold (e.g. 0.2 = 20%). Time is judged
-// with the threshold as given; allocation counts are near-deterministic, so
-// they are judged with the same threshold but only when the previous count
-// was non-zero.
-func Compare(prev, cur Snapshot, threshold float64) []Delta {
-	return CompareBy(prev, cur, threshold, true, true)
-}
-
-// CompareBy is Compare with per-metric gates: setting time or allocs false
-// exempts that metric. Gating on allocs alone gives a deterministic
-// regression check usable on noisy shared machines, where wall-clock
-// thresholds tight enough to be useful would flake.
+// CompareBy reports every benchmark present in both snapshots whose ns/op
+// or allocs/op grew by more than threshold (e.g. 0.2 = 20%). Setting time
+// or allocs false exempts that metric; allocation counts are judged only
+// when the previous count was non-zero. Gating on allocs alone gives a
+// deterministic regression check usable on noisy shared machines, where
+// wall-clock thresholds tight enough to be useful would flake.
 func CompareBy(prev, cur Snapshot, threshold float64, time, allocs bool) []Delta {
 	var regressions []Delta
 	names := make([]string, 0, len(cur.Benchmarks))

@@ -2,6 +2,7 @@ package benchio
 
 import (
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -116,7 +117,7 @@ func TestCompareFlagsRegressions(t *testing.T) {
 		"BenchmarkC":   {NsPerOp: 110, AllocsPerOp: 5},  // within threshold; zero-alloc base ignored
 		"BenchmarkNew": {NsPerOp: 999},                  // no baseline: skipped
 	}}
-	regs := Compare(prev, cur, 0.2)
+	regs := CompareBy(prev, cur, 0.2, true, true)
 	if len(regs) != 2 {
 		t.Fatalf("regressions = %+v, want 2", regs)
 	}
@@ -126,7 +127,34 @@ func TestCompareFlagsRegressions(t *testing.T) {
 	if regs[1].Name != "BenchmarkB" || regs[1].Metric != "allocs/op" {
 		t.Errorf("regs[1] = %+v", regs[1])
 	}
-	if len(Compare(prev, cur, 0.6)) != 0 {
+	if len(CompareBy(prev, cur, 0.6, true, true)) != 0 {
 		t.Error("loose threshold should pass everything")
 	}
+}
+
+// procSuffix matches a trailing GOMAXPROCS-style "-N" marker.
+var procSuffix = regexp.MustCompile(`-[0-9]+$`)
+
+// FuzzParse: Parse never panics on arbitrary text, and every name it
+// returns is a benchmark name with no -N suffix left, whatever GOMAXPROCS
+// (or the sub-benchmark's own name) put there.
+func FuzzParse(f *testing.F) {
+	f.Add(sampleOutput)
+	f.Add("BenchmarkX/n-4-8 \t 10\t 5 ns/op\n")
+	f.Add("BenchmarkY-99999999999999999999 1 2 ns/op 3 B/op 4 allocs/op\n")
+	f.Add("Benchmark 1 ns/op\nBenchmarkZ- 1 1 ns/op\n")
+	f.Fuzz(func(t *testing.T, text string) {
+		m, err := Parse(strings.NewReader(text))
+		if err != nil {
+			return // a line past the scanner's buffer is an error, not a panic
+		}
+		for name := range m {
+			if !strings.HasPrefix(name, "Benchmark") {
+				t.Errorf("name %q does not start with Benchmark", name)
+			}
+			if procSuffix.MatchString(name) {
+				t.Errorf("name %q keeps a -N suffix", name)
+			}
+		}
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"reflect"
 	"testing"
 	"time"
 
@@ -74,6 +75,36 @@ func TestParsePlanValidates(t *testing.T) {
 	if _, err := ParsePlan([]byte(`{`)); err == nil {
 		t.Error("truncated JSON accepted")
 	}
+}
+
+// FuzzParsePlan: a plan ParsePlan accepts passes Validate, and marshals
+// and parses back to an equal plan — so a plan written out by any tool
+// that round-trips it stays the plan that was checked.
+func FuzzParsePlan(f *testing.F) {
+	f.Add([]byte(`{"seed":7,"faults":[{"shard":2,"kind":"crash","at":"2.5s","dwell":"2.5s","kill":true}]}`))
+	f.Add([]byte(`{"seed":-1,"faults":[{"shard":-1,"kind":"latency","at":0,"latency":"40ms"}]}`))
+	f.Add([]byte(`{"faults":[{"shard":0,"kind":"errors","at":"1ms","rate":0.5},{"shard":1,"kind":"queue-full","at":1000}]}`))
+	f.Add([]byte(`{"faults":[]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := ParsePlan(data)
+		if err != nil {
+			return
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("ParsePlan accepted a plan Validate rejects: %v", err)
+		}
+		out, err := json.Marshal(p)
+		if err != nil {
+			t.Fatalf("marshal %+v: %v", p, err)
+		}
+		back, err := ParsePlan(out)
+		if err != nil {
+			t.Fatalf("re-parse of %s: %v", out, err)
+		}
+		if !reflect.DeepEqual(back, p) {
+			t.Fatalf("round trip changed the plan:\n got %+v\nwant %+v\nvia %s", back, p, out)
+		}
+	})
 }
 
 func TestWindowsGateOnTimeAndShard(t *testing.T) {

@@ -106,6 +106,33 @@ func TestChaosSmoke(t *testing.T) {
 	}
 }
 
+// TestChaosShardOutOfRangeRejected: fleet.New refuses a fault window
+// aimed past the last shard (it would never fire), while the last shard
+// and AllShards stay valid targets.
+func TestChaosShardOutOfRangeRejected(t *testing.T) {
+	for _, tc := range []struct {
+		shard int
+		ok    bool
+	}{{3, false}, {2, true}, {chaos.AllShards, true}} {
+		ctl, err := chaos.NewController(chaos.Plan{Seed: 7, Faults: []chaos.Window{{
+			Shard: tc.shard, Kind: chaos.KindCrash, At: chaos.Duration(time.Hour),
+		}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := testConfig(3, 1, 8)
+		cfg.Chaos = ctl
+		if !tc.ok {
+			if f, err := New(cfg); err == nil {
+				_ = f.Drain(context.Background())
+				t.Errorf("shard %d on a 3-shard fleet accepted", tc.shard)
+			}
+			continue
+		}
+		newFleet(t, cfg)
+	}
+}
+
 // TestFleetDrainSubmitAllRace is satellite coverage at the fan-out seam:
 // SubmitAll races Drain under -race, and every call must either admit on
 // EVERY shard before the drain completes or surface exactly one composed

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/benchio"
 	"repro/internal/chaos"
 	"repro/internal/station"
 	"repro/internal/trace"
@@ -147,28 +146,6 @@ func RecoveryTime(events []trace.Event) (time.Duration, bool) {
 		}
 	}
 	return 0, false
-}
-
-// ChaosSnapshot renders the drill as a benchio snapshot so benchtrend
-// tracks resilience like any other performance number:
-// BenchmarkServeRecovery is the down→healthy span in ns/op, and
-// BenchmarkServeAvailability encodes unavailability as parts-per-million
-// (0 = perfect; 10000 = 99% available) — ns/op is just benchio's scalar
-// slot, and lower is better for both.
-func ChaosSnapshot(r ChaosReport, date, goVersion, host string) benchio.Snapshot {
-	unavailPPM := (1 - r.Availability) * 1e6
-	if r.Load.Requests+r.Load.Errors == 0 {
-		unavailPPM = 0
-	}
-	return benchio.Snapshot{
-		Date:      date,
-		GoVersion: goVersion,
-		Host:      host,
-		Benchmarks: map[string]benchio.Metrics{
-			"BenchmarkServeRecovery":     {NsPerOp: float64(r.Recovery.Nanoseconds())},
-			"BenchmarkServeAvailability": {NsPerOp: unavailPPM},
-		},
-	}
 }
 
 // ChaosSummary renders the drill for humans, ending with the verdict the

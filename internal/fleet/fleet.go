@@ -133,6 +133,13 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.Shards < 0 {
 		return nil, fmt.Errorf("fleet: shards must be positive, got %d", cfg.Shards)
 	}
+	// A window aimed past the last shard would never fire, and the drill
+	// would report full availability for a fault that never happened.
+	for i, w := range cfg.Chaos.Plan().Faults {
+		if w.Shard >= cfg.Shards {
+			return nil, fmt.Errorf("fleet: chaos fault %d targets shard %d, but the fleet has %d shard(s)", i, w.Shard, cfg.Shards)
+		}
+	}
 	f := &Fleet{cfg: cfg, ring: newRing(cfg.Shards), started: time.Now()}
 	for i := 0; i < cfg.Shards; i++ {
 		st, err := station.New(f.shardConfig(i))

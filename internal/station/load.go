@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/benchio"
 	"repro/internal/telemetry"
 )
 
@@ -33,7 +32,6 @@ type LoadConfig struct {
 	Duration    time.Duration
 	Kinds       []repro.QueryKind // cycled per request; default: all seven
 	Timeout     time.Duration     // per-attempt HTTP timeout (default 30s)
-	MaxRetries  int               // 503/transport retries per request (default 16)
 
 	// VerifyAnswers, when non-nil, maps kind name → the offline reference
 	// answer; every served answer is compared against it and a mismatch
@@ -85,30 +83,6 @@ func (r LoadReport) String() string {
 	return b.String()
 }
 
-// Snapshot renders the report as a benchio snapshot, so serving
-// performance joins the benchtrend regression story: latencies are ns/op
-// under BenchmarkServeLatency/*, and BenchmarkServeThroughput encodes
-// wall-clock ns per completed request (1e9 / req/s).
-func (r LoadReport) Snapshot(date, goVersion, host string) benchio.Snapshot {
-	ns := func(d time.Duration) float64 { return float64(d.Nanoseconds()) }
-	perReq := 0.0
-	if r.Requests > 0 {
-		perReq = float64(r.Elapsed.Nanoseconds()) / float64(r.Requests)
-	}
-	return benchio.Snapshot{
-		Date:      date,
-		GoVersion: goVersion,
-		Host:      host,
-		Benchmarks: map[string]benchio.Metrics{
-			"BenchmarkServeLatency/mean": {NsPerOp: ns(r.Mean)},
-			"BenchmarkServeLatency/p50":  {NsPerOp: ns(r.P50)},
-			"BenchmarkServeLatency/p95":  {NsPerOp: ns(r.P95)},
-			"BenchmarkServeLatency/p99":  {NsPerOp: ns(r.P99)},
-			"BenchmarkServeThroughput":   {NsPerOp: perReq},
-		},
-	}
-}
-
 // AllQueryKinds is the default mixed workload.
 func AllQueryKinds() []repro.QueryKind {
 	return []repro.QueryKind{
@@ -136,9 +110,6 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (LoadReport, error) {
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 30 * time.Second
-	}
-	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = 16
 	}
 	if cfg.Duration > 0 {
 		var cancel context.CancelFunc
@@ -245,6 +216,9 @@ type transportError struct{ err error }
 func (e *transportError) Error() string { return e.err.Error() }
 func (e *transportError) Unwrap() error { return e.err }
 
+// maxRetries bounds the 503 and transport retries of one request.
+const maxRetries = 16
+
 // transportBackoff caps the dial-retry backoff; it starts at a tenth and
 // doubles per attempt, so a shard restart measured in hundreds of ms is
 // ridden out in a handful of retries.
@@ -264,7 +238,7 @@ func loadOne(ctx context.Context, client *http.Client, cfg LoadConfig, kind repr
 		lat, backoff, err := loadAttempt(ctx, client, cfg, kind, body)
 		var te *transportError
 		if errors.As(err, &te) {
-			if attempt >= cfg.MaxRetries {
+			if attempt >= maxRetries {
 				return 0, retries, transport, fmt.Errorf("load: transport failure persisted past %d retries: %w", attempt, te.err)
 			}
 			transport++
@@ -279,7 +253,7 @@ func loadOne(ctx context.Context, client *http.Client, cfg LoadConfig, kind repr
 		if backoff <= 0 {
 			return lat, retries, transport, err
 		}
-		if attempt >= cfg.MaxRetries {
+		if attempt >= maxRetries {
 			return 0, retries, transport, fmt.Errorf("load: gave up after %d backpressure retries", attempt)
 		}
 		retries++
