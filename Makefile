@@ -150,12 +150,13 @@ par-smoke:
 ## fuzz-smoke: run every fuzz target of the wire decoders (which spoofed
 ## frames reach through MAC.Inject), of the link crypto, of the
 ## /metricsz exposition parser the serving tests read counters through,
-## of the benchmark-output parser benchtrend snapshots through and of the
-## chaos fault-plan parser, for FUZZTIME each, with the standard
-## library's fuzzer only; go test -fuzz takes one target per run.
+## of the benchmark-output parser benchtrend snapshots through, of the
+## chaos fault-plan parser and of the JSONL trace reader aggtrace loads
+## through, for FUZZTIME each, with the standard library's fuzzer only;
+## go test -fuzz takes one target per run.
 FUZZTIME ?= 5s
 fuzz-smoke:
-	@set -e; for pkg in ./internal/message ./internal/wsncrypto ./internal/telemetry ./internal/benchio ./internal/chaos; do \
+	@set -e; for pkg in ./internal/message ./internal/wsncrypto ./internal/telemetry ./internal/benchio ./internal/chaos ./internal/trace; do \
 		list=$$($(GO) test -list '^Fuzz' $$pkg) || exit 1; \
 		targets=$$(printf '%s\n' "$$list" | grep '^Fuzz' || true); \
 		if [ -z "$$targets" ]; then echo "fuzz-smoke: no Fuzz targets in $$pkg"; exit 1; fi; \
@@ -164,7 +165,7 @@ fuzz-smoke:
 			$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) $$pkg; \
 		done; \
 	done
-	@echo "fuzz-smoke OK: every decoder, Open, ParseText, Parse and ParsePlan target ran $(FUZZTIME) clean"
+	@echo "fuzz-smoke OK: every decoder, Open, ParseText, Parse, ParsePlan and ReadJSONL target ran $(FUZZTIME) clean"
 
 bench-smoke:
 	$(GO) run ./cmd/benchtrend -quick

@@ -17,11 +17,13 @@
 //
 // -chaos arms a deterministic fault-injection plan (internal/chaos JSON:
 // seed + per-shard crash/latency/errors/queue-full windows) against the
-// shard backends and, under -join, the proxy transport; -traceout streams
-// fleet events (faults, shard states, breaker transitions, degraded
-// answers) plus per-request serve spans as JSONL for aggtrace -why outage
-// and -why request <id>. ?partial=1 lets a fan-out degrade to the
-// surviving shards instead of failing.
+// fleet's shard gate and, under -join, the proxy transport. Without
+// -shards a chaos daemon serves through a one-shard fleet, so kill
+// windows really tear the station down and job ids gain "s0-".
+// -traceout streams fleet events (faults, shard states, breaker
+// transitions, degraded answers) plus per-request serve spans as JSONL
+// for aggtrace -why outage and -why request <id>. ?partial=1 lets a
+// fan-out degrade to the surviving shards instead of failing.
 //
 // Every response carries an X-Agg-Request-Id header (assigned at ingress,
 // propagated by a -join proxy to its targets); /metricsz serves Prometheus
@@ -88,7 +90,7 @@ func run(args []string) (*flag.FlagSet, error) {
 	fs := flag.NewFlagSet("aggd", flag.ContinueOnError)
 	var (
 		addr       = fs.String("addr", ":8080", "HTTP listen address (host:port)")
-		shards     = fs.Int("shards", 1, "station shards behind an in-process fleet coordinator (1 = plain station)")
+		shards     = fs.Int("shards", 1, "station shards behind an in-process fleet coordinator (1 = plain station unless -chaos)")
 		join       = fs.String("join", "", "comma-separated remote shard URLs to coordinate instead of serving locally")
 		idprefix   = fs.String("idprefix", "", "prefix stamped on job/schedule IDs (give each -join shard a distinct one)")
 		workers    = fs.Int("workers", 4, "deployment pool size per shard")
@@ -202,9 +204,10 @@ func run(args []string) (*flag.FlagSet, error) {
 
 	// Build whichever coordinator topology was asked for. All three serve
 	// the identical HTTP surface; only drain semantics and the /metricsz
-	// series differ. The chaos controller attaches at each topology's
-	// natural seam: the proxy's transport, the fleet's shard gate, or a
-	// wrapper around the single station.
+	// series differ. The chaos controller attaches at the proxy's
+	// transport or at the fleet's shard gate; a single station with a plan
+	// armed runs as a one-shard fleet, so a kill window really tears the
+	// station down and the supervisor rebuilds it.
 	var (
 		handler http.Handler
 		drainer interface{ Drain(context.Context) error }
@@ -217,27 +220,27 @@ func run(args []string) (*flag.FlagSet, error) {
 		if ctl != nil {
 			opts.Transport = chaos.NewTransport(nil, ctl, targetHosts(targets))
 		}
-		p, err := fleet.NewProxyWith(targets, opts)
+		p, err := fleet.NewProxy(targets, opts)
 		if err != nil {
 			return fs, err
 		}
 		handler = p.Handler()
 		banner = fmt.Sprintf("coordinating %d remote shard(s)", p.Shards())
-	case *shards > 1:
+	case *shards > 1 || ctl != nil:
 		fl, err := fleet.New(fleet.Config{Shards: *shards, Station: stCfg, Chaos: ctl, Trace: sink})
 		if err != nil {
 			return fs, err
 		}
 		handler = station.NewAPI(fl).Handler()
 		drainer = fl
-		banner = fmt.Sprintf("%d shards x %d workers, queue %d/shard, %d-node deployments, seed %d",
+		banner = fmt.Sprintf("%d shard(s) x %d workers, queue %d/shard, %d-node deployments, seed %d",
 			*shards, *workers, *queue, *nodes, *seed)
 	default:
 		st, err := station.New(stCfg)
 		if err != nil {
 			return fs, err
 		}
-		handler = station.NewAPI(chaos.Wrap(st, ctl)).Handler()
+		handler = station.NewAPI(st).Handler()
 		drainer = st
 		banner = fmt.Sprintf("%d workers, queue %d, %d-node deployments, seed %d",
 			*workers, *queue, *nodes, *seed)
@@ -295,7 +298,7 @@ func run(args []string) (*flag.FlagSet, error) {
 
 // targetHosts maps each -join target's URL host to its ring ordinal — the
 // table chaos.NewTransport keys per-shard fault windows on. Unparseable
-// targets are skipped here; NewProxyWith rejects them with a real error.
+// targets are skipped here; NewProxy rejects them with a real error.
 func targetHosts(targets []string) map[string]int {
 	out := make(map[string]int, len(targets))
 	for i, t := range targets {

@@ -31,17 +31,10 @@ type ClusterScenario struct {
 	// relayed pairs instead of Px. A relayed share stays sealed under the
 	// end-to-end pair key, so algebraically one broken key still exposes
 	// it — but the frame is on the air twice, and an eavesdropper keying
-	// on traffic capture gets two interception chances. TwoHopCompromise
-	// gives the standard 1-(1-px)² value for that model. Zero keeps the
+	// on traffic capture gets two interception chances. Zero keeps the
 	// legacy per-pair-key behaviour (relaying changes nothing), which the
 	// overhead experiments and the simulated campaigns then agree on.
 	TwoHopPx float64
-}
-
-// TwoHopCompromise converts a per-transmission capture probability into
-// the per-pair exposure of a share heard on two hops: 1 - (1-px)².
-func TwoHopCompromise(px float64) float64 {
-	return 1 - (1-px)*(1-px)
 }
 
 // Validate checks scenario sanity.

@@ -584,9 +584,6 @@ type Sybil struct {
 // Name implements Policy.
 func (s *Sybil) Name() string { return "sybil" }
 
-// Phantoms returns the scouted spoofed identities.
-func (s *Sybil) Phantoms() []topo.NodeID { return s.phantoms }
-
 // Scout picks the target head, an in-range transmitter, and real node
 // identities out of the head's radio range.
 func (s *Sybil) Scout(p *core.Protocol, env *wsn.Env, rng *rand.Rand) error {

@@ -22,10 +22,11 @@
 // run. Wall-clock time only decides where inside the plan's windows "now"
 // falls.
 //
-// The injector has three attachment seams, one per serving topology:
-// fleet.Config.Chaos consults a Controller at the coordinator's shard
-// seam, Backend wraps a station.Backend (single-station aggd), and
-// Transport wraps the -join proxy's http.RoundTripper.
+// The injector has two attachment seams: fleet.Config.Chaos consults a
+// Controller at the coordinator's shard gate (every in-process topology,
+// a single station included, runs as a fleet when chaos is armed), and
+// Transport wraps the -join proxy's http.RoundTripper, where shards are
+// remote processes.
 package chaos
 
 import (

@@ -6,70 +6,7 @@ import (
 	"net/http"
 	"strings"
 	"time"
-
-	"repro/internal/station"
 )
-
-// Backend wraps a station.Backend with a chaos controller — the injection
-// seam for a single-station aggd (-chaos without -shards/-join). The
-// wrapped backend behaves as shard 0. A fleet injects at its own shard
-// seam instead (fleet.Config.Chaos), where per-shard windows are
-// meaningful; the proxy injects at the transport (Transport).
-type Backend struct {
-	station.Backend
-	ctl *Controller
-}
-
-// Wrap attaches a controller to a backend. A nil controller returns the
-// backend unwrapped, so the disabled path has no indirection at all.
-func Wrap(b station.Backend, c *Controller) station.Backend {
-	if c == nil {
-		return b
-	}
-	return &Backend{Backend: b, ctl: c}
-}
-
-// gate applies the shard-0 verdict to one admission.
-func (b *Backend) gate() error {
-	d := b.ctl.Decide(0)
-	if d.Latency > 0 {
-		time.Sleep(d.Latency)
-	}
-	switch {
-	case d.Crash:
-		return fmt.Errorf("%w: %w", station.ErrUnavailable, ErrCrashed)
-	case d.QueueFull:
-		return fmt.Errorf("%w: injected storm", station.ErrQueueFull)
-	case d.Err:
-		return ErrInjected
-	}
-	return nil
-}
-
-// Submit applies the fault verdict before admitting.
-func (b *Backend) Submit(spec station.QuerySpec) (*station.Job, error) {
-	if err := b.gate(); err != nil {
-		return nil, err
-	}
-	return b.Backend.Submit(spec)
-}
-
-// SubmitAll applies the fault verdict before fanning out.
-func (b *Backend) SubmitAll(spec station.QuerySpec, partial bool) ([]*station.Job, []int, error) {
-	if err := b.gate(); err != nil {
-		return nil, nil, err
-	}
-	return b.Backend.SubmitAll(spec, partial)
-}
-
-// Health reports the wrapped backend's health, overridden to down while a
-// crash window covers shard 0 — so supervising probes see the outage.
-func (b *Backend) Health() station.Health {
-	if active, _ := b.ctl.CrashActive(0); active {
-		return station.Health{Status: "down", Shards: []station.ShardHealth{{ID: 0, State: "down"}}}
-	}
-	return b.Backend.Health()
-}
 
 // Transport wraps an http.RoundTripper with a chaos controller — the
 // injection seam for the -join proxy, where shards are remote processes

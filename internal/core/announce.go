@@ -630,10 +630,6 @@ func (p *Protocol) raiseAlarm(witness, suspect topo.NodeID, observed, expected f
 		message.MarshalAlarm(message.Alarm{Suspect: suspect, Observed: observed, Expected: expected})))
 }
 
-// AlarmsRaised counts witness alarms transmitted network-wide in the last
-// round (delivered to the base station or not).
-func (p *Protocol) AlarmsRaised() int { return p.alarmsRaised }
-
 // onAlarm floods alarms network-wide (every node rebroadcasts each distinct
 // alarm once) and collects them at the base station. Flooding is what makes
 // detection robust even when the only aggregation path passes through the

@@ -19,15 +19,6 @@ import (
 	"repro/internal/trace"
 )
 
-// fastSupervisor keeps a drill's down→healthy cycle inside a short test.
-func fastSupervisor() *SupervisorConfig {
-	return &SupervisorConfig{
-		ProbeInterval:  20 * time.Millisecond,
-		RestartBackoff: 20 * time.Millisecond,
-		MaxBackoff:     200 * time.Millisecond,
-	}
-}
-
 // TestChaosSmoke is the `make chaos-smoke` gate: a seeded plan crashes one
 // of three shards mid-burst with a real kill, and the fleet must (a) keep
 // availability at 99%+ on the hashed path, (b) never serve an answer that
@@ -36,7 +27,6 @@ func fastSupervisor() *SupervisorConfig {
 // crash → down → restarting → healthy chain, round-trippable through JSONL.
 func TestChaosSmoke(t *testing.T) {
 	cfg := testConfig(3, 1, 32)
-	cfg.Supervise = fastSupervisor()
 	plan := chaos.Plan{Seed: 7, Faults: []chaos.Window{{
 		Shard: 2, Kind: chaos.KindCrash,
 		At:    chaos.Duration(200 * time.Millisecond),
@@ -322,13 +312,10 @@ func TestProxyBreakerChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := &trace.Collector{}
-	p, err := NewProxyWith(targets, ProxyOptions{
-		Timeout:          time.Minute,
-		Transport:        chaos.NewTransport(nil, ctl, hosts),
-		Trace:            col,
-		BreakerThreshold: 2,
-		BreakerCooldown:  100 * time.Millisecond,
-		ProbeTimeout:     time.Second,
+	p, err := NewProxy(targets, ProxyOptions{
+		Timeout:   time.Minute,
+		Transport: chaos.NewTransport(nil, ctl, hosts),
+		Trace:     col,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -337,7 +324,7 @@ func TestProxyBreakerChaos(t *testing.T) {
 	t.Cleanup(front.Close)
 	ctl.Start() // crash window active from t=0
 
-	fanout := func(partial bool) (int, fanStatus) {
+	fanout := func(partial bool) (int, station.FanoutResponse) {
 		t.Helper()
 		url := front.URL + "/v1/query"
 		if partial {
@@ -348,7 +335,7 @@ func TestProxyBreakerChaos(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var fs fanStatus
+		var fs station.FanoutResponse
 		data, err := io.ReadAll(resp.Body)
 		if err != nil {
 			t.Fatal(err)
@@ -366,8 +353,8 @@ func TestProxyBreakerChaos(t *testing.T) {
 		t.Fatalf("strict fan-out through a crash = %d, want 502", code)
 	}
 	// Partial fan-outs serve the survivor and name the dead ordinal. The
-	// strict attempt already fed the breaker one failure; the first partial
-	// is the second strike, so the breaker is open before the loop ends.
+	// strict attempt already fed the breaker one failure; the second partial
+	// is the third strike, so the breaker is open before the loop ends.
 	for i := 0; i < 3; i++ {
 		code, fs := fanout(true)
 		if code != http.StatusOK || !fs.Degraded || len(fs.Jobs) != 1 ||
@@ -415,23 +402,11 @@ func TestProxyBreakerChaos(t *testing.T) {
 	}
 }
 
-// fanStatus mirrors the proxy fan-out payload for test decoding.
-type fanStatus struct {
-	Jobs     []station.JobStatus `json:"jobs"`
-	Agree    bool                `json:"agree"`
-	Degraded bool                `json:"degraded"`
-	Missing  []int               `json:"missing"`
-}
-
 // TestChaosDisabledCostsNothing: with no controller configured, the chaos
-// seam on the serve hot path is one nil check — zero allocations — and
-// Wrap is the identity.
+// seam on the serve hot path is one nil check — zero allocations.
 func TestChaosDisabledCostsNothing(t *testing.T) {
 	f := newFleet(t, testConfig(2, 1, 8))
 	if n := testing.AllocsPerRun(200, func() { _ = f.gate(0) }); n != 0 {
 		t.Errorf("disabled chaos gate allocates %.1f/op on the serve hot path", n)
-	}
-	if chaos.Wrap(f, nil) != station.Backend(f) {
-		t.Error("Wrap(backend, nil) is not the identity")
 	}
 }

@@ -71,11 +71,6 @@ var _ = experiment.Register(experiment.Experiment{
 					QueueDepth: 32,
 					Deploy:     repro.Options{Nodes: 80, Seed: cfg.Seed, Ideal: true},
 				},
-				Supervise: &SupervisorConfig{
-					ProbeInterval:  20 * time.Millisecond,
-					RestartBackoff: 20 * time.Millisecond,
-					MaxBackoff:     200 * time.Millisecond,
-				},
 			}, plan, station.LoadConfig{
 				Concurrency: 4,
 				Duration:    drill,

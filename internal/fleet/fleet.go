@@ -26,7 +26,10 @@
 //     probes and passive request outcomes; down shards leave the rotation,
 //     are restarted with exponential backoff + jitter, and re-admitted
 //     only after K consecutive healthy probes (supervisor.go). Faults are
-//     injected on purpose through Config.Chaos (internal/chaos).
+//     injected on purpose through Config.Chaos (internal/chaos), which is
+//     also what starts the supervisor; its tuning is constants. A
+//     single station under chaos runs as a one-shard fleet, so this gate
+//     is the only in-process injection seam.
 //   - Observation: WriteMetrics serves the coordinator's registry and every
 //     shard's under a shard="i" label as one exposition (metrics.go);
 //     health and fault transitions are emitted as typed trace events for
@@ -60,14 +63,11 @@ type Config struct {
 
 	// Chaos, when non-nil, injects the controller's fault plan at the
 	// shard seam: every admission consults the target shard's verdict
-	// before touching it. Nil costs one pointer check per shard visited.
+	// before touching it, and the shard supervisor runs (self-healing is
+	// pointless without a way for shards to get hurt, and keeping it off
+	// otherwise leaves the no-chaos fleet exactly as cheap). Nil costs one
+	// pointer check per shard visited.
 	Chaos *chaos.Controller
-
-	// Supervise configures the shard supervisor. The supervisor runs when
-	// this is non-nil or Chaos is set (self-healing is pointless without a
-	// way for shards to get hurt, and keeping it off otherwise leaves the
-	// no-chaos fleet exactly as cheap as before).
-	Supervise *SupervisorConfig
 
 	// Trace receives fleet-level events (fault edges, shard health
 	// transitions, degraded answers). Must be safe for concurrent use —
@@ -125,7 +125,7 @@ type Fleet struct {
 }
 
 // New builds Shards stations and the hash ring over them, and starts the
-// supervisor when chaos or an explicit supervisor config asks for it.
+// supervisor when a chaos controller is attached.
 func New(cfg Config) (*Fleet, error) {
 	if cfg.Shards == 0 {
 		cfg.Shards = 2
@@ -161,12 +161,8 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.Chaos != nil && cfg.Trace != nil {
 		cfg.Chaos.Trace(cfg.Trace)
 	}
-	if cfg.Supervise != nil || cfg.Chaos != nil {
-		sc := SupervisorConfig{}
-		if cfg.Supervise != nil {
-			sc = *cfg.Supervise
-		}
-		f.startSupervisor(sc.withDefaults())
+	if cfg.Chaos != nil {
+		f.startSupervisor()
 	}
 	return f, nil
 }
@@ -570,7 +566,7 @@ func (f *Fleet) Health() station.Health {
 // Drain gracefully shuts the whole fleet down: the supervisor stops (so
 // it cannot restart what is being stopped), fleet admission closes, then
 // every shard drains concurrently (schedules stop, admitted epochs
-// finish, sinks flush). Idempotent; the context bounds the wait.
+// finish). Idempotent; the context bounds the wait.
 func (f *Fleet) Drain(ctx context.Context) error {
 	// The flip shares watchMu with watchFanout: any watcher registered
 	// before it is seen by the Wait below, any after it sees draining and

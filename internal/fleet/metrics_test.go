@@ -36,7 +36,7 @@ func TestProxyHedgesSlowTarget(t *testing.T) {
 	}))
 	defer slowFirst.Close()
 
-	p, err := NewProxy([]string{slowFirst.URL}, time.Minute)
+	p, err := NewProxy([]string{slowFirst.URL}, ProxyOptions{Timeout: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestProxyHedgesSlowTarget(t *testing.T) {
 // failure mode a cumulative p99 has (hedging every GET against a target
 // that turned slow) and the one the old 64-sample ring never did.
 func TestHedgeDelayTracksRegimeChange(t *testing.T) {
-	p, err := NewProxy([]string{"http://127.0.0.1:1"}, time.Minute)
+	p, err := NewProxy([]string{"http://127.0.0.1:1"}, ProxyOptions{Timeout: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestNoSeriesLost(t *testing.T) {
 	// One query through a proxy, so its breaker series have traffic.
 	srv := httptest.NewServer(station.NewAPI(st).Handler())
 	t.Cleanup(srv.Close)
-	p, err := NewProxy([]string{srv.URL}, time.Minute)
+	p, err := NewProxy([]string{srv.URL}, ProxyOptions{Timeout: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +456,7 @@ func TestNoSeriesLost(t *testing.T) {
 			t.Fatalf("submit to a downed fleet = %v, want ErrUnavailable", err)
 		}
 		for _, sl := range f.slots {
-			f.superviseSlot(SupervisorConfig{}.withDefaults(), sl, &supSlot{})
+			f.superviseSlot(sl, &supSlot{})
 			sl.setState(trace.ShardHealthy)
 		}
 

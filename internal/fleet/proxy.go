@@ -55,7 +55,8 @@ type Proxy struct {
 	metrics  *proxyMetrics
 }
 
-// ProxyOptions tunes the proxy. Zero values take the documented defaults.
+// ProxyOptions configures the proxy; its failure handling is tuned by the
+// constants below.
 type ProxyOptions struct {
 	// Timeout is the per-request client timeout (default 2m).
 	Timeout time.Duration
@@ -64,61 +65,30 @@ type ProxyOptions struct {
 	Transport http.RoundTripper
 	// Trace receives breaker transition events. Must be concurrency-safe.
 	Trace trace.Sink
-	// BreakerThreshold is the consecutive transport failures that open a
-	// target's breaker (default 3).
-	BreakerThreshold int
-	// BreakerCooldown is the first open→half-open delay; each re-open
-	// doubles it up to MaxCooldown (defaults 500ms, 8s).
-	BreakerCooldown time.Duration
-	MaxCooldown     time.Duration
-	// ProbeTimeout bounds each concurrent /healthz probe (default 500ms)
-	// so one hung shard cannot stall the proxy's own liveness answer.
-	ProbeTimeout time.Duration
-	// HedgeDelay is the wait before hedging an idempotent GET: 0 derives
-	// it from the target's observed p99 latency (no hedging until enough
-	// samples), negative disables hedging.
-	HedgeDelay time.Duration
-	// RetryMax is the extra attempts for idempotent GETs that fail at the
-	// transport level (default 2); RetryBackoff the first retry delay,
-	// doubling per attempt (default 25ms).
-	RetryMax     int
-	RetryBackoff time.Duration
 }
 
-func (o ProxyOptions) withDefaults() ProxyOptions {
-	if o.Timeout <= 0 {
-		o.Timeout = 2 * time.Minute
-	}
-	if o.BreakerThreshold <= 0 {
-		o.BreakerThreshold = 3
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = 500 * time.Millisecond
-	}
-	if o.MaxCooldown <= 0 {
-		o.MaxCooldown = 8 * time.Second
-	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = 500 * time.Millisecond
-	}
-	if o.RetryMax <= 0 {
-		o.RetryMax = 2
-	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = 25 * time.Millisecond
-	}
-	return o
-}
+// Proxy failure-handling tuning.
+const (
+	// breakerThreshold is the consecutive transport failures that open a
+	// target's breaker.
+	breakerThreshold = 3
+	// breakerCooldown is the first open→half-open delay; each re-open
+	// doubles it up to maxCooldown, which also caps retry backoff and the
+	// Retry-After a GET retry honours.
+	breakerCooldown = 500 * time.Millisecond
+	maxCooldown     = 8 * time.Second
+	// probeTimeout bounds each concurrent /healthz probe so one hung shard
+	// cannot stall the proxy's own liveness answer.
+	probeTimeout = 500 * time.Millisecond
+	// retryMax is the extra attempts for idempotent GETs that fail at the
+	// transport level; retryBackoff the first retry delay, doubling per
+	// attempt.
+	retryMax     = 2
+	retryBackoff = 25 * time.Millisecond
+)
 
-// NewProxy validates the shard URLs and builds the ring over them with
-// default options — the signature cmd/aggd has always used.
-func NewProxy(targets []string, timeout time.Duration) (*Proxy, error) {
-	return NewProxyWith(targets, ProxyOptions{Timeout: timeout})
-}
-
-// NewProxyWith is NewProxy with full tuning (breaker, hedging, retries,
-// chaos transport).
-func NewProxyWith(targets []string, opts ProxyOptions) (*Proxy, error) {
+// NewProxy validates the shard URLs and builds the ring over them.
+func NewProxy(targets []string, opts ProxyOptions) (*Proxy, error) {
 	if len(targets) == 0 {
 		return nil, fmt.Errorf("fleet: proxy needs at least one shard URL")
 	}
@@ -130,22 +100,20 @@ func NewProxyWith(targets []string, opts ProxyOptions) (*Proxy, error) {
 		}
 		clean = append(clean, strings.TrimRight(t, "/"))
 	}
-	opts = opts.withDefaults()
+	if opts.Timeout <= 0 {
+		opts.Timeout = 2 * time.Minute
+	}
 	p := &Proxy{
 		targets: clean,
 		ring:    newRing(len(clean)),
 		client:  &http.Client{Timeout: opts.Timeout, Transport: opts.Transport},
-		probes:  &http.Client{Timeout: opts.ProbeTimeout, Transport: opts.Transport},
+		probes:  &http.Client{Timeout: probeTimeout, Transport: opts.Transport},
 		opts:    opts,
 		started: time.Now(),
 	}
 	p.breakers = make([]*breaker, len(clean))
 	for i := range p.breakers {
-		p.breakers[i] = &breaker{
-			threshold: opts.BreakerThreshold,
-			cooldown:  opts.BreakerCooldown,
-			maxCool:   opts.MaxCooldown,
-		}
+		p.breakers[i] = &breaker{}
 	}
 	p.metrics = p.newMetrics()
 	return p, nil
@@ -153,18 +121,6 @@ func NewProxyWith(targets []string, opts ProxyOptions) (*Proxy, error) {
 
 // Shards returns the remote shard count.
 func (p *Proxy) Shards() int { return len(p.targets) }
-
-// TargetHosts maps each target's URL host to its ring ordinal — the table
-// chaos.NewTransport keys fault windows on.
-func (p *Proxy) TargetHosts() map[string]int {
-	out := make(map[string]int, len(p.targets))
-	for i, t := range p.targets {
-		if u, err := url.Parse(t); err == nil {
-			out[u.Host] = i
-		}
-	}
-	return out
-}
 
 // emit sends one fleet event if a sink is attached.
 func (p *Proxy) emit(target int, typ, cause, detail string) {
@@ -262,24 +218,19 @@ func (p *Proxy) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleFanout broadcasts the body to every shard and fans the responses
-// in: each shard answers its own fanoutResponse (one job for a station,
-// N for a nested fleet); the proxy concatenates the job lists and reports
-// fleet-wide agreement. With ?partial=1, unreachable or refusing targets
-// are skipped and listed as missing instead of failing the whole fan-out;
-// the flag is forwarded so nested fleets degrade the same way.
+// in: each shard answers its own station.FanoutResponse (one job for a
+// station, N for a nested fleet); the proxy concatenates the job lists
+// and reports fleet-wide agreement. With ?partial=1, unreachable or
+// refusing targets are skipped and listed as missing instead of failing
+// the whole fan-out; the flag is forwarded so nested fleets degrade the
+// same way.
 func (p *Proxy) handleFanout(w http.ResponseWriter, r *http.Request, body []byte) {
-	type fanPayload struct {
-		Jobs     []station.JobStatus `json:"jobs"`
-		Agree    bool                `json:"agree"`
-		Degraded bool                `json:"degraded,omitempty"`
-		Missing  []int               `json:"missing,omitempty"`
-	}
 	partial := r.URL.Query().Get("partial") == "1"
 	path := "/v1/query"
 	if partial {
 		path += "?partial=1"
 	}
-	out := fanPayload{Agree: true}
+	out := station.FanoutResponse{Agree: true}
 	for i, t := range p.targets {
 		resp, err := p.roundTrip(i, station.RequestIDFrom(r), http.MethodPost, path, body)
 		if err == nil && resp.status != http.StatusOK {
@@ -293,7 +244,7 @@ func (p *Proxy) handleFanout(w http.ResponseWriter, r *http.Request, body []byte
 			writeProxyError(w, http.StatusBadGateway, "shard "+t+": "+err.Error())
 			return
 		}
-		var part fanPayload
+		var part station.FanoutResponse
 		if err := json.Unmarshal(resp.body, &part); err != nil {
 			if partial {
 				out.Missing = append(out.Missing, i)
@@ -399,7 +350,7 @@ func (p *Proxy) handleScheduleList(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleHealthz probes every target CONCURRENTLY on the short-timeout
-// probe client — one hung shard delays the answer by ProbeTimeout, not by
+// probe client — one hung shard delays the answer by probeTimeout, not by
 // the full request timeout times the shard count — and merges the remote
 // health payloads into the same {"shards":[{id,state}]} shape a fleet
 // serves, one entry per target (a target that is itself a fleet collapses
@@ -553,7 +504,7 @@ func (p *Proxy) emitForward(rid string, idx int, took time.Duration, err error) 
 // retried on transport failure with capped backoff, honoring Retry-After
 // on 503s when a retry remains.
 func (p *Proxy) get(idx int, rid, path string) (*shardResponse, error) {
-	backoff := p.opts.RetryBackoff
+	backoff := retryBackoff
 	var resp *shardResponse
 	var err error
 	for attempt := 0; ; attempt++ {
@@ -561,7 +512,7 @@ func (p *Proxy) get(idx int, rid, path string) (*shardResponse, error) {
 		if err == nil && resp.status != http.StatusServiceUnavailable {
 			return resp, nil
 		}
-		if attempt >= p.opts.RetryMax || errors.Is(err, errBreakerOpen) {
+		if attempt >= retryMax || errors.Is(err, errBreakerOpen) {
 			return resp, err
 		}
 		wait := backoff
@@ -569,7 +520,7 @@ func (p *Proxy) get(idx int, rid, path string) (*shardResponse, error) {
 			// 503: the shard answered but refused; honor its Retry-After
 			// if it fits under the backoff cap, else give up the retry.
 			ra := retryAfterOf(resp.header)
-			if ra <= 0 || ra > p.opts.MaxCooldown {
+			if ra <= 0 || ra > maxCooldown {
 				return resp, nil
 			}
 			wait = ra
@@ -578,7 +529,7 @@ func (p *Proxy) get(idx int, rid, path string) (*shardResponse, error) {
 			p.metrics.retryXpt[idx].Inc()
 		}
 		time.Sleep(wait)
-		backoff = min(backoff*2, p.opts.MaxCooldown)
+		backoff = min(backoff*2, maxCooldown)
 	}
 }
 
@@ -634,17 +585,14 @@ func (p *Proxy) getHedged(idx int, rid, path string) (*shardResponse, error) {
 	return first.resp, first.err
 }
 
-// hedgeDelay resolves the hedge wait for a target: the fixed option when
-// set, the p99 of the target's rolling latency window once enough samples
-// exist, otherwise no hedging. The window — not the cumulative /metricsz
+// hedgeDelay resolves the hedge wait for a target: the p99 of the
+// target's rolling latency window once enough samples exist, otherwise no
+// hedging. The window — not the cumulative /metricsz
 // histogram — is deliberate: a control decision must track the current
 // latency regime, and after long uptime a suddenly slow target would need
 // its slow samples to outvote the entire fast history before a cumulative
 // p99 moved, hedging every GET against it in the meantime.
 func (p *Proxy) hedgeDelay(idx int) time.Duration {
-	if p.opts.HedgeDelay != 0 {
-		return p.opts.HedgeDelay // negative disables
-	}
 	h := p.metrics.latWin[idx]
 	if h.Count() < hedgeMinSamples {
 		return 0
@@ -696,22 +644,19 @@ func writeProxyJSON(w http.ResponseWriter, code int, v any) {
 // sample point feeds both the cumulative /metricsz histogram and the
 // rolling window the hedge delay reads.)
 //
-//	closed ── threshold consecutive transport failures ──▶ open
+//	closed ── breakerThreshold consecutive transport failures ──▶ open
 //	  ▲                                                     │ cooldown
 //	  │              probe succeeds                         ▼
 //	  └──────────────────◀──────────────── half-open (one probe in flight)
 //	                                          │ probe fails: open again,
 //	                                          ▼ cooldown ×2 (capped)
 type breaker struct {
-	mu        sync.Mutex
-	state     string // "" = closed (zero value serves immediately)
-	fails     int
-	openedAt  time.Time
-	cooldown  time.Duration
-	probing   bool
-	threshold int
-	maxCool   time.Duration
-	baseCool  time.Duration
+	mu       sync.Mutex
+	state    string // "" = closed (zero value serves immediately)
+	fails    int
+	openedAt time.Time
+	cooldown time.Duration
+	probing  bool
 }
 
 func (b *breaker) current() string {
@@ -764,17 +709,14 @@ func (b *breaker) report(success, probe bool) (string, bool) {
 		}
 		return trace.BreakerClosed, false
 	}
-	if b.baseCool == 0 {
-		b.baseCool = b.cooldown
-	}
 	switch b.state {
 	case "", trace.BreakerClosed:
 		b.fails++
-		if b.fails >= b.threshold {
+		if b.fails >= breakerThreshold {
 			b.state = trace.BreakerOpen
 			b.openedAt = time.Now()
 			if b.cooldown == 0 {
-				b.cooldown = b.baseCool
+				b.cooldown = breakerCooldown
 			}
 			return trace.BreakerOpen, true
 		}
@@ -784,7 +726,7 @@ func (b *breaker) report(success, probe bool) (string, bool) {
 		b.state = trace.BreakerOpen
 		if probe {
 			b.openedAt = time.Now()
-			b.cooldown = min(b.cooldown*2, b.maxCool)
+			b.cooldown = min(b.cooldown*2, maxCooldown)
 			changed = true
 		}
 		return trace.BreakerOpen, changed

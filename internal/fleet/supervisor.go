@@ -25,58 +25,26 @@ import (
 // in-process station's existence and drain state. Passive signal: request
 // paths that observed the shard down since the last tick (slot.passive).
 // Down slots leave the routing rotation immediately (slot.serving());
-// restarting slots stay out until ReadmitAfter consecutive healthy probes
+// restarting slots stay out until readmitAfter consecutive healthy probes
 // pass — probation keeps a flapping shard from thrashing the ring.
 
-// SupervisorConfig tunes the shard supervisor. Zero values take the
-// documented defaults; tests shrink every interval to keep smokes fast.
-type SupervisorConfig struct {
-	// ProbeInterval is the supervisor tick (default 100ms).
-	ProbeInterval time.Duration
-	// SuspectAfter is the consecutive probe failures that demote a healthy
-	// shard to suspect (default 1 — first failure draws suspicion).
-	SuspectAfter int
-	// DownAfter is the consecutive probe failures that evict the shard
-	// from the rotation (default 2).
-	DownAfter int
-	// RestartBackoff is the delay before the first restart attempt; each
-	// failed attempt doubles it up to MaxBackoff (defaults 100ms, 2s).
-	RestartBackoff time.Duration
-	MaxBackoff     time.Duration
-	// ReadmitAfter is the consecutive healthy probes a restarting shard
-	// must pass before rejoining the rotation (default 2).
-	ReadmitAfter int
-	// PassiveFailures is how many request-path failures within one tick
-	// count as a failed probe even if the active probe passed (default 1).
-	PassiveFailures int64
-	// Seed drives restart jitter (deterministic, like everything else).
-	Seed int64
-}
-
-func (c SupervisorConfig) withDefaults() SupervisorConfig {
-	if c.ProbeInterval <= 0 {
-		c.ProbeInterval = 100 * time.Millisecond
-	}
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = 1
-	}
-	if c.DownAfter <= 0 {
-		c.DownAfter = 2
-	}
-	if c.RestartBackoff <= 0 {
-		c.RestartBackoff = 100 * time.Millisecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 2 * time.Second
-	}
-	if c.ReadmitAfter <= 0 {
-		c.ReadmitAfter = 2
-	}
-	if c.PassiveFailures <= 0 {
-		c.PassiveFailures = 1
-	}
-	return c
-}
+// Supervisor tuning. One set of values serves every caller: the F19
+// drills, BenchmarkServeRecovery, chaos-smoke and aggd/aggload -chaos.
+const (
+	probeInterval  = 20 * time.Millisecond  // supervisor tick
+	restartBackoff = 20 * time.Millisecond  // first restart delay, doubling per failed attempt
+	maxBackoff     = 200 * time.Millisecond // restart delay cap
+	// suspectAfter and downAfter are the consecutive probe failures that
+	// demote a healthy shard to suspect and evict it from the rotation.
+	suspectAfter = 1
+	downAfter    = 2
+	// readmitAfter is the consecutive healthy probes a restarting shard
+	// must pass before rejoining the rotation.
+	readmitAfter = 2
+	// passiveFailures is how many request-path failures within one tick
+	// count as a failed probe even if the active probe passed.
+	passiveFailures = 1
+)
 
 // supSlot is the supervisor's private bookkeeping for one shard. Only the
 // supervisor goroutine touches it, so no locking.
@@ -89,10 +57,10 @@ type supSlot struct {
 	killed        bool  // station torn down; restart must rebuild
 }
 
-func (f *Fleet) startSupervisor(cfg SupervisorConfig) {
+func (f *Fleet) startSupervisor() {
 	f.supStop = make(chan struct{})
 	f.supDone = make(chan struct{})
-	go f.supervise(cfg)
+	go f.supervise()
 }
 
 func (f *Fleet) stopSupervisor() {
@@ -108,10 +76,10 @@ func (f *Fleet) stopSupervisor() {
 }
 
 // supervise is the probe loop.
-func (f *Fleet) supervise(cfg SupervisorConfig) {
+func (f *Fleet) supervise() {
 	defer close(f.supDone)
 	book := make([]supSlot, len(f.slots))
-	tick := time.NewTicker(cfg.ProbeInterval)
+	tick := time.NewTicker(probeInterval)
 	defer tick.Stop()
 	for {
 		select {
@@ -120,13 +88,13 @@ func (f *Fleet) supervise(cfg SupervisorConfig) {
 		case <-tick.C:
 		}
 		for i := range f.slots {
-			f.superviseSlot(cfg, f.slots[i], &book[i])
+			f.superviseSlot(f.slots[i], &book[i])
 		}
 	}
 }
 
 // superviseSlot runs one tick of one shard's state machine.
-func (f *Fleet) superviseSlot(cfg SupervisorConfig, sl *slot, b *supSlot) {
+func (f *Fleet) superviseSlot(sl *slot, b *supSlot) {
 	crashed, kill := f.cfg.Chaos.CrashActive(sl.id)
 	// A kill window really tears the station down: admitted work is
 	// drained on a short leash and the slot's station becomes nil, so
@@ -135,7 +103,7 @@ func (f *Fleet) superviseSlot(cfg SupervisorConfig, sl *slot, b *supSlot) {
 	if crashed && kill && !b.killed {
 		if st := sl.st.Load(); st != nil {
 			sl.st.Store(nil)
-			ctx, cancel := context.WithTimeout(context.Background(), cfg.ProbeInterval*10)
+			ctx, cancel := context.WithTimeout(context.Background(), probeInterval*10)
 			_ = st.Drain(ctx)
 			cancel()
 		}
@@ -145,7 +113,7 @@ func (f *Fleet) superviseSlot(cfg SupervisorConfig, sl *slot, b *supSlot) {
 	st := sl.st.Load()
 	ok := !crashed && st != nil && !st.Draining()
 	passive := sl.passive.Swap(0)
-	if ok && passive >= cfg.PassiveFailures {
+	if ok && passive >= passiveFailures {
 		ok = false
 	}
 
@@ -161,12 +129,12 @@ func (f *Fleet) superviseSlot(cfg SupervisorConfig, sl *slot, b *supSlot) {
 		}
 		b.failStreak++
 		switch {
-		case b.failStreak >= cfg.DownAfter:
-			b.backoff = cfg.RestartBackoff
-			b.nextRestart = time.Now().Add(b.backoff + f.jitter(cfg, b))
+		case b.failStreak >= downAfter:
+			b.backoff = restartBackoff
+			b.nextRestart = time.Now().Add(b.backoff + jitter(b))
 			f.transition(sl, trace.ShardDown,
 				fmt.Sprintf("failures=%d passive=%d", b.failStreak, passive))
-		case b.failStreak >= cfg.SuspectAfter && state == trace.ShardHealthy:
+		case b.failStreak >= suspectAfter && state == trace.ShardHealthy:
 			f.transition(sl, trace.ShardSuspect,
 				fmt.Sprintf("failures=%d passive=%d", b.failStreak, passive))
 		}
@@ -179,8 +147,8 @@ func (f *Fleet) superviseSlot(cfg SupervisorConfig, sl *slot, b *supSlot) {
 		if crashed {
 			// The fault still holds the shard; count the attempt and back
 			// off further — exactly what a failed process respawn costs.
-			b.backoff = min(b.backoff*2, cfg.MaxBackoff)
-			b.nextRestart = time.Now().Add(b.backoff + f.jitter(cfg, b))
+			b.backoff = min(b.backoff*2, maxBackoff)
+			b.nextRestart = time.Now().Add(b.backoff + jitter(b))
 			f.emit(sl.id, trace.TypeShard, trace.ShardDown,
 				fmt.Sprintf("restart attempt %d failed; backoff %v", b.attempts, b.backoff))
 			return
@@ -188,8 +156,8 @@ func (f *Fleet) superviseSlot(cfg SupervisorConfig, sl *slot, b *supSlot) {
 		if b.killed {
 			st, err := station.New(f.shardConfig(sl.id))
 			if err != nil {
-				b.backoff = min(b.backoff*2, cfg.MaxBackoff)
-				b.nextRestart = time.Now().Add(b.backoff + f.jitter(cfg, b))
+				b.backoff = min(b.backoff*2, maxBackoff)
+				b.nextRestart = time.Now().Add(b.backoff + jitter(b))
 				f.emit(sl.id, trace.TypeShard, trace.ShardDown,
 					fmt.Sprintf("rebuild failed: %v; backoff %v", err, b.backoff))
 				return
@@ -200,18 +168,18 @@ func (f *Fleet) superviseSlot(cfg SupervisorConfig, sl *slot, b *supSlot) {
 		f.metrics.restarts.Inc()
 		b.healthyStreak = 0
 		f.transition(sl, trace.ShardRestarting,
-			fmt.Sprintf("attempt %d; probation %d probes", b.attempts, cfg.ReadmitAfter))
+			fmt.Sprintf("attempt %d; probation %d probes", b.attempts, readmitAfter))
 
 	case trace.ShardRestarting:
 		if !ok {
-			b.backoff = min(b.backoff*2, cfg.MaxBackoff)
-			b.nextRestart = time.Now().Add(b.backoff + f.jitter(cfg, b))
+			b.backoff = min(b.backoff*2, maxBackoff)
+			b.nextRestart = time.Now().Add(b.backoff + jitter(b))
 			f.transition(sl, trace.ShardDown,
 				fmt.Sprintf("probation probe failed; backoff %v", b.backoff))
 			return
 		}
 		b.healthyStreak++
-		if b.healthyStreak >= cfg.ReadmitAfter {
+		if b.healthyStreak >= readmitAfter {
 			b.failStreak = 0
 			b.backoff = 0
 			f.transition(sl, trace.ShardHealthy,
@@ -227,13 +195,13 @@ func (f *Fleet) transition(sl *slot, state, detail string) {
 }
 
 // jitter derives a deterministic restart jitter in [0, backoff/2) from
-// the supervisor seed, the shard, and the attempt counter — seeded like
-// the chaos controller's draws, so runs replay exactly.
-func (f *Fleet) jitter(cfg SupervisorConfig, b *supSlot) time.Duration {
+// the attempt counter — a seeded hash like the chaos controller's draws,
+// so runs replay exactly.
+func jitter(b *supSlot) time.Duration {
 	if b.backoff <= 1 {
 		return 0
 	}
-	x := uint64(cfg.Seed) ^ uint64(b.attempts)*0x9e3779b97f4a7c15
+	x := uint64(b.attempts) * 0x9e3779b97f4a7c15
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27

@@ -228,12 +228,6 @@ func (a *Algebra) BatchSolver() *field.BatchSolver {
 	return field.BatchSolverFromWeights(a.weights)
 }
 
-// Weights returns a copy of the precomputed recovery weight vector
-// w = e₀ᵀ·V⁻¹ (exposed for the privacy analysis and tests).
-func (a *Algebra) Weights() []field.Element {
-	return append([]field.Element(nil), a.weights...)
-}
-
-// VerifyShareCount reports whether a cluster of m members can run the
+// Viable reports whether a cluster of m members can run the
 // protocol (m >= MinClusterSize).
 func Viable(m int) bool { return m >= MinClusterSize }

@@ -153,13 +153,13 @@ type apiError struct {
 	RetryAfterMs int64  `json:"retry_after_ms,omitempty"`
 }
 
-// fanoutResponse is the POST /v1/query payload when fanout is requested:
+// FanoutResponse is the POST /v1/query payload when fanout is requested:
 // one job per shard, plus whether every finished answer is bit-identical —
 // the fleet's serving-correctness invariant (same seed, same template,
 // same answer on every shard). With ?partial=1 a fleet with down shards
 // answers what it has, flags Degraded, and lists the missing ordinals;
 // Agree then covers the answering shards only.
-type fanoutResponse struct {
+type FanoutResponse struct {
 	Jobs     []JobStatus `json:"jobs"`
 	Agree    bool        `json:"agree"`
 	Degraded bool        `json:"degraded,omitempty"`
@@ -235,7 +235,7 @@ func (a *API) handleFanout(w http.ResponseWriter, r *http.Request, spec QuerySpe
 		writeSubmitError(w, err)
 		return
 	}
-	out := fanoutResponse{
+	out := FanoutResponse{
 		Jobs:     make([]JobStatus, 0, len(jobs)),
 		Degraded: len(missing) > 0,
 		Missing:  missing,

@@ -181,7 +181,7 @@ func TestQueryOutlivesReadTimeout(t *testing.T) {
 		t.Errorf("sync query past the read deadline: %d %s", resp.StatusCode, data)
 	}
 	resp, data = postJSON(t, base+"/v1/query", `{"kind":"sum","fanout":true}`)
-	var fan fanoutResponse
+	var fan FanoutResponse
 	if err := json.Unmarshal(data, &fan); resp.StatusCode != http.StatusOK || err != nil ||
 		len(fan.Jobs) != 1 || fan.Jobs[0].State != "done" {
 		t.Errorf("fan-out past the read deadline: %d %s", resp.StatusCode, data)

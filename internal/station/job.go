@@ -67,9 +67,6 @@ type Job struct {
 // ID is the job's handle ("job-17").
 func (j *Job) ID() string { return j.id }
 
-// Spec returns what was admitted.
-func (j *Job) Spec() QuerySpec { return j.spec }
-
 // Seed returns the effective seed the job runs under: the spec's explicit
 // seed when one was given (including an explicit 0), else the deployment
 // template's.

@@ -20,7 +20,9 @@
 //     readings re-draw — the service analogue of ResampleReadings.
 //
 // Shutdown is a graceful drain: admission closes, queued and in-flight
-// epochs finish, schedules stop, and attached trace sinks are flushed.
+// epochs finish, and schedules stop. A query that panics fails its own
+// job; the worker keeps serving, and its next Reset rewinds the
+// deployment.
 package station
 
 import (
@@ -77,11 +79,6 @@ type Config struct {
 	// reconstruct the span tree. Distinct from TraceStats, which counts
 	// protocol events inside the worker deployments.
 	Trace trace.Sink
-
-	// AttachSinks, when set, is called once per worker deployment before
-	// it serves (e.g. to attach a TraceTo JSONL stream). A non-nil return
-	// is a flush function invoked during Drain.
-	AttachSinks func(worker int, d *repro.Deployment) func() error
 
 	// RunningHook, when non-nil, fires after a job transitions to Running
 	// and before its epoch executes — the seam deterministic
@@ -159,7 +156,6 @@ type Station struct {
 	jobs      map[string]*Job
 	doneOrder []string // finished job IDs, oldest first (eviction order)
 	schedules map[string]*Schedule
-	flushes   []func() error
 
 	workers []*worker
 	wg      sync.WaitGroup
@@ -209,11 +205,6 @@ func New(cfg Config) (*Station, error) {
 		w := &worker{id: i, dep: dep}
 		if cfg.TraceStats {
 			dep.TraceCounts(st.metrics.reg)
-		}
-		if cfg.AttachSinks != nil {
-			if flush := cfg.AttachSinks(i, dep); flush != nil {
-				st.flushes = append(st.flushes, flush)
-			}
 		}
 		st.workers = append(st.workers, w)
 	}
@@ -333,14 +324,7 @@ func (s *Station) execute(w *worker, job *Job) {
 	s.metrics.queueWait.Observe(job.QueueWait())
 	s.emitRequest(job, trace.StageRun,
 		fmt.Sprintf("worker=%d queue_wait=%v", w.id, job.QueueWait()))
-	if h := s.runningHook(); h != nil {
-		h(job)
-	}
-	var ans repro.QueryAnswer
-	err := w.dep.Reset(job.seed)
-	if err == nil {
-		ans, err = w.dep.RunQuery(job.spec.Kind, s.cfg.Cluster)
-	}
+	ans, err := s.epoch(w, job)
 	s.metrics.ran(w.id, w.dep.Traffic())
 	// Cancellation mid-epoch is best-effort: the simulation round is not
 	// interruptible, so the epoch runs to completion and the result is
@@ -349,6 +333,24 @@ func (s *Station) execute(w *worker, job *Job) {
 		ans, err = repro.QueryAnswer{}, cause(job.ctx)
 	}
 	s.finish(job, ans, err)
+}
+
+// epoch runs the job's query on the worker's deployment. A panic fails
+// this job only: the worker goes on serving, and the Reset that opens its
+// next epoch rewinds whatever state the panic left behind.
+func (s *Station) epoch(w *worker, job *Job) (ans repro.QueryAnswer, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			ans, err = repro.QueryAnswer{}, fmt.Errorf("station: %s panicked: %v", job.id, r)
+		}
+	}()
+	if h := s.runningHook(); h != nil {
+		h(job)
+	}
+	if err = w.dep.Reset(job.seed); err != nil {
+		return repro.QueryAnswer{}, err
+	}
+	return w.dep.RunQuery(job.spec.Kind, s.cfg.Cluster)
 }
 
 func (s *Station) runningHook() func(*Job) {
@@ -434,10 +436,10 @@ func (s *Station) emitRequest(job *Job, stage, extra string) {
 }
 
 // Drain gracefully shuts the station down: schedules stop, admission
-// closes (Submit returns ErrDraining), every already-admitted job runs to
-// completion, and attached trace sinks are flushed. The context bounds the
-// wait; on expiry workers keep finishing in the background but Drain
-// returns the context's error. Drain is idempotent.
+// closes (Submit returns ErrDraining) and every already-admitted job runs
+// to completion. The context bounds the wait; on expiry workers keep
+// finishing in the background but Drain returns the context's error.
+// Drain is idempotent.
 func (s *Station) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	already := s.draining
@@ -463,19 +465,8 @@ func (s *Station) Drain(ctx context.Context) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	case <-workersDone:
+		return nil
 	}
-
-	s.mu.Lock()
-	flushes := s.flushes
-	s.flushes = nil
-	s.mu.Unlock()
-	var errs []error
-	for _, flush := range flushes {
-		if err := flush(); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	return errors.Join(errs...)
 }
 
 // Draining reports whether the station has begun shutting down.

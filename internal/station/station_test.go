@@ -5,7 +5,9 @@ import (
 	"context"
 	"errors"
 	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -396,10 +398,6 @@ func TestFinishedJobEviction(t *testing.T) {
 func TestTraceStatsMergedAcrossWorkers(t *testing.T) {
 	cfg := testConfig(2, 8)
 	cfg.TraceStats = true
-	flushed := 0
-	cfg.AttachSinks = func(worker int, d *repro.Deployment) func() error {
-		return func() error { flushed++; return nil }
-	}
 	st, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -427,8 +425,53 @@ func TestTraceStatsMergedAcrossWorkers(t *testing.T) {
 	if err := st.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if flushed != cfg.Workers {
-		t.Errorf("drain flushed %d sinks, want %d", flushed, cfg.Workers)
+}
+
+// TestPanickingQueryFailsOnlyItsJob: a query that panics fails its own job
+// with an error naming the panic, and the worker survives to serve the
+// next job with the offline answer.
+func TestPanickingQueryFailsOnlyItsJob(t *testing.T) {
+	cfg := testConfig(1, 8)
+	var calls atomic.Int64
+	cfg.RunningHook = func(*Job) {
+		if calls.Add(1) == 1 {
+			panic("injected fault")
+		}
+	}
+	st := newStation(t, cfg)
+
+	bad, err := st.Submit(QuerySpec{Kind: repro.QueryMax, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bad.Wait(context.Background()); err == nil || !strings.Contains(err.Error(), "panicked: injected fault") {
+		t.Fatalf("panicking job error = %v, want one naming the panic", err)
+	}
+	if bad.State() != JobFailed {
+		t.Fatalf("panicking job state = %v, want failed", bad.State())
+	}
+
+	dep, err := repro.NewDeployment(cfg.Deploy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := dep.RunQuery(repro.QuerySum, repro.ClusterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := st.Submit(QuerySpec{Kind: repro.QuerySum})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := good.Wait(context.Background())
+	if err != nil {
+		t.Fatalf("job after the panic: %v", err)
+	}
+	if got != want {
+		t.Errorf("answer after the panic = %+v, want offline %+v", got, want)
+	}
+	if n := jobs(scrape(t, st), "failed"); n != 1 {
+		t.Errorf("failed jobs = %v, want 1", n)
 	}
 }
 

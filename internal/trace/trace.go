@@ -224,42 +224,16 @@ func (t *Tracer) Events() []Event {
 	return out
 }
 
-// Filter describes what Dump writes; zero value means everything.
-type Filter struct {
-	Node    topo.NodeID // match this node only when AnyNode is false
-	AnyNode bool
-	Type    string // match this event type only; empty = all
-}
-
-// AllEvents is the match-everything filter.
-func AllEvents() Filter { return Filter{AnyNode: true} }
-
-// NodeEvents filters to one node.
-func NodeEvents(id topo.NodeID) Filter { return Filter{Node: id} }
-
-// TypeEvents filters to one event type.
-func TypeEvents(typ string) Filter { return Filter{AnyNode: true, Type: typ} }
-
-func (f Filter) match(e Event) bool {
-	if !f.AnyNode && e.Node != f.Node {
-		return false
-	}
-	if f.Type != "" && e.Type != f.Type {
-		return false
-	}
-	return true
-}
-
-// Dump writes the matching retained events, one per line, plus a summary
+// Dump writes the retained events q matches, one per line, plus a summary
 // footer when events were evicted.
-func (t *Tracer) Dump(w io.Writer, f Filter) error {
+func (t *Tracer) Dump(w io.Writer, q Query) error {
 	if t == nil {
 		return nil
 	}
 	var b strings.Builder
 	matched := 0
 	for _, e := range t.Events() {
-		if !f.match(e) {
+		if !q.Match(e) {
 			continue
 		}
 		b.WriteString(e.String())
@@ -272,18 +246,6 @@ func (t *Tracer) Dump(w io.Writer, f Filter) error {
 	fmt.Fprintf(&b, "-- %d events matched of %d retained\n", matched, len(t.buf))
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// Counts returns per-type event counts over retained events.
-func (t *Tracer) Counts() map[string]int {
-	if t == nil {
-		return nil
-	}
-	out := make(map[string]int)
-	for _, e := range t.buf {
-		out[e.Type]++
-	}
-	return out
 }
 
 // Multi fans one event stream out to several sinks.

@@ -21,11 +21,8 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	if tr.Events() != nil {
 		t.Error("nil tracer events should be nil")
 	}
-	if err := tr.Dump(&strings.Builder{}, AllEvents()); err != nil {
+	if err := tr.Dump(&strings.Builder{}, NewQuery()); err != nil {
 		t.Error(err)
-	}
-	if tr.Counts() != nil {
-		t.Error("nil tracer counts should be nil")
 	}
 }
 
@@ -94,7 +91,7 @@ func TestDumpFilters(t *testing.T) {
 	tr.Emit(Event{Node: 1, Type: "join", Detail: "c"})
 
 	var all strings.Builder
-	if err := tr.Dump(&all, AllEvents()); err != nil {
+	if err := tr.Dump(&all, NewQuery()); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(all.String(), "3 events matched") {
@@ -102,7 +99,7 @@ func TestDumpFilters(t *testing.T) {
 	}
 
 	var node1 strings.Builder
-	if err := tr.Dump(&node1, NodeEvents(1)); err != nil {
+	if err := tr.Dump(&node1, Query{Round: -1, AnyCluster: true, Node: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(node1.String(), "2 events matched") {
@@ -110,7 +107,7 @@ func TestDumpFilters(t *testing.T) {
 	}
 
 	var joins strings.Builder
-	if err := tr.Dump(&joins, TypeEvents("join")); err != nil {
+	if err := tr.Dump(&joins, Query{Round: -1, AnyCluster: true, AnyNode: true, Type: "join"}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(joins.String(), "2 events matched") {
@@ -123,22 +120,11 @@ func TestDumpMentionsEviction(t *testing.T) {
 	tr.Emit(Event{Node: 1, Type: "a", Detail: "x"})
 	tr.Emit(Event{Node: 1, Type: "a", Detail: "y"})
 	var b strings.Builder
-	if err := tr.Dump(&b, AllEvents()); err != nil {
+	if err := tr.Dump(&b, NewQuery()); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "evicted") {
 		t.Errorf("dump:\n%s", b.String())
-	}
-}
-
-func TestCounts(t *testing.T) {
-	tr := New(10)
-	tr.Emit(Event{Node: 1, Type: "a"})
-	tr.Emit(Event{Node: 1, Type: "a"})
-	tr.Emit(Event{Node: 1, Type: "b"})
-	c := tr.Counts()
-	if c["a"] != 2 || c["b"] != 1 {
-		t.Errorf("counts = %v", c)
 	}
 }
 
@@ -189,6 +175,41 @@ func TestReadJSONLSkipsBlankLines(t *testing.T) {
 	if len(evs) != 2 || evs[0].Type != "a" || evs[1].Type != "b" {
 		t.Errorf("events = %+v", evs)
 	}
+}
+
+// FuzzReadJSONL: ReadJSONL is total on arbitrary input, and every stream
+// it accepts re-encodes through NewJSONL and re-reads to equal events.
+func FuzzReadJSONL(f *testing.F) {
+	f.Add([]byte("{\"at\":1000000000,\"round\":1,\"node\":3,\"cluster\":9,\"phase\":\"announce\",\"type\":\"alarm\",\"cause\":\"own-row-forged\",\"detail\":\"observed=1 expected=2\"}\n"))
+	f.Add([]byte("\n{\"type\":\"a\"}\n\n{\"type\":\"b\"}\n"))
+	f.Add([]byte("{\"type\":\"ok\"}\nnot json\n"))
+	f.Add([]byte("null\r\n{\"node\":-1,\"detail\":\"\\u00ff\\n\"}"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		evs, err := ReadJSONL(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		j := NewJSONL(&buf)
+		for _, ev := range evs {
+			j.Emit(ev)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		back, err := ReadJSONL(&buf)
+		if err != nil {
+			t.Fatalf("re-read of %q: %v", buf.String(), err)
+		}
+		if len(back) != len(evs) {
+			t.Fatalf("re-read %d events, want %d", len(back), len(evs))
+		}
+		for i := range evs {
+			if back[i] != evs[i] {
+				t.Fatalf("event %d: got %+v want %+v", i, back[i], evs[i])
+			}
+		}
+	})
 }
 
 type errWriter struct{ failed bool }

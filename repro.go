@@ -105,7 +105,7 @@ func (d *Deployment) Traffic() Traffic {
 func (d *Deployment) EnableTrace(capacity int) func(w io.Writer) error {
 	tr := trace.New(capacity)
 	d.env.SetSink(trace.Fan(d.env.Sink, tr))
-	return func(w io.Writer) error { return tr.Dump(w, trace.AllEvents()) }
+	return func(w io.Writer) error { return tr.Dump(w, trace.NewQuery()) }
 }
 
 // TraceTo streams every flight-recorder event to w as JSONL — the format

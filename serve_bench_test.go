@@ -83,11 +83,6 @@ func BenchmarkServeRecovery(b *testing.B) {
 			QueueDepth: 32,
 			Deploy:     repro.Options{Nodes: 80, Seed: 7, Ideal: true},
 		},
-		Supervise: &fleet.SupervisorConfig{
-			ProbeInterval:  20 * time.Millisecond,
-			RestartBackoff: 20 * time.Millisecond,
-			MaxBackoff:     200 * time.Millisecond,
-		},
 	}
 	var totalRecovery time.Duration
 	b.ResetTimer()
