@@ -8,7 +8,7 @@ GO ?= go
 ## service smoke, the fleet-coordinator smoke, the chaos availability
 ## drill, the telemetry/exposition smoke, the parallel-determinism smoke,
 ## a short fuzz pass over the wire decoders, link crypto, exposition,
-## benchmark-output and fault-plan parsers, a
+## benchmark-output, fault-plan, attack-spec and request-body parsers, a
 ## one-iteration benchmark smoke through the trend harness, the
 ## deterministic allocation gate on the tracing-disabled hot path, and the
 ## byte-for-byte check of the committed results/ CSVs.
@@ -151,12 +151,13 @@ par-smoke:
 ## frames reach through MAC.Inject), of the link crypto, of the
 ## /metricsz exposition parser the serving tests read counters through,
 ## of the benchmark-output parser benchtrend snapshots through, of the
-## chaos fault-plan parser and of the JSONL trace reader aggtrace loads
-## through, for FUZZTIME each, with the standard library's fuzzer only;
-## go test -fuzz takes one target per run.
+## chaos fault-plan parser, of the JSONL trace reader aggtrace loads
+## through, of the -attack campaign-spec parser and of the station's JSON
+## request-body decoder, for FUZZTIME each, with the standard library's
+## fuzzer only; go test -fuzz takes one target per run.
 FUZZTIME ?= 5s
 fuzz-smoke:
-	@set -e; for pkg in ./internal/message ./internal/wsncrypto ./internal/telemetry ./internal/benchio ./internal/chaos ./internal/trace; do \
+	@set -e; for pkg in ./internal/message ./internal/wsncrypto ./internal/telemetry ./internal/benchio ./internal/chaos ./internal/trace ./internal/attack ./internal/station; do \
 		list=$$($(GO) test -list '^Fuzz' $$pkg) || exit 1; \
 		targets=$$(printf '%s\n' "$$list" | grep '^Fuzz' || true); \
 		if [ -z "$$targets" ]; then echo "fuzz-smoke: no Fuzz targets in $$pkg"; exit 1; fi; \
@@ -165,18 +166,23 @@ fuzz-smoke:
 			$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) $$pkg; \
 		done; \
 	done
-	@echo "fuzz-smoke OK: every decoder, Open, ParseText, Parse, ParsePlan and ReadJSONL target ran $(FUZZTIME) clean"
+	@echo "fuzz-smoke OK: every decoder, Open, ParseText, Parse, ParsePlan, ReadJSONL, ParseSpec and DecodeBody target ran $(FUZZTIME) clean"
 
 bench-smoke:
 	$(GO) run ./cmd/benchtrend -quick
 
 ## bench-gate: deterministic regression gate for the flight recorder's
-## disabled path — allocs/op of the round benchmark must stay within 2% of
-## the newest snapshot. Wall-clock is deliberately not judged here (it
-## flakes on shared machines); `make bench` still gates both at 20%.
+## disabled path and the per-round frame arena — allocs/op of the round
+## benchmark and of the 1k-node retained round must stay within 2% of the
+## newest snapshot. Wall-clock is deliberately not judged here (it flakes
+## on shared machines); `make bench` still gates both at 20%. Two runs,
+## because go test only reports a benchmark without sub-benchmarks when
+## the -bench pattern has a single level.
 bench-gate:
 	$(GO) run ./cmd/benchtrend -dry -metric allocs -threshold 0.02 \
 		-bench '^BenchmarkRoundCluster$$' -benchtime 5x
+	$(GO) run ./cmd/benchtrend -dry -metric allocs -threshold 0.02 \
+		-bench '^BenchmarkRoundRetained$$/^n=1k$$' -benchtime 5x
 
 ## bench: full benchmark run — writes a BENCH_<date>.json snapshot and
 ## gates against the previous one (see README "Performance").

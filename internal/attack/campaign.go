@@ -480,7 +480,7 @@ func ParseSpec(spec string) ([]Policy, error) {
 					return nil, fmt.Errorf("attack: bad collude px %q", parts[2])
 				}
 			}
-			if p.Colluders < 1 || p.Px < 0 || p.Px > 1 {
+			if p.Colluders < 1 || !(p.Px >= 0 && p.Px <= 1) { // NaN fails both
 				return nil, fmt.Errorf("attack: collude wants count >= 1 and px in [0,1], got %d:%g", p.Colluders, p.Px)
 			}
 			out = append(out, p)

@@ -251,3 +251,37 @@ func TestDriveSurfacesNoTarget(t *testing.T) {
 		t.Errorf("sink after Drive = %v, want the one attached before", env.Sink)
 	}
 }
+
+// FuzzParseSpec: the -attack flag parser is total on arbitrary input, and
+// every spec it accepts yields at least one policy whose parameters pass the
+// parser's own range checks.
+func FuzzParseSpec(f *testing.F) {
+	for _, s := range []string{
+		"collude:3,tamper,replay", "collude:2:1.0,tamper,replay,takeover",
+		"sybil:3,echo", "sybil", "collude", "tamper, echo", "", ",", "bogus:1",
+		"collude:2:NaN", "sybil:-1", "collude:1:0.5:extra",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		policies, err := ParseSpec(spec)
+		if err != nil {
+			return
+		}
+		if len(policies) == 0 {
+			t.Fatalf("ParseSpec(%q) accepted a spec with no policy", spec)
+		}
+		for _, p := range policies {
+			switch p := p.(type) {
+			case *Collusion:
+				if p.Colluders < 1 || !(p.Px >= 0 && p.Px <= 1) {
+					t.Fatalf("ParseSpec(%q) accepted collusion %d:%g", spec, p.Colluders, p.Px)
+				}
+			case *Sybil:
+				if p.Count < 1 {
+					t.Fatalf("ParseSpec(%q) accepted sybil count %d", spec, p.Count)
+				}
+			}
+		}
+	})
+}

@@ -338,7 +338,7 @@ func (p *Protocol) announce(id topo.NodeID) {
 	if err != nil {
 		return
 	}
-	p.env.MAC.Send(message.Build(message.KindAnnounce, id, target, p.round, payload))
+	p.env.MAC.Send(p.build(message.KindAnnounce, id, target, p.round, payload))
 }
 
 // announceFMatrix builds the echoed F matrix for an announce — one row per
@@ -424,7 +424,7 @@ func (p *Protocol) onAnnounce(at topo.NodeID, msg *message.Message) {
 			// announces, which by construction arrive after every head's
 			// own slot.
 			if target, _ := p.announceTarget(at); target >= 0 && target != msg.From {
-				p.env.MAC.Send(message.Build(message.KindAnnounce, at, target, msg.Round, msg.Payload))
+				p.env.MAC.Send(p.build(message.KindAnnounce, at, target, msg.Round, msg.Payload))
 			}
 			return
 		}
@@ -435,7 +435,7 @@ func (p *Protocol) onAnnounce(at topo.NodeID, msg *message.Message) {
 		})
 	case roleMember:
 		if st.helloParent >= 0 {
-			p.env.MAC.Send(message.Build(message.KindAnnounce, at, st.helloParent, msg.Round, msg.Payload))
+			p.env.MAC.Send(p.build(message.KindAnnounce, at, st.helloParent, msg.Round, msg.Payload))
 		}
 	}
 }
@@ -625,7 +625,7 @@ func (p *Protocol) raiseAlarm(witness, suspect topo.NodeID, observed, expected f
 		p.emit(witness, cluster, trace.PhaseAnnounce, trace.TypeAlarm, cause,
 			"suspect=%d observed=%v expected=%v", suspect, observed, expected)
 	}
-	p.env.MAC.Send(message.Build(
+	p.env.MAC.Send(p.build(
 		message.KindAlarm, witness, message.BroadcastID, p.round,
 		message.MarshalAlarm(message.Alarm{Suspect: suspect, Observed: observed, Expected: expected})))
 }
@@ -658,7 +658,7 @@ func (p *Protocol) onAlarm(at topo.NodeID, msg *message.Message) {
 		st.alarmed = make(map[string]bool)
 	}
 	st.alarmed[key] = true
-	p.env.MAC.Send(message.Build(message.KindAlarm, at, message.BroadcastID, msg.Round, msg.Payload))
+	p.env.MAC.Send(p.build(message.KindAlarm, at, message.BroadcastID, msg.Round, msg.Payload))
 }
 
 func alarmKey(a message.Alarm) string {

@@ -276,8 +276,11 @@ type Protocol struct {
 	rxRoster   message.Roster
 	rxInner    message.Message
 
+	// frames backs every frame the serial event loop sends (frames.go).
+	frames frameArena
+
 	// par is the resolved worker-pool width (Config.Parallelism, with 0
-	// mapped to GOMAXPROCS at construction).
+	// mapped to GOMAXPROCS by Reconfigure).
 	par int
 
 	// algebras caches one shares.Algebra per canonical cluster size m.
@@ -390,12 +393,24 @@ func (p *Protocol) nComponents() int {
 
 // New wires a protocol instance onto the environment's MAC.
 func New(env *wsn.Env, cfg Config) (*Protocol, error) {
+	p := &Protocol{env: env}
+	if err := p.Reconfigure(cfg); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// Reconfigure validates cfg and makes it the protocol's whole configuration,
+// keeping every buffer earlier rounds sized. The next round must be a Run,
+// which resets all node state; this is how one deployment answers query
+// after query on a single protocol. On error the protocol is unchanged.
+func (p *Protocol) Reconfigure(cfg Config) error {
 	if cfg.Pc <= 0 || cfg.Pc > 1 {
-		return nil, fmt.Errorf("core: Pc %g out of (0, 1]", cfg.Pc)
+		return fmt.Errorf("core: Pc %g out of (0, 1]", cfg.Pc)
 	}
 	if cfg.JoinWait <= 0 || cfg.RosterAt <= cfg.JoinWait || cfg.SharesAt <= cfg.RosterAt ||
 		cfg.AssembleAt <= cfg.SharesAt || cfg.AggAt <= cfg.AssembleAt {
-		return nil, fmt.Errorf("core: phase times must increase: %+v", cfg)
+		return fmt.Errorf("core: phase times must increase: %+v", cfg)
 	}
 	// The in-phase schedule carves each window into up to 32 jitter slots,
 	// so degenerate sub-nanosecond windows must be rejected here rather than
@@ -403,22 +418,22 @@ func New(env *wsn.Env, cfg Config) (*Protocol, error) {
 	if cfg.SharesAt-cfg.RosterAt < minPhaseWindow ||
 		cfg.AssembleAt-cfg.SharesAt < minPhaseWindow ||
 		cfg.AggAt-cfg.AssembleAt < minPhaseWindow {
-		return nil, fmt.Errorf("core: phase windows below %v: %+v", minPhaseWindow, cfg)
+		return fmt.Errorf("core: phase windows below %v: %+v", minPhaseWindow, cfg)
 	}
 	if cfg.EpochSlot <= 0 || cfg.MaxHops < 1 {
-		return nil, fmt.Errorf("core: invalid schedule %+v", cfg)
+		return fmt.Errorf("core: invalid schedule %+v", cfg)
 	}
 	if cfg.Undersized != UndersizedDrop && cfg.Undersized != UndersizedPlain {
-		return nil, fmt.Errorf("core: invalid undersized policy %d", cfg.Undersized)
+		return fmt.Errorf("core: invalid undersized policy %d", cfg.Undersized)
 	}
 	if cfg.CrashRate < 0 || cfg.CrashRate >= 1 {
-		return nil, fmt.Errorf("core: crash rate %g out of [0, 1)", cfg.CrashRate)
+		return fmt.Errorf("core: crash rate %g out of [0, 1)", cfg.CrashRate)
 	}
 	if cfg.HeadCrashRate < 0 || cfg.HeadCrashRate >= 1 {
-		return nil, fmt.Errorf("core: head crash rate %g out of [0, 1)", cfg.HeadCrashRate)
+		return fmt.Errorf("core: head crash rate %g out of [0, 1)", cfg.HeadCrashRate)
 	}
 	if cfg.Parallelism < 0 {
-		return nil, fmt.Errorf("core: parallelism %d must be >= 1 (or 0 for GOMAXPROCS)", cfg.Parallelism)
+		return fmt.Errorf("core: parallelism %d must be >= 1 (or 0 for GOMAXPROCS)", cfg.Parallelism)
 	}
 	par := cfg.Parallelism
 	if par == 0 {
@@ -427,13 +442,14 @@ func New(env *wsn.Env, cfg Config) (*Protocol, error) {
 	// Contention-adaptive schedule: the share and assemble phases carry
 	// O(degree) unicasts per collision domain, so their windows stretch
 	// with density beyond the reference degree the defaults were sized for.
-	if scale := env.Net.AverageDegree() / referenceDegree; scale > 1 {
+	if scale := p.env.Net.AverageDegree() / referenceDegree; scale > 1 {
 		sharesWin := time.Duration(float64(cfg.AssembleAt-cfg.SharesAt) * scale)
 		asmWin := time.Duration(float64(cfg.AggAt-cfg.AssembleAt) * scale)
 		cfg.AssembleAt = cfg.SharesAt + sharesWin
 		cfg.AggAt = cfg.AssembleAt + asmWin
 	}
-	return &Protocol{env: env, cfg: cfg, par: par}, nil
+	p.cfg, p.par = cfg, par
+	return nil
 }
 
 // referenceDegree is the deployment density the default schedule is sized
@@ -503,11 +519,12 @@ func (p *Protocol) Run(round uint16) (metrics.RoundResult, error) {
 	p.takeovers = 0
 	p.promotions = 0
 	p.orphansRejoined = 0
+	p.frames.rewind()
 	p.start = p.env.Rec.Mark()
 
+	recv := p.receive
 	for i := 0; i < n; i++ {
-		id := topo.NodeID(i)
-		p.env.MAC.SetReceiver(id, p.receive)
+		p.env.MAC.SetReceiver(topo.NodeID(i), recv)
 	}
 
 	// The base station roots the flood and the head tree. It is not a

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/bits"
+	"slices"
 	"time"
 
 	"repro/internal/field"
@@ -16,13 +17,15 @@ import (
 // delay, and coeffs; pass 2 (parallel) fills self and frames; pass 3
 // (serial) schedules the jittered send events. The struct and its backing
 // arrays are protocol-owned and reused every round: the frames of round r
-// are consumed by the engine before round r+1's pass 1 runs.
+// are consumed by the engine before round r+1's pass 1 runs. Pass 2 runs on
+// the worker pool, so it cannot draw from the protocol's frame arena; the
+// frames live by value in the participant's own slot instead.
 type sharePrep struct {
 	id     topo.NodeID
 	delay  time.Duration
-	coeffs []field.Element    // c×(m-1) masking coefficients, serial RNG order
-	self   []field.Element    // own share vector (retained by acceptShare)
-	frames []*message.Message // prepared co-member frames, roster order
+	coeffs []field.Element   // c×(m-1) masking coefficients, serial RNG order
+	self   []field.Element   // own share vector (retained by acceptShare)
+	frames []message.Message // prepared co-member frames, roster order
 }
 
 // shareScratch is one worker's private buffers for buildShareFrames.
@@ -122,7 +125,8 @@ func (p *Protocol) buildShareFrames(pr *sharePrep, sc *shareScratch) {
 		st.algebra.SharesFromCoeffs(sc.rows[k*m:(k+1)*m], pr.coeffs[k*(m-1):(k+1)*(m-1)], sc.reading[k])
 	}
 	pr.self = growElems(pr.self, c)
-	pr.frames = pr.frames[:0]
+	// Sized to the roster up front: the MAC gets pointers into this array.
+	pr.frames = slices.Grow(pr.frames[:0], m-1)
 	sc.vec = growElems(sc.vec, c)
 	for j, entry := range st.roster.Entries {
 		target := entry.ID
@@ -146,7 +150,7 @@ func (p *Protocol) buildShareFrames(pr *sharePrep, sc *shareScratch) {
 		if err != nil {
 			continue
 		}
-		inner := message.Build(message.KindShare, id, target, p.round, sealed)
+		inner := message.Message{Kind: message.KindShare, From: id, To: target, Round: p.round, Payload: sealed}
 		if p.env.Net.InRange(id, target) {
 			pr.frames = append(pr.frames, inner)
 			continue
@@ -161,7 +165,7 @@ func (p *Protocol) buildShareFrames(pr *sharePrep, sc *shareScratch) {
 		if err != nil {
 			continue
 		}
-		pr.frames = append(pr.frames, message.Build(message.KindRelay, id, st.head, p.round, relayPayload))
+		pr.frames = append(pr.frames, message.Message{Kind: message.KindRelay, From: id, To: st.head, Round: p.round, Payload: relayPayload})
 	}
 }
 
@@ -172,8 +176,8 @@ func (p *Protocol) buildShareFrames(pr *sharePrep, sc *shareScratch) {
 func (p *Protocol) sendPreparedShares(pr *sharePrep) {
 	st := &p.nodes[pr.id]
 	p.acceptShare(pr.id, st.myIdx, pr.self)
-	for _, f := range pr.frames {
-		p.env.MAC.Send(f)
+	for i := range pr.frames {
+		p.env.MAC.Send(&pr.frames[i])
 	}
 }
 
@@ -207,7 +211,7 @@ func (p *Protocol) onRelay(at topo.NodeID, msg *message.Message) {
 	if st.role != roleHead && !st.tookOver {
 		return
 	}
-	p.env.MAC.Send(message.Build(message.KindRelay, at, inner.To, round, payload))
+	p.env.MAC.Send(p.build(message.KindRelay, at, inner.To, round, payload))
 }
 
 // onShare decrypts a received share and records it by roster index.
@@ -305,7 +309,7 @@ func (p *Protocol) broadcastAssembled(id topo.NodeID) {
 	if err != nil {
 		return
 	}
-	p.env.MAC.Send(message.Build(message.KindAssembled, id, st.head, p.round, payload))
+	p.env.MAC.Send(p.build(message.KindAssembled, id, st.head, p.round, payload))
 }
 
 // onAssembled records a member's column sum at its head — or, during a
@@ -414,7 +418,7 @@ func (p *Protocol) repollMissing(id topo.NodeID) {
 			continue
 		}
 		repolled++
-		p.env.MAC.Send(message.Build(message.KindRepoll, id, e.ID, p.round, nil))
+		p.env.MAC.Send(p.build(message.KindRepoll, id, e.ID, p.round, nil))
 	}
 	if repolled > 0 && p.env.Sink != nil {
 		p.lifecycle(id, id, trace.PhaseAssembly, trace.StateRepolled,
@@ -476,7 +480,7 @@ func (p *Protocol) maybeDegrade(id topo.NodeID) {
 	payload := message.MarshalReassemble(message.Reassemble{Mask: mask})
 	window := p.cfg.AggAt - p.cfg.AssembleAt
 	send := func() {
-		p.env.MAC.Send(message.Build(message.KindReassemble, id, message.BroadcastID, p.round, payload))
+		p.env.MAC.Send(p.build(message.KindReassemble, id, message.BroadcastID, p.round, payload))
 	}
 	// Broadcast twice, jittered, for loss resilience (a member of M that
 	// misses both copies sends no sub-report, failing the degraded solve).
@@ -511,7 +515,7 @@ func (p *Protocol) onReassemble(at topo.NodeID, msg *message.Message) {
 			if err != nil {
 				return
 			}
-			frame := message.Build(message.KindSubAssembled, at, msg.From, p.round, payload)
+			frame := p.build(message.KindSubAssembled, at, msg.From, p.round, payload)
 			p.env.Eng.After(p.jitter(p.cfg.EpochSlot/8), func() { p.env.MAC.Send(frame) })
 		}
 		return
@@ -605,7 +609,7 @@ func (p *Protocol) exchangeSubShares(id topo.NodeID) {
 		if err != nil {
 			continue
 		}
-		frame := message.Build(message.KindSubShare, id, target, p.round, sealed)
+		frame := p.build(message.KindSubShare, id, target, p.round, sealed)
 		if !p.env.Net.InRange(id, target) {
 			innerBytes, err := frame.Marshal()
 			if err != nil {
@@ -622,7 +626,7 @@ func (p *Protocol) exchangeSubShares(id topo.NodeID) {
 			if st.takeoverBy >= 0 && st.takeoverBy != id {
 				hub = st.takeoverBy
 			}
-			frame = message.Build(message.KindRelay, id, hub, p.round, relayPayload)
+			frame = p.build(message.KindRelay, id, hub, p.round, relayPayload)
 		}
 		p.env.Eng.After(p.jitter(window/16), func() { p.env.MAC.Send(frame) })
 	}
@@ -701,7 +705,7 @@ func (p *Protocol) sendSubAssembled(id topo.NodeID) {
 	if st.takeoverBy >= 0 && st.takeoverBy != id {
 		target = st.takeoverBy // the collector is the stand-in deputy
 	}
-	p.env.MAC.Send(message.Build(message.KindSubAssembled, id, target, p.round, payload))
+	p.env.MAC.Send(p.build(message.KindSubAssembled, id, target, p.round, payload))
 }
 
 // onSubAssembled records a member's degraded column sum at its head (or at
@@ -746,7 +750,7 @@ func (p *Protocol) sendPlainReading(id topo.NodeID) {
 	if err != nil {
 		return
 	}
-	p.env.MAC.Send(message.Build(message.KindReading, id, st.head, p.round, sealed))
+	p.env.MAC.Send(p.build(message.KindReading, id, st.head, p.round, sealed))
 }
 
 // onPlainReading accumulates undersized-cluster readings at the head.

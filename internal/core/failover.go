@@ -136,7 +136,7 @@ func (p *Protocol) startTakeover(id topo.NodeID) {
 		"deputy claiming takeover of head %d", st.head)
 	payload := message.MarshalTakeover(message.Takeover{Head: st.head})
 	send := func() {
-		p.env.MAC.Send(message.Build(message.KindTakeover, id, message.BroadcastID, p.round, payload))
+		p.env.MAC.Send(p.build(message.KindTakeover, id, message.BroadcastID, p.round, payload))
 	}
 	slot := p.cfg.EpochSlot
 	p.env.Eng.After(p.jitter(slot/8), send)
@@ -185,7 +185,7 @@ func (p *Protocol) onTakeover(at topo.NodeID, msg *message.Message) {
 	if err != nil {
 		return
 	}
-	frame := message.Build(message.KindAssembled, at, msg.From, p.round, payload)
+	frame := p.build(message.KindAssembled, at, msg.From, p.round, payload)
 	p.env.Eng.After(p.jitter(p.cfg.EpochSlot/8), func() { p.env.MAC.Send(frame) })
 }
 
@@ -212,7 +212,7 @@ func (p *Protocol) rebutTakeover(id topo.NodeID) {
 	p.lifecycle(id, id, trace.PhaseFailover, trace.StateRebutted,
 		"live head re-broadcasting its announce against a takeover claim")
 	p.env.Eng.After(p.jitter(p.cfg.EpochSlot/16), func() {
-		p.env.MAC.Send(message.Build(message.KindAnnounce, id, message.BroadcastID, p.round, payload))
+		p.env.MAC.Send(p.build(message.KindAnnounce, id, message.BroadcastID, p.round, payload))
 	})
 }
 
@@ -282,7 +282,7 @@ func (p *Protocol) takeoverDecide(id topo.NodeID) {
 	st.fSub = make(map[int]message.Assembled, bits.OnesCount64(mask))
 	payload := message.MarshalReassemble(message.Reassemble{Mask: mask})
 	send := func() {
-		p.env.MAC.Send(message.Build(message.KindReassemble, id, message.BroadcastID, p.round, payload))
+		p.env.MAC.Send(p.build(message.KindReassemble, id, message.BroadcastID, p.round, payload))
 	}
 	slot := p.cfg.EpochSlot
 	p.env.Eng.After(p.jitter(slot/8), send)
@@ -351,7 +351,7 @@ func (p *Protocol) takeoverAnnounce(id topo.NodeID) {
 	if err != nil {
 		return
 	}
-	p.env.MAC.Send(message.Build(message.KindAnnounce, id, target, p.round, payload))
+	p.env.MAC.Send(p.build(message.KindAnnounce, id, target, p.round, payload))
 }
 
 // forgedTakeoverAnnounce is the TakeoverForger attack body: the compromised
@@ -401,7 +401,7 @@ func (p *Protocol) forgedTakeoverAnnounce(id topo.NodeID) {
 	if err != nil {
 		return
 	}
-	p.env.MAC.Send(message.Build(message.KindAnnounce, id, target, p.round, payload))
+	p.env.MAC.Send(p.build(message.KindAnnounce, id, target, p.round, payload))
 }
 
 // takeoverTarget routes the stand-in announce toward the base station. The
@@ -513,7 +513,7 @@ func (p *Protocol) promoteDeputy(id topo.NodeID, window time.Duration) {
 		payload, err := message.MarshalRoster(message.Roster{Head: dead})
 		if err == nil {
 			p.env.Eng.After(p.jitter(window/8), func() {
-				p.env.MAC.Send(message.Build(message.KindRoster, id, message.BroadcastID, p.round, payload))
+				p.env.MAC.Send(p.build(message.KindRoster, id, message.BroadcastID, p.round, payload))
 			})
 		}
 		p.forgetHead(st, dead)
@@ -539,7 +539,7 @@ func (p *Protocol) promoteDeputy(id topo.NodeID, window time.Duration) {
 	p.sendHello(id, helloHead, st.hops)
 	jit := p.jitter(window / 8)
 	send := func() {
-		p.env.MAC.Send(message.Build(message.KindRoster, id, message.BroadcastID, p.round, payload))
+		p.env.MAC.Send(p.build(message.KindRoster, id, message.BroadcastID, p.round, payload))
 	}
 	p.env.Eng.After(jit, send)
 	p.env.Eng.After(jit+window/4, send)
@@ -603,7 +603,7 @@ func (p *Protocol) repairFinalize(window time.Duration) {
 		}
 		jit := p.jitter(window / 16)
 		send := func() {
-			p.env.MAC.Send(message.Build(message.KindRoster, id, message.BroadcastID, p.round, payload))
+			p.env.MAC.Send(p.build(message.KindRoster, id, message.BroadcastID, p.round, payload))
 		}
 		p.env.Eng.After(jit, send)
 		p.env.Eng.After(jit+window/8, send)

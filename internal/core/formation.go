@@ -23,7 +23,7 @@ const (
 // network); heads mark their rebroadcast so neighbours learn whom they can
 // join.
 func (p *Protocol) sendHello(from topo.NodeID, role uint8, hops int) {
-	p.env.MAC.Send(message.Build(
+	p.env.MAC.Send(p.build(
 		message.KindHello, from, message.BroadcastID, p.round,
 		message.MarshalHello(message.Hello{Origin: from, Role: role, Hops: uint16(hops)}),
 	))
@@ -137,7 +137,7 @@ func (p *Protocol) join(at topo.NodeID) {
 	if p.env.Sink != nil {
 		p.emit(at, best.id, trace.PhaseFormation, trace.TypeJoin, "", "joining head %d", best.id)
 	}
-	p.env.MAC.Send(message.Build(
+	p.env.MAC.Send(p.build(
 		message.KindJoin, at, best.id, p.round,
 		message.MarshalJoin(message.Join{Head: best.id, Seed: shares.SeedFor(int(at))}),
 	))
@@ -226,7 +226,7 @@ func (p *Protocol) dissolve(id topo.NodeID) {
 		return
 	}
 	p.env.Eng.After(p.jitter(50*time.Millisecond), func() {
-		p.env.MAC.Send(message.Build(message.KindRoster, id, message.BroadcastID, p.round, payload))
+		p.env.MAC.Send(p.build(message.KindRoster, id, message.BroadcastID, p.round, payload))
 	})
 	st.role = roleMember
 	st.joiners = nil
@@ -249,7 +249,7 @@ func (p *Protocol) rejoin(at, not topo.NodeID) {
 	}
 	best := candidates[p.env.Rng.Intn(len(candidates))]
 	st.head = best.id
-	p.env.MAC.Send(message.Build(
+	p.env.MAC.Send(p.build(
 		message.KindJoin, at, best.id, p.round,
 		message.MarshalJoin(message.Join{Head: best.id, Seed: shares.SeedFor(int(at))}),
 	))
@@ -280,10 +280,10 @@ func (p *Protocol) finalRosters() {
 		}
 		jitter := p.jitter(window / 4)
 		p.env.Eng.After(jitter, func() {
-			p.env.MAC.Send(message.Build(message.KindRoster, id, message.BroadcastID, p.round, payload))
+			p.env.MAC.Send(p.build(message.KindRoster, id, message.BroadcastID, p.round, payload))
 		})
 		p.env.Eng.After(jitter+window/2, func() {
-			p.env.MAC.Send(message.Build(message.KindRoster, id, message.BroadcastID, p.round, payload))
+			p.env.MAC.Send(p.build(message.KindRoster, id, message.BroadcastID, p.round, payload))
 		})
 	}
 }
@@ -341,7 +341,7 @@ func (p *Protocol) onRoster(at topo.NodeID, msg *message.Message) {
 		st.head = msg.From
 		p.emit(at, msg.From, trace.PhaseRepair, trace.TypeRecover, "deputy-promoted",
 			"recovered head standing down; deputy %d now heads the cluster", msg.From)
-		p.env.MAC.Send(message.Build(
+		p.env.MAC.Send(p.build(
 			message.KindJoin, at, msg.From, p.round,
 			message.MarshalJoin(message.Join{Head: msg.From, Seed: shares.SeedFor(int(at))}),
 		))

@@ -75,6 +75,7 @@ func (p *Protocol) RunRetaining(round uint16) (metrics.RoundResult, error) {
 	p.takeovers = 0
 	p.promotions = 0
 	p.orphansRejoined = 0
+	p.frames.rewind()
 	p.start = p.env.Rec.Mark()
 
 	base := p.cfg.SharesAt

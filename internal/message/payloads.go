@@ -263,7 +263,10 @@ func UnmarshalAttestResp(buf []byte) (AttestResp, error) {
 	}, nil
 }
 
-// Build assembles a complete frame for the given kind and payload bytes.
+// Build assembles a complete frame for the given kind and payload bytes on
+// the heap. The cluster protocol does not use it: internal/core builds its
+// frames in a per-round arena, and such a frame is valid only until that
+// protocol's next round starts (see core's frames.go).
 func Build(kind Kind, from, to topo.NodeID, round uint16, payload []byte) *Message {
 	return &Message{Kind: kind, From: from, To: to, Round: round, Payload: payload}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -301,4 +302,57 @@ func TestRunAllocatesNoEventNodesInSteadyState(t *testing.T) {
 	if allocs > 8 {
 		t.Errorf("allocs per 1000-event run = %.0f, want ~0 (pooled)", allocs)
 	}
+}
+
+// BenchmarkSimEventLoop times the event queue at the depth a 10,000-node
+// epoch runs it: about 5,000 queued events, about 15% of them cancelled
+// timers (the MAC's ACK timeouts, armed per unicast and cancelled when the
+// ACK arrives, then popped dead at their deadline). Each of 4,250 event
+// chains schedules its successor a uniform [0, 2 ms) later, and every sixth
+// event arms a 1 ms timeout that the next event cancels. One op is one live
+// event popped and run; the dead pops it drags along are part of its cost.
+func BenchmarkSimEventLoop(b *testing.B) {
+	const (
+		chains  = 4250
+		maxGap  = 2 * time.Millisecond
+		timeout = time.Millisecond
+	)
+	rng := rand.New(rand.NewSource(1))
+	gaps := make([]time.Duration, 1<<16)
+	for i := range gaps {
+		gaps[i] = time.Duration(rng.Int63n(int64(maxGap)))
+	}
+	e := NewEngine()
+	noop := func() {}
+	var armed Timer
+	ran, stopAt := 0, -1
+	var fire func()
+	fire = func() {
+		ran++
+		if ran == stopAt {
+			e.Stop()
+		}
+		armed.Cancel()
+		armed = Timer{}
+		if ran%6 == 0 {
+			armed = e.After(timeout, noop)
+		}
+		e.After(gaps[ran&(len(gaps)-1)], fire)
+	}
+	for i := 0; i < chains; i++ {
+		e.After(gaps[i], fire)
+	}
+	// Reach the steady state (dead timers included) before timing.
+	if err := e.Run(10 * maxGap); err != nil {
+		b.Fatal(err)
+	}
+	stopAt = ran + b.N
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := e.Run(0); !errors.Is(err, ErrStopped) {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(len(e.queue)), "queued")
+	b.ReportMetric(100*float64(e.dead)/float64(len(e.queue)), "dead%")
 }

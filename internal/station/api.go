@@ -390,19 +390,25 @@ func (a *API) handleMetricsz(w http.ResponseWriter, _ *http.Request) {
 	_ = a.st.WriteMetrics(w) // client gone; nothing useful to do
 }
 
-// decodeBody parses a small JSON request body strictly: unknown fields and
-// trailing garbage are errors, so client typos fail loudly instead of
-// silently running a default query.
+// decodeBody parses a small JSON request body strictly: unknown fields,
+// trailing garbage and bodies over 1 MiB are errors, so client typos fail
+// loudly instead of silently running a default query. The body must end
+// after its one value: Decoder.More would let a stray '}' or ']' through,
+// and would read a cut-off body as a clean end.
 func decodeBody(r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("bad request body: %w", err)
 	}
-	if dec.More() {
+	switch _, err := dec.Token(); {
+	case err == io.EOF:
+		return nil
+	case errors.As(err, new(*http.MaxBytesError)):
+		return fmt.Errorf("bad request body: %w", err)
+	default:
 		return fmt.Errorf("bad request body: trailing data")
 	}
-	return nil
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

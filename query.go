@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/aggfunc"
-	"repro/internal/core"
 )
 
 // QueryKind enumerates the statistics queries the protocol answers by
@@ -149,9 +148,9 @@ func (d *Deployment) RunQuery(kind QueryKind, o ClusterOptions) (QueryAnswer, er
 	if err != nil {
 		return QueryAnswer{}, err
 	}
-	p, err := core.New(d.env, o.config())
+	p, err := d.cluster(o)
 	if err != nil {
-		return QueryAnswer{}, fmt.Errorf("repro: %w", err)
+		return QueryAnswer{}, err
 	}
 	q := aggfunc.Query{
 		Kind:       ik,
@@ -162,6 +161,7 @@ func (d *Deployment) RunQuery(kind QueryKind, o ClusterOptions) (QueryAnswer, er
 	if err != nil {
 		return QueryAnswer{}, fmt.Errorf("repro: %w", err)
 	}
+	d.proto = p
 	ans := QueryAnswer{
 		Kind:     kind,
 		Value:    out.Value,

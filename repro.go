@@ -67,6 +67,9 @@ type Options struct {
 // station's lifetime).
 type Deployment struct {
 	env *wsn.Env
+	// proto is the iCPDA protocol the cluster entry points reuse from call
+	// to call (see cluster); nil until the first call and after a failure.
+	proto *core.Protocol
 }
 
 // Traffic is a point-in-time copy of the deployment's radio-level traffic
@@ -320,7 +323,7 @@ func (o ClusterOptions) config() core.Config {
 }
 
 // runRound builds one protocol on the deployment and runs its first round:
-// the body every single-round Run* method shares.
+// the body the single-round baseline Run* methods share.
 func runRound[P metrics.Protocol, C any](d *Deployment, newP func(*wsn.Env, C) (P, error), cfg C) (Result, error) {
 	p, err := newP(d.env, cfg)
 	if err != nil {
@@ -333,9 +336,40 @@ func runRound[P metrics.Protocol, C any](d *Deployment, newP func(*wsn.Env, C) (
 	return fromRound(res), nil
 }
 
+// cluster returns the deployment's iCPDA protocol reconfigured for o,
+// building it on first use. Every caller starts with Run(1), which resets
+// all node state, so a reused protocol answers exactly as a fresh one; what
+// it keeps is the buffers earlier rounds sized. The protocol is detached
+// while the caller runs it, and the caller re-attaches it only on success:
+// after a failed round, or a panic a station worker recovers, the next call
+// builds a fresh one.
+func (d *Deployment) cluster(o ClusterOptions) (*core.Protocol, error) {
+	p := d.proto
+	d.proto = nil
+	var err error
+	if p == nil {
+		p, err = core.New(d.env, o.config())
+	} else {
+		err = p.Reconfigure(o.config())
+	}
+	if err != nil {
+		return nil, fmt.Errorf("repro: %w", err)
+	}
+	return p, nil
+}
+
 // RunCluster executes one round of the cluster-based protocol.
 func (d *Deployment) RunCluster(o ClusterOptions) (Result, error) {
-	return runRound(d, core.New, o.config())
+	p, err := d.cluster(o)
+	if err != nil {
+		return Result{}, err
+	}
+	res, err := p.Run(1)
+	if err != nil {
+		return Result{}, fmt.Errorf("repro: %w", err)
+	}
+	d.proto = p
+	return fromRound(res), nil
 }
 
 // RunClusterRounds executes `rounds` consecutive measurement epochs on one
@@ -351,9 +385,9 @@ func (d *Deployment) RunClusterRounds(rounds int, o ClusterOptions) ([]Result, e
 		return nil, fmt.Errorf("repro: rounds must fit a 16-bit round counter, got %d (max %d)",
 			rounds, math.MaxUint16)
 	}
-	p, err := core.New(d.env, o.config())
+	p, err := d.cluster(o)
 	if err != nil {
-		return nil, fmt.Errorf("repro: %w", err)
+		return nil, err
 	}
 	out := make([]Result, 0, rounds)
 	for r := 1; r <= rounds; r++ {
@@ -363,6 +397,7 @@ func (d *Deployment) RunClusterRounds(rounds int, o ClusterOptions) ([]Result, e
 		}
 		out = append(out, fromRound(res))
 	}
+	d.proto = p
 	return out, nil
 }
 
@@ -395,14 +430,15 @@ type LocalizationResult struct {
 // LocalizePolluter runs the O(log N) bisection against a configured
 // attacker and returns the isolated suspect.
 func (d *Deployment) LocalizePolluter(o ClusterOptions) (LocalizationResult, error) {
-	p, err := core.New(d.env, o.config())
+	p, err := d.cluster(o)
 	if err != nil {
-		return LocalizationResult{}, fmt.Errorf("repro: %w", err)
+		return LocalizationResult{}, err
 	}
 	loc, err := p.Localize()
 	if err != nil {
 		return LocalizationResult{}, fmt.Errorf("repro: %w", err)
 	}
+	d.proto = p
 	return LocalizationResult{Suspect: int(loc.Suspect), Rounds: loc.Rounds}, nil
 }
 

@@ -1,9 +1,6 @@
 package repro
 
-import (
-	"repro/internal/core"
-	"repro/internal/topo"
-)
+import "repro/internal/topo"
 
 // topoID converts a public node identifier into the internal type.
 func topoID(id int) topo.NodeID { return topo.NodeID(id) }
@@ -20,7 +17,7 @@ func PickPolluter(o Options, needDirectChild bool) (int, error) {
 	if err != nil {
 		return -1, err
 	}
-	p, err := newCoreForPick(dep)
+	p, err := dep.cluster(ClusterOptions{})
 	if err != nil {
 		return -1, err
 	}
@@ -28,9 +25,4 @@ func PickPolluter(o Options, needDirectChild bool) (int, error) {
 		return -1, err
 	}
 	return int(p.PickAttacker(needDirectChild)), nil
-}
-
-// newCoreForPick builds a default cluster-protocol instance on a deployment.
-func newCoreForPick(dep *Deployment) (*core.Protocol, error) {
-	return core.New(dep.env, core.DefaultConfig())
 }
