@@ -112,63 +112,6 @@ func TestShardedFleetServesAndDrains(t *testing.T) {
 	drainAll(t, errCh)
 }
 
-// TestJoinProxyCoordinatesRemoteShards boots two shard daemons with
-// distinct ID prefixes plus a -join coordinator over them, and proves a
-// query through the proxy is served by a real shard, the proxy's breakers
-// read closed on its /metricsz, and the shards' own /metricsz count the
-// served job.
-func TestJoinProxyCoordinatesRemoteShards(t *testing.T) {
-	s0, err0 := bootDaemon(t,
-		"-addr", "127.0.0.1:0", "-idprefix", "s0-", "-workers", "1", "-queue", "8",
-		"-nodes", "80", "-seed", "7", "-ideal", "-draintimeout", "30s")
-	s1, err1 := bootDaemon(t,
-		"-addr", "127.0.0.1:0", "-idprefix", "s1-", "-workers", "1", "-queue", "8",
-		"-nodes", "80", "-seed", "7", "-ideal", "-draintimeout", "30s")
-	proxy, errp := bootDaemon(t,
-		"-addr", "127.0.0.1:0", "-join", "http://"+s0+",http://"+s1,
-		"-draintimeout", "30s")
-
-	resp, err := http.Post("http://"+proxy+"/v1/query", "application/json",
-		strings.NewReader(`{"kind":"sum"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var status station.JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || status.State != "done" || status.Answer == nil {
-		t.Fatalf("proxied query: status %d, %+v", resp.StatusCode, status)
-	}
-	if !strings.HasPrefix(status.ID, "s0-") && !strings.HasPrefix(status.ID, "s1-") {
-		t.Errorf("proxied job ID %q lacks its shard's prefix", status.ID)
-	}
-	// The handle resolves back through the proxy.
-	resp, err = http.Get("http://" + proxy + "/v1/jobs/" + status.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("proxied job poll = %d, want 200", resp.StatusCode)
-	}
-
-	pm := scrape(t, proxy)
-	for _, target := range []string{"0", "1"} {
-		if got := pm.Sum("agg_proxy_breaker_state", "target", target, "state", "closed"); got != 1 {
-			t.Errorf("proxy target %s breaker closed = %v, want 1", target, got)
-		}
-	}
-	completed := scrape(t, s0).Sum("agg_station_jobs_total", "outcome", "done") +
-		scrape(t, s1).Sum("agg_station_jobs_total", "outcome", "done")
-	if completed < 1 {
-		t.Errorf("shards count %v done jobs after a proxied query", completed)
-	}
-
-	drainAll(t, err0, err1, errp)
-}
-
 // TestSingleStationChaosRunsAsOneShardFleet: -chaos without -shards serves
 // through a one-shard fleet, so the plan's shard-0 queue-full window is
 // enforced at the fleet gate (503 with Retry-After while it is open) and
@@ -216,8 +159,9 @@ func TestSingleStationChaosRunsAsOneShardFleet(t *testing.T) {
 	drainAll(t, errCh)
 }
 
-// TestFleetFlagValidation: the new topology flags reject nonsense the same
-// way every other flag does — usage errors, not panics or misruns.
+// TestFleetFlagValidation: the topology flags reject nonsense the same way
+// every other flag does — usage errors, not panics or misruns — and the
+// retired -join proxy flag is unknown.
 func TestFleetFlagValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -225,7 +169,7 @@ func TestFleetFlagValidation(t *testing.T) {
 	}{
 		{"zero shards", []string{"-shards", "0"}},
 		{"negative shards", []string{"-shards", "-2"}},
-		{"join plus shards", []string{"-join", "http://x:1", "-shards", "2"}},
+		{"join is unknown", []string{"-join", "x"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -233,9 +177,5 @@ func TestFleetFlagValidation(t *testing.T) {
 				t.Fatalf("want usage error, got %v", err)
 			}
 		})
-	}
-	// A malformed -join URL is a config error surfaced by the proxy builder.
-	if _, err := run([]string{"-join", "not-a-url"}); err == nil {
-		t.Fatal("malformed -join target accepted")
 	}
 }

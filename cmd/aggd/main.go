@@ -2,14 +2,12 @@
 // daemon that serves one-shot and recurring aggregation queries from a pool
 // of simulated deployments (see internal/station). With -shards it runs an
 // in-process fleet of stations behind one consistent-hash coordinator
-// (see internal/fleet); with -join it runs a stateless proxy coordinator
-// over remote aggd shard listeners instead.
+// (see internal/fleet).
 //
 // Usage:
 //
 //	aggd -addr :8080 -workers 4 -nodes 400 -seed 7
 //	aggd -addr :8080 -shards 4 -workers 2            # in-process fleet
-//	aggd -addr :8080 -join http://s0:8081,http://s1:8082
 //	aggd -addr :8080 -shards 3 -chaos plan.json -traceout fleet.jsonl
 //	curl -d '{"kind":"sum"}' http://localhost:8080/v1/query
 //	curl -d '{"kind":"sum","fanout":true}' 'http://localhost:8080/v1/query?partial=1'
@@ -17,17 +15,16 @@
 //
 // -chaos arms a deterministic fault-injection plan (internal/chaos JSON:
 // seed + per-shard crash/latency/errors/queue-full windows) against the
-// fleet's shard gate and, under -join, the proxy transport. Without
-// -shards a chaos daemon serves through a one-shard fleet, so kill
-// windows really tear the station down and job ids gain "s0-".
-// -traceout streams fleet events (faults, shard states, breaker
-// transitions, degraded answers) plus per-request serve spans as JSONL
+// fleet's shard gate. Without -shards a chaos daemon serves through a
+// one-shard fleet, so kill windows really tear the station down and job
+// ids gain "s0-". -traceout streams fleet events (faults, shard states,
+// degraded answers) plus per-request serve spans as JSONL
 // for aggtrace -why outage and -why request <id>. ?partial=1 lets a
 // fan-out degrade to the surviving shards instead of failing.
 //
-// Every response carries an X-Agg-Request-Id header (assigned at ingress,
-// propagated by a -join proxy to its targets); /metricsz serves Prometheus
-// text-format telemetry on every topology — the one counter surface:
+// Every response carries an X-Agg-Request-Id header minted at ingress;
+// /metricsz serves Prometheus text-format telemetry on every topology —
+// the one counter surface:
 // admission, job outcomes, protocol events, per-worker rounds and traffic,
 // with -tracestats the workers' flight-recorder counts, and under -shards
 // the fleet's own counters next to each shard's series (shard="i").
@@ -44,14 +41,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"hash/fnv"
 	"net"
 	"net/http"
 	_ "net/http/pprof" // /debug/pprof on the -observe endpoint
-	"net/url"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -68,19 +62,6 @@ import (
 // the ephemeral port.
 var listening func(addr string)
 
-// ordinalBase maps an -idprefix to a schedule-ordinal window (see
-// station.Config.ScheduleOrdinalBase). 15 hash bits shifted past the
-// 16-bit local-counter window: distinct prefixes land in distinct windows
-// (up to hash collisions), the empty prefix keeps the standalone zero base.
-func ordinalBase(idprefix string) int64 {
-	if idprefix == "" {
-		return 0
-	}
-	h := fnv.New32a()
-	h.Write([]byte(idprefix))
-	return int64(h.Sum32()&0x7fff) << 16
-}
-
 func main() {
 	fs, err := run(os.Args[1:])
 	cliutil.Exit("aggd", fs, err)
@@ -91,8 +72,6 @@ func run(args []string) (*flag.FlagSet, error) {
 	var (
 		addr       = fs.String("addr", ":8080", "HTTP listen address (host:port)")
 		shards     = fs.Int("shards", 1, "station shards behind an in-process fleet coordinator (1 = plain station unless -chaos)")
-		join       = fs.String("join", "", "comma-separated remote shard URLs to coordinate instead of serving locally")
-		idprefix   = fs.String("idprefix", "", "prefix stamped on job/schedule IDs (give each -join shard a distinct one)")
 		workers    = fs.Int("workers", 4, "deployment pool size per shard")
 		queue      = fs.Int("queue", 64, "admission queue depth per shard")
 		keepjobs   = fs.Int("keepjobs", 1024, "finished jobs retained for polling")
@@ -107,7 +86,7 @@ func run(args []string) (*flag.FlagSet, error) {
 		tracestats = fs.Bool("tracestats", false, "count every worker's flight-recorder events into /metricsz (agg_trace_*)")
 		observe    = fs.String("observe", "", "serve pprof on this second address, e.g. :6060")
 		chaosPlan  = fs.String("chaos", "", "arm a fault-injection plan from this JSON file (see internal/chaos)")
-		traceout   = fs.String("traceout", "", "append fleet events (faults, shard health, breakers) and request spans to this JSONL file for aggtrace -why outage / -why request")
+		traceout   = fs.String("traceout", "", "append fleet events (faults, shard health) and request spans to this JSONL file for aggtrace -why outage / -why request")
 	)
 	if err := cliutil.Parse(fs, args); err != nil {
 		return fs, err
@@ -134,9 +113,6 @@ func run(args []string) (*flag.FlagSet, error) {
 	if *draintmo <= 0 {
 		return fs, cliutil.Usagef("-draintimeout must be positive, got %v", *draintmo)
 	}
-	if *join != "" && *shards > 1 {
-		return fs, cliutil.Usagef("-join and -shards are mutually exclusive: a proxy coordinates remote shards, it does not host local ones")
-	}
 	if *observe != "" {
 		if err := cliutil.CheckAddr("observe", *observe); err != nil {
 			return fs, err
@@ -149,13 +125,6 @@ func run(args []string) (*flag.FlagSet, error) {
 		KeepJobs:   *keepjobs,
 		JobTimeout: *timeout,
 		TraceStats: *tracestats,
-		IDPrefix:   *idprefix,
-		// -join shards are independent processes whose schedule ordinals
-		// each restart at 1; deriving a disjoint ordinal base from the
-		// (required-distinct) -idprefix keeps same-kind schedules on
-		// different shards from aliasing onto one epoch-seed stream, the
-		// same guarantee fleet.New stamps on in-process shards.
-		ScheduleOrdinalBase: ordinalBase(*idprefix),
 		// Trace is filled in below once the -traceout sink exists; every
 		// topology shares one stream so request spans interleave with
 		// fleet incident events.
@@ -202,10 +171,9 @@ func run(args []string) (*flag.FlagSet, error) {
 		ctl.Trace(sink)
 	}
 
-	// Build whichever coordinator topology was asked for. All three serve
-	// the identical HTTP surface; only drain semantics and the /metricsz
-	// series differ. The chaos controller attaches at the proxy's
-	// transport or at the fleet's shard gate; a single station with a plan
+	// Build whichever topology was asked for. Both serve the identical HTTP
+	// surface; only the /metricsz series differ. The chaos controller
+	// attaches at the fleet's shard gate; a single station with a plan
 	// armed runs as a one-shard fleet, so a kill window really tears the
 	// station down and the supervisor rebuilds it.
 	var (
@@ -214,18 +182,6 @@ func run(args []string) (*flag.FlagSet, error) {
 		banner  string
 	)
 	switch {
-	case *join != "":
-		targets := strings.Split(*join, ",")
-		opts := fleet.ProxyOptions{Timeout: *draintmo, Trace: sink}
-		if ctl != nil {
-			opts.Transport = chaos.NewTransport(nil, ctl, targetHosts(targets))
-		}
-		p, err := fleet.NewProxy(targets, opts)
-		if err != nil {
-			return fs, err
-		}
-		handler = p.Handler()
-		banner = fmt.Sprintf("coordinating %d remote shard(s)", p.Shards())
 	case *shards > 1 || ctl != nil:
 		fl, err := fleet.New(fleet.Config{Shards: *shards, Station: stCfg, Chaos: ctl, Trace: sink})
 		if err != nil {
@@ -283,30 +239,15 @@ func run(args []string) (*flag.FlagSet, error) {
 	defer cancel()
 	// Stop accepting and finish in-flight HTTP exchanges first, then let the
 	// station(s) run every already-admitted epoch to completion and flush
-	// sinks. A -join proxy holds no local work, so shutdown alone drains it.
+	// sinks.
 	if err := srv.Shutdown(dctx); err != nil {
 		return fs, fmt.Errorf("http shutdown: %w", err)
 	}
-	if drainer != nil {
-		if err := drainer.Drain(dctx); err != nil {
-			return fs, fmt.Errorf("drain: %w", err)
-		}
+	if err := drainer.Drain(dctx); err != nil {
+		return fs, fmt.Errorf("drain: %w", err)
 	}
 	fmt.Fprintln(os.Stderr, "aggd: drained cleanly")
 	return fs, nil
-}
-
-// targetHosts maps each -join target's URL host to its ring ordinal — the
-// table chaos.NewTransport keys per-shard fault windows on. Unparseable
-// targets are skipped here; NewProxy rejects them with a real error.
-func targetHosts(targets []string) map[string]int {
-	out := make(map[string]int, len(targets))
-	for i, t := range targets {
-		if u, err := url.Parse(strings.TrimRight(t, "/")); err == nil && u.Host != "" {
-			out[u.Host] = i
-		}
-	}
-	return out
 }
 
 // serveObserve serves the stock pprof handlers on a second listener, kept

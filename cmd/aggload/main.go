@@ -183,7 +183,7 @@ func run(args []string, stdout io.Writer) (*flag.FlagSet, error) {
 }
 
 // writeEvents persists a drill's incident events as JSONL so aggtrace
-// -why outage can reconstruct the crash → breaker → restart chain offline.
+// -why outage can reconstruct the crash → down → restart chain offline.
 func writeEvents(path string, events []trace.Event) error {
 	f, err := os.Create(path)
 	if err != nil {

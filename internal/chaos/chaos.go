@@ -22,11 +22,9 @@
 // run. Wall-clock time only decides where inside the plan's windows "now"
 // falls.
 //
-// The injector has two attachment seams: fleet.Config.Chaos consults a
-// Controller at the coordinator's shard gate (every in-process topology,
-// a single station included, runs as a fleet when chaos is armed), and
-// Transport wraps the -join proxy's http.RoundTripper, where shards are
-// remote processes.
+// The injector has one attachment seam: fleet.Config.Chaos consults a
+// Controller at the coordinator's shard gate. Every topology, a single
+// station included, runs as a fleet when chaos is armed.
 package chaos
 
 import (
@@ -200,9 +198,6 @@ func CrashOnePlan(seed int64, shard int, run time.Duration) Plan {
 // ErrInjected marks a request failed by an errors window — distinguishable
 // from every organic failure so smokes can assert injection worked.
 var ErrInjected = errors.New("chaos: injected error")
-
-// ErrCrashed marks a request refused by a crash window.
-var ErrCrashed = errors.New("chaos: shard crashed")
 
 // Decision is the controller's verdict for one request: exactly what the
 // caller must do before (or instead of) serving it.

@@ -2,8 +2,6 @@ package chaos
 
 import (
 	"encoding/json"
-	"errors"
-	"net/http"
 	"reflect"
 	"testing"
 	"time"
@@ -227,50 +225,3 @@ func TestEdgeEventsOncePerWindow(t *testing.T) {
 		}
 	}
 }
-
-// TestTransportVerdicts drives the proxy seam: crashes and error bursts
-// must surface as transport errors (breaker food), queue-full storms as
-// synthesized 503s with a retry hint (backpressure), and unknown hosts
-// must pass through untouched.
-func TestTransportVerdicts(t *testing.T) {
-	inner := roundTripFunc(func(r *http.Request) (*http.Response, error) {
-		return &http.Response{StatusCode: http.StatusTeapot, Body: http.NoBody}, nil
-	})
-	ctl, ck := start(t, Plan{Faults: []Window{
-		{Shard: 0, Kind: KindCrash, Dwell: Duration(time.Hour)},
-		{Shard: 1, Kind: KindQueueFull, Dwell: Duration(time.Hour)},
-	}})
-	ck.advance(time.Millisecond)
-	rt := NewTransport(inner, ctl, map[string]int{"s0:1": 0, "s1:1": 1})
-
-	req := func(host string) *http.Request {
-		r, err := http.NewRequest(http.MethodGet, "http://"+host+"/healthz", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	if _, err := rt.RoundTrip(req("s0:1")); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("crashed shard round trip = %v, want ErrCrashed", err)
-	}
-	resp, err := rt.RoundTrip(req("s1:1"))
-	if err != nil || resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("queue-full storm = %v, %v; want a synthesized 503", resp, err)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("synthesized 503 lacks Retry-After")
-	}
-	resp.Body.Close()
-	resp, err = rt.RoundTrip(req("elsewhere:9"))
-	if err != nil || resp.StatusCode != http.StatusTeapot {
-		t.Fatalf("unknown host = %v, %v; want passthrough to inner", resp, err)
-	}
-
-	if NewTransport(inner, nil, nil) == nil {
-		t.Fatal("nil-controller transport must be the inner transport")
-	}
-}
-
-type roundTripFunc func(*http.Request) (*http.Response, error)
-
-func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }

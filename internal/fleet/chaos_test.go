@@ -5,10 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -232,8 +230,7 @@ func TestFleetPartialFanoutDegrades(t *testing.T) {
 	f.slots[1].setState(trace.ShardHealthy) // let Drain see a clean fleet
 }
 
-// TestFleetHealthDetail: the /healthz payload carries per-shard states —
-// the shape the proxy merges remote fleets into.
+// TestFleetHealthDetail: the /healthz payload carries per-shard states.
 func TestFleetHealthDetail(t *testing.T) {
 	f := newFleet(t, testConfig(3, 1, 8))
 	srv := httptest.NewServer(station.NewAPI(f).Handler())
@@ -274,132 +271,6 @@ func TestFleetHealthDetail(t *testing.T) {
 		t.Fatalf("degraded healthz = %d %q %+v", resp.StatusCode, h.Status, h.Shards)
 	}
 	f.slots[2].setState(trace.ShardHealthy)
-}
-
-// TestProxyBreakerChaos runs the -join topology through a crash window:
-// the chaos transport severs one target, the proxy's breaker opens after
-// the threshold, partial fan-outs keep serving the survivor with the dead
-// ordinal named, the proxy /healthz merges per-shard states, and once the
-// window lifts the breaker walks open → half-open → closed and full
-// fan-outs resume.
-func TestProxyBreakerChaos(t *testing.T) {
-	targets := make([]string, 2)
-	hosts := make(map[string]int, 2)
-	for i := range targets {
-		st, err := station.New(station.Config{
-			Workers:    1,
-			QueueDepth: 8,
-			IDPrefix:   []string{"s0-", "s1-"}[i],
-			Deploy:     repro.Options{Nodes: 80, Seed: 7, Ideal: true},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := httptest.NewServer(station.NewAPI(st).Handler())
-		t.Cleanup(srv.Close)
-		t.Cleanup(func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-			defer cancel()
-			_ = st.Drain(ctx)
-		})
-		targets[i] = srv.URL
-		hosts[strings.TrimPrefix(srv.URL, "http://")] = i
-	}
-	ctl, err := chaos.NewController(chaos.Plan{Seed: 7, Faults: []chaos.Window{{
-		Shard: 0, Kind: chaos.KindCrash, Dwell: chaos.Duration(600 * time.Millisecond),
-	}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	col := &trace.Collector{}
-	p, err := NewProxy(targets, ProxyOptions{
-		Timeout:   time.Minute,
-		Transport: chaos.NewTransport(nil, ctl, hosts),
-		Trace:     col,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	front := httptest.NewServer(p.Handler())
-	t.Cleanup(front.Close)
-	ctl.Start() // crash window active from t=0
-
-	fanout := func(partial bool) (int, station.FanoutResponse) {
-		t.Helper()
-		url := front.URL + "/v1/query"
-		if partial {
-			url += "?partial=1"
-		}
-		resp, err := http.Post(url, "application/json", strings.NewReader(`{"kind":"sum","fanout":true}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var fs station.FanoutResponse
-		data, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode == http.StatusOK {
-			if err := json.Unmarshal(data, &fs); err != nil {
-				t.Fatalf("fanout payload %s: %v", data, err)
-			}
-		}
-		return resp.StatusCode, fs
-	}
-
-	// Strict fan-out cannot reach the severed target: one composed 502.
-	if code, _ := fanout(false); code != http.StatusBadGateway {
-		t.Fatalf("strict fan-out through a crash = %d, want 502", code)
-	}
-	// Partial fan-outs serve the survivor and name the dead ordinal. The
-	// strict attempt already fed the breaker one failure; the second partial
-	// is the third strike, so the breaker is open before the loop ends.
-	for i := 0; i < 3; i++ {
-		code, fs := fanout(true)
-		if code != http.StatusOK || !fs.Degraded || len(fs.Jobs) != 1 ||
-			len(fs.Missing) != 1 || fs.Missing[0] != 0 {
-			t.Fatalf("degraded fan-out %d = %d %+v", i, code, fs)
-		}
-	}
-
-	// The proxy's own /healthz merges the remote states concurrently.
-	resp, err := http.Get(front.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var h struct {
-		station.Health
-		ShardsHealthy int `json:"shards_healthy"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || h.Status != "degraded" || h.ShardsHealthy != 1 ||
-		len(h.Shards) != 2 || h.Shards[0].State != trace.ShardDown || h.Shards[1].State != trace.ShardHealthy {
-		t.Fatalf("merged healthz = %d %+v", resp.StatusCode, h)
-	}
-
-	// Past the window and the cooldown, the next fan-out rides the breaker
-	// probe: half-open, success, closed, all shards back.
-	time.Sleep(800 * time.Millisecond)
-	code, fs := fanout(true)
-	if code != http.StatusOK || fs.Degraded || len(fs.Missing) != 0 || len(fs.Jobs) != 2 || !fs.Agree {
-		t.Fatalf("post-recovery fan-out = %d %+v", code, fs)
-	}
-
-	// The breaker's story for target 0 must read open → half-open → closed.
-	want := []string{trace.BreakerOpen, trace.BreakerHalfOpen, trace.BreakerClosed}
-	idx := 0
-	for _, ev := range col.Events() {
-		if ev.Type == trace.TypeBreaker && int(ev.Node) == 0 && idx < len(want) && ev.Cause == want[idx] {
-			idx++
-		}
-	}
-	if idx != len(want) {
-		t.Fatalf("breaker chain shows %d/%d of open -> half-open -> closed; events: %+v", idx, len(want), col.Events())
-	}
 }
 
 // TestChaosDisabledCostsNothing: with no controller configured, the chaos

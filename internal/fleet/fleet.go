@@ -58,7 +58,8 @@ type Config struct {
 	// a full copy of the Station config — its own worker pool and
 	// deployments — plus a distinct ID prefix ("s3-job-17").
 	Shards int
-	// Station is the per-shard template. IDPrefix is managed by the fleet.
+	// Station is the per-shard template. The fleet sets IDPrefix and
+	// ScheduleOrdinalBase per shard.
 	Station station.Config
 
 	// Chaos, when non-nil, injects the controller's fault plan at the
@@ -172,11 +173,11 @@ func New(cfg Config) (*Fleet, error) {
 // the originals (same prefix, same ordinal window, same template).
 func (f *Fleet) shardConfig(i int) station.Config {
 	scfg := f.cfg.Station
-	scfg.IDPrefix = fmt.Sprintf("s%d-%s", i, f.cfg.Station.IDPrefix)
+	scfg.IDPrefix = fmt.Sprintf("s%d-", i)
 	// Each shard's scheduler draws ordinals from a disjoint window so
 	// same-kind schedules placed on different shards never alias onto
 	// the same epoch-seed stream (they would both start at ordinal 1).
-	scfg.ScheduleOrdinalBase = f.cfg.Station.ScheduleOrdinalBase + int64(i)<<16
+	scfg.ScheduleOrdinalBase = int64(i) << 16
 	// Shard stations share the fleet's sink so one request's admit/run/done
 	// stages land in the same stream as the fleet's fan-out and merge — the
 	// span tree aggtrace -why request rebuilds needs all of them together.

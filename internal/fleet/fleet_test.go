@@ -415,7 +415,8 @@ func TestFleetSameKindSchedulesDistinctAcrossShards(t *testing.T) {
 }
 
 // TestFleetHTTP drives the fleet through the stock station.API handler:
-// the wire surface must be indistinguishable from a single station, and a
+// the wire surface must be indistinguishable from a single station, a job
+// handle must resolve back to its shard (and a bogus one must 404), and a
 // fanout query must report cross-shard agreement.
 func TestFleetHTTP(t *testing.T) {
 	f := newFleet(t, testConfig(2, 1, 8))
@@ -439,15 +440,33 @@ func TestFleetHTTP(t *testing.T) {
 		t.Errorf("fleet job ID %q not shard-prefixed", js.ID)
 	}
 
+	resp, err = http.Get(srv.URL + "/v1/jobs/" + js.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var polled station.JobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&polled); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || polled.ID != js.ID {
+		t.Fatalf("fleet job poll: %d %+v", resp.StatusCode, polled)
+	}
+	resp, err = http.Get(srv.URL + "/v1/jobs/s0-job-999")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("bogus job poll = %d, want 404", resp.StatusCode)
+	}
+
 	resp, err = http.Post(srv.URL+"/v1/query", "application/json",
 		strings.NewReader(`{"kind":"sum","fanout":true}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fan struct {
-		Jobs  []station.JobStatus `json:"jobs"`
-		Agree bool                `json:"agree"`
-	}
+	var fan station.FanoutResponse
 	if err := json.NewDecoder(resp.Body).Decode(&fan); err != nil {
 		t.Fatal(err)
 	}

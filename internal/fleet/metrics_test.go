@@ -6,10 +6,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,145 +19,19 @@ import (
 	"repro/internal/trace"
 )
 
-// TestProxyHedgesSlowTarget is the hedging regression gate: with the
-// p99 now read from the shared per-target histogram instead of the old
-// private sample ring, a GET to a target that suddenly stalls must still
-// fire a hedge after the learned delay and win with the fast second
-// attempt.
-func TestProxyHedgesSlowTarget(t *testing.T) {
-	const stall = 750 * time.Millisecond
-	var calls atomic.Int64
-	slowFirst := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 1 {
-			time.Sleep(stall) // only the first in-flight GET stalls
-		}
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprint(w, `{"id":"s0-job-1","state":"done"}`)
-	}))
-	defer slowFirst.Close()
-
-	p, err := NewProxy([]string{slowFirst.URL}, ProxyOptions{Timeout: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Before the histogram has enough samples, the derived delay must be
-	// zero: hedging on thin data hedges everything.
-	if d := p.hedgeDelay(0); d != 0 {
-		t.Fatalf("hedgeDelay with empty histogram = %v, want 0", d)
-	}
-
-	// Teach the target's latency instruments a fast baseline, as a warm
-	// proxy would have learned from real traffic.
-	for i := 0; i < hedgeMinSamples; i++ {
-		p.metrics.observeLatency(0, 10*time.Millisecond)
-	}
-	if d := p.hedgeDelay(0); d <= 0 || d > 100*time.Millisecond {
-		t.Fatalf("hedgeDelay after warm-up = %v, want a small p99-derived delay", d)
-	}
-
-	start := time.Now()
-	resp, err := p.get(0, "rid-hedge", "/v1/jobs/s0-job-1")
-	took := time.Since(start)
-	if err != nil || resp.status != http.StatusOK {
-		t.Fatalf("hedged get: %v status=%v", err, resp)
-	}
-	if took >= stall {
-		t.Fatalf("hedged get took %v, want well under the %v stall", took, stall)
-	}
-	if n := p.metrics.hedges[0].Value(); n != 1 {
-		t.Errorf("hedges counter = %d, want 1", n)
-	}
-	if n := p.metrics.attempts[0].Value(); n < 2 {
-		t.Errorf("attempts counter = %d, want both racing attempts counted", n)
-	}
-}
-
-// TestHedgeDelayTracksRegimeChange pins the rolling-window property: a
-// long fast history must not anchor the hedge delay. After the window
-// fills with slow samples the delay follows the new regime, even though
-// the slow samples are a tiny fraction of the lifetime total — the
-// failure mode a cumulative p99 has (hedging every GET against a target
-// that turned slow) and the one the old 64-sample ring never did.
-func TestHedgeDelayTracksRegimeChange(t *testing.T) {
-	p, err := NewProxy([]string{"http://127.0.0.1:1"}, ProxyOptions{Timeout: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Simulate long uptime: tens of thousands of fast exchanges.
-	for i := 0; i < 50_000; i++ {
-		p.metrics.observeLatency(0, 10*time.Millisecond)
-	}
-	if d := p.hedgeDelay(0); d > 100*time.Millisecond {
-		t.Fatalf("hedgeDelay over fast history = %v, want fast", d)
-	}
-	// The target turns slow. Two window rotations of slow samples (<1% of
-	// the lifetime count) must drag the hedge delay up to the new regime.
-	for i := 0; i < 2*hedgeWindow; i++ {
-		p.metrics.observeLatency(0, 500*time.Millisecond)
-	}
-	if d := p.hedgeDelay(0); d < 400*time.Millisecond {
-		t.Fatalf("hedgeDelay after regime change = %v, want ~500ms: the window "+
-			"must forget the fast history", d)
-	}
-	// The cumulative exposition histogram keeps the lifetime view.
-	if got := p.metrics.lat[0].Count(); got != 50_000+2*hedgeWindow {
-		t.Fatalf("cumulative histogram count = %d, want all samples", got)
-	}
-}
-
-// TestProxyMetricsExposition scrapes the proxy's /metricsz after real
-// traffic and checks the exposition parses with the per-target series a
-// dashboard keys on — and that the correlation id assigned at the proxy
-// comes back on both the response header and the job status.
-func TestProxyMetricsExposition(t *testing.T) {
-	rig := newProxyRig(t)
-
-	resp, err := http.Post(rig.proxy.URL+"/v1/query", "application/json",
-		strings.NewReader(`{"kind":"sum"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rid := resp.Header.Get(station.RequestIDHeader)
-	var js station.JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&js); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if rid == "" {
-		t.Fatal("proxy response carries no X-Agg-Request-Id")
-	}
-	if js.RequestID != rid {
-		t.Errorf("job status request_id %q != response header id %q", js.RequestID, rid)
-	}
-
-	resp, err = http.Get(rig.proxy.URL + "/metricsz")
+// postJSON POSTs body to url and returns the status and response body.
+func postJSON(t *testing.T, url, body string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != telemetry.ContentType {
-		t.Errorf("metricsz content type = %q", ct)
-	}
-	samples, err := telemetry.ParseText(resp.Body)
+	data, err := io.ReadAll(resp.Body)
 	if err != nil {
-		t.Fatalf("proxy exposition does not parse: %v", err)
+		t.Fatal(err)
 	}
-	attempts := samples[`agg_proxy_attempts_total{target="0"}`] +
-		samples[`agg_proxy_attempts_total{target="1"}`]
-	if attempts < 1 {
-		t.Errorf("no per-target attempts recorded: %v", samples)
-	}
-	for _, target := range []string{"0", "1"} {
-		key := fmt.Sprintf(`agg_proxy_breaker_state{target=%q,state="closed"}`, target)
-		if samples[key] != 1 {
-			t.Errorf("%s = %v, want 1 (healthy targets stay closed)", key, samples[key])
-		}
-	}
-	if samples["agg_proxy_availability_ratio"] != 1 {
-		t.Errorf("availability = %v after all-success traffic, want 1",
-			samples["agg_proxy_availability_ratio"])
-	}
+	return resp.StatusCode, data
 }
 
 // scrapeFleet renders the fleet's /metricsz body and parses it back.
@@ -248,9 +122,9 @@ func checkRows(t *testing.T, rows []seriesRow) {
 // TestNoSeriesLost is the one-metrics-surface gate. Every field the
 // retired JSON stats endpoint served — station pool shape, admission,
 // outcomes, protocol events, per-worker rounds and traffic, trace counts,
-// fleet shed/reject/restart/degraded, proxy breakers — must have a
-// /metricsz series, and each series must read exactly what this test
-// drove through a single station, a proxy and a 2-shard fleet.
+// fleet shed/reject/restart/degraded — must have a /metricsz series, and
+// each series must read exactly what this test drove through a single
+// station and a 2-shard fleet.
 func TestNoSeriesLost(t *testing.T) {
 	deploy := repro.Options{Nodes: 80, Seed: 7, Ideal: true}
 	parked, release := make(chan struct{}), make(chan struct{})
@@ -313,22 +187,16 @@ func TestNoSeriesLost(t *testing.T) {
 	done(parkedJob)
 	done(queued)
 
-	// One query through a proxy, so its breaker series have traffic.
+	// One query over HTTP, so the served path counts too.
 	srv := httptest.NewServer(station.NewAPI(st).Handler())
 	t.Cleanup(srv.Close)
-	p, err := NewProxy([]string{srv.URL}, ProxyOptions{Timeout: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	psrv := httptest.NewServer(p.Handler())
-	t.Cleanup(psrv.Close)
-	code, body := postJSON(t, psrv.URL+"/v1/query", `{"kind":"sum","seed":40}`)
-	var proxied station.JobStatus
-	if err := json.Unmarshal(body, &proxied); code != http.StatusOK || err != nil || proxied.Answer == nil {
-		t.Fatalf("proxied query: %d %s", code, body)
+	code, body := postJSON(t, srv.URL+"/v1/query", `{"kind":"sum","seed":40}`)
+	var served station.JobStatus
+	if err := json.Unmarshal(body, &served); code != http.StatusOK || err != nil || served.Answer == nil {
+		t.Fatalf("served query: %d %s", code, body)
 	}
 	ran[40] = repro.QuerySum
-	answers = append(answers, *proxied.Answer)
+	answers = append(answers, *served.Answer)
 
 	// Offline truth for the worker-side series: the same epochs on one
 	// deployment, counting into its own registry. Traffic fields are keyed
@@ -387,7 +255,6 @@ func TestNoSeriesLost(t *testing.T) {
 		{"takeovers", event("takeover"), takeovers},
 		{"promotions", event("promotion"), promotions},
 		{"worker_stats.rounds", m.Sum("agg_station_worker_rounds_total", "worker", "0"), float64(len(ran))},
-		{"breakers", scrapeURL(t, psrv.URL)[`agg_proxy_breaker_state{target="0",state="closed"}`], 1},
 	}
 	if len(traffic) != 7 {
 		t.Fatalf("traffic fields = %v, want repro.Traffic's 7", traffic)

@@ -77,8 +77,7 @@ func (r *ring) search(key uint64) int {
 // only in one counter byte (consecutive seeds, vnode ordinals) hash to an
 // arithmetic progression and the "ring" degenerates into a lattice where
 // consecutive keys track one shard's arcs. Both stages are deterministic
-// across processes, so an HTTP proxy coordinator and an in-process fleet
-// route identical keys identically.
+// across processes, so a key routes to the same shard on every run.
 func hash64(b []byte) uint64 {
 	h := fnv.New64a()
 	h.Write(b)

@@ -81,8 +81,7 @@ const retryAfterMs = int64(retryAfter / time.Millisecond)
 // UP to whole seconds, the finest granularity the header supports.
 var retryAfterHeader = strconv.FormatInt(int64((retryAfter+time.Second-1)/time.Second), 10)
 
-// Server limits for every listener that serves this API or the fleet
-// proxy: a client that dribbles its headers or body, or sends oversized
+// Server limits for every listener that serves this API: a client that dribbles its headers or body, or sends oversized
 // headers, is cut off rather than holding a connection open. ReadTimeout
 // bounds reading the request only: net/http clears the read deadline when
 // the body ends and it starts watching the connection for a hang-up, so

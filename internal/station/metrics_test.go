@@ -3,6 +3,7 @@ package station
 import (
 	"encoding/json"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -115,6 +116,67 @@ func TestRequestLifecycleTrace(t *testing.T) {
 	}
 	if wait, ok := trace.Token(tree[0].Events[1].Detail, "queue_wait"); !ok || wait == "" {
 		t.Errorf("run stage lacks queue_wait timing: %q", tree[0].Events[1].Detail)
+	}
+}
+
+// TestSpoofedRequestIDIsReplaced: an inbound X-Agg-Request-Id is never
+// trusted. A client that sends "a job=s9-job-1" must get a freshly minted
+// 16-hex id back, and the job's serve events must carry that id and the
+// job's own job= token, so the spoofed text cannot reassign the span.
+func TestSpoofedRequestIDIsReplaced(t *testing.T) {
+	sink := &trace.Collector{}
+	cfg := testConfig(1, 8)
+	cfg.Trace = sink
+	_, srv := newTestServer(t, cfg)
+
+	const spoof = "a job=s9-job-1"
+	req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/query", strings.NewReader(`{"kind":"sum"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(RequestIDHeader, spoof)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var js JobStatus
+	err = json.NewDecoder(resp.Body).Decode(&js)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || err != nil {
+		t.Fatalf("query: %d %v", resp.StatusCode, err)
+	}
+	rid := resp.Header.Get(RequestIDHeader)
+	if len(rid) != 16 || strings.Trim(rid, "0123456789abcdef") != "" {
+		t.Fatalf("response request id = %q, want a fresh 16-hex id", rid)
+	}
+	if js.RequestID != rid {
+		t.Errorf("job request_id %q != response header %q", js.RequestID, rid)
+	}
+
+	var events []trace.Event
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		events = trace.RequestEvents(sink.Events(), rid)
+		if len(events) >= 3 || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if len(events) < 3 {
+		t.Fatalf("got %d serve events for %s, want admit, run and done", len(events), rid)
+	}
+	for _, ev := range events {
+		if got, _ := trace.Token(ev.Detail, "req"); got != rid {
+			t.Errorf("event %q: req=%q, want %q", ev.Detail, got, rid)
+		}
+		if got, _ := trace.Token(ev.Detail, "job"); got != js.ID {
+			t.Errorf("event %q: job=%q, want the job's own %q", ev.Detail, got, js.ID)
+		}
+	}
+	for _, ev := range sink.Events() {
+		if strings.Contains(ev.Detail, "s9-job-1") {
+			t.Errorf("spoofed header text reached the trace: %q", ev.Detail)
+		}
 	}
 }
 

@@ -9,9 +9,9 @@ import (
 )
 
 // RequestIDHeader carries one request's correlation id end to end: aggd
-// assigns it at ingress, the -join proxy propagates it to targets, the
-// station stamps it into job lifecycle and serve-trace events, and
-// aggtrace -why request <id> reconstructs the span tree from it.
+// mints it at ingress, the station stamps it into job lifecycle and
+// serve-trace events, and aggtrace -why request <id> reconstructs the span
+// tree from it.
 const RequestIDHeader = "X-Agg-Request-Id"
 
 // ridFallback sequences ids when the system randomness source fails —
@@ -27,17 +27,16 @@ func newRequestID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// WithRequestID is the ingress middleware: a request arriving without an
-// X-Agg-Request-Id gets one minted; either way the id is pinned onto the
-// request headers (so downstream handlers and proxies read one value) and
-// echoed on the response, where clients and smoke tests pick it up.
+// WithRequestID is the ingress middleware: every request gets a freshly
+// minted X-Agg-Request-Id, overwriting any the client sent (the id is
+// written into the trace, so a client-chosen one could spoof another job's
+// span). The id is pinned onto the request headers, so downstream handlers
+// read one value, and echoed on the response, where clients and smoke
+// tests pick it up.
 func WithRequestID(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := r.Header.Get(RequestIDHeader)
-		if id == "" {
-			id = newRequestID()
-			r.Header.Set(RequestIDHeader, id)
-		}
+		id := newRequestID()
+		r.Header.Set(RequestIDHeader, id)
 		w.Header().Set(RequestIDHeader, id)
 		next.ServeHTTP(w, r)
 	})

@@ -61,8 +61,7 @@ type Config struct {
 	// shards of one fleet, each shard's local ordinals restart at 1 and
 	// same-kind schedules placed on different shards would alias back onto
 	// identical streams. The coordinator stamps a disjoint base per shard
-	// (and cmd/aggd derives one from -idprefix for -join deployments) so
-	// the streams stay disjoint fleet-wide. Zero for standalone stations.
+	// so the streams stay disjoint fleet-wide. Zero for standalone stations.
 	ScheduleOrdinalBase int64
 
 	Deploy  repro.Options        // deployment template, one instance per worker
@@ -105,8 +104,7 @@ type ShardHealth struct {
 
 // Health is the /healthz payload: an overall status plus per-shard detail.
 // A single station reports one shard (itself); a fleet reports one entry
-// per supervised shard, and the -join proxy merges its remote targets'
-// payloads into the same shape.
+// per supervised shard.
 type Health struct {
 	Status string        `json:"status"` // "ok", "degraded" (some shards out), "draining"
 	Shards []ShardHealth `json:"shards"`

@@ -89,19 +89,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	}
 }
 
-// Reset zeroes the histogram. It is not atomic with respect to concurrent
-// Observes — a racing observation may be partially dropped — which is fine
-// for its one caller, the Rolling estimator, where a lost sample only
-// nudges an already-approximate quantile.
-func (h *Histogram) Reset() {
-	h.count.Store(0)
-	h.sum.Store(0)
-	h.max.Store(0)
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
-	}
-}
-
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 

@@ -9,8 +9,8 @@ import (
 // land in fixed-resolution time buckets and Availability reads the served
 // ratio over the most recent span. It turns the chaos drill's post-hoc
 // availability number into a continuously observable gauge — the fleet
-// records every admission verdict, the proxy every transport outcome, and
-// /metricsz exposes the ratio plus its error-budget burn.
+// records every admission verdict, and /metricsz exposes the ratio plus
+// its error-budget burn.
 type Window struct {
 	mu      sync.Mutex
 	res     time.Duration

@@ -97,7 +97,7 @@ const (
 
 // series is one labeled instrument inside a family. Exactly one of the
 // value fields is set, matching the family's kind; fn-backed series read
-// a live value at exposition time (queue depth, shard and breaker states).
+// a live value at exposition time (queue depth, shard states).
 type series struct {
 	labels string // rendered `k="v",…` signature, "" for unlabeled
 	c      *Counter

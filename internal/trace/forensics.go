@@ -367,13 +367,12 @@ func DropChains(events []Event, q Query) []Chain {
 }
 
 // OutageChains reconstructs serving-fleet incidents: one chain per shard
-// (or proxy target) ordinal that the trace shows going unhealthy. The
-// culprit is the event that started the outage — an injected crash fault,
-// a shard leaving healthy, or a breaker opening, whichever came first for
-// that ordinal — and the context is every fleet-phase event for the same
-// ordinal in time order: fault on/off edges, shard health transitions,
-// breaker transitions, and degraded answers that name the shard. A chain
-// whose context reaches ShardHealthy (or BreakerClosed) after the culprit
+// ordinal that the trace shows going unhealthy. The culprit is the event
+// that started the outage — an injected crash fault or a shard leaving
+// healthy, whichever came first for that ordinal — and the context is
+// every fleet-phase event for the same ordinal in time order: fault on/off
+// edges, shard health transitions, and degraded answers that name the
+// shard. A chain whose context reaches ShardHealthy after the culprit
 // reads as a full incident: crash → down → restarting → … → healthy.
 func OutageChains(events []Event, q Query) []Chain {
 	fq := q
@@ -385,7 +384,7 @@ func OutageChains(events []Event, q Query) []Chain {
 			continue
 		}
 		switch e.Type {
-		case TypeFault, TypeShard, TypeBreaker, TypeDegraded:
+		case TypeFault, TypeShard, TypeDegraded:
 		default:
 			continue
 		}
@@ -402,8 +401,7 @@ func OutageChains(events []Event, q Query) []Chain {
 		culprit := -1
 		for i, e := range evs {
 			bad := e.Type == TypeFault && !strings.HasSuffix(e.Cause, "-lifted") ||
-				e.Type == TypeShard && e.Cause != ShardHealthy ||
-				e.Type == TypeBreaker && e.Cause != BreakerClosed
+				e.Type == TypeShard && e.Cause != ShardHealthy
 			if bad {
 				culprit = i
 				break

@@ -3,8 +3,8 @@ package trace
 import "sync"
 
 // The simulation's sinks assume the single-threaded event loop; the
-// serving fleet emits from many goroutines (supervisor probes, proxy
-// request paths, the chaos controller). Locked and Collector are the
+// serving fleet emits from many goroutines (supervisor probes, request
+// paths, the chaos controller). Locked and Collector are the
 // concurrency-safe adapters for that side of the house.
 
 // Locked serialises emissions into a sink that is not itself safe for

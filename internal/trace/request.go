@@ -9,8 +9,8 @@ import (
 )
 
 // Request-correlation forensics: reconstruct one served query's journey
-// across the serving stack from its TypeRequest events. The proxy, fleet,
-// and station each stamp the request id into Detail as a req=<id> token,
+// across the serving stack from its TypeRequest events. The fleet and the
+// station each stamp the request id into Detail as a req=<id> token,
 // so a span tree needs nothing but the recorded stream — no in-band
 // context propagation beyond the X-Agg-Request-Id header.
 
@@ -77,7 +77,7 @@ func RequestIDs(events []Event) []string {
 }
 
 // RequestSpan is one node of a request's span tree: either a standalone
-// stage (proxy forward, fleet fan-out/merge) or a job grouping the
+// stage (fleet fan-out/merge) or a job grouping the
 // station-side stages that share a job=<id> token.
 type RequestSpan struct {
 	Job    string  // job id, "" for standalone stages
@@ -90,7 +90,7 @@ func (s RequestSpan) Start() time.Duration { return s.Events[0].At }
 // RequestTree groups one request's events into spans: events carrying a
 // job= token collapse into one span per job (ordered by the job's first
 // event); the rest stand alone. The result is the tree aggtrace renders —
-// forward/fan-out/merge at the top level, per-job admit→run→done nested.
+// fan-out/merge at the top level, per-job admit→run→done nested.
 func RequestTree(events []Event, id string) []RequestSpan {
 	evs := RequestEvents(events, id)
 	byJob := make(map[string]int)

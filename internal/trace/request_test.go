@@ -15,7 +15,7 @@ func serveEvent(at time.Duration, stage, detail string) Event {
 
 func sampleRequestTrace() []Event {
 	return []Event{
-		serveEvent(0, StageForward, "req=r1 target=http://a attempt=0"),
+		serveEvent(0, StageFanout, "req=r1 shard=0"),
 		serveEvent(1*time.Millisecond, StageAdmit, "req=r1 job=s0-q-1 kind=query"),
 		serveEvent(2*time.Millisecond, StageRun, "req=r1 job=s0-q-1 worker=0 queue_wait=1ms"),
 		serveEvent(8*time.Millisecond, StageDone, "req=r1 job=s0-q-1 ran=6ms"),
@@ -71,12 +71,12 @@ func TestRequestIDs(t *testing.T) {
 
 func TestRequestTreeGroupsJobs(t *testing.T) {
 	spans := RequestTree(sampleRequestTrace(), "r1")
-	// forward, job s0-q-1, job s1-q-1, merge.
+	// fanout, job s0-q-1, job s1-q-1, merge.
 	if len(spans) != 4 {
 		t.Fatalf("got %d spans, want 4: %+v", len(spans), spans)
 	}
-	if spans[0].Job != "" || spans[0].Events[0].Cause != StageForward {
-		t.Fatalf("span 0 = %+v, want forward", spans[0])
+	if spans[0].Job != "" || spans[0].Events[0].Cause != StageFanout {
+		t.Fatalf("span 0 = %+v, want fanout", spans[0])
 	}
 	if spans[1].Job != "s0-q-1" || len(spans[1].Events) != 3 {
 		t.Fatalf("span 1 = %+v, want job s0-q-1 with 3 stages", spans[1])

@@ -38,8 +38,8 @@ const (
 	PhaseRadio     = "radio"     // medium-level events (drops and their causes)
 	PhaseMAC       = "mac"       // MAC-level events (queue drops, ARQ exhaustion)
 	PhaseEngine    = "engine"    // simulation-engine events (run lifecycle)
-	PhaseFleet     = "fleet"     // serving-fleet events (faults, shard health, breakers)
-	PhaseServe     = "serve"     // request lifecycle across proxy, fleet, and station
+	PhaseFleet     = "fleet"     // serving-fleet events (faults, shard health)
+	PhaseServe     = "serve"     // request lifecycle across fleet and station
 	PhaseAttack    = "attack"    // adversary campaign events (actions, breaches)
 )
 
@@ -60,7 +60,6 @@ const (
 	TypeRound     = "round"     // per-round engine telemetry (workers, batch groups, grid)
 	TypeFault     = "fault"     // an injected chaos fault window turned on or off
 	TypeShard     = "shard"     // a supervised shard's health state advanced (state in Cause)
-	TypeBreaker   = "breaker"   // a proxy circuit breaker transitioned (state in Cause)
 	TypeDegraded  = "degraded"  // a fan-out answered partially (missing shards in Detail)
 	TypeRequest   = "request"   // a served request advanced one stage (stage in Cause)
 	TypeAttack    = "attack"    // an adversary policy acted (policy in Cause, action id in Detail)
@@ -73,7 +72,6 @@ const (
 // group per-job work, and timing stages add their measured durations
 // (queue_wait=…, ran=…, took=…).
 const (
-	StageForward  = "forward"  // proxy relayed the request to a target
 	StageFanout   = "fanout"   // fleet submitted one shard's slice of a fan-out
 	StageMerge    = "merge"    // fleet merged fan-out answers
 	StageAdmit    = "admit"    // station accepted the job into its queue
@@ -107,19 +105,14 @@ const (
 	StateAdopted      = "adopted"      // head published an extended roster with orphans
 )
 
-// Serving-fleet states. Shard health (Cause of TypeShard events, fleet
-// supervisor §DESIGN "Failure domains"): healthy → suspect → down →
-// restarting → healthy. Breaker states (Cause of TypeBreaker events):
-// closed → open → half-open → closed.
+// Serving-fleet shard health (Cause of TypeShard events, fleet supervisor
+// §DESIGN "Failure domains"): healthy → suspect → down → restarting →
+// healthy.
 const (
 	ShardHealthy    = "healthy"    // probes pass; in the serving rotation
 	ShardSuspect    = "suspect"    // probes failing, not yet evicted
 	ShardDown       = "down"       // evicted from routing; restart pending
 	ShardRestarting = "restarting" // restarted; on probation until K healthy probes
-
-	BreakerClosed   = "closed"    // requests flow
-	BreakerOpen     = "open"      // fast-fail without touching the target
-	BreakerHalfOpen = "half-open" // one probe in flight decides reopen vs close
 )
 
 // Event is one recorded protocol action: who did what, when (virtual
