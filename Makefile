@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race results-check bench-smoke bench bench-gate f17-smoke f18-smoke trace-smoke service-smoke par-smoke fleet-smoke chaos-smoke metrics-smoke attack-smoke fuzz-smoke
+.PHONY: check vet build test race results-check bench-smoke bench bench-gate perf-matrix f17-smoke f18-smoke trace-smoke service-smoke par-smoke fleet-smoke chaos-smoke metrics-smoke attack-smoke fuzz-smoke
 
 ## check: the full local verify — vet, build, tests (race on the
 ## concurrency-sensitive packages), quick resilience- and failover-
@@ -153,7 +153,8 @@ par-smoke:
 	@echo "par-smoke OK: parallel rounds bit-identical to serial under -race"
 
 ## fuzz-smoke: run every fuzz target of the wire decoders (which spoofed
-## frames reach through MAC.Inject), of the link crypto, of the
+## frames reach through MAC.Inject) and their append-encoder and
+## decode-into twins, of the link crypto, of the
 ## /metricsz exposition parser the serving tests read counters through,
 ## of the benchmark-output parser benchtrend snapshots through, of the
 ## chaos fault-plan parser, of the JSONL trace reader aggtrace loads
@@ -188,6 +189,19 @@ bench-gate:
 		-bench '^BenchmarkRoundCluster$$' -benchtime 5x
 	$(GO) run ./cmd/benchtrend -dry -metric allocs -threshold 0.02 \
 		-bench '^BenchmarkRoundRetained$$/^n=1k$$' -benchtime 5x
+
+## perf-matrix: the measurement behind Config.Parallelism's default — the
+## 10k-node cold and retained rounds and the served SUM on one and two
+## shards, at GOMAXPROCS 1 and 2 (go test -cpu), three runs each. The round
+## benchmarks resolve Parallelism 0 to GOMAXPROCS, so the two columns
+## compare the serial engine with a two-wide worker pool. The rounds run a
+## fixed 3 iterations, so every line averages warm rounds alike. A few
+## minutes; not part of check.
+perf-matrix:
+	$(GO) test -run '^$$' -cpu 1,2 -count 3 -benchtime 3x -benchmem \
+		-bench '^(BenchmarkRound|BenchmarkRoundRetained)$$/^n=10k$$' .
+	$(GO) test -run '^$$' -cpu 1,2 -count 3 -benchmem \
+		-bench '^BenchmarkServeThroughput$$/^shards=[12]$$' .
 
 ## bench: full benchmark run — writes a BENCH_<date>.json snapshot and
 ## gates against the previous one (see README "Performance").

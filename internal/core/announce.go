@@ -261,9 +261,8 @@ func (p *Protocol) clusterContribution(id topo.NodeID) ([]field.Element, uint32,
 	if p.cfg.Undersized == UndersizedPlain {
 		// Head's own reading plus whatever members reported plainly.
 		sums := make([]field.Element, p.nComponents())
-		reading := p.readingVector(id)
+		p.readingVectorInto(sums, id)
 		for k := range sums {
-			sums[k] = reading[k]
 			if k < len(st.plainSums) {
 				sums[k] = sums[k].Add(st.plainSums[k])
 			}
@@ -334,7 +333,7 @@ func (p *Protocol) announce(id topo.NodeID) {
 	p.lifecycle(id, id, trace.PhaseAnnounce, trace.StateAnnounced,
 		"sum0=%v cnt=%d children=%d to=%d direct=%v",
 		a.ClusterSumOrZero(), a.ClusterCnt, len(a.Children), target, direct)
-	payload, err := message.MarshalAnnounce(a)
+	payload, err := p.keep(message.AppendAnnounce(p.arena.payloads.spare(), a))
 	if err != nil {
 		return
 	}
@@ -627,7 +626,8 @@ func (p *Protocol) raiseAlarm(witness, suspect topo.NodeID, observed, expected f
 	}
 	p.env.MAC.Send(p.build(
 		message.KindAlarm, witness, message.BroadcastID, p.round,
-		message.MarshalAlarm(message.Alarm{Suspect: suspect, Observed: observed, Expected: expected})))
+		p.arena.payloads.take(message.AppendAlarm(p.arena.payloads.spare(),
+			message.Alarm{Suspect: suspect, Observed: observed, Expected: expected}))))
 }
 
 // onAlarm floods alarms network-wide (every node rebroadcasts each distinct
@@ -642,25 +642,20 @@ func (p *Protocol) onAlarm(at topo.NodeID, msg *message.Message) {
 	if err != nil {
 		return
 	}
-	key := alarmKey(a)
 	if at == topo.BaseStationID {
-		p.bsAlarms[key] = a
+		p.bsAlarms[a] = struct{}{}
 		return
 	}
 	st := &p.nodes[at]
 	if at == p.cfg.Polluter || p.cfg.Colluders[at] {
 		return // the attacker and its colluders suppress alarms
 	}
-	if st.alarmed[key] {
+	if _, seen := st.alarmed[a]; seen {
 		return
 	}
 	if st.alarmed == nil {
-		st.alarmed = make(map[string]bool)
+		st.alarmed = make(map[message.Alarm]struct{})
 	}
-	st.alarmed[key] = true
+	st.alarmed[a] = struct{}{}
 	p.env.MAC.Send(p.build(message.KindAlarm, at, message.BroadcastID, msg.Round, msg.Payload))
-}
-
-func alarmKey(a message.Alarm) string {
-	return fmt.Sprintf("%d:%d:%d", a.Suspect, uint64(a.Observed), uint64(a.Expected))
 }

@@ -22,8 +22,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -216,7 +218,7 @@ type nodeState struct {
 	myAnnounce *message.Announce    // heads: what we sent (child-side witness state)
 	sentTo     topo.NodeID          // heads: direct head we announced to (-1 = relayed/BS)
 
-	alarmed map[string]bool // forwarded-alarm dedup, allocated on first alarm
+	alarmed map[message.Alarm]struct{} // forwarded-alarm dedup, allocated on first alarm
 
 	// Head-failover state (failover.go). deputy is the roster-designated
 	// fallback head every member computes locally; headSilent survives the
@@ -242,7 +244,7 @@ type Protocol struct {
 	// Base-station bookkeeping. bsSums holds one total per component.
 	bsSums       []field.Element
 	bsCount      uint32
-	bsAlarms     map[string]message.Alarm
+	bsAlarms     map[message.Alarm]struct{}
 	alarmsRaised int
 
 	// Resilience accounting for the last round: clusters recovered over a
@@ -276,8 +278,16 @@ type Protocol struct {
 	rxRoster   message.Roster
 	rxInner    message.Message
 
-	// frames backs every frame the serial event loop sends (frames.go).
-	frames frameArena
+	// Serial-loop payload scratch: the plaintext of every share opened or
+	// sealed at event time, and the sealed envelope and marshalled inner
+	// frame of a relayed sub-share, before their bytes are copied into the
+	// frame that carries them. subOuts holds the sub-exchange's polynomials.
+	rxPlain, txPlain, txSealed, txInner []byte
+	subOuts                             []shares.Shares
+
+	// arena backs every frame, payload and decoded share vector of the
+	// round (frames.go).
+	arena arenas
 
 	// par is the resolved worker-pool width (Config.Parallelism, with 0
 	// mapped to GOMAXPROCS by Reconfigure).
@@ -317,35 +327,29 @@ func (st *nodeState) setFSeen(i int, a message.Assembled) {
 	st.fSeenMask |= uint64(1) << uint(i)
 }
 
-// growElems returns s resized to n elements, reusing its backing array when
-// capacity allows.
-func growElems(s []field.Element, n int) []field.Element {
+// minTable is the fewest slots a reused table (heard heads, roster tables,
+// scratch vectors) is allocated with, and twice that for a head's joiners.
+// Most clusters are no larger, so a protocol that is reused round after
+// round stops growing these tables after its first few rounds instead of
+// reallocating whenever a node meets a larger cluster than before.
+const minTable = 8
+
+// growTable returns s resized to n slots, reusing the backing array when
+// capacity allows and otherwise allocating at least minTable slots and
+// twice the old capacity.
+func growTable[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]field.Element, n)
+		return make([]T, n, max(n, 2*cap(s), minTable))
 	}
 	return s[:n]
 }
 
-// growRows returns s resized to n nil'd rows, reusing the backing array:
-// stale rows from a previous round must never read as received shares.
+// growRows is growTable with every row nil'd: stale rows from a previous
+// round must never read as received shares.
 func growRows(s [][]field.Element, n int) [][]field.Element {
-	if cap(s) < n {
-		return make([][]field.Element, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = nil
-	}
+	s = growTable(s, n)
+	clear(s)
 	return s
-}
-
-// growAssembled returns s resized to n slots, reusing the backing array.
-// Slots are gated by fSeenMask, so stale values need no clearing.
-func growAssembled(s []message.Assembled, n int) []message.Assembled {
-	if cap(s) < n {
-		return make([]message.Assembled, n)
-	}
-	return s[:n]
 }
 
 // runWorkers fans fn out over n items on the protocol's worker pool using an
@@ -476,7 +480,7 @@ func (p *Protocol) Run(round uint16) (metrics.RoundResult, error) {
 	n := p.env.Net.Size()
 	// The node array and every per-node buffer survive across rounds: the
 	// reset below zeroes the state in place while retaining the backing
-	// arrays (heardCH, joiners, children, fSeen, recvShares, alarm dedup),
+	// arrays (heardCH, joiners, children, fSeen, share tables, alarm dedup),
 	// so steady-state rounds allocate near-zero here.
 	if len(p.nodes) != n {
 		p.nodes = make([]nodeState, n)
@@ -494,6 +498,7 @@ func (p *Protocol) Run(round uint16) (metrics.RoundResult, error) {
 			repairJoiners: st.repairJoiners[:0],
 			fSeen:         st.fSeen[:0],
 			recvShares:    st.recvShares[:0],
+			subShares:     st.subShares[:0],
 			alarmed:       alarmed,
 			helloParent:   -1,
 			head:          -1,
@@ -503,13 +508,13 @@ func (p *Protocol) Run(round uint16) (metrics.RoundResult, error) {
 			takeoverBy:    -1,
 		}
 	}
-	p.bsSums = growElems(p.bsSums, p.nComponents())
+	p.bsSums = growTable(p.bsSums, p.nComponents())
 	for k := range p.bsSums {
 		p.bsSums[k] = 0
 	}
 	p.bsCount = 0
 	if p.bsAlarms == nil {
-		p.bsAlarms = make(map[string]message.Alarm)
+		p.bsAlarms = make(map[message.Alarm]struct{})
 	} else {
 		clear(p.bsAlarms)
 	}
@@ -519,7 +524,7 @@ func (p *Protocol) Run(round uint16) (metrics.RoundResult, error) {
 	p.takeovers = 0
 	p.promotions = 0
 	p.orphansRejoined = 0
-	p.frames.rewind()
+	p.arena.rewind()
 	p.start = p.env.Rec.Mark()
 
 	recv := p.receive
@@ -644,12 +649,16 @@ func (p *Protocol) crashHeads(window time.Duration) {
 	}
 }
 
-// Alarms exposes the base station's alarm set (suspect IDs) for tests and
-// the localization routine.
+// Alarms exposes the base station's alarm set for tests and the
+// localization routine, sorted by suspect, then observed and expected value.
 func (p *Protocol) Alarms() []message.Alarm {
 	out := make([]message.Alarm, 0, len(p.bsAlarms))
-	for _, a := range p.bsAlarms {
+	for a := range p.bsAlarms {
 		out = append(out, a)
 	}
+	slices.SortFunc(out, func(a, b message.Alarm) int {
+		return cmp.Or(cmp.Compare(a.Suspect, b.Suspect),
+			cmp.Compare(a.Observed, b.Observed), cmp.Compare(a.Expected, b.Expected))
+	})
 	return out
 }

@@ -59,10 +59,3 @@ func TestDebugClusterDiagnostics(t *testing.T) {
 	t.Logf("result: %+v acc=%.3f", res, res.Accuracy())
 	t.Logf("bytesByKind=%v", env.Rec.BytesByKind())
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/bits"
-	"slices"
 	"time"
 
 	"repro/internal/field"
@@ -10,22 +9,25 @@ import (
 	"repro/internal/shares"
 	"repro/internal/topo"
 	"repro/internal/trace"
+	"repro/internal/wsncrypto"
 )
 
 // sharePrep carries one participant's share-exchange work across the
 // three-pass barrier in scheduleShareExchange. Pass 1 (serial) fills id,
-// delay, and coeffs; pass 2 (parallel) fills self and frames; pass 3
-// (serial) schedules the jittered send events. The struct and its backing
-// arrays are protocol-owned and reused every round: the frames of round r
-// are consumed by the engine before round r+1's pass 1 runs. Pass 2 runs on
-// the worker pool, so it cannot draw from the protocol's frame arena; the
-// frames live by value in the participant's own slot instead.
+// delay and coeffs, and reserves the participant's own share vector, frames
+// and payload bytes in the round's arenas; pass 2 (parallel) fills self,
+// frames and payload; pass 3 (serial) schedules the jittered send events.
+// The slots are protocol-owned and reused every round, and everything they
+// point at lives until the next round starts. Pass 2 runs on the worker
+// pool, so it cannot draw from the arenas itself; it only fills the
+// disjoint regions pass 1 reserved.
 type sharePrep struct {
-	id     topo.NodeID
-	delay  time.Duration
-	coeffs []field.Element   // c×(m-1) masking coefficients, serial RNG order
-	self   []field.Element   // own share vector (retained by acceptShare)
-	frames []message.Message // prepared co-member frames, roster order
+	id      topo.NodeID
+	delay   time.Duration
+	coeffs  []field.Element   // c×(m-1) masking coefficients, serial RNG order
+	self    []field.Element   // own share vector (retained by acceptShare)
+	frames  []message.Message // prepared co-member frames, roster order
+	payload []byte            // their sealed shares and relay wrappers
 }
 
 // shareScratch is one worker's private buffers for buildShareFrames.
@@ -33,6 +35,16 @@ type shareScratch struct {
 	reading []field.Element // c: the node's component vector
 	rows    []field.Element // c×m share matrix, row k = component k
 	vec     []field.Element // c: per-target column
+	plain   []byte          // the encoded column
+	sealed  []byte          // its envelope, when it travels relayed
+	inner   []byte          // the marshalled inner frame of a relay
+}
+
+// shareBytes bounds the payload bytes one outgoing share takes: a relay
+// wrapper around a frame header around the envelope of a c-element values
+// encoding. A direct share takes the envelope only.
+func shareBytes(c int) int {
+	return 2 + message.HeaderSize + wsncrypto.Overhead + 1 + 4*c
 }
 
 // scheduleShareExchange runs the share-generation barrier and schedules
@@ -59,6 +71,11 @@ func (p *Protocol) scheduleShareExchange() {
 	p.phaseMark(trace.PhaseExchange, "polynomial share distribution")
 	window := p.cfg.AssembleAt - p.cfg.SharesAt
 	c := p.nComponents()
+	if p.sharePreps == nil {
+		// Sized once for every node: a fresh protocol's first exchange
+		// would otherwise regrow the slice a dozen times.
+		p.sharePreps = make([]sharePrep, 0, p.env.Net.Size())
+	}
 	nprep := 0
 	for i := 1; i < p.env.Net.Size(); i++ {
 		id := topo.NodeID(i)
@@ -86,7 +103,7 @@ func (p *Protocol) scheduleShareExchange() {
 		pr.id = id
 		pr.delay = p.jitter(window / 2)
 		m := len(st.roster.Entries)
-		pr.coeffs = growElems(pr.coeffs, c*(m-1))
+		pr.coeffs = p.arena.elems.alloc(c * (m - 1))
 		for k := 0; k < c; k++ {
 			st.algebra.DrawCoeffs(p.env.Rng, pr.coeffs[k*(m-1):(k+1)*(m-1)])
 		}
@@ -95,6 +112,9 @@ func (p *Protocol) scheduleShareExchange() {
 				p.env.WarmSealer(id, e.ID)
 			}
 		}
+		pr.self = p.arena.elems.alloc(c)
+		pr.frames = p.arena.frames.run(m - 1)
+		pr.payload = p.arena.payloads.reserve((m - 1) * shareBytes(c))
 	}
 	preps := p.sharePreps[:nprep]
 	if len(p.prepScratch) < p.par {
@@ -118,16 +138,13 @@ func (p *Protocol) buildShareFrames(pr *sharePrep, sc *shareScratch) {
 	st := &p.nodes[id]
 	c := p.nComponents()
 	m := len(st.roster.Entries)
-	sc.reading = growElems(sc.reading, c)
+	sc.reading = growTable(sc.reading, c)
 	p.readingVectorInto(sc.reading, id)
-	sc.rows = growElems(sc.rows, c*m)
+	sc.rows = growTable(sc.rows, c*m)
 	for k := 0; k < c; k++ {
 		st.algebra.SharesFromCoeffs(sc.rows[k*m:(k+1)*m], pr.coeffs[k*(m-1):(k+1)*(m-1)], sc.reading[k])
 	}
-	pr.self = growElems(pr.self, c)
-	// Sized to the roster up front: the MAC gets pointers into this array.
-	pr.frames = slices.Grow(pr.frames[:0], m-1)
-	sc.vec = growElems(sc.vec, c)
+	sc.vec = growTable(sc.vec, c)
 	for j, entry := range st.roster.Entries {
 		target := entry.ID
 		if target == id {
@@ -142,30 +159,35 @@ func (p *Protocol) buildShareFrames(pr *sharePrep, sc *shareScratch) {
 		for k := 0; k < c; k++ {
 			sc.vec[k] = sc.rows[k*m+j]
 		}
-		pt, err := message.MarshalValues(sc.vec)
-		if err != nil {
+		var err error
+		if sc.plain, err = message.AppendValues(sc.plain[:0], sc.vec); err != nil {
 			continue
 		}
-		sealed, err := p.env.Seal(id, target, pt)
-		if err != nil {
-			continue
-		}
-		inner := message.Message{Kind: message.KindShare, From: id, To: target, Round: p.round, Payload: sealed}
+		// Payloads are appended to the participant's reservation, which
+		// pass 1 sized for a relay per target, so they are filled in place.
+		start := len(pr.payload)
 		if p.env.Net.InRange(id, target) {
-			pr.frames = append(pr.frames, inner)
+			if pr.payload, err = p.env.AppendSeal(pr.payload, id, target, sc.plain); err != nil {
+				continue
+			}
+			pr.frames = append(pr.frames, message.Message{Kind: message.KindShare, From: id, To: target,
+				Round: p.round, Payload: pr.payload[start:len(pr.payload):len(pr.payload)]})
 			continue
 		}
 		// Out of mutual range: relay via the head. The head forwards the
 		// frame verbatim; it cannot read the sealed share.
-		innerBytes, err := inner.Marshal()
-		if err != nil {
+		if sc.sealed, err = p.env.AppendSeal(sc.sealed[:0], id, target, sc.plain); err != nil {
 			continue
 		}
-		relayPayload, err := message.MarshalRelay(message.Relay{Inner: innerBytes})
-		if err != nil {
+		inner := message.Message{Kind: message.KindShare, From: id, To: target, Round: p.round, Payload: sc.sealed}
+		if sc.inner, err = inner.AppendMarshal(sc.inner[:0]); err != nil {
 			continue
 		}
-		pr.frames = append(pr.frames, message.Message{Kind: message.KindRelay, From: id, To: st.head, Round: p.round, Payload: relayPayload})
+		if pr.payload, err = message.AppendRelay(pr.payload, message.Relay{Inner: sc.inner}); err != nil {
+			continue
+		}
+		pr.frames = append(pr.frames, message.Message{Kind: message.KindRelay, From: id, To: st.head,
+			Round: p.round, Payload: pr.payload[start:len(pr.payload):len(pr.payload)]})
 	}
 }
 
@@ -233,15 +255,30 @@ func (p *Protocol) onShare(at topo.NodeID, msg *message.Message) {
 	if senderIdx < 0 {
 		return // not a co-member
 	}
-	pt, err := p.env.Open(msg.From, at, msg.Payload)
-	if err != nil {
-		return
+	if st.recvMask&(uint64(1)<<uint(senderIdx)) != 0 {
+		return // duplicate: nothing to open
 	}
-	vec, err := message.UnmarshalValues(pt)
-	if err != nil || len(vec) != p.nComponents() {
+	vec, ok := p.openValues(msg.From, at, msg.Payload)
+	if !ok {
 		return
 	}
 	p.acceptShare(at, senderIdx, vec)
+}
+
+// openValues opens a link-encrypted values payload sent from a to b into
+// the protocol's plaintext scratch and decodes it into a vector of the
+// round's width from the element arena.
+func (p *Protocol) openValues(a, b topo.NodeID, envelope []byte) ([]field.Element, bool) {
+	pt, err := p.env.AppendOpen(p.rxPlain[:0], a, b, envelope)
+	p.rxPlain = pt
+	if err != nil {
+		return nil, false
+	}
+	vec := p.arena.elems.alloc(p.nComponents())
+	if message.DecodeValuesInto(vec, pt) != nil {
+		return nil, false
+	}
+	return vec, true
 }
 
 // acceptShare stores one share vector from roster index senderIdx.
@@ -294,7 +331,7 @@ func (p *Protocol) broadcastAssembled(id topo.NodeID) {
 	st := &p.nodes[id]
 	c := p.nComponents()
 	// fs is retained in fSeen (and shipped inside the Assembled), so it is
-	// allocated fresh rather than drawn from the round scratch.
+	// allocated fresh rather than drawn from the round's arenas.
 	fs := make([]field.Element, c)
 	for i := 0; i < len(st.roster.Entries); i++ {
 		field.AddInto(fs, st.recvShares[i])
@@ -305,7 +342,7 @@ func (p *Protocol) broadcastAssembled(id topo.NodeID) {
 	if st.role == roleHead {
 		return // the head's own F needs no transmission
 	}
-	payload, err := message.MarshalAssembled(a)
+	payload, err := p.keep(message.AppendAssembled(p.arena.payloads.spare(), a))
 	if err != nil {
 		return
 	}
@@ -511,7 +548,7 @@ func (p *Protocol) onReassemble(at topo.NodeID, msg *message.Message) {
 		// re-running the exchange. (If it is still in flight, the pending
 		// sendSubAssembled targets the deputy already.)
 		if st.subSent != nil {
-			payload, err := message.MarshalAssembled(*st.subSent)
+			payload, err := p.keep(message.AppendAssembled(p.arena.payloads.spare(), *st.subSent))
 			if err != nil {
 				return
 			}
@@ -550,7 +587,7 @@ func (p *Protocol) startSubExchangeAfter(id topo.NodeID, mask uint64, delay time
 	}
 	st.subMask = mask
 	st.subRecvMask = 0
-	st.subShares = make([][]field.Element, m)
+	st.subShares = growRows(st.subShares, m)
 	st.subSent = nil
 	if mask&(uint64(1)<<uint(st.myIdx)) == 0 {
 		return // not in M: the node only relays for the subset exchange
@@ -578,8 +615,12 @@ func (p *Protocol) exchangeSubShares(id topo.NodeID) {
 	}
 	c := p.nComponents()
 	window := p.cfg.AggAt - p.cfg.AssembleAt
-	reading := p.readingVector(id)
-	outs := make([]shares.Shares, c)
+	reading := p.arena.elems.alloc(c)
+	p.readingVectorInto(reading, id)
+	if cap(p.subOuts) < c {
+		p.subOuts = make([]shares.Shares, c)
+	}
+	outs := p.subOuts[:c]
 	for k := 0; k < c; k++ {
 		sub.GenerateInto(p.env.Rng, reading[k], &outs[k])
 	}
@@ -588,7 +629,7 @@ func (p *Protocol) exchangeSubShares(id topo.NodeID) {
 		if mask&(uint64(1)<<uint(i)) == 0 {
 			continue
 		}
-		vec := make([]field.Element, c)
+		vec := p.arena.elems.alloc(c)
 		for k := 0; k < c; k++ {
 			vec[k] = outs[k].ForMember[j]
 		}
@@ -601,21 +642,26 @@ func (p *Protocol) exchangeSubShares(id topo.NodeID) {
 		if !p.env.HasLinkKey(id, target) {
 			continue
 		}
-		pt, err := message.MarshalValues(vec)
-		if err != nil {
+		var err error
+		if p.txPlain, err = message.AppendValues(p.txPlain[:0], vec); err != nil {
 			continue
 		}
-		sealed, err := p.env.Seal(id, target, pt)
-		if err != nil {
-			continue
-		}
-		frame := p.build(message.KindSubShare, id, target, p.round, sealed)
-		if !p.env.Net.InRange(id, target) {
-			innerBytes, err := frame.Marshal()
+		var frame *message.Message
+		if p.env.Net.InRange(id, target) {
+			sealed, err := p.keep(p.env.AppendSeal(p.arena.payloads.spare(), id, target, p.txPlain))
 			if err != nil {
 				continue
 			}
-			relayPayload, err := message.MarshalRelay(message.Relay{Inner: innerBytes})
+			frame = p.build(message.KindSubShare, id, target, p.round, sealed)
+		} else {
+			if p.txSealed, err = p.env.AppendSeal(p.txSealed[:0], id, target, p.txPlain); err != nil {
+				continue
+			}
+			inner := message.Message{Kind: message.KindSubShare, From: id, To: target, Round: p.round, Payload: p.txSealed}
+			if p.txInner, err = inner.AppendMarshal(p.txInner[:0]); err != nil {
+				continue
+			}
+			relayPayload, err := p.keep(message.AppendRelay(p.arena.payloads.spare(), message.Relay{Inner: p.txInner}))
 			if err != nil {
 				continue
 			}
@@ -648,15 +694,14 @@ func (p *Protocol) onSubShare(at topo.NodeID, msg *message.Message) {
 			break
 		}
 	}
-	if senderIdx < 0 || st.subMask&(uint64(1)<<uint(senderIdx)) == 0 {
+	if senderIdx < 0 {
 		return
 	}
-	pt, err := p.env.Open(msg.From, at, msg.Payload)
-	if err != nil {
-		return
+	if bit := uint64(1) << uint(senderIdx); st.subMask&bit == 0 || st.subRecvMask&bit != 0 {
+		return // outside the subset, or a duplicate: nothing to open
 	}
-	vec, err := message.UnmarshalValues(pt)
-	if err != nil || len(vec) != p.nComponents() {
+	vec, ok := p.openValues(msg.From, at, msg.Payload)
+	if !ok {
 		return
 	}
 	p.acceptSubShare(at, senderIdx, vec)
@@ -697,7 +742,7 @@ func (p *Protocol) sendSubAssembled(id topo.NodeID) {
 		st.fSub[st.myIdx] = a
 		return
 	}
-	payload, err := message.MarshalAssembled(a)
+	payload, err := p.keep(message.AppendAssembled(p.arena.payloads.spare(), a))
 	if err != nil {
 		return
 	}
@@ -742,11 +787,13 @@ func (p *Protocol) sendPlainReading(id topo.NodeID) {
 	if st.head < 0 || !p.env.HasLinkKey(id, st.head) {
 		return
 	}
-	pt, err := message.MarshalValues(p.readingVector(id))
-	if err != nil {
+	reading := p.arena.elems.alloc(p.nComponents())
+	p.readingVectorInto(reading, id)
+	var err error
+	if p.txPlain, err = message.AppendValues(p.txPlain[:0], reading); err != nil {
 		return
 	}
-	sealed, err := p.env.Seal(id, st.head, pt)
+	sealed, err := p.keep(p.env.AppendSeal(p.arena.payloads.spare(), id, st.head, p.txPlain))
 	if err != nil {
 		return
 	}
@@ -762,16 +809,12 @@ func (p *Protocol) onPlainReading(at topo.NodeID, msg *message.Message) {
 	if st.role != roleHead || p.cfg.Undersized != UndersizedPlain {
 		return
 	}
-	pt, err := p.env.Open(msg.From, at, msg.Payload)
-	if err != nil {
-		return
-	}
-	vec, err := message.UnmarshalValues(pt)
-	if err != nil || len(vec) != p.nComponents() {
+	vec, ok := p.openValues(msg.From, at, msg.Payload)
+	if !ok {
 		return
 	}
 	if st.plainSums == nil {
-		st.plainSums = make([]field.Element, p.nComponents())
+		st.plainSums = p.arena.elems.alloc(p.nComponents())
 	}
 	for k := range vec {
 		st.plainSums[k] = st.plainSums[k].Add(vec[k])

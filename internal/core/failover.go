@@ -181,7 +181,7 @@ func (p *Protocol) onTakeover(at topo.NodeID, msg *message.Message) {
 	if !ok {
 		return // never committed a report this round: nothing to re-send
 	}
-	payload, err := message.MarshalAssembled(a)
+	payload, err := p.keep(message.AppendAssembled(p.arena.payloads.spare(), a))
 	if err != nil {
 		return
 	}
@@ -205,7 +205,7 @@ func (p *Protocol) rebutTakeover(id topo.NodeID) {
 	if st.myAnnounce == nil || st.myAnnounce.ClusterCnt == 0 {
 		return
 	}
-	payload, err := message.MarshalAnnounce(*st.myAnnounce)
+	payload, err := p.keep(message.AppendAnnounce(p.arena.payloads.spare(), *st.myAnnounce))
 	if err != nil {
 		return
 	}
@@ -347,7 +347,7 @@ func (p *Protocol) takeoverAnnounce(id topo.NodeID) {
 		p.lifecycle(id, st.head, trace.PhaseFailover, trace.StateAnnounced,
 			"stand-in announce sum0=%v cnt=%d to=%d", a.ClusterSumOrZero(), cnt, target)
 	}
-	payload, err := message.MarshalAnnounce(a)
+	payload, err := p.keep(message.AppendAnnounce(p.arena.payloads.spare(), a))
 	if err != nil {
 		return
 	}
@@ -397,7 +397,7 @@ func (p *Protocol) forgedTakeoverAnnounce(id topo.NodeID) {
 		p.lifecycle(id, st.head, trace.PhaseFailover, trace.StateAnnounced,
 			"FORGED stand-in announce sum0=%v to=%d", sums[0], target)
 	}
-	payload, err := message.MarshalAnnounce(a)
+	payload, err := p.keep(message.AppendAnnounce(p.arena.payloads.spare(), a))
 	if err != nil {
 		return
 	}

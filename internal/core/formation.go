@@ -89,6 +89,9 @@ func (p *Protocol) onHello(at topo.NodeID, msg *message.Message) {
 	st := &p.nodes[at]
 	switch h.Role {
 	case helloHead:
+		if cap(st.heardCH) == 0 {
+			st.heardCH = make([]chInfo, 0, minTable)
+		}
 		st.heardCH = append(st.heardCH, chInfo{id: msg.From, hops: int(h.Hops)})
 	case helloBase:
 		st.bsDirect = true
@@ -178,6 +181,9 @@ func (p *Protocol) onJoin(at topo.NodeID, msg *message.Message) {
 	}
 	if len(st.joiners) >= message.MaxClusterSize-1 {
 		return // cluster full; late joiners are excluded by the roster
+	}
+	if cap(st.joiners) == 0 {
+		st.joiners = make([]message.RosterEntry, 0, 2*minTable)
 	}
 	st.joiners = append(st.joiners, message.RosterEntry{ID: msg.From, Seed: j.Seed})
 }
@@ -438,7 +444,7 @@ func (p *Protocol) installRoster(at topo.NodeID, r message.Roster) {
 	}
 	st.algebra = algebra
 	st.recvShares = growRows(st.recvShares, len(r.Entries))
-	st.fSeen = growAssembled(st.fSeen, len(r.Entries))
+	st.fSeen = growTable(st.fSeen, len(r.Entries)) // slots gated by fSeenMask
 	st.fSeenMask = 0
 	if !p.cfg.NoFailover {
 		st.deputy = deputyOf(r)

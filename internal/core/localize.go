@@ -38,7 +38,7 @@ func (p *Protocol) RunRetaining(round uint16) (metrics.RoundResult, error) {
 		st.solved = false
 		st.solvedSums = nil
 		st.subMask, st.subRecvMask = 0, 0
-		st.subShares = nil
+		st.subShares = st.subShares[:0]
 		st.subSent = nil
 		st.fSub = nil
 		st.effMask = 0
@@ -59,13 +59,13 @@ func (p *Protocol) RunRetaining(round uint16) (metrics.RoundResult, error) {
 			st.headSilent = false // nothing will consume the flag; drop it
 		}
 	}
-	p.bsSums = growElems(p.bsSums, p.nComponents())
+	p.bsSums = growTable(p.bsSums, p.nComponents())
 	for k := range p.bsSums {
 		p.bsSums[k] = 0
 	}
 	p.bsCount = 0
 	if p.bsAlarms == nil {
-		p.bsAlarms = make(map[string]message.Alarm)
+		p.bsAlarms = make(map[message.Alarm]struct{})
 	} else {
 		clear(p.bsAlarms)
 	}
@@ -75,7 +75,7 @@ func (p *Protocol) RunRetaining(round uint16) (metrics.RoundResult, error) {
 	p.takeovers = 0
 	p.promotions = 0
 	p.orphansRejoined = 0
-	p.frames.rewind()
+	p.arena.rewind()
 	p.start = p.env.Rec.Mark()
 
 	base := p.cfg.SharesAt

@@ -9,23 +9,11 @@ import (
 	"repro/internal/topo"
 )
 
-// readingVector returns a node's contribution vector for the round: the raw
-// sensor reading by default, or one transformed value per active query
-// component.
-func (p *Protocol) readingVector(id topo.NodeID) []field.Element {
-	if len(p.comps) == 0 {
-		return []field.Element{p.env.ReadingElement(id)}
-	}
-	out := make([]field.Element, len(p.comps))
-	for k, c := range p.comps {
-		out[k] = field.FromInt(c(p.env.Readings[id]))
-	}
-	return out
-}
-
-// readingVectorInto is readingVector into a caller buffer of nComponents()
-// elements. It reads only immutable round inputs (the component closures and
-// the sensor readings), so the parallel share-preparation pass may call it
+// readingVectorInto writes a node's contribution vector for the round into
+// dst, a buffer of nComponents() elements: the raw sensor reading by
+// default, or one transformed value per active query component. It reads
+// only immutable round inputs (the component closures and the sensor
+// readings), so the parallel share-preparation pass may call it
 // concurrently.
 func (p *Protocol) readingVectorInto(dst []field.Element, id topo.NodeID) {
 	if len(p.comps) == 0 {

@@ -159,6 +159,9 @@ func (p *port) clearQueue() {
 	p.queue, p.qhead = p.queue[:0], 0
 }
 
+// queueRun is the transmit-queue capacity every port starts with.
+const queueRun = 8
+
 // NewLayer builds the MAC over a medium for a network of n nodes and takes
 // ownership of the medium's receive handler.
 func NewLayer(eng *sim.Engine, medium *radio.Medium, n int, rng *rand.Rand, cfg Config) (*Layer, error) {
@@ -181,9 +184,13 @@ func NewLayer(eng *sim.Engine, medium *radio.Medium, n int, rng *rand.Rand, cfg 
 		spoofSeq: make(map[[2]topo.NodeID]uint16),
 	}
 	medium.SetHandler(l.onReceive)
+	// Every port's transmit queue starts as its own run of one slab, so a
+	// port whose backlog first reaches a few frames does not grow it.
+	queues := make([]*message.Message, n*queueRun)
 	for i := range l.ports {
 		p := &l.ports[i]
 		p.id = topo.NodeID(i)
+		p.queue = queues[i*queueRun : i*queueRun : (i+1)*queueRun]
 		p.cw = cfg.MinCW
 		p.attemptFn = func() { l.attempt(p) }
 		p.bcastDoneFn = func() {

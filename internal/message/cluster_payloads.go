@@ -139,19 +139,19 @@ type Assembled struct {
 
 // MarshalAssembled encodes an Assembled payload: 1-byte component count,
 // 8-byte contribution mask, then 4 bytes per column sum.
-func MarshalAssembled(a Assembled) ([]byte, error) {
+func MarshalAssembled(a Assembled) ([]byte, error) { return AppendAssembled(nil, a) }
+
+// AppendAssembled appends the encoding of an Assembled payload to dst. On
+// error dst is returned unchanged.
+func AppendAssembled(dst []byte, a Assembled) ([]byte, error) {
 	if len(a.Fs) == 0 || len(a.Fs) > MaxComponents {
-		return nil, fmt.Errorf("message: %d components out of [1, %d]", len(a.Fs), MaxComponents)
+		return dst, fmt.Errorf("message: %d components out of [1, %d]", len(a.Fs), MaxComponents)
 	}
-	buf := make([]byte, 1+8+len(a.Fs)*4)
+	dst, buf := extend(dst, 1+8+len(a.Fs)*4)
 	buf[0] = byte(len(a.Fs))
 	binary.BigEndian.PutUint64(buf[1:], a.Mask)
-	off := 9
-	for _, f := range a.Fs {
-		binary.BigEndian.PutUint32(buf[off:], uint32(f))
-		off += 4
-	}
-	return buf, nil
+	putElems(buf, 9, a.Fs)
+	return dst, nil
 }
 
 // UnmarshalAssembled decodes an Assembled payload.
@@ -297,57 +297,51 @@ func (a Announce) TotalCount() uint32 {
 }
 
 // MarshalAnnounce encodes an Announce payload.
-func MarshalAnnounce(a Announce) ([]byte, error) {
+func MarshalAnnounce(a Announce) ([]byte, error) { return AppendAnnounce(nil, a) }
+
+// AppendAnnounce appends the encoding of an Announce payload to dst. On
+// error dst is returned unchanged.
+func AppendAnnounce(dst []byte, a Announce) ([]byte, error) {
 	c := int(a.Components)
 	if c == 0 || c > MaxComponents {
-		return nil, fmt.Errorf("message: component count %d out of [1, %d]", c, MaxComponents)
+		return dst, fmt.Errorf("message: component count %d out of [1, %d]", c, MaxComponents)
 	}
 	if len(a.Children) > 255 {
-		return nil, fmt.Errorf("message: %d children exceed max 255", len(a.Children))
+		return dst, fmt.Errorf("message: %d children exceed max 255", len(a.Children))
 	}
 	if len(a.ClusterSums) != 0 && len(a.ClusterSums) != c {
-		return nil, fmt.Errorf("message: %d cluster sums for %d components", len(a.ClusterSums), c)
+		return dst, fmt.Errorf("message: %d cluster sums for %d components", len(a.ClusterSums), c)
 	}
 	if len(a.FMatrix)%c != 0 || len(a.FMatrix)/c > MaxClusterSize {
-		return nil, fmt.Errorf("message: bad F matrix size %d for %d components", len(a.FMatrix), c)
+		return dst, fmt.Errorf("message: bad F matrix size %d for %d components", len(a.FMatrix), c)
 	}
 	for _, ch := range a.Children {
 		if len(ch.Totals) != c {
-			return nil, fmt.Errorf("message: child %d has %d totals for %d components", ch.Child, len(ch.Totals), c)
+			return dst, fmt.Errorf("message: child %d has %d totals for %d components", ch.Child, len(ch.Totals), c)
 		}
 	}
 	members := len(a.FMatrix) / c
 	size := 4 + 4 + 1 + 1 + 1 + 1 + 8 + len(a.ClusterSums)*4 + len(a.FMatrix)*4 +
 		len(a.Children)*(4+4+c*4)
-	buf := make([]byte, size)
+	dst, buf := extend(dst, size)
 	binary.BigEndian.PutUint32(buf, uint32(int32(a.Origin)))
 	binary.BigEndian.PutUint32(buf[4:], a.ClusterCnt)
 	buf[8] = byte(c)
+	buf[9] = 0
 	if len(a.ClusterSums) > 0 {
 		buf[9] = 1
 	}
 	buf[10] = byte(members)
 	buf[11] = byte(len(a.Children))
 	binary.BigEndian.PutUint64(buf[12:], a.Mask)
-	off := 20
-	for _, s := range a.ClusterSums {
-		binary.BigEndian.PutUint32(buf[off:], uint32(s))
-		off += 4
-	}
-	for _, f := range a.FMatrix {
-		binary.BigEndian.PutUint32(buf[off:], uint32(f))
-		off += 4
-	}
+	off := putElems(buf, 20, a.ClusterSums)
+	off = putElems(buf, off, a.FMatrix)
 	for _, ch := range a.Children {
 		binary.BigEndian.PutUint32(buf[off:], uint32(int32(ch.Child)))
 		binary.BigEndian.PutUint32(buf[off+4:], ch.Count)
-		off += 8
-		for _, v := range ch.Totals {
-			binary.BigEndian.PutUint32(buf[off:], uint32(v))
-			off += 4
-		}
+		off = putElems(buf, off+8, ch.Totals)
 	}
-	return buf, nil
+	return dst, nil
 }
 
 // UnmarshalAnnounce decodes an Announce payload.
@@ -465,6 +459,16 @@ func getElems(buf []byte, off int, dst []field.Element) int {
 	return off
 }
 
+// putElems writes src as big-endian words at buf[off:] and returns the
+// offset just past them.
+func putElems(buf []byte, off int, src []field.Element) int {
+	for _, v := range src {
+		binary.BigEndian.PutUint32(buf[off:], uint32(v))
+		off += 4
+	}
+	return off
+}
+
 // Takeover is a deputy's head-failover claim, broadcast to the cluster when
 // the head-silence watchdog expires: neither a Reassemble nor the head's
 // Announce arrived by the cluster's announce deadline. Head names the silent
@@ -500,14 +504,18 @@ type Relay struct {
 }
 
 // MarshalRelay encodes a Relay payload.
-func MarshalRelay(r Relay) ([]byte, error) {
+func MarshalRelay(r Relay) ([]byte, error) { return AppendRelay(nil, r) }
+
+// AppendRelay appends the encoding of a Relay payload to dst: a 2-byte
+// length, then the inner frame. On error dst is returned unchanged.
+func AppendRelay(dst []byte, r Relay) ([]byte, error) {
 	if len(r.Inner) > 0xFFFF-2 {
-		return nil, fmt.Errorf("message: relayed frame too large: %d", len(r.Inner))
+		return dst, fmt.Errorf("message: relayed frame too large: %d", len(r.Inner))
 	}
-	buf := make([]byte, 2+len(r.Inner))
+	dst, buf := extend(dst, 2+len(r.Inner))
 	binary.BigEndian.PutUint16(buf, uint16(len(r.Inner)))
 	copy(buf[2:], r.Inner)
-	return buf, nil
+	return dst, nil
 }
 
 // UnmarshalRelay decodes a Relay payload. Inner is a view into buf, capped

@@ -275,8 +275,8 @@ func FuzzUnmarshalRosterInto(f *testing.F) {
 }
 
 // TestWarmDecodeIntoAllocatesNothing gates the receive path's decoders:
-// decoding into warm scratch, and viewing a relay's inner frame, allocate
-// nothing.
+// decoding into warm scratch or a caller's vector, and viewing a relay's
+// inner frame, allocate nothing.
 func TestWarmDecodeIntoAllocatesNothing(t *testing.T) {
 	ann, ros := bigAnnounce(t), bigRoster(t)
 	frame, err := Build(KindShare, 1, 2, 3, MarshalValue(Value{V: 4})).Marshal()
@@ -287,16 +287,22 @@ func TestWarmDecodeIntoAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	vals, err := MarshalValues([]field.Element{5, 6, 7})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var (
 		a   Announce
 		r   Roster
 		m   Message
 		rel Relay
+		vs  = make([]field.Element, 3)
 	)
 	for name, decode := range map[string]func() error{
 		"UnmarshalAnnounceInto": func() error { return UnmarshalAnnounceInto(ann, &a) },
 		"UnmarshalRosterInto":   func() error { return UnmarshalRosterInto(ros, &r) },
 		"UnmarshalInto":         func() error { return UnmarshalInto(frame, &m) },
+		"DecodeValuesInto":      func() error { return DecodeValuesInto(vs, vals) },
 		"UnmarshalRelay": func() (err error) {
 			rel, err = UnmarshalRelay(relay)
 			return err
@@ -310,7 +316,7 @@ func TestWarmDecodeIntoAllocatesNothing(t *testing.T) {
 		}
 	}
 	if !bytes.Equal(rel.Inner, frame) || m.Kind != KindShare || len(r.Entries) != MaxClusterSize ||
-		len(a.Children) != 12 {
+		len(a.Children) != 12 || vs[2] != 7 {
 		t.Fatal("warm decodes produced the wrong values")
 	}
 }

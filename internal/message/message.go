@@ -131,15 +131,16 @@ func (m *Message) Validate() error {
 	return nil
 }
 
-// Marshal encodes the frame (excluding PHY overhead).
-func (m *Message) Marshal() ([]byte, error) {
-	if !m.Kind.Valid() {
-		return nil, fmt.Errorf("message: invalid kind %d", m.Kind)
+// Marshal encodes the frame (excluding PHY overhead) into a new slice.
+func (m *Message) Marshal() ([]byte, error) { return m.AppendMarshal(nil) }
+
+// AppendMarshal appends the encoded frame (excluding PHY overhead) to dst.
+// On error dst is returned unchanged.
+func (m *Message) AppendMarshal(dst []byte) ([]byte, error) {
+	if err := m.Validate(); err != nil {
+		return dst, err
 	}
-	if len(m.Payload) > 0xFFFF {
-		return nil, fmt.Errorf("message: payload too large: %d", len(m.Payload))
-	}
-	buf := make([]byte, HeaderSize+len(m.Payload))
+	dst, buf := extend(dst, HeaderSize+len(m.Payload))
 	buf[0] = byte(m.Kind)
 	binary.BigEndian.PutUint32(buf[1:], uint32(int32(m.From)))
 	binary.BigEndian.PutUint32(buf[5:], uint32(int32(m.To)))
@@ -147,7 +148,21 @@ func (m *Message) Marshal() ([]byte, error) {
 	binary.BigEndian.PutUint16(buf[11:], m.Seq)
 	binary.BigEndian.PutUint16(buf[13:], uint16(len(m.Payload)))
 	copy(buf[HeaderSize:], m.Payload)
-	return buf, nil
+	return dst, nil
+}
+
+// extend returns dst lengthened by n bytes, together with those n bytes. It
+// reallocates (exactly, in one allocation) only when dst's spare capacity
+// is short.
+func extend(dst []byte, n int) ([]byte, []byte) {
+	start := len(dst)
+	if cap(dst)-start < n {
+		grown := make([]byte, start, start+n)
+		copy(grown, dst)
+		dst = grown
+	}
+	dst = dst[:start+n]
+	return dst, dst[start:]
 }
 
 // Unmarshal decodes a frame produced by Marshal into a new Message that

@@ -96,39 +96,59 @@ func UnmarshalValue(buf []byte) (Value, error) {
 
 // MarshalValues encodes a vector of field elements (the plaintext of a
 // multi-component share).
-func MarshalValues(vs []field.Element) ([]byte, error) {
+func MarshalValues(vs []field.Element) ([]byte, error) { return AppendValues(nil, vs) }
+
+// AppendValues appends the encoding of vs to dst: a 1-byte count, then 4
+// bytes per element. On error dst is returned unchanged.
+func AppendValues(dst []byte, vs []field.Element) ([]byte, error) {
 	if len(vs) == 0 || len(vs) > MaxComponents {
-		return nil, fmt.Errorf("message: %d values out of [1, %d]", len(vs), MaxComponents)
+		return dst, fmt.Errorf("message: %d values out of [1, %d]", len(vs), MaxComponents)
 	}
-	buf := make([]byte, 1+len(vs)*4)
+	dst, buf := extend(dst, 1+len(vs)*4)
 	buf[0] = byte(len(vs))
-	off := 1
-	for _, v := range vs {
-		binary.BigEndian.PutUint32(buf[off:], uint32(v))
-		off += 4
-	}
-	return buf, nil
+	putElems(buf, 1, vs)
+	return dst, nil
 }
 
 // UnmarshalValues decodes a vector of field elements.
 func UnmarshalValues(buf []byte) ([]field.Element, error) {
+	n, err := valuesLen(buf)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]field.Element, n)
+	getElems(buf, 1, out)
+	return out, nil
+}
+
+// DecodeValuesInto decodes a vector of exactly len(dst) field elements into
+// dst. It accepts what UnmarshalValues accepts when the count matches, and
+// on error leaves dst untouched.
+func DecodeValuesInto(dst []field.Element, buf []byte) error {
+	n, err := valuesLen(buf)
+	if err != nil {
+		return err
+	}
+	if n != len(dst) {
+		return fmt.Errorf("message: %d values, want %d", n, len(dst))
+	}
+	getElems(buf, 1, dst)
+	return nil
+}
+
+// valuesLen validates a values encoding and returns its element count.
+func valuesLen(buf []byte) (int, error) {
 	if len(buf) < 1 {
-		return nil, ErrTruncated
+		return 0, ErrTruncated
 	}
 	n := int(buf[0])
 	if n == 0 || n > MaxComponents {
-		return nil, fmt.Errorf("message: bad value count %d", n)
+		return 0, fmt.Errorf("message: bad value count %d", n)
 	}
 	if len(buf) < 1+n*4 {
-		return nil, ErrTruncated
+		return 0, ErrTruncated
 	}
-	out := make([]field.Element, n)
-	off := 1
-	for i := range out {
-		out[i] = field.Element(binary.BigEndian.Uint32(buf[off:]))
-		off += 4
-	}
-	return out, nil
+	return n, nil
 }
 
 // Aggregate is the CH->parent (or TAG child->parent) intermediate result:
@@ -170,12 +190,15 @@ type Alarm struct {
 const alarmSize = 4 + 4 + 4
 
 // MarshalAlarm encodes an Alarm payload.
-func MarshalAlarm(a Alarm) []byte {
-	buf := make([]byte, alarmSize)
+func MarshalAlarm(a Alarm) []byte { return AppendAlarm(nil, a) }
+
+// AppendAlarm appends the encoding of an Alarm payload to dst.
+func AppendAlarm(dst []byte, a Alarm) []byte {
+	dst, buf := extend(dst, alarmSize)
 	binary.BigEndian.PutUint32(buf, uint32(int32(a.Suspect)))
 	binary.BigEndian.PutUint32(buf[4:], uint32(a.Observed))
 	binary.BigEndian.PutUint32(buf[8:], uint32(a.Expected))
-	return buf
+	return dst
 }
 
 // UnmarshalAlarm decodes an Alarm payload.
@@ -265,7 +288,8 @@ func UnmarshalAttestResp(buf []byte) (AttestResp, error) {
 
 // Build assembles a complete frame for the given kind and payload bytes on
 // the heap. The cluster protocol does not use it: internal/core builds its
-// frames in a per-round arena, and such a frame is valid only until that
+// frames, and encodes their payloads with the Append* forms, in per-round
+// arenas, and such a frame and its payload are valid only until that
 // protocol's next round starts (see core's frames.go).
 func Build(kind Kind, from, to topo.NodeID, round uint16, payload []byte) *Message {
 	return &Message{Kind: kind, From: from, To: to, Round: round, Payload: payload}

@@ -31,10 +31,10 @@ import (
 // pointer. Handlers must not modify the message, and must not retain it,
 // its payload, or anything decoded into reused scratch beyond the call
 // unless they copy it: an ACK frame lives inside the medium's recycled
-// transmission record, a cluster-protocol frame lives in that protocol's
-// per-round arena and is reused once its next round starts (core's
-// lifetime rule, frames.go), and the protocols decode overheard payloads
-// into scratch the next reception overwrites.
+// transmission record, a cluster-protocol frame and its payload bytes live
+// in that protocol's per-round arenas and are reused once its next round
+// starts (core's lifetime rule, frames.go), and the protocols decode and
+// open overheard payloads into scratch the next reception overwrites.
 //
 // A KindAck frame is handed only to its addressee, msg.To. Every other
 // receiver in range still hears it — collision, fading and loss are decided

@@ -314,27 +314,40 @@ func (e *Env) WarmSealer(a, b topo.NodeID) bool {
 	return err == nil
 }
 
-// Seal encrypts a payload from a to b. Returns an error when the key scheme
-// leaves the pair keyless (possible under EG predistribution).
-func (e *Env) Seal(a, b topo.NodeID, plaintext []byte) ([]byte, error) {
+// AppendSeal encrypts a payload from a to b and appends the envelope to
+// dst (see wsncrypto.Link.AppendSeal). Returns dst unchanged and an error
+// when the key scheme leaves the pair keyless (possible under EG
+// predistribution).
+func (e *Env) AppendSeal(dst []byte, a, b topo.NodeID, plaintext []byte) ([]byte, error) {
 	l, err := e.linkFor(a, b)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	dir := 0
 	if a > b {
 		dir = 1
 	}
-	return l.Seal(dir, plaintext), nil
+	return l.AppendSeal(dst, dir, plaintext), nil
 }
 
-// Open decrypts a payload sent from a to b.
-func (e *Env) Open(a, b topo.NodeID, envelope []byte) ([]byte, error) {
+// Seal is AppendSeal into a new slice.
+func (e *Env) Seal(a, b topo.NodeID, plaintext []byte) ([]byte, error) {
+	return e.AppendSeal(nil, a, b, plaintext)
+}
+
+// AppendOpen decrypts a payload sent from a to b and appends the plaintext
+// to dst. On error dst is returned unchanged.
+func (e *Env) AppendOpen(dst []byte, a, b topo.NodeID, envelope []byte) ([]byte, error) {
 	l, err := e.linkFor(a, b)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	return l.Open(envelope)
+	return l.AppendOpen(dst, envelope)
+}
+
+// Open is AppendOpen into a new slice.
+func (e *Env) Open(a, b topo.NodeID, envelope []byte) ([]byte, error) {
+	return e.AppendOpen(nil, a, b, envelope)
 }
 
 // HasLinkKey reports whether a and b share a key, without deriving it.

@@ -130,33 +130,49 @@ func (k *keyState) tag(sc *scratch, body []byte) []byte {
 	return sc.h.Sum(sc.sum[:0])[:tagSize]
 }
 
-// seal encrypts plaintext under nonce, returning nonce || ciphertext || tag.
-func (k *keyState) seal(nonce uint64, plaintext []byte) []byte {
-	n := nonceSize + len(plaintext)
-	out := make([]byte, n+tagSize)
+// appendSeal encrypts plaintext under nonce and appends
+// nonce || ciphertext || tag to dst. plaintext must not overlap the bytes
+// appended.
+func (k *keyState) appendSeal(dst []byte, nonce uint64, plaintext []byte) []byte {
+	start, n := len(dst), nonceSize+len(plaintext)
+	dst = extend(dst, n+tagSize)
+	out := dst[start:]
 	binary.BigEndian.PutUint64(out, nonce)
 	sc := scratchPool.Get().(*scratch)
 	k.ctrXOR(sc, out[:nonceSize], out[nonceSize:n], plaintext)
 	copy(out[n:], k.tag(sc, out[:n]))
 	scratchPool.Put(sc)
-	return out
+	return dst
 }
 
-// open verifies and decrypts an envelope sealed under the same key. It is
-// total: any input either opens or returns an error.
-func (k *keyState) open(envelope []byte) ([]byte, error) {
+// appendOpen verifies an envelope sealed under the same key and appends its
+// plaintext to dst. It is total: any input either opens or returns an
+// error, and on error dst is returned unchanged.
+func (k *keyState) appendOpen(dst, envelope []byte) ([]byte, error) {
 	if len(envelope) < Overhead {
-		return nil, fmt.Errorf("wsncrypto: envelope too short: %d", len(envelope))
+		return dst, fmt.Errorf("wsncrypto: envelope too short: %d", len(envelope))
 	}
 	n := len(envelope) - tagSize
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	if !hmac.Equal(k.tag(sc, envelope[:n]), envelope[n:]) {
-		return nil, ErrAuth
+		return dst, ErrAuth
 	}
-	pt := make([]byte, n-nonceSize)
-	k.ctrXOR(sc, envelope[:nonceSize], pt, envelope[nonceSize:n])
-	return pt, nil
+	start := len(dst)
+	dst = extend(dst, n-nonceSize)
+	k.ctrXOR(sc, envelope[:nonceSize], dst[start:], envelope[nonceSize:n])
+	return dst, nil
+}
+
+// extend returns dst lengthened by n bytes, reallocating (exactly, in one
+// allocation) only when its spare capacity is short.
+func extend(dst []byte, n int) []byte {
+	if cap(dst)-len(dst) < n {
+		grown := make([]byte, len(dst), len(dst)+n)
+		copy(grown, dst)
+		dst = grown
+	}
+	return dst[:len(dst)+n]
 }
 
 // ctrXOR applies AES-CTR with the counter and keystream blocks in sc:
@@ -208,12 +224,12 @@ func NewSealer(key []byte) (*Sealer, error) {
 // Seal encrypts plaintext, returning nonce || ciphertext || tag.
 func (s *Sealer) Seal(plaintext []byte) []byte {
 	s.counter++
-	return s.key.seal(s.counter, plaintext)
+	return s.key.appendSeal(nil, s.counter, plaintext)
 }
 
 // Open verifies and decrypts an envelope produced by Seal under the same key.
 func (s *Sealer) Open(envelope []byte) ([]byte, error) {
-	return s.key.open(envelope)
+	return s.key.appendOpen(nil, envelope)
 }
 
 // Link is the sealing state of one undirected link: one key schedule and
@@ -233,15 +249,27 @@ func (l *Link) Init(key *[KeySize]byte) error {
 	return l.key.init(key)
 }
 
-// Seal encrypts plaintext in direction dir (0 or 1), returning
-// nonce || ciphertext || tag.
-func (l *Link) Seal(dir int, plaintext []byte) []byte {
+// AppendSeal encrypts plaintext in direction dir (0 or 1) and appends
+// nonce || ciphertext || tag to dst, growing it only when its spare
+// capacity is short of len(plaintext) + Overhead bytes. plaintext must not
+// overlap the bytes appended.
+func (l *Link) AppendSeal(dst []byte, dir int, plaintext []byte) []byte {
 	l.sent[dir]++
-	return l.key.seal(l.sent[dir], plaintext)
+	return l.key.appendSeal(dst, l.sent[dir], plaintext)
 }
 
-// Open verifies and decrypts an envelope sealed on this link in either
-// direction.
+// Seal is AppendSeal into a new slice.
+func (l *Link) Seal(dir int, plaintext []byte) []byte {
+	return l.AppendSeal(nil, dir, plaintext)
+}
+
+// AppendOpen verifies an envelope sealed on this link in either direction
+// and appends its plaintext to dst. On error dst is returned unchanged.
+func (l *Link) AppendOpen(dst, envelope []byte) ([]byte, error) {
+	return l.key.appendOpen(dst, envelope)
+}
+
+// Open is AppendOpen into a new slice.
 func (l *Link) Open(envelope []byte) ([]byte, error) {
-	return l.key.open(envelope)
+	return l.AppendOpen(nil, envelope)
 }

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -106,10 +107,18 @@ func TestEnvelopesMatchReference(t *testing.T) {
 			pt := make([]byte, n)
 			rng.Read(pt)
 			want := refSeal(key[:], uint64(i+1), pt)
+			// AppendSeal into a prefix with dirty spare capacity: the
+			// envelope must follow the prefix intact, sealed in place.
+			prefix := []byte{0xA5, 0x5A, byte(n)}
+			dst := append(slices.Clone(prefix), bytes.Repeat([]byte{0xEE}, n+Overhead)...)[:len(prefix)]
+			appended := l.AppendSeal(dst, 1, pt)
+			if &appended[0] != &dst[0] || !bytes.Equal(appended[:len(prefix)], prefix) {
+				t.Fatalf("AppendSeal, %d bytes: moved or overwrote the prefix", n)
+			}
 			for name, got := range map[string][]byte{
-				"Sealer":     s.Seal(pt),
-				"Link dir 0": l.Seal(0, pt),
-				"Link dir 1": l.Seal(1, pt),
+				"Sealer":          s.Seal(pt),
+				"Link dir 0":      l.Seal(0, pt),
+				"Link AppendSeal": appended[len(prefix):],
 			} {
 				if !bytes.Equal(got, want) {
 					t.Fatalf("%s, %d bytes, nonce %d: %x, reference %x", name, n, i+1, got, want)
@@ -206,6 +215,16 @@ func TestWarmSealOpenAllocateOnlyTheirOutput(t *testing.T) {
 			t.Errorf("%s: %v allocs, want 1 (the returned bytes)", name, n)
 		}
 	}
+	// Into enough capacity the append forms allocate nothing at all.
+	buf := make([]byte, 0, len(env))
+	for name, f := range map[string]func(){
+		"Link.AppendSeal": func() { l.AppendSeal(buf, 1, pt) },
+		"Link.AppendOpen": func() { _, _ = l.AppendOpen(buf, env) },
+	} {
+		if n := testing.AllocsPerRun(100, f); n != 0 {
+			t.Errorf("%s: %v allocs into spare capacity, want 0", name, n)
+		}
+	}
 }
 
 // TestLinkDirectionsConcurrently seals both directions of one link from two
@@ -239,8 +258,8 @@ func TestLinkDirectionsConcurrently(t *testing.T) {
 }
 
 // FuzzOpen checks that Open is total on arbitrary bytes — spoofed frames
-// reach it — and that flipping any single byte of a valid envelope fails
-// authentication.
+// reach it — that AppendOpen onto a prefix agrees with it, and that flipping
+// any single byte of a valid envelope fails authentication.
 func FuzzOpen(f *testing.F) {
 	key, _ := NewPairwiseScheme([]byte("master")).LinkKey(3, 7)
 	s, err := NewSealer(key[:])
@@ -252,12 +271,24 @@ func FuzzOpen(f *testing.F) {
 	}
 	f.Add([]byte{}, byte(0))
 	f.Add(make([]byte, Overhead-1), byte(0x80))
+	var l Link
+	if err := l.Init(&key); err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, flip byte) {
-		if pt, err := s.Open(data); err == nil && len(pt) != len(data)-Overhead {
+		pt, err := s.Open(data)
+		if err == nil && len(pt) != len(data)-Overhead {
 			t.Fatalf("opened %d bytes into %d", len(data), len(pt))
 		}
+		// AppendOpen(prefix, x) is prefix ‖ Open(x), or the prefix alone
+		// with Open's error.
+		prefix := []byte{0xC3, flip}
+		got, aerr := l.AppendOpen(slices.Clone(prefix), data)
+		if fmt.Sprint(aerr) != fmt.Sprint(err) || !bytes.Equal(got, append(slices.Clone(prefix), pt...)) {
+			t.Fatalf("AppendOpen: %x, %v; Open: %x, %v", got, aerr, pt, err)
+		}
 		env := s.Seal(data)
-		pt, err := s.Open(env)
+		pt, err = s.Open(env)
 		if err != nil || !bytes.Equal(pt, data) {
 			t.Fatalf("round trip: %x, %v", pt, err)
 		}
