@@ -16,9 +16,11 @@ check: vet build test race results-check f17-smoke f18-smoke trace-smoke service
 
 ## vet: go vet, fail when gofmt would reformat any file, and fail when an
 ## internal package is an orphan — one that no command, example or the
-## repro package itself reaches through its imports.
+## repro package itself reaches through its imports. The link crypto is
+## vetted for arm64 too, so its generic (non-AES-NI) build keeps compiling.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/wsncrypto/
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 	@set -e; deps=$$($(GO) list -deps . ./cmd/... ./examples/...); orphans=0; \
 	for pkg in $$($(GO) list ./internal/...); do \

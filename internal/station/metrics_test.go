@@ -1,8 +1,10 @@
 package station
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -116,6 +118,66 @@ func TestRequestLifecycleTrace(t *testing.T) {
 	}
 	if wait, ok := trace.Token(tree[0].Events[1].Detail, "queue_wait"); !ok || wait == "" {
 		t.Errorf("run stage lacks queue_wait timing: %q", tree[0].Events[1].Detail)
+	}
+}
+
+// stallAdmitSink records events like a Collector, but holds every admit
+// event for 100 ms first: a worker that could pick the job up before its
+// admit is recorded would trace the run stage ahead of it.
+type stallAdmitSink struct{ trace.Collector }
+
+func (s *stallAdmitSink) Emit(ev trace.Event) {
+	if ev.Cause == trace.StageAdmit {
+		time.Sleep(100 * time.Millisecond)
+	}
+	s.Collector.Emit(ev)
+}
+
+// TestAdmitTracedBeforeRun: however slow the sink, every job's stages are
+// recorded, and time-stamped, admit → run → done, because Submit traces
+// the admit before it hands the job to the queue.
+func TestAdmitTracedBeforeRun(t *testing.T) {
+	sink := &stallAdmitSink{}
+	cfg := testConfig(2, 8)
+	cfg.Trace = sink
+	st := newStation(t, cfg)
+	var jobs []*Job
+	for i := 0; i < 3; i++ {
+		job, err := st.Submit(QuerySpec{Kind: repro.QueryCount})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, job)
+	}
+	for _, job := range jobs {
+		if _, err := job.Wait(context.Background()); err != nil {
+			t.Fatalf("%s: %v", job.ID(), err)
+		}
+	}
+	want := []string{trace.StageAdmit, trace.StageRun, trace.StageDone}
+	stages := func(evs []trace.Event, id string) []string {
+		var out []string
+		for _, ev := range evs {
+			if job, _ := trace.Token(ev.Detail, "job"); job == id {
+				out = append(out, ev.Cause)
+			}
+		}
+		return out
+	}
+	for _, job := range jobs {
+		// The worker traces done after it releases the job's waiters.
+		var recorded []string
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+			if recorded = stages(sink.Events(), job.ID()); len(recorded) >= len(want) || time.Now().After(deadline) {
+				break
+			}
+		}
+		if !slices.Equal(recorded, want) {
+			t.Errorf("%s: recorded stages %v, want %v", job.ID(), recorded, want)
+		}
+		if got := stages(trace.RequestEvents(sink.Events(), job.RequestID()), job.ID()); !slices.Equal(got, want) {
+			t.Errorf("%s: stages in time order %v, want %v", job.ID(), got, want)
+		}
 	}
 }
 

@@ -258,17 +258,19 @@ func (s *Station) Submit(spec QuerySpec) (*Job, error) {
 	if job.requestID == "" {
 		job.requestID = job.id
 	}
-	select {
-	case s.queue <- job:
-		s.jobs[job.id] = job
-		s.metrics.accepted.Inc()
-		s.emitRequest(job, trace.StageAdmit, "kind="+spec.Kind.String())
-		return job, nil
-	default:
+	if len(s.queue) == cap(s.queue) {
 		job.timerStop()
 		s.metrics.rejected.Inc()
 		return nil, ErrQueueFull
 	}
+	// Admit before the send, so no worker can trace the job's run stage
+	// ahead of its admit. Submit is the only sender and holds s.mu, so the
+	// queue cannot have filled since the check and the send cannot block.
+	s.jobs[job.id] = job
+	s.metrics.accepted.Inc()
+	s.emitRequest(job, trace.StageAdmit, "kind="+spec.Kind.String())
+	s.queue <- job
+	return job, nil
 }
 
 // SubmitAll is the fan-out form of Submit. On a single station it admits

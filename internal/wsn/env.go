@@ -91,12 +91,19 @@ type Env struct {
 	Sink trace.Sink
 
 	// links holds the sealing state of every link keyed since the last
-	// Reset, one slot per unordered pair; linkIdx maps the sorted pair to
-	// its slot. Reset truncates the slab and clears the map, so later
-	// rounds reuse both.
-	links   []wsncrypto.Link
+	// Reset, one slot per unordered pair, in chunks of linkChunk slots;
+	// nlinks counts the slots in use and linkIdx maps the sorted pair to
+	// its slot number. Each slot holds its link's key schedule by value,
+	// so keying a link allocates nothing once the slab has grown, and
+	// growing it adds a chunk without moving the slots already keyed.
+	// Reset rewinds nlinks and clears the map, so later rounds reuse both.
+	links   []*[linkChunk]wsncrypto.Link
+	nlinks  int32
 	linkIdx map[[2]topo.NodeID]int32
 }
+
+// linkChunk is the number of link slots the slab grows by (~60 KB).
+const linkChunk = 128
 
 // SetSink installs the flight-recorder sink across every layer of the
 // deployment — engine run lifecycle, radio drop causes, MAC failure paths,
@@ -236,8 +243,7 @@ func (e *Env) Reset(seed int64) error {
 	default:
 		return fmt.Errorf("wsn: unknown key scheme %d", e.Cfg.KeyScheme)
 	}
-	clear(e.links) // drop the old key schedules
-	e.links = e.links[:0]
+	e.nlinks = 0 // slots hold no pointers; Init overwrites each
 	clear(e.linkIdx)
 	e.Readings[0] = 0
 	span := e.Cfg.ReadingMax - e.Cfg.ReadingMin
@@ -288,19 +294,20 @@ func (e *Env) linkFor(a, b topo.NodeID) (*wsncrypto.Link, error) {
 		k = [2]topo.NodeID{b, a}
 	}
 	if i, ok := e.linkIdx[k]; ok {
-		return &e.links[i], nil
+		return &e.links[i/linkChunk][i%linkChunk], nil
 	}
 	key, ok := e.Keys.LinkKey(a, b)
 	if !ok {
 		return nil, fmt.Errorf("wsn: no link key for %d<->%d", a, b)
 	}
-	e.links = append(e.links, wsncrypto.Link{})
-	l := &e.links[len(e.links)-1]
-	if err := l.Init(&key); err != nil {
-		e.links = e.links[:len(e.links)-1]
-		return nil, err
+	i := e.nlinks
+	if int(i/linkChunk) == len(e.links) {
+		e.links = append(e.links, new([linkChunk]wsncrypto.Link))
 	}
-	e.linkIdx[k] = int32(len(e.links) - 1)
+	e.nlinks++
+	l := &e.links[i/linkChunk][i%linkChunk]
+	l.Init(&key)
+	e.linkIdx[k] = i
 	return l, nil
 }
 

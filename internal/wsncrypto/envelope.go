@@ -1,8 +1,6 @@
 package wsncrypto
 
 import (
-	"crypto/aes"
-	"crypto/cipher"
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding"
@@ -54,7 +52,7 @@ type binaryAppender interface {
 type scratch struct {
 	h       resumableHash
 	sum     [sha256.Size]byte
-	ctr, ks [aes.BlockSize]byte
+	ctr, ks [blockSize]byte
 	pad     [sha256.BlockSize]byte
 }
 
@@ -62,22 +60,19 @@ var scratchPool = sync.Pool{New: func() any {
 	return &scratch{h: sha256.New().(resumableHash)}
 }}
 
-// keyState is everything sealing under one link key needs: the AES key
+// keyState is everything sealing under one link key needs: the AES-256 key
 // schedule, and the SHA-256 states after absorbing the HMAC key's inner and
-// outer pad blocks. It holds no hash object, so any number of callers may
-// share it read-only.
+// outer pad blocks. It is a plain value that holds no pointer, so keying
+// overwrites it in place, and any number of callers may share it read-only.
 type keyState struct {
-	block        cipher.Block
+	sched        schedule
 	inner, outer [midstateSize]byte
 }
 
-// init derives the key schedule and the HMAC midstates of key. The MAC key
-// is SHA-256("mac:" ‖ key).
-func (k *keyState) init(key *[KeySize]byte) error {
-	block, err := aes.NewCipher(key[:])
-	if err != nil {
-		return fmt.Errorf("wsncrypto: %w", err)
-	}
+// init derives the key schedule and the HMAC midstates of key in place.
+// The MAC key is SHA-256("mac:" ‖ key).
+func (k *keyState) init(key *[KeySize]byte) {
+	k.sched.expand(key)
 	var in [4 + KeySize]byte
 	copy(in[:], "mac:")
 	copy(in[4:], key[:])
@@ -86,19 +81,15 @@ func (k *keyState) init(key *[KeySize]byte) error {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	sc.pad = ipad
-	if err := midstate(&k.inner, sc); err != nil {
-		return err
-	}
+	midstate(&k.inner, sc)
 	sc.pad = opad
-	if err := midstate(&k.outer, sc); err != nil {
-		return err
-	}
-	k.block = block
-	return nil
+	midstate(&k.outer, sc)
 }
 
-// midstate stores in dst the SHA-256 state after hashing sc.pad.
-func midstate(dst *[midstateSize]byte, sc *scratch) error {
+// midstate stores in dst the SHA-256 state after hashing sc.pad. A
+// crypto/sha256 digest always marshals to midstateSize bytes, so a failure
+// here is a bug and panics.
+func midstate(dst *[midstateSize]byte, sc *scratch) {
 	h := sc.h
 	h.Reset()
 	h.Write(sc.pad[:])
@@ -110,13 +101,12 @@ func midstate(dst *[midstateSize]byte, sc *scratch) error {
 		st, err = h.MarshalBinary()
 	}
 	if err != nil {
-		return fmt.Errorf("wsncrypto: %w", err)
+		panic("wsncrypto: " + err.Error())
 	}
 	if len(st) != midstateSize {
-		return fmt.Errorf("wsncrypto: SHA-256 state is %d bytes, want %d", len(st), midstateSize)
+		panic(fmt.Sprintf("wsncrypto: SHA-256 state is %d bytes, want %d", len(st), midstateSize))
 	}
 	copy(dst[:], st)
-	return nil
 }
 
 // tag computes HMAC-SHA256 over body by resuming the two midstates, and
@@ -175,24 +165,24 @@ func extend(dst []byte, n int) []byte {
 	return dst[:len(dst)+n]
 }
 
-// ctrXOR applies AES-CTR with the counter and keystream blocks in sc:
-// Seal and Open run once per frame, so neither a cipher.NewCTR object nor
-// heap-escaping blocks are built per call. Semantics match cipher.NewCTR
-// with the IV nonce ‖ 0⁸ — the full 16-byte IV is a big-endian counter.
+// ctrXOR applies AES-256-CTR with the counter and keystream blocks in sc:
+// Seal and Open run once per frame, so no cipher object nor heap-escaping
+// block is built per call. Semantics match cipher.NewCTR with the IV
+// nonce ‖ 0⁸ — the full 16-byte IV is a big-endian counter.
 func (k *keyState) ctrXOR(sc *scratch, nonce, dst, src []byte) {
-	sc.ctr = [aes.BlockSize]byte{}
+	sc.ctr = [blockSize]byte{}
 	copy(sc.ctr[:], nonce)
-	for off := 0; off < len(src); off += aes.BlockSize {
-		k.block.Encrypt(sc.ks[:], sc.ctr[:])
-		for i := aes.BlockSize - 1; i >= 0; i-- {
+	for off := 0; off < len(src); off += blockSize {
+		k.sched.encrypt(&sc.ks, &sc.ctr)
+		for i := blockSize - 1; i >= 0; i-- {
 			sc.ctr[i]++
 			if sc.ctr[i] != 0 {
 				break
 			}
 		}
 		n := len(src) - off
-		if n > aes.BlockSize {
-			n = aes.BlockSize
+		if n > blockSize {
+			n = blockSize
 		}
 		for i := 0; i < n; i++ {
 			dst[off+i] = src[off+i] ^ sc.ks[i]
@@ -200,13 +190,11 @@ func (k *keyState) ctrXOR(sc *scratch, nonce, dst, src []byte) {
 	}
 }
 
-// Sealer encrypts and authenticates payloads under one link key, keeping a
-// monotonic nonce counter. One Sealer per (sender, key) pair. Not safe for
+// Sealer is one direction of a Link keyed from a byte slice: a monotonic
+// nonce counter under one link key. bench/micro.go times the traced
+// wsncrypto.seal_ns_* and open_ns_* metrics through it. Not safe for
 // concurrent Seal calls; Open may run concurrently.
-type Sealer struct {
-	key     keyState
-	counter uint64
-}
+type Sealer struct{ link Link }
 
 // NewSealer builds a Sealer from a link key of at least 32 bytes; only the
 // first 32 are used.
@@ -215,38 +203,30 @@ func NewSealer(key []byte) (*Sealer, error) {
 		return nil, fmt.Errorf("wsncrypto: key too short: %d bytes", len(key))
 	}
 	s := &Sealer{}
-	if err := s.key.init((*[KeySize]byte)(key)); err != nil {
-		return nil, err
-	}
+	s.link.Init((*[KeySize]byte)(key))
 	return s, nil
 }
 
 // Seal encrypts plaintext, returning nonce || ciphertext || tag.
-func (s *Sealer) Seal(plaintext []byte) []byte {
-	s.counter++
-	return s.key.appendSeal(nil, s.counter, plaintext)
-}
+func (s *Sealer) Seal(plaintext []byte) []byte { return s.link.Seal(0, plaintext) }
 
 // Open verifies and decrypts an envelope produced by Seal under the same key.
-func (s *Sealer) Open(envelope []byte) ([]byte, error) {
-	return s.key.appendOpen(nil, envelope)
-}
+func (s *Sealer) Open(envelope []byte) ([]byte, error) { return s.link.Open(envelope) }
 
 // Link is the sealing state of one undirected link: one key schedule and
 // one pair of HMAC midstates serve both directions, and each direction has
-// its own nonce counter, so it numbers its envelopes exactly as a Sealer of
-// its own would. Seals in opposite directions may run concurrently; seals
-// in one direction may not.
+// its own nonce counter, numbering its envelopes from 1. Seals in opposite
+// directions may run concurrently; seals in one direction may not.
 type Link struct {
 	key  keyState
 	sent [2]uint64 // per direction: envelopes sealed so far
 }
 
 // Init keys the link and rewinds both nonce counters, overwriting whatever
-// the link held before.
-func (l *Link) Init(key *[KeySize]byte) error {
+// the link held before. It works in place and allocates nothing.
+func (l *Link) Init(key *[KeySize]byte) {
 	l.sent = [2]uint64{}
-	return l.key.init(key)
+	l.key.init(key)
 }
 
 // AppendSeal encrypts plaintext in direction dir (0 or 1) and appends

@@ -1,8 +1,12 @@
 // Package wsncrypto provides the link-level cryptography the aggregation
 // protocols assume: per-link symmetric keys under two key-management
 // schemes (ideal pairwise keys and Eschenauer–Gligor random key
-// predistribution), and an AES-CTR + HMAC-SHA256 sealed envelope for
-// first-hop shares and slices.
+// predistribution), and an AES-256-CTR + HMAC-SHA256 sealed envelope for
+// first-hop shares and slices. The AES-256 cipher is the package's own
+// encrypt-only key schedule, held by value in each Link so that re-keying
+// a link allocates nothing: AES-NI routines on amd64 CPUs that have them,
+// and a generic T-table implementation everywhere else, both checked
+// against crypto/aes by the tests.
 //
 // The protocols only need (a) the byte overhead an encrypted payload adds
 // on the air, and (b) the key-sharing structure that determines which third

@@ -100,9 +100,7 @@ func TestEnvelopesMatchReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		var l Link
-		if err := l.Init(&key); err != nil {
-			t.Fatal(err)
-		}
+		l.Init(&key)
 		for i, n := range refLengths {
 			pt := make([]byte, n)
 			rng.Read(pt)
@@ -136,14 +134,10 @@ func TestEnvelopesMatchReference(t *testing.T) {
 func TestLinkInitRewindsNonces(t *testing.T) {
 	key, _ := NewPairwiseScheme([]byte("k")).LinkKey(1, 2)
 	var l Link
-	if err := l.Init(&key); err != nil {
-		t.Fatal(err)
-	}
+	l.Init(&key)
 	l.Seal(0, []byte("x"))
 	l.Seal(1, []byte("x"))
-	if err := l.Init(&key); err != nil {
-		t.Fatal(err)
-	}
+	l.Init(&key)
 	if got, want := l.Seal(1, []byte("x")), refSeal(key[:], 1, []byte("x")); !bytes.Equal(got, want) {
 		t.Errorf("after Init: %x, want the first envelope %x", got, want)
 	}
@@ -180,12 +174,19 @@ func TestKeysAndChecksDoNotAllocate(t *testing.T) {
 	}
 	var sink [KeySize]byte
 	var has bool
-	for name, f := range map[string]func(){
+	cases := map[string]func(){
 		"pairwise LinkKey": func() { sink, _ = pw.LinkKey(3, 7) },
 		"pairwise HasKey":  func() { has = pw.HasKey(3, 7) },
 		"EG LinkKey":       func() { sink, _ = eg.LinkKey(3, 7) },
 		"EG HasKey":        func() { has = eg.HasKey(3, 7) },
-	} {
+	}
+	// Re-keying a link expands its schedule and midstates in place; a
+	// -race build allocates in the standard library's part of it.
+	var l Link
+	if !raceEnabled {
+		cases["Link.Init"] = func() { l.Init(&sink) }
+	}
+	for name, f := range cases {
 		if n := testing.AllocsPerRun(100, f); n != 0 {
 			t.Errorf("%s: %v allocs, want 0", name, n)
 		}
@@ -200,9 +201,7 @@ func TestWarmSealOpenAllocateOnlyTheirOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	var l Link
-	if err := l.Init(&key); err != nil {
-		t.Fatal(err)
-	}
+	l.Init(&key)
 	pt := make([]byte, 65)
 	env := s.Seal(pt)
 	for name, f := range map[string]func(){
@@ -232,9 +231,7 @@ func TestWarmSealOpenAllocateOnlyTheirOutput(t *testing.T) {
 func TestLinkDirectionsConcurrently(t *testing.T) {
 	key, _ := NewPairwiseScheme([]byte("master")).LinkKey(3, 7)
 	var l Link
-	if err := l.Init(&key); err != nil {
-		t.Fatal(err)
-	}
+	l.Init(&key)
 	const n = 200
 	var envs [2][][]byte
 	var wg sync.WaitGroup
@@ -262,19 +259,14 @@ func TestLinkDirectionsConcurrently(t *testing.T) {
 // any single byte of a valid envelope fails authentication.
 func FuzzOpen(f *testing.F) {
 	key, _ := NewPairwiseScheme([]byte("master")).LinkKey(3, 7)
-	s, err := NewSealer(key[:])
-	if err != nil {
-		f.Fatal(err)
-	}
+	var s, l Link // s seals in direction 0; l opens independently of it
+	s.Init(&key)
 	for _, n := range refLengths {
-		f.Add(s.Seal(make([]byte, n)), byte(1))
+		f.Add(s.Seal(0, make([]byte, n)), byte(1))
 	}
 	f.Add([]byte{}, byte(0))
 	f.Add(make([]byte, Overhead-1), byte(0x80))
-	var l Link
-	if err := l.Init(&key); err != nil {
-		f.Fatal(err)
-	}
+	l.Init(&key)
 	f.Fuzz(func(t *testing.T, data []byte, flip byte) {
 		pt, err := s.Open(data)
 		if err == nil && len(pt) != len(data)-Overhead {
@@ -287,7 +279,7 @@ func FuzzOpen(f *testing.F) {
 		if fmt.Sprint(aerr) != fmt.Sprint(err) || !bytes.Equal(got, append(slices.Clone(prefix), pt...)) {
 			t.Fatalf("AppendOpen: %x, %v; Open: %x, %v", got, aerr, pt, err)
 		}
-		env := s.Seal(data)
+		env := s.Seal(0, data)
 		pt, err = s.Open(env)
 		if err != nil || !bytes.Equal(pt, data) {
 			t.Fatalf("round trip: %x, %v", pt, err)
@@ -316,14 +308,12 @@ func BenchmarkSeal(b *testing.B) {
 	key, _ := NewPairwiseScheme([]byte("master")).LinkKey(3, 7)
 	for _, c := range []int{1, 16} {
 		b.Run(fmt.Sprintf("w=%d", c), func(b *testing.B) {
-			s, err := NewSealer(key[:])
-			if err != nil {
-				b.Fatal(err)
-			}
+			var l Link
+			l.Init(&key)
 			pt := payload(c)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				benchSink = s.Seal(pt)
+				benchSink = l.Seal(0, pt)
 			}
 		})
 	}
@@ -333,14 +323,12 @@ func BenchmarkOpen(b *testing.B) {
 	key, _ := NewPairwiseScheme([]byte("master")).LinkKey(3, 7)
 	for _, c := range []int{1, 16} {
 		b.Run(fmt.Sprintf("w=%d", c), func(b *testing.B) {
-			s, err := NewSealer(key[:])
-			if err != nil {
-				b.Fatal(err)
-			}
-			env := s.Seal(payload(c))
+			var l Link
+			l.Init(&key)
+			env := l.Seal(0, payload(c))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				pt, err := s.Open(env)
+				pt, err := l.Open(env)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -351,15 +339,14 @@ func BenchmarkOpen(b *testing.B) {
 }
 
 // BenchmarkLinkSetup is the cold path a link pays once per round: derive
-// the pairwise key, then build its key schedule and HMAC midstates.
+// the pairwise key, then expand its key schedule and HMAC midstates in
+// place.
 func BenchmarkLinkSetup(b *testing.B) {
 	s := NewPairwiseScheme([]byte("master"))
 	var l Link
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		key, _ := s.LinkKey(topo.NodeID(i), topo.NodeID(i+1))
-		if err := l.Init(&key); err != nil {
-			b.Fatal(err)
-		}
+		l.Init(&key)
 	}
 }

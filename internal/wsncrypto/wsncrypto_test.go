@@ -153,16 +153,11 @@ func TestEGConnectivityDegenerate(t *testing.T) {
 func TestSealOpenRoundTrip(t *testing.T) {
 	scheme := NewPairwiseScheme([]byte("secret"))
 	key, _ := scheme.LinkKey(1, 2)
-	sender, err := NewSealer(key[:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	receiver, err := NewSealer(key[:])
-	if err != nil {
-		t.Fatal(err)
-	}
+	var sender, receiver Link
+	sender.Init(&key)
+	receiver.Init(&key)
 	f := func(pt []byte) bool {
-		env := sender.Seal(pt)
+		env := sender.Seal(0, pt)
 		if len(env) != len(pt)+Overhead {
 			return false
 		}
@@ -182,11 +177,9 @@ func TestSealerRejectsShortKey(t *testing.T) {
 
 func TestOpenRejectsTamperedCiphertext(t *testing.T) {
 	key, _ := NewPairwiseScheme([]byte("k")).LinkKey(1, 2)
-	s, err := NewSealer(key[:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := s.Seal([]byte("private reading"))
+	var s Link
+	s.Init(&key)
+	env := s.Seal(0, []byte("private reading"))
 	env[nonceSize] ^= 0xFF
 	if _, err := s.Open(env); !errors.Is(err, ErrAuth) {
 		t.Errorf("tampered envelope: err = %v, want ErrAuth", err)
@@ -197,9 +190,10 @@ func TestOpenRejectsWrongKey(t *testing.T) {
 	scheme := NewPairwiseScheme([]byte("k"))
 	k1, _ := scheme.LinkKey(1, 2)
 	k2, _ := scheme.LinkKey(1, 3)
-	s1, _ := NewSealer(k1[:])
-	s2, _ := NewSealer(k2[:])
-	env := s1.Seal([]byte("data"))
+	var s1, s2 Link
+	s1.Init(&k1)
+	s2.Init(&k2)
+	env := s1.Seal(0, []byte("data"))
 	if _, err := s2.Open(env); !errors.Is(err, ErrAuth) {
 		t.Errorf("wrong key: err = %v, want ErrAuth", err)
 	}
@@ -207,7 +201,8 @@ func TestOpenRejectsWrongKey(t *testing.T) {
 
 func TestOpenRejectsTruncated(t *testing.T) {
 	key, _ := NewPairwiseScheme([]byte("k")).LinkKey(1, 2)
-	s, _ := NewSealer(key[:])
+	var s Link
+	s.Init(&key)
 	if _, err := s.Open([]byte{1, 2, 3}); err == nil {
 		t.Error("truncated envelope should fail")
 	}
@@ -215,10 +210,11 @@ func TestOpenRejectsTruncated(t *testing.T) {
 
 func TestNoncesUnique(t *testing.T) {
 	key, _ := NewPairwiseScheme([]byte("k")).LinkKey(1, 2)
-	s, _ := NewSealer(key[:])
+	var s Link
+	s.Init(&key)
 	seen := make(map[string]bool)
 	for i := 0; i < 100; i++ {
-		env := s.Seal([]byte("x"))
+		env := s.Seal(0, []byte("x"))
 		n := string(env[:nonceSize])
 		if seen[n] {
 			t.Fatal("nonce reused")
@@ -229,9 +225,10 @@ func TestNoncesUnique(t *testing.T) {
 
 func TestCiphertextDiffersAcrossSeals(t *testing.T) {
 	key, _ := NewPairwiseScheme([]byte("k")).LinkKey(1, 2)
-	s, _ := NewSealer(key[:])
-	a := s.Seal([]byte("same plaintext"))
-	b := s.Seal([]byte("same plaintext"))
+	var s Link
+	s.Init(&key)
+	a := s.Seal(0, []byte("same plaintext"))
+	b := s.Seal(0, []byte("same plaintext"))
 	if bytes.Equal(a[nonceSize:len(a)-tagSize], b[nonceSize:len(b)-tagSize]) {
 		t.Error("CTR keystream reuse: equal ciphertexts for equal plaintexts")
 	}
