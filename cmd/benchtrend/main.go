@@ -4,11 +4,13 @@
 // the threshold. It is the repository's benchmark-trend harness:
 //
 //	go run ./cmd/benchtrend                 # run, snapshot, compare
+//	go run ./cmd/benchtrend -count 5        # five samples per benchmark
 //	go run ./cmd/benchtrend -quick          # 1-iteration smoke, nothing written
 //	go run ./cmd/benchtrend -input out.txt  # ingest saved `go test -bench` output
 //
-// Snapshots accumulate in -dir (the repo root by default); the newest
-// pre-existing one is the comparison baseline.
+// Each benchmark runs -count times (3 by default) and the snapshot keeps
+// the median of each metric. Snapshots accumulate in -dir (the repo root by
+// default); the newest pre-existing one is the comparison baseline.
 package main
 
 import (
@@ -19,6 +21,7 @@ import (
 	"os/exec"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -29,6 +32,7 @@ func main() {
 	var (
 		bench     = flag.String("bench", "^(BenchmarkRound|BenchmarkRoundSerial|BenchmarkRoundRetained|BenchmarkRoundCluster|BenchmarkRoundTAG|BenchmarkRoundIPDA|BenchmarkClusterAlgebra|BenchmarkFieldMul|BenchmarkFieldInv|BenchmarkServeThroughput|BenchmarkServeRecovery)$", "benchmark regexp passed to go test (the suite runs -short, which skips the n=100k scale point; run it explicitly with go test)")
 		benchtime = flag.String("benchtime", "1s", "per-benchmark time passed to go test")
+		count     = flag.Int("count", 3, "samples per benchmark passed to go test -count; the snapshot keeps each metric's median (-quick runs one)")
 		dir       = flag.String("dir", ".", "directory holding the package to bench and the BENCH_*.json snapshots")
 		input     = flag.String("input", "", "parse this saved `go test -bench` output instead of running the suite")
 		threshold = flag.Float64("threshold", 0.2, "regression gate: fail when ns/op or allocs/op grow by more than this fraction")
@@ -40,13 +44,13 @@ func main() {
 		filter    = flag.String("filter", "", "restrict the parsed results, snapshot, and gate to benchmarks whose name contains this substring (e.g. BenchmarkRound)")
 	)
 	flag.Parse()
-	if err := run(*bench, *benchtime, *dir, *input, *date, *metric, *baseline, *filter, *threshold, *quick, *dry); err != nil {
+	if err := run(*bench, *benchtime, *dir, *input, *date, *metric, *baseline, *filter, *threshold, *count, *quick, *dry); err != nil {
 		fmt.Fprintln(os.Stderr, "benchtrend:", err)
 		os.Exit(1)
 	}
 }
 
-func run(bench, benchtime, dir, input, date, metric, baseline, filter string, threshold float64, quick, dry bool) error {
+func run(bench, benchtime, dir, input, date, metric, baseline, filter string, threshold float64, count int, quick, dry bool) error {
 	gateTime, gateAllocs := true, true
 	switch metric {
 	case "both":
@@ -57,6 +61,9 @@ func run(bench, benchtime, dir, input, date, metric, baseline, filter string, th
 	default:
 		return fmt.Errorf("-metric wants time (ns_op), allocs (allocs_op), or both (got %q)", metric)
 	}
+	if count < 1 {
+		return fmt.Errorf("-count must be at least 1, got %d", count)
+	}
 	var raw []byte
 	var err error
 	if input != "" {
@@ -66,9 +73,9 @@ func run(bench, benchtime, dir, input, date, metric, baseline, filter string, th
 		}
 	} else {
 		if quick {
-			benchtime = "1x"
+			benchtime, count = "1x", 1
 		}
-		raw, err = runSuite(dir, bench, benchtime)
+		raw, err = runSuite(dir, bench, benchtime, count)
 		if err != nil {
 			return err
 		}
@@ -143,11 +150,12 @@ func run(bench, benchtime, dir, input, date, metric, baseline, filter string, th
 }
 
 // runSuite executes the benchmark suite in dir and returns the raw output.
-func runSuite(dir, bench, benchtime string) ([]byte, error) {
+func runSuite(dir, bench, benchtime string, count int) ([]byte, error) {
 	// -short keeps the trend set bounded: the round benches skip their
 	// n=100k point under it (a two-level -bench pattern can't express that
 	// without also dropping the leaf benchmarks).
-	args := []string{"test", "-short", "-run", "^$", "-bench", bench, "-benchmem", "-benchtime", benchtime, "."}
+	args := []string{"test", "-short", "-run", "^$", "-bench", bench, "-benchmem", "-benchtime", benchtime,
+		"-count", strconv.Itoa(count), "."}
 	fmt.Printf("running: go %v\n", args)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -166,6 +174,9 @@ func printSnapshot(s benchio.Snapshot) {
 		if m.AllocsPerNode > 0 {
 			fmt.Printf(" %10.1f allocs/node", m.AllocsPerNode)
 		}
+		if m.AllocsPerQuery > 0 {
+			fmt.Printf(" %10.1f allocs/query", m.AllocsPerQuery)
+		}
 		fmt.Println()
 	}
 }
@@ -178,7 +189,9 @@ func printDeltas(base, cur benchio.Snapshot) {
 			continue
 		}
 		fmt.Printf("  %-44s time %+6.1f%%", name, 100*(c.NsPerOp/b.NsPerOp-1))
-		if b.AllocsPerOp > 0 {
+		if b.AllocsPerQuery > 0 && c.AllocsPerQuery > 0 {
+			fmt.Printf("  allocs/query %+6.1f%%", 100*(c.AllocsPerQuery/b.AllocsPerQuery-1))
+		} else if b.AllocsPerOp > 0 {
 			fmt.Printf("  allocs %+6.1f%%", 100*(c.AllocsPerOp/b.AllocsPerOp-1))
 		}
 		fmt.Println()

@@ -20,11 +20,14 @@ import (
 // the round benches' custom "allocs/node" metric — allocations normalised by
 // deployment size, the number that stays comparable when a bench's node
 // count changes; zero when the benchmark does not report it.
+// AllocsPerQuery is the serving drills' "allocs/query": allocations per
+// served query, for a benchmark whose op is a fixed-length burst.
 type Metrics struct {
-	NsPerOp       float64 `json:"ns_op"`
-	BytesPerOp    float64 `json:"b_op"`
-	AllocsPerOp   float64 `json:"allocs_op"`
-	AllocsPerNode float64 `json:"allocs_node,omitempty"`
+	NsPerOp        float64 `json:"ns_op"`
+	BytesPerOp     float64 `json:"b_op"`
+	AllocsPerOp    float64 `json:"allocs_op"`
+	AllocsPerNode  float64 `json:"allocs_node,omitempty"`
+	AllocsPerQuery float64 `json:"allocs_query,omitempty"`
 }
 
 // Snapshot is one recorded benchmark run.
@@ -38,9 +41,11 @@ type Snapshot struct {
 // Parse extracts per-benchmark metrics from `go test -bench` output. The
 // trailing -N GOMAXPROCS suffix is stripped from names so snapshots from
 // machines with different core counts stay comparable. Lines without
-// -benchmem columns parse with zero B/op and allocs/op.
+// -benchmem columns parse with zero B/op and allocs/op. A benchmark that
+// appears on several lines (go test -count) keeps the median of each
+// metric over its lines.
 func Parse(r io.Reader) (map[string]Metrics, error) {
-	out := make(map[string]Metrics)
+	samples := make(map[string][]Metrics)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -66,16 +71,43 @@ func Parse(r io.Reader) (map[string]Metrics, error) {
 				m.AllocsPerOp = v
 			case "allocs/node":
 				m.AllocsPerNode = v
+			case "allocs/query":
+				m.AllocsPerQuery = v
 			}
 		}
 		if ok {
-			out[name] = m
+			samples[name] = append(samples[name], m)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("benchio: %w", err)
 	}
+	out := make(map[string]Metrics, len(samples))
+	for name, ms := range samples {
+		out[name] = Metrics{
+			NsPerOp:        median(ms, func(m Metrics) float64 { return m.NsPerOp }),
+			BytesPerOp:     median(ms, func(m Metrics) float64 { return m.BytesPerOp }),
+			AllocsPerOp:    median(ms, func(m Metrics) float64 { return m.AllocsPerOp }),
+			AllocsPerNode:  median(ms, func(m Metrics) float64 { return m.AllocsPerNode }),
+			AllocsPerQuery: median(ms, func(m Metrics) float64 { return m.AllocsPerQuery }),
+		}
+	}
 	return out, nil
+}
+
+// median returns the median of one metric over samples: the middle value,
+// or the mean of the two middle values for an even count.
+func median(samples []Metrics, metric func(Metrics) float64) float64 {
+	vs := make([]float64, len(samples))
+	for i, m := range samples {
+		vs[i] = metric(m)
+	}
+	sort.Float64s(vs)
+	mid := len(vs) / 2
+	if len(vs)%2 == 1 {
+		return vs[mid]
+	}
+	return (vs[mid-1] + vs[mid]) / 2
 }
 
 // trimProcSuffix drops every trailing "-<digits>" from a benchmark name,
@@ -175,7 +207,7 @@ func NextPath(dir, date string) string {
 // current/previous for the metric; ratios above 1+threshold regress.
 type Delta struct {
 	Name   string
-	Metric string // "ns/op" or "allocs/op"
+	Metric string // "ns/op", "allocs/op" or "allocs/query"
 	Prev   float64
 	Cur    float64
 	Ratio  float64
@@ -184,9 +216,12 @@ type Delta struct {
 // CompareBy reports every benchmark present in both snapshots whose ns/op
 // or allocs/op grew by more than threshold (e.g. 0.2 = 20%). Setting time
 // or allocs false exempts that metric; allocation counts are judged only
-// when the previous count was non-zero. Gating on allocs alone gives a
-// deterministic regression check usable on noisy shared machines, where
-// wall-clock thresholds tight enough to be useful would flake.
+// when the previous count was non-zero. A benchmark that reports
+// allocs/query in either snapshot is judged on that instead of allocs/op,
+// which for it counts queries served, and so only once both report it.
+// Gating on allocs alone gives a deterministic regression check usable on
+// noisy shared machines, where wall-clock thresholds tight enough to be
+// useful would flake.
 func CompareBy(prev, cur Snapshot, threshold float64, time, allocs bool) []Delta {
 	var regressions []Delta
 	names := make([]string, 0, len(cur.Benchmarks))
@@ -206,10 +241,13 @@ func CompareBy(prev, cur Snapshot, threshold float64, time, allocs bool) []Delta
 				Prev: p.NsPerOp, Cur: c.NsPerOp, Ratio: c.NsPerOp / p.NsPerOp,
 			})
 		}
-		if allocs && p.AllocsPerOp > 0 && c.AllocsPerOp > p.AllocsPerOp*(1+threshold) {
+		metric, pa, ca := "allocs/op", p.AllocsPerOp, c.AllocsPerOp
+		if p.AllocsPerQuery > 0 || c.AllocsPerQuery > 0 {
+			metric, pa, ca = "allocs/query", p.AllocsPerQuery, c.AllocsPerQuery
+		}
+		if allocs && pa > 0 && ca > pa*(1+threshold) {
 			regressions = append(regressions, Delta{
-				Name: name, Metric: "allocs/op",
-				Prev: p.AllocsPerOp, Cur: c.AllocsPerOp, Ratio: c.AllocsPerOp / p.AllocsPerOp,
+				Name: name, Metric: metric, Prev: pa, Cur: ca, Ratio: ca / pa,
 			})
 		}
 	}

@@ -54,6 +54,55 @@ func TestParse(t *testing.T) {
 	}
 }
 
+// TestParseRepeatedLinesKeepMedian: go test -count N prints a benchmark N
+// times; Parse keeps the median of each metric, so one slow sample on a
+// shared machine does not move the snapshot.
+func TestParseRepeatedLinesKeepMedian(t *testing.T) {
+	const out = `BenchmarkA-2   10  300 ns/op  64 B/op  3 allocs/op
+BenchmarkB-2   10  900 ns/op
+BenchmarkA-2   10  100 ns/op  32 B/op  1 allocs/op
+BenchmarkB-2   10  100 ns/op
+BenchmarkA-2   10 5000 ns/op  16 B/op  2 allocs/op
+BenchmarkServeRecovery-2  1  4.2e8 ns/op  110.5 allocs/query  9e6 B/op  90000 allocs/op
+BenchmarkServeRecovery-2  1  3.9e8 ns/op  100.5 allocs/query  8e6 B/op  80000 allocs/op
+`
+	m, err := Parse(strings.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := m["BenchmarkA"]; a != (Metrics{NsPerOp: 300, BytesPerOp: 32, AllocsPerOp: 2}) {
+		t.Errorf("odd count: A = %+v, want the per-metric middle values", a)
+	}
+	if b := m["BenchmarkB"]; b.NsPerOp != 500 {
+		t.Errorf("even count: B = %+v, want the mean of the two middle values", b)
+	}
+	if r := m["BenchmarkServeRecovery"]; r.AllocsPerQuery != 105.5 || r.AllocsPerOp != 85000 || r.NsPerOp != 4.05e8 {
+		t.Errorf("allocs/query line = %+v", r)
+	}
+}
+
+// TestCompareGatesPerQueryAllocs: a benchmark reporting allocs/query is
+// judged on it, not on allocs/op, which for a fixed-length burst counts the
+// queries served.
+func TestCompareGatesPerQueryAllocs(t *testing.T) {
+	prev := Snapshot{Benchmarks: map[string]Metrics{
+		"BenchmarkBurst": {NsPerOp: 100, AllocsPerOp: 1000, AllocsPerQuery: 10},
+		"BenchmarkOld":   {NsPerOp: 100, AllocsPerOp: 1000},
+	}}
+	cur := Snapshot{Benchmarks: map[string]Metrics{
+		"BenchmarkBurst": {NsPerOp: 100, AllocsPerOp: 1500, AllocsPerQuery: 10.5}, // more queries served
+		"BenchmarkOld":   {NsPerOp: 100, AllocsPerOp: 1500, AllocsPerQuery: 10},   // first per-query sample
+	}}
+	if regs := CompareBy(prev, cur, 0.2, false, true); len(regs) != 0 {
+		t.Errorf("allocs/op growth gated despite allocs/query: %+v", regs)
+	}
+	cur.Benchmarks["BenchmarkBurst"] = Metrics{NsPerOp: 100, AllocsPerOp: 900, AllocsPerQuery: 13}
+	regs := CompareBy(prev, cur, 0.2, false, true)
+	if len(regs) != 1 || regs[0].Name != "BenchmarkBurst" || regs[0].Metric != "allocs/query" || regs[0].Ratio != 1.3 {
+		t.Errorf("regressions = %+v, want BenchmarkBurst allocs/query 1.3x", regs)
+	}
+}
+
 func TestSnapshotRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	snap := Snapshot{
@@ -143,6 +192,7 @@ func FuzzParse(f *testing.F) {
 	f.Add("BenchmarkX/n-4-8 \t 10\t 5 ns/op\n")
 	f.Add("BenchmarkY-99999999999999999999 1 2 ns/op 3 B/op 4 allocs/op\n")
 	f.Add("Benchmark 1 ns/op\nBenchmarkZ- 1 1 ns/op\n")
+	f.Add("BenchmarkR-2 1 3 ns/op 2 allocs/query\nBenchmarkR-2 1 NaN ns/op -1 allocs/query\n")
 	f.Fuzz(func(t *testing.T, text string) {
 		m, err := Parse(strings.NewReader(text))
 		if err != nil {

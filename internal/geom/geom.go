@@ -118,8 +118,7 @@ func clamp(v, lo, hi float64) float64 {
 // position lies inside the 3×3 block of cells around the position's own
 // cell. Range queries therefore scan at most nine buckets instead of the
 // whole deployment. Grid is pure geometry (cell addressing); pair it with
-// PointIndex for a bucketed point set, or keep per-cell state of your own
-// (the radio medium buckets in-flight transmissions this way).
+// PointIndex for a bucketed point set, or keep per-cell state of your own.
 //
 // A non-positive, NaN, or infinite cell size degenerates to a single cell
 // covering the whole field: every query scans everything, which keeps the
@@ -178,25 +177,9 @@ func (g Grid) CellIndex(p Point) int {
 // in the 3×3 block centred on p's cell, in row-major order. Together
 // those cells contain every point within one cell side of p.
 func (g Grid) VisitNeighborhood(p Point, fn func(cell int)) {
-	g.VisitBlock(p, 1, fn)
-}
-
-// VisitBlock generalises VisitNeighborhood to a (2k+1)×(2k+1) block: the
-// visited cells contain every point within k cell sides of p. The radio
-// medium uses k=2 to find every transmission audible at any receiver of a
-// frame (interferer within range of a receiver within range of the sender).
-func (g Grid) VisitBlock(p Point, k int, fn func(cell int)) {
 	c, r := g.cellOf(p)
-	for dr := -k; dr <= k; dr++ {
-		nr := r + dr
-		if nr < 0 || nr >= g.rows {
-			continue
-		}
-		for dc := -k; dc <= k; dc++ {
-			nc := c + dc
-			if nc < 0 || nc >= g.cols {
-				continue
-			}
+	for nr := max(r-1, 0); nr <= min(r+1, g.rows-1); nr++ {
+		for nc := max(c-1, 0); nc <= min(c+1, g.cols-1); nc++ {
 			fn(nr*g.cols + nc)
 		}
 	}

@@ -53,10 +53,10 @@ func equalInts(a, b []int) bool {
 }
 
 // TestGridNeighborsMatchBruteForce is the correctness property behind the
-// O(n²)→O(n) neighbour-table and radio-medium optimisation: for random
-// deployments, every grid range query must return EXACTLY the brute-force
-// neighbour set — no misses from cell-boundary points, no extras from the
-// candidate superset surviving the predicate.
+// O(n²)→O(n) neighbour-table construction: for random deployments, every
+// grid range query must return EXACTLY the brute-force neighbour set — no
+// misses from cell-boundary points, no extras from the candidate superset
+// surviving the predicate.
 func TestGridNeighborsMatchBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 30; trial++ {

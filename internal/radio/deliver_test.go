@@ -39,21 +39,27 @@ func cellMedium(tb testing.TB, degree float64, delivered *int) (*sim.Engine, *Me
 	return eng, med, best
 }
 
-// BenchmarkRadioDeliver times one broadcast frame on the air and its
-// delivery to every neighbour of the sender, in a dense (~60 neighbours)
-// and a sparse (~8) cell. rx/op reports the receptions per frame.
+// BenchmarkRadioDeliver times one frame on the air and its delivery to
+// every neighbour of the sender: a broadcast in a dense (~60 neighbours)
+// and a sparse (~8) cell, and an ACK among ~20 neighbours, which reaches
+// its addressee's handler while every bystander's reception is still
+// decided and charged. rx/op reports the handler calls per frame.
 func BenchmarkRadioDeliver(b *testing.B) {
 	for _, c := range []struct {
 		name   string
 		degree float64
-	}{{"dense", 60}, {"sparse", 8}} {
+		ack    bool
+	}{{"dense", 60, false}, {"sparse", 8, false}, {"ack", 20, true}} {
 		b.Run(c.name, func(b *testing.B) {
 			delivered := 0
 			eng, med, from := cellMedium(b, c.degree, &delivered)
 			msg := frame(from, message.BroadcastID)
+			to := med.net.Neighbors(from)[0]
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := med.Transmit(from, msg); err != nil {
+				if c.ack {
+					med.TransmitAck(from, to, 1, uint16(i))
+				} else if _, err := med.Transmit(from, msg); err != nil {
 					b.Fatal(err)
 				}
 				if err := eng.Run(0); err != nil {

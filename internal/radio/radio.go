@@ -5,6 +5,11 @@
 // frame — because the cluster protocol's integrity witnesses rely on
 // overhearing; addressing is filtered above the radio. The one exception is
 // the MAC acknowledgement, which is handed only to its addressee.
+//
+// Carrier sense and collisions are decided from per-node channel state,
+// updated along the sender's neighbour row as each frame goes on the air.
+// No transmission is kept past its delivery: its record, an ACK's frame
+// included, goes back to the medium's pool as soon as the delivery returns.
 package radio
 
 import (
@@ -13,7 +18,6 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/geom"
 	"repro/internal/message"
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -30,11 +34,13 @@ import (
 // The frame is already decoded, and every receiver in range gets the same
 // pointer. Handlers must not modify the message, and must not retain it,
 // its payload, or anything decoded into reused scratch beyond the call
-// unless they copy it: an ACK frame lives inside the medium's recycled
-// transmission record, a cluster-protocol frame and its payload bytes live
-// in that protocol's per-round arenas and are reused once its next round
-// starts (core's lifetime rule, frames.go), and the protocols decode and
-// open overheard payloads into scratch the next reception overwrites.
+// unless they copy it: an ACK frame lives inside the medium's transmission
+// record, which is recycled as soon as the delivery returns, so the next
+// frame put on the air may overwrite it; a cluster-protocol frame and its
+// payload bytes live in that protocol's per-round arenas and are reused once
+// its next round starts (core's lifetime rule, frames.go); and the protocols
+// decode and open overheard payloads into scratch the next reception
+// overwrites.
 //
 // A KindAck frame is handed only to its addressee, msg.To. Every other
 // receiver in range still hears it — collision, fading and loss are decided
@@ -80,43 +86,66 @@ func FadingConfig() Config {
 }
 
 type transmission struct {
-	from       topo.NodeID
-	msg        *message.Message
-	wireSize   int
-	start, end time.Duration
-	cell       int    // sender's cell in Medium.grid
-	slot       int    // position within Medium.cells[cell]
-	fire       func() // delivery closure, built once per pooled node
+	from     topo.NodeID
+	msg      *message.Message
+	wireSize int
+	fire     func() // delivery closure, built once per pooled record
 	// ack holds the frame itself for transmissions from TransmitAck, with
-	// msg pointing here; it is recycled together with the node.
+	// msg pointing here; it is recycled together with the record.
 	ack message.Message
+}
+
+// chanState is the channel as one node's radio hears it. A busy period is
+// a maximal run of audible frames, in start order, in which each frame
+// starts strictly before the latest end heard so far; a frame in a period
+// of two or more overlaps another audible frame, and a frame alone in its
+// period overlaps none.
+type chanState struct {
+	heardEnd  time.Duration // latest end of any frame audible here, own included
+	txEnd     time.Duration // latest end of this node's own frames
+	start     time.Duration // start of the current busy period
+	cur, prev int32         // frames in the current and the previous busy period
+}
+
+// hear counts a frame audible at this node from now until end.
+func (c *chanState) hear(now, end time.Duration) {
+	if now < c.heardEnd {
+		c.cur++
+	} else {
+		c.prev, c.cur, c.start = c.cur, 1, now
+	}
+	c.heardEnd = max(c.heardEnd, end)
+}
+
+// clean reports whether a frame ending now, audible here, overlapped no
+// other audible frame. Its period is the current one unless a new period
+// began exactly now, when it is the previous one: a frame in its period
+// ends no earlier than now, so no other period can have begun since.
+func (c *chanState) clean(now time.Duration) bool {
+	if c.start == now {
+		return c.prev == 1
+	}
+	return c.cur == 1
 }
 
 // Medium is the shared channel. One Medium serves one simulated network.
 //
-// Carrier-sense and collision checks are spatial: a transmission can only
-// matter to a node within radio range of its sender, so recent
-// transmissions are bucketed by the sender's cell in the deployment grid
-// (cell side = radio range) and every overlap scan touches just the 3×3
-// cell block around the listener instead of the whole channel. At 100k
-// nodes this is the difference between O(active) and O(local) per
-// reception.
+// Carrier sense and collisions are decided from per-node channel state
+// (chanState), kept current as each frame goes on the air by walking the
+// sender's neighbour row: Busy, BusyWithin and Transmitting are O(1), and a
+// reception's collision check reads only the receiver's own state, so no
+// transmission needs to be kept past its delivery.
 type Medium struct {
-	eng         *sim.Engine
-	net         *topo.Network
-	rec         *metrics.Recorder
-	cfg         Config
-	rng         *rand.Rand        // fading draws; nil unless cfg.Fading
-	handler     Handler           // receive path for every node; nil = deliver nothing
-	active      []*transmission   // recent transmissions kept for overlap checks
-	pool        []*transmission   // free list of pruned nodes (delivery closures kept)
-	grid        geom.Grid         // deployment spatial index (cell = radio range)
-	cells       [][]*transmission // active bucketed by sender cell
-	cellEnd     []time.Duration   // latest end of any frame a cell's senders put on the air
-	scratch     []*transmission   // per-delivery interferer candidates, reused
-	nextPruneAt time.Duration     // next instant a full prune scan may run
-	maxDur      time.Duration     // longest frame airtime seen; bounds retention
-	sink        trace.Sink        // flight recorder; nil = disabled
+	eng     *sim.Engine
+	net     *topo.Network
+	rec     *metrics.Recorder
+	cfg     Config
+	rng     *rand.Rand      // fading draws; nil unless cfg.Fading
+	handler Handler         // receive path for every node; nil = deliver nothing
+	chans   []chanState     // indexed by node id
+	pool    []*transmission // free records (delivery closures kept)
+	minted  []*transmission // every record ever built, for Reset
+	sink    trace.Sink      // flight recorder; nil = disabled
 }
 
 // NewMedium wires a medium over the network. rec may be nil to skip
@@ -138,38 +167,21 @@ func NewMedium(eng *sim.Engine, net *topo.Network, rec *metrics.Recorder, cfg Co
 			return nil, fmt.Errorf("radio: loss rate %g for kind %q out of [0, 1)", rate, kind)
 		}
 	}
-	grid := net.Grid()
-	return &Medium{
-		eng:     eng,
-		net:     net,
-		rec:     rec,
-		cfg:     cfg,
-		grid:    grid,
-		cells:   make([][]*transmission, grid.Cells()),
-		cellEnd: make([]time.Duration, grid.Cells()),
-	}, nil
+	return &Medium{eng: eng, net: net, rec: rec, cfg: cfg, chans: make([]chanState, net.Size())}, nil
 }
 
-// Reset clears the channel: in-flight and recently-finished transmissions
-// are dropped and the airtime retention bound rewinds. It must accompany an
-// engine reset — retained transmissions carry end-times from the old
-// timeline and would otherwise jam carrier sense on the rewound clock.
+// Reset clears the channel: every node hears silence, and frames still in
+// flight are dropped with their records returned to the pool. It must
+// accompany an engine reset, which discards their delivery events; channel
+// state from the old timeline would otherwise jam carrier sense on the
+// rewound clock.
 func (m *Medium) Reset() {
-	for i := range m.active {
-		m.recycleTransmission(m.active[i])
-		m.active[i] = nil
+	clear(m.chans)
+	m.pool = m.pool[:0]
+	for _, t := range m.minted {
+		t.msg = nil
+		m.pool = append(m.pool, t)
 	}
-	m.active = m.active[:0]
-	m.nextPruneAt = 0
-	for c := range m.cells {
-		b := m.cells[c]
-		for i := range b {
-			b[i] = nil
-		}
-		m.cells[c] = b[:0]
-	}
-	clear(m.cellEnd)
-	m.maxDur = 0
 }
 
 // SetFadingSource injects the RNG used for gray-zone fading and injected
@@ -201,10 +213,12 @@ func (m *Medium) SetHandler(h Handler) { m.handler = h }
 func (m *Medium) Network() *topo.Network { return m.net }
 
 // AirTime returns the serialization delay of a frame of the given on-air
-// size in bytes.
+// size in bytes. It is at least 1 ns, even at a bitrate that would round it
+// to zero: the collision rule (chanState) needs every frame to occupy the
+// channel.
 func (m *Medium) AirTime(wireSize int) time.Duration {
 	seconds := float64(wireSize*8) / m.cfg.BitrateBps
-	return time.Duration(seconds * float64(time.Second))
+	return max(time.Duration(seconds*float64(time.Second)), 1)
 }
 
 // Busy reports whether node id can currently hear an ongoing transmission
@@ -217,35 +231,17 @@ func (m *Medium) Busy(id topo.NodeID) bool {
 // `guard` interval (or hears one now). Data senders carrier-sense with a
 // DIFS-sized guard so that SIFS-spaced ACKs win the inter-frame gap, as in
 // 802.11.
+//
+// Every frame ends after time zero, so a heardEnd of zero means the node has
+// heard nothing since the last Reset.
 func (m *Medium) BusyWithin(id topo.NodeID, guard time.Duration) bool {
-	now := m.eng.Now()
-	busy := false
-	m.grid.VisitNeighborhood(m.net.Position(id), func(cell int) {
-		if busy || m.cellEnd[cell]+guard <= now {
-			return
-		}
-		for _, t := range m.cells[cell] {
-			if t.start <= now && t.end+guard > now {
-				if t.from == id || m.net.InRange(t.from, id) {
-					busy = true
-					return
-				}
-			}
-		}
-	})
-	return busy
+	end := m.chans[id].heardEnd
+	return end > 0 && end+guard > m.eng.Now()
 }
 
-// Transmitting reports whether node id itself is mid-transmission. Only
-// id's own cell can hold its transmissions.
+// Transmitting reports whether node id itself is mid-transmission.
 func (m *Medium) Transmitting(id topo.NodeID) bool {
-	now := m.eng.Now()
-	for _, t := range m.cells[m.grid.CellIndex(m.net.Position(id))] {
-		if t.from == id && t.start <= now && now < t.end {
-			return true
-		}
-	}
-	return false
+	return m.chans[id].txEnd > m.eng.Now()
 }
 
 // Transmit puts a frame on the air from node `from`, returning the
@@ -261,8 +257,9 @@ func (m *Medium) Transmit(from topo.NodeID, msg *message.Message) (time.Duration
 
 // TransmitAck puts a MAC acknowledgement from `from` to `to` on the air and
 // returns its duration. The frame is stored by value in the transmission
-// record, which the medium recycles after delivery, so an ACK allocates
-// nothing; receivers get a pointer into that record and must not keep it.
+// record, which the medium recycles as soon as the delivery returns, so an
+// ACK allocates nothing; receivers get a pointer into that record and must
+// not keep it.
 func (m *Medium) TransmitAck(from, to topo.NodeID, round, seq uint16) time.Duration {
 	t := m.allocTransmission()
 	t.ack = message.Message{Kind: message.KindAck, From: from, To: to, Round: round, Seq: seq}
@@ -270,35 +267,32 @@ func (m *Medium) TransmitAck(from, to topo.NodeID, round, seq uint16) time.Durat
 	return m.launch(t, from)
 }
 
-// launch starts t's frame on the air from node `from` and schedules its
-// delivery at end-of-frame.
+// launch starts t's frame on the air from node `from`, counts it in the
+// channel state of the sender and of every node that hears it, and
+// schedules its delivery at end-of-frame.
 func (m *Medium) launch(t *transmission, from topo.NodeID) time.Duration {
 	msg := t.msg
 	size := msg.WireSize()
 	dur := m.AirTime(size)
+	now := m.eng.Now()
+	end := now + dur
 	t.from, t.wireSize = from, size
-	t.start, t.end = m.eng.Now(), m.eng.Now()+dur
-	if dur > m.maxDur {
-		m.maxDur = dur
+	c := &m.chans[from]
+	c.txEnd = max(c.txEnd, end)
+	c.hear(now, end)
+	for _, nb := range m.net.Neighbors(from) {
+		m.chans[nb].hear(now, end)
 	}
-	m.prune()
-	m.active = append(m.active, t)
-	t.cell = m.grid.CellIndex(m.net.Position(from))
-	t.slot = len(m.cells[t.cell])
-	m.cells[t.cell] = append(m.cells[t.cell], t)
-	m.cellEnd[t.cell] = max(m.cellEnd[t.cell], t.end)
 	if m.rec != nil {
 		m.rec.OnTransmit(from, msg.Kind, size)
 	}
-	m.eng.At(t.end, t.fire)
+	m.eng.At(end, t.fire)
 	return dur
 }
 
-// allocTransmission takes a node from the free list or mints one, building
-// its delivery closure exactly once: a steady-state round then puts frames
-// on the air without allocating per frame. Safe to recycle after pruning
-// because prune retains every transmission past its own delivery event
-// (end + maxDur + pruneGuard), so no queued closure or scan can still see it.
+// allocTransmission takes a record from the free list or mints one,
+// building its delivery closure exactly once: a steady-state round then
+// puts frames on the air without allocating per frame.
 func (m *Medium) allocTransmission() *transmission {
 	if n := len(m.pool); n > 0 {
 		t := m.pool[n-1]
@@ -307,47 +301,30 @@ func (m *Medium) allocTransmission() *transmission {
 		return t
 	}
 	t := &transmission{}
-	t.fire = func() { m.deliver(t) }
+	t.fire = func() {
+		m.deliver(t)
+		t.msg = nil // the payload becomes collectable
+		m.pool = append(m.pool, t)
+	}
+	m.minted = append(m.minted, t)
 	return t
 }
 
-// recycleTransmission drops the frame reference (the payload becomes
-// collectable) and returns the node to the free list.
-func (m *Medium) recycleTransmission(t *transmission) {
-	t.msg = nil
-	m.pool = append(m.pool, t)
-}
-
-// deliver resolves reception at every neighbour of the transmitter.
-//
-// Interferer candidates are gathered once per frame, not once per receiver:
-// a transmission audible at some receiver of t comes from within 2×range of
-// t's sender (interferer in range of a receiver in range of the sender), so
-// the 5×5 cell block around the sender holds them all. Under carrier sense
-// the temporal-overlap set is usually empty, which short-circuits the whole
-// per-receiver corruption scan.
+// deliver resolves reception at every neighbour of the transmitter, at
+// end-of-frame. A reception collides when the frame overlapped another
+// frame audible at the receiver, the receiver's own included (half-duplex);
+// the receiver's channel state answers that without looking at any other
+// transmission.
 func (m *Medium) deliver(t *transmission) {
 	if m.handler == nil {
 		return
 	}
-	cand := m.scratch[:0]
-	if !m.cfg.Ideal {
-		m.grid.VisitBlock(m.net.Position(t.from), 2, func(cell int) {
-			if m.cellEnd[cell] <= t.start {
-				return // everything sent from this cell ended before t began
-			}
-			for _, o := range m.cells[cell] {
-				if o != t && o.end > t.start && o.start < t.end {
-					cand = append(cand, o)
-				}
-			}
-		})
-	}
+	now := m.eng.Now()
 	msg := t.msg
 	ack := msg.Kind == message.KindAck
 	link := m.net.Link(t.from, 0)
 	for i, rcv := range m.net.Neighbors(t.from) {
-		if !m.cfg.Ideal && len(cand) > 0 && m.corruptedAmong(cand, rcv) {
+		if !m.cfg.Ideal && !m.chans[rcv].clean(now) {
 			if m.rec != nil {
 				m.rec.OnCollision()
 				m.rec.OnDrop()
@@ -377,10 +354,6 @@ func (m *Medium) deliver(t *transmission) {
 		}
 		m.handler(rcv, link+i, msg)
 	}
-	for i := range cand {
-		cand[i] = nil
-	}
-	m.scratch = cand[:0]
 }
 
 // faded draws the gray-zone loss for one reception.
@@ -408,63 +381,4 @@ func (m *Medium) lost(msg *message.Message) bool {
 		return false
 	}
 	return m.rng.Float64() < rate
-}
-
-// corruptedAmong reports whether reception at rcv failed given the frame's
-// temporally-overlapping candidates: the receiver was itself transmitting
-// (half-duplex), or an overlapping transmission was audible (collision).
-func (m *Medium) corruptedAmong(cand []*transmission, rcv topo.NodeID) bool {
-	for _, o := range cand {
-		if o.from == rcv || m.net.InRange(o.from, rcv) {
-			return true
-		}
-	}
-	return false
-}
-
-// pruneGuard bounds how long BusyWithin guards can look back.
-const pruneGuard = time.Millisecond
-
-// prune drops transmissions that can no longer matter. A finished
-// transmission o must survive until every frame it could have overlapped has
-// been delivered (any such frame started before o.end and ends before
-// o.end + maxDur) and until carrier-sense guards can no longer see it.
-//
-// The full scan is amortised in time: it runs at most once per quarter
-// pruneGuard, so a transmit burst pays O(1) here instead of O(active) each.
-// Keeping an expired transmission up to 250µs longer is harmless — every
-// overlap and carrier-sense scan filters by time — it just lengthens the
-// cell buckets by a bounded factor.
-func (m *Medium) prune() {
-	now := m.eng.Now()
-	if now < m.nextPruneAt {
-		return
-	}
-	m.nextPruneAt = now + pruneGuard/4
-	kept := m.active[:0]
-	for _, t := range m.active {
-		if t.end+m.maxDur+pruneGuard > now {
-			kept = append(kept, t)
-		} else {
-			m.removeFromCell(t)
-			m.recycleTransmission(t)
-		}
-	}
-	// Zero the tail so pruned transmissions can be collected.
-	for i := len(kept); i < len(m.active); i++ {
-		m.active[i] = nil
-	}
-	m.active = kept
-}
-
-// removeFromCell swap-removes t from its sender-cell bucket, fixing up
-// the moved transmission's slot.
-func (m *Medium) removeFromCell(t *transmission) {
-	b := m.cells[t.cell]
-	last := len(b) - 1
-	moved := b[last]
-	b[t.slot] = moved
-	moved.slot = t.slot
-	b[last] = nil
-	m.cells[t.cell] = b[:last]
 }

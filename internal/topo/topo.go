@@ -26,12 +26,11 @@ type Network struct {
 	// Adjacency in compressed-sparse-row form: node i's neighbours are
 	// adj[off[i]:off[i+1]], so position k of that row is also the dense id
 	// off[i]+k of the directed link i → adj[off[i]+k].
-	adj  []NodeID
-	off  []int
-	grid geom.Grid // spatial index with cell side = radio range
-
-	gridOccupied int // cells holding at least one node
-	gridMax      int // nodes in the fullest cell
+	adj []NodeID
+	off []int
+	// Occupancy of the spatial index (cell side = radio range) the rows
+	// were built with, for GridStats.
+	gridCells, gridOccupied, gridMax int
 }
 
 // Config describes a deployment to build.
@@ -80,17 +79,18 @@ func NewNetwork(cfg Config) (*Network, error) {
 }
 
 // buildNeighbors fills the adjacency rows with a grid-bucketed range
-// query over geom.Grid (near-linear for uniform deployments). The same
-// grid is retained for per-round spatial queries by the radio medium.
+// query over geom.Grid (near-linear for uniform deployments). Only the
+// grid's occupancy outlives the build.
 func (n *Network) buildNeighbors() {
 	count := len(n.positions)
 	n.adj = n.adj[:0]
 	n.off = make([]int, count+1)
-	n.grid = geom.NewGrid(n.field, n.rng)
-	ix := geom.IndexPoints(n.grid, n.positions)
-	occ := make([]int, n.grid.Cells())
+	grid := geom.NewGrid(n.field, n.rng)
+	ix := geom.IndexPoints(grid, n.positions)
+	n.gridCells = grid.Cells()
+	occ := make([]int, n.gridCells)
 	for _, p := range n.positions {
-		occ[n.grid.CellIndex(p)]++
+		occ[grid.CellIndex(p)]++
 	}
 	n.gridOccupied, n.gridMax = 0, 0
 	for _, c := range occ {
@@ -120,19 +120,13 @@ func (n *Network) Range() float64 { return n.rng }
 // Field returns the deployment field.
 func (n *Network) Field() geom.Field { return n.field }
 
-// Grid returns the deployment's spatial index: uniform cells whose side
-// is the radio range, so any node's radio disc fits in the 3×3 cell
-// block around it. The radio medium keys its in-flight transmission
-// buckets off this grid.
-func (n *Network) Grid() geom.Grid { return n.grid }
-
 // GridStats reports spatial-index occupancy: total cell count, cells holding
 // at least one node, and the population of the fullest cell. The round
 // engine surfaces these in its per-round trace event so a skewed deployment
 // (everything piled into a few cells, degrading grid queries toward the old
 // quadratic scan) is visible in aggtrace output.
 func (n *Network) GridStats() (cells, occupied, maxPerCell int) {
-	return n.grid.Cells(), n.gridOccupied, n.gridMax
+	return n.gridCells, n.gridOccupied, n.gridMax
 }
 
 // Position returns node id's location.
