@@ -4,13 +4,13 @@
 // the threshold. It is the repository's benchmark-trend harness:
 //
 //	go run ./cmd/benchtrend                 # run, snapshot, compare
-//	go run ./cmd/benchtrend -count 5        # five samples per benchmark
 //	go run ./cmd/benchtrend -quick          # 1-iteration smoke, nothing written
 //	go run ./cmd/benchtrend -input out.txt  # ingest saved `go test -bench` output
 //
-// Each benchmark runs -count times (3 by default) and the snapshot keeps
-// the median of each metric. Snapshots accumulate in -dir (the repo root by
-// default); the newest pre-existing one is the comparison baseline.
+// Each benchmark runs three times (go test -count 3) and the snapshot keeps
+// the median of each metric; an allocs-only gate (-metric allocs) and -quick
+// run once. Snapshots accumulate in -dir (the repo root by default); the
+// newest pre-existing one is the comparison baseline.
 package main
 
 import (
@@ -32,7 +32,6 @@ func main() {
 	var (
 		bench     = flag.String("bench", "^(BenchmarkRound|BenchmarkRoundSerial|BenchmarkRoundRetained|BenchmarkRoundCluster|BenchmarkRoundTAG|BenchmarkRoundIPDA|BenchmarkClusterAlgebra|BenchmarkFieldMul|BenchmarkFieldInv|BenchmarkServeThroughput|BenchmarkServeRecovery)$", "benchmark regexp passed to go test (the suite runs -short, which skips the n=100k scale point; run it explicitly with go test)")
 		benchtime = flag.String("benchtime", "1s", "per-benchmark time passed to go test")
-		count     = flag.Int("count", 3, "samples per benchmark passed to go test -count; the snapshot keeps each metric's median (-quick runs one)")
 		dir       = flag.String("dir", ".", "directory holding the package to bench and the BENCH_*.json snapshots")
 		input     = flag.String("input", "", "parse this saved `go test -bench` output instead of running the suite")
 		threshold = flag.Float64("threshold", 0.2, "regression gate: fail when ns/op or allocs/op grow by more than this fraction")
@@ -44,13 +43,13 @@ func main() {
 		filter    = flag.String("filter", "", "restrict the parsed results, snapshot, and gate to benchmarks whose name contains this substring (e.g. BenchmarkRound)")
 	)
 	flag.Parse()
-	if err := run(*bench, *benchtime, *dir, *input, *date, *metric, *baseline, *filter, *threshold, *count, *quick, *dry); err != nil {
+	if err := run(*bench, *benchtime, *dir, *input, *date, *metric, *baseline, *filter, *threshold, *quick, *dry); err != nil {
 		fmt.Fprintln(os.Stderr, "benchtrend:", err)
 		os.Exit(1)
 	}
 }
 
-func run(bench, benchtime, dir, input, date, metric, baseline, filter string, threshold float64, count int, quick, dry bool) error {
+func run(bench, benchtime, dir, input, date, metric, baseline, filter string, threshold float64, quick, dry bool) error {
 	gateTime, gateAllocs := true, true
 	switch metric {
 	case "both":
@@ -61,9 +60,6 @@ func run(bench, benchtime, dir, input, date, metric, baseline, filter string, th
 	default:
 		return fmt.Errorf("-metric wants time (ns_op), allocs (allocs_op), or both (got %q)", metric)
 	}
-	if count < 1 {
-		return fmt.Errorf("-count must be at least 1, got %d", count)
-	}
 	var raw []byte
 	var err error
 	if input != "" {
@@ -72,6 +68,13 @@ func run(bench, benchtime, dir, input, date, metric, baseline, filter string, th
 			return err
 		}
 	} else {
+		// Three samples let the median ride out one slow run on a shared
+		// machine. Allocation counts hardly vary between runs, so an allocs-only
+		// gate takes one.
+		count := 3
+		if !gateTime {
+			count = 1
+		}
 		if quick {
 			benchtime, count = "1x", 1
 		}
