@@ -6,11 +6,19 @@
 //	go run ./cmd/benchtrend                 # run, snapshot, compare
 //	go run ./cmd/benchtrend -quick          # 1-iteration smoke, nothing written
 //	go run ./cmd/benchtrend -input out.txt  # ingest saved `go test -bench` output
+//	go run ./cmd/benchtrend -ab HEAD~1 -bench X  # interleave HEAD~1 and the working tree
 //
 // Each benchmark runs three times (go test -count 3) and the snapshot keeps
 // the median of each metric; an allocs-only gate (-metric allocs) and -quick
 // run once. Snapshots accumulate in -dir (the repo root by default); the
 // newest pre-existing one is the comparison baseline.
+//
+// -ab <rev> compares instead of snapshotting: it checks <rev> out with git
+// worktree into a temporary directory, builds the package's test binary
+// there and in the working tree, and runs the two binaries -pairs times
+// each, back to back, alternating which side goes first. It prints each
+// side's median per benchmark and how many pairs the working tree won, and
+// writes no snapshot and gates nothing.
 package main
 
 import (
@@ -19,6 +27,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"strconv"
@@ -41,8 +50,18 @@ func main() {
 		metric    = flag.String("metric", "both", "which metrics the gate judges: time | allocs | both (ns_op and allocs_op are accepted spellings; allocs is deterministic, time flakes on shared machines)")
 		baseline  = flag.String("baseline", "", "compare against this snapshot file instead of the newest BENCH_*.json")
 		filter    = flag.String("filter", "", "restrict the parsed results, snapshot, and gate to benchmarks whose name contains this substring (e.g. BenchmarkRound)")
+		pkg       = flag.String("pkg", ".", "with -ab: package to bench, relative to -dir (e.g. ./internal/sim)")
+		ab        = flag.String("ab", "", "interleave the working tree with this git revision instead of snapshotting (no snapshot, no gate)")
+		pairs     = flag.Int("pairs", 5, "with -ab: runs of each side, taken in back-to-back pairs")
 	)
 	flag.Parse()
+	if *ab != "" {
+		if err := runAB(*dir, *pkg, *ab, *bench, *benchtime, *pairs); err != nil {
+			fmt.Fprintln(os.Stderr, "benchtrend:", err)
+			os.Exit(1)
+		}
+		return
+	}
 	if err := run(*bench, *benchtime, *dir, *input, *date, *metric, *baseline, *filter, *threshold, *quick, *dry); err != nil {
 		fmt.Fprintln(os.Stderr, "benchtrend:", err)
 		os.Exit(1)
@@ -167,6 +186,83 @@ func runSuite(dir, bench, benchtime string, count int) ([]byte, error) {
 		return nil, fmt.Errorf("go test: %w\n%s", err, out)
 	}
 	return out, nil
+}
+
+// runAB builds the test binary of pkg at rev and in the working tree dir,
+// runs them alternately for pairs pairs, and prints the comparison.
+func runAB(dir, pkg, rev, bench, benchtime string, pairs int) error {
+	if pairs < 1 {
+		return fmt.Errorf("-pairs must be at least 1 (got %d)", pairs)
+	}
+	prefix, err := gitOutput(dir, "rev-parse", "--show-prefix")
+	if err != nil {
+		return err
+	}
+	tmp, err := os.MkdirTemp("", "benchtrend-ab-")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(tmp)
+	tree := filepath.Join(tmp, "base")
+	if _, err := gitOutput(dir, "worktree", "add", "--detach", tree, rev); err != nil {
+		return err
+	}
+	defer gitOutput(dir, "worktree", "remove", "--force", tree)
+
+	roots := [2]string{filepath.Join(tree, strings.TrimSpace(prefix)), dir}
+	var bins [2]string
+	for side, root := range roots {
+		bins[side] = filepath.Join(tmp, fmt.Sprintf("side%d.test", side))
+		build := exec.Command("go", "test", "-c", "-o", bins[side], pkg)
+		build.Dir = root
+		if out, err := build.CombinedOutput(); err != nil {
+			return fmt.Errorf("go test -c in %s: %w\n%s", root, err, out)
+		}
+	}
+	args := []string{"-test.short", "-test.run", "^$", "-test.bench", bench,
+		"-test.benchmem", "-test.benchtime", benchtime}
+	fmt.Printf("a/b: %d pairs of %s (base) and the working tree (head): %v\n", pairs, rev, args)
+	var runs [2][]map[string]benchio.Metrics
+	for p := range pairs {
+		for k := range 2 {
+			side := (p + k) % 2 // odd pairs run head first
+			cmd := exec.Command(bins[side], args...)
+			cmd.Dir = filepath.Join(roots[side], pkg)
+			out, err := cmd.CombinedOutput()
+			if err != nil {
+				return fmt.Errorf("%s: %w\n%s", bins[side], err, out)
+			}
+			marks, err := benchio.Parse(bytes.NewReader(out))
+			if err != nil {
+				return err
+			}
+			runs[side] = append(runs[side], marks)
+		}
+	}
+	results := benchio.CompareAB(runs[0], runs[1])
+	if len(results) == 0 {
+		return fmt.Errorf("no benchmark matched %q on both sides", bench)
+	}
+	for _, r := range results {
+		fmt.Printf("  %-44s %14.1f -> %14.1f ns/op (%+6.1f%%)  head won %d/%d  %.0f -> %.0f B/op  %.0f -> %.0f allocs/op\n",
+			r.Name, r.Base.NsPerOp, r.Head.NsPerOp, 100*(r.Head.NsPerOp/r.Base.NsPerOp-1),
+			r.HeadWins, r.Pairs, r.Base.BytesPerOp, r.Head.BytesPerOp, r.Base.AllocsPerOp, r.Head.AllocsPerOp)
+	}
+	return nil
+}
+
+// gitOutput runs git in dir and returns its standard output.
+func gitOutput(dir string, args ...string) (string, error) {
+	cmd := exec.Command("git", args...)
+	cmd.Dir = dir
+	out, err := cmd.Output()
+	if err != nil {
+		if ee, ok := err.(*exec.ExitError); ok {
+			return "", fmt.Errorf("git %s: %w\n%s", strings.Join(args, " "), err, ee.Stderr)
+		}
+		return "", fmt.Errorf("git %s: %w", strings.Join(args, " "), err)
+	}
+	return string(out), nil
 }
 
 func printSnapshot(s benchio.Snapshot) {

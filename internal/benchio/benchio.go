@@ -84,15 +84,20 @@ func Parse(r io.Reader) (map[string]Metrics, error) {
 	}
 	out := make(map[string]Metrics, len(samples))
 	for name, ms := range samples {
-		out[name] = Metrics{
-			NsPerOp:        median(ms, func(m Metrics) float64 { return m.NsPerOp }),
-			BytesPerOp:     median(ms, func(m Metrics) float64 { return m.BytesPerOp }),
-			AllocsPerOp:    median(ms, func(m Metrics) float64 { return m.AllocsPerOp }),
-			AllocsPerNode:  median(ms, func(m Metrics) float64 { return m.AllocsPerNode }),
-			AllocsPerQuery: median(ms, func(m Metrics) float64 { return m.AllocsPerQuery }),
-		}
+		out[name] = medians(ms)
 	}
 	return out, nil
+}
+
+// medians returns the median of each metric over samples.
+func medians(ms []Metrics) Metrics {
+	return Metrics{
+		NsPerOp:        median(ms, func(m Metrics) float64 { return m.NsPerOp }),
+		BytesPerOp:     median(ms, func(m Metrics) float64 { return m.BytesPerOp }),
+		AllocsPerOp:    median(ms, func(m Metrics) float64 { return m.AllocsPerOp }),
+		AllocsPerNode:  median(ms, func(m Metrics) float64 { return m.AllocsPerNode }),
+		AllocsPerQuery: median(ms, func(m Metrics) float64 { return m.AllocsPerQuery }),
+	}
 }
 
 // median returns the median of one metric over samples: the middle value,
@@ -252,4 +257,50 @@ func CompareBy(prev, cur Snapshot, threshold float64, time, allocs bool) []Delta
 		}
 	}
 	return regressions
+}
+
+// ABResult is one benchmark's interleaved comparison of a base and a head
+// build: the median of each metric over each side's runs, and in how many
+// of the pairs (runs of the two sides taken back to back) head was faster.
+type ABResult struct {
+	Name       string
+	Pairs      int // pairs in which both sides ran the benchmark
+	HeadWins   int // pairs whose head ns/op was below the base ns/op
+	Base, Head Metrics
+}
+
+// CompareAB pairs base[i] with head[i], each the parsed output of one run,
+// and summarises every benchmark that both runs of a pair hold, sorted by
+// name.
+func CompareAB(base, head []map[string]Metrics) []ABResult {
+	type sides struct {
+		base, head []Metrics
+		wins       int
+	}
+	byName := make(map[string]*sides)
+	for i := range min(len(base), len(head)) {
+		for name, b := range base[i] {
+			h, ok := head[i][name]
+			if !ok {
+				continue
+			}
+			r := byName[name]
+			if r == nil {
+				r = &sides{}
+				byName[name] = r
+			}
+			r.base = append(r.base, b)
+			r.head = append(r.head, h)
+			if h.NsPerOp < b.NsPerOp {
+				r.wins++
+			}
+		}
+	}
+	out := make([]ABResult, 0, len(byName))
+	for name, r := range byName {
+		out = append(out, ABResult{Name: name, Pairs: len(r.base), HeadWins: r.wins,
+			Base: medians(r.base), Head: medians(r.head)})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
 }

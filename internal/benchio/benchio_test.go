@@ -103,6 +103,33 @@ func TestCompareGatesPerQueryAllocs(t *testing.T) {
 	}
 }
 
+func TestCompareABPairsRuns(t *testing.T) {
+	run := func(loop, round float64) map[string]Metrics {
+		m := map[string]Metrics{"BenchmarkLoop": {NsPerOp: loop, BytesPerOp: 8}}
+		if round > 0 {
+			m["BenchmarkRound"] = Metrics{NsPerOp: round}
+		}
+		return m
+	}
+	base := []map[string]Metrics{run(100, 10), run(120, 0), run(90, 12), run(110, 11)}
+	head := []map[string]Metrics{run(80, 9), run(125, 13), run(85, 0), run(70, 10), run(1, 1)}
+	got := CompareAB(base, head)
+	if len(got) != 2 {
+		t.Fatalf("results = %+v, want Loop and Round", got)
+	}
+	loop, round := got[0], got[1]
+	// The fifth head run has no base partner; Round is missing from one
+	// side of pairs 2 and 3.
+	if loop.Name != "BenchmarkLoop" || loop.Pairs != 4 || loop.HeadWins != 3 ||
+		loop.Base.NsPerOp != 105 || loop.Head.NsPerOp != 82.5 || loop.Head.BytesPerOp != 8 {
+		t.Errorf("Loop = %+v", loop)
+	}
+	if round.Name != "BenchmarkRound" || round.Pairs != 2 || round.HeadWins != 2 ||
+		round.Base.NsPerOp != 10.5 || round.Head.NsPerOp != 9.5 {
+		t.Errorf("Round = %+v", round)
+	}
+}
+
 func TestSnapshotRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	snap := Snapshot{

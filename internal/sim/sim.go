@@ -1,22 +1,27 @@
 // Package sim is a deterministic discrete-event simulation engine. Events
-// are closures scheduled at virtual times; the engine pops them in
-// (time, sequence) order so runs with equal seeds replay identically.
+// are closures scheduled at virtual times; the engine runs them in time
+// order, and events due at the same time in the order they were scheduled,
+// so runs with equal seeds replay identically.
 //
 // The engine is deliberately single-threaded: determinism is worth more to a
 // protocol evaluation than parallelism inside one trial, and the experiment
 // harness parallelises across trials instead.
 //
-// The event queue is allocation-lean: popped events return to a free-list
-// pool and are recycled by later schedules, so a steady-state protocol round
-// allocates no queue nodes at all. Cancelled events release their closure
-// immediately (the captured state becomes collectable before the event is
-// popped) and are compacted out of the queue in bulk when they outnumber
-// the live ones.
+// The event queue is a monotone radix queue keyed on event time. It fits
+// because the clock only moves forward (At clamps an earlier time to now):
+// scheduling is O(1), finding the earliest event is O(1), and an event moves
+// between buckets at most once per bit of its delay before it runs. Events are
+// pooled nodes threaded into the queue's buckets as intrusive FIFO lists, so
+// a steady-state protocol round allocates nothing for its queue. Cancelled
+// events release their closure immediately (the captured state becomes
+// collectable before the event is reached) and are filtered out of the queue
+// in bulk when they outnumber the live ones.
 package sim
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"repro/internal/trace"
@@ -28,12 +33,13 @@ var ErrStopped = errors.New("sim: stopped")
 
 // event is a scheduled action. Events are pooled: gen increments every time
 // an event is recycled so stale Timer handles cannot cancel an unrelated
-// later event that happens to reuse the same node.
+// later event that happens to reuse the same node. next links the event
+// into its queue bucket, or into the free list once recycled.
 type event struct {
-	at  time.Duration
-	seq uint64
-	gen uint32
-	fn  func()
+	at   time.Duration
+	next *event
+	gen  uint32
+	fn   func()
 }
 
 // Timer handles allow cancelling a scheduled event. Timers are small
@@ -59,13 +65,40 @@ func (t Timer) Cancel() {
 	t.eng.maybeCompact()
 }
 
+// bucket is a FIFO list of queued events and the earliest time among them.
+type bucket struct {
+	head, tail *event
+	min        time.Duration
+}
+
+// append links ev at the tail of b.
+func (b *bucket) append(ev *event) {
+	ev.next = nil
+	if b.tail == nil {
+		b.head, b.min = ev, ev.at
+	} else {
+		b.tail.next = ev
+		b.min = min(b.min, ev.at)
+	}
+	b.tail = ev
+}
+
 // Engine owns the virtual clock and event queue.
+//
+// The queue is a radix queue relative to last, the time of the event taken
+// most recently: bucket i holds the events whose time first differs from
+// last at bit i-1, so bucket 0 holds the events due exactly at last, and
+// every queued event is due at or after last. Events due at the same time
+// always share a bucket, and each bucket keeps push order, so events due at
+// the same time leave in the order they were scheduled (see DESIGN.md).
 type Engine struct {
 	now     time.Duration
-	seq     uint64
-	queue   []*event // binary min-heap on (at, seq)
-	pool    []*event // free list of recycled event nodes
-	dead    int      // cancelled events still sitting in queue
+	last    time.Duration // time of the event taken last; no queued event is earlier
+	buckets [64]bucket
+	full    uint64 // bit i set iff buckets[i] is non-empty
+	queued  int    // events in the buckets, cancelled ones included
+	dead    int    // cancelled events still sitting in the buckets
+	free    *event // recycled event nodes, linked through next
 	stopped bool
 	ran     uint64
 	limit   uint64     // safety valve against runaway schedules; 0 = unlimited
@@ -102,32 +135,36 @@ func (e *Engine) Now() time.Duration { return e.now }
 func (e *Engine) Processed() uint64 { return e.ran }
 
 // Pending returns the number of live events waiting. Cancelled events still
-// occupying queue slots are excluded: a drained or fully-cancelled queue
+// sitting in the queue are excluded: a drained or fully-cancelled queue
 // reports zero, so tests asserting on quiescence never over-count.
-func (e *Engine) Pending() int { return len(e.queue) - e.dead }
+func (e *Engine) Pending() int { return e.queued - e.dead }
 
 // Reset returns the engine to its initial state — clock at zero, empty
 // queue, run counters cleared — recycling every queued event. The event
 // limit is retained. It is the engine half of reusing one deployment for
 // many protocol rounds without rebuilding the substrate.
 func (e *Engine) Reset() {
-	for _, ev := range e.queue {
-		e.recycle(ev)
+	for i := range e.buckets {
+		for ev := e.buckets[i].head; ev != nil; {
+			next := ev.next
+			e.recycle(ev)
+			ev = next
+		}
 	}
-	e.queue = e.queue[:0]
+	e.buckets = [64]bucket{}
+	e.full = 0
+	e.queued = 0
 	e.dead = 0
 	e.now = 0
-	e.seq = 0
+	e.last = 0
 	e.ran = 0
 	e.stopped = false
 }
 
 // alloc takes an event node from the pool or mints a new one.
 func (e *Engine) alloc() *event {
-	if n := len(e.pool); n > 0 {
-		ev := e.pool[n-1]
-		e.pool[n-1] = nil
-		e.pool = e.pool[:n-1]
+	if ev := e.free; ev != nil {
+		e.free = ev.next
 		return ev
 	}
 	return &event{}
@@ -138,21 +175,21 @@ func (e *Engine) alloc() *event {
 func (e *Engine) recycle(ev *event) {
 	ev.fn = nil
 	ev.gen++
-	e.pool = append(e.pool, ev)
+	ev.next = e.free
+	e.free = ev
 }
 
-// At schedules fn at absolute virtual time t. Scheduling in the past is an
-// error surfaced at Run time via panic-free behavior: the event is clamped
-// to now (running it earlier than already-processed time would break
-// causality).
+// At schedules fn at absolute virtual time t. A time before now is clamped
+// to now: running the event earlier than time already processed would break
+// causality.
 func (e *Engine) At(t time.Duration, fn func()) Timer {
 	if t < e.now {
 		t = e.now
 	}
 	ev := e.alloc()
-	ev.at, ev.seq, ev.fn = t, e.seq, fn
-	e.seq++
+	ev.at, ev.fn = t, fn
 	e.push(ev)
+	e.queued++
 	return Timer{eng: e, ev: ev, gen: ev.gen}
 }
 
@@ -174,23 +211,30 @@ func (e *Engine) Run(horizon time.Duration) error {
 	if e.sink != nil {
 		e.emitRun("run", "pending=%d horizon=%v", e.Pending(), horizon)
 	}
-	for len(e.queue) > 0 {
+	for e.queued > 0 {
 		if e.stopped {
 			if e.sink != nil {
 				e.emitRun("stopped", "processed=%d", e.ran)
 			}
 			return ErrStopped
 		}
-		if horizon > 0 && e.queue[0].at > horizon {
+		at, i := e.earliest()
+		if horizon > 0 && at > horizon {
 			// Leave the event queued so a later Run with a larger horizon
 			// resumes exactly where this one paused.
 			e.now = horizon
+			if horizon < e.last {
+				// A horizon behind the clock moved it back: re-key the
+				// queue so events scheduled from the new now are not
+				// earlier than last.
+				e.rebase(horizon)
+			}
 			if e.sink != nil {
 				e.emitRun("paused", "pending=%d", e.Pending())
 			}
 			return nil
 		}
-		ev := e.pop()
+		ev := e.take(at, i)
 		if ev.fn == nil {
 			e.dead--
 			e.recycle(ev)
@@ -212,90 +256,104 @@ func (e *Engine) Run(horizon time.Duration) error {
 		e.recycle(ev)
 		fn()
 	}
+	// The last events taken may have been cancelled ones due after now.
+	// Rebase the empty queue on now, or the next Run's schedules between
+	// now and last would land in buckets that no longer order them.
+	e.last = e.now
 	if e.sink != nil {
 		e.emitRun("drained", "processed=%d", e.ran)
 	}
 	return nil
 }
 
-// maybeCompact rebuilds the heap without its cancelled events once they
-// outnumber the live ones, bounding queue growth under heavy Cancel churn
-// (e.g. per-frame ACK timers that almost always cancel).
-func (e *Engine) maybeCompact() {
-	if e.dead <= len(e.queue)/2 || len(e.queue) < 64 {
-		return
-	}
-	live := e.queue[:0]
-	for _, ev := range e.queue {
-		if ev.fn != nil {
-			live = append(live, ev)
-		} else {
-			e.recycle(ev)
-		}
-	}
-	// Clear the tail so the backing array drops its references.
-	for i := len(live); i < len(e.queue); i++ {
-		e.queue[i] = nil
-	}
-	e.queue = live
-	e.dead = 0
-	for i := len(e.queue)/2 - 1; i >= 0; i-- {
-		e.siftDown(i)
-	}
-}
-
-// less orders the heap by (time, sequence) for deterministic FIFO ties.
-func (e *Engine) less(i, j int) bool {
-	a, b := e.queue[i], e.queue[j]
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// push inserts an event into the heap.
+// push appends ev to the bucket of its time relative to last.
 func (e *Engine) push(ev *event) {
-	e.queue = append(e.queue, ev)
-	i := len(e.queue) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !e.less(i, parent) {
-			break
-		}
-		e.queue[i], e.queue[parent] = e.queue[parent], e.queue[i]
-		i = parent
-	}
+	i := bits.Len64(uint64(ev.at ^ e.last))
+	e.buckets[i].append(ev)
+	e.full |= 1 << i
 }
 
-// pop removes and returns the earliest event.
-func (e *Engine) pop() *event {
-	ev := e.queue[0]
-	n := len(e.queue) - 1
-	e.queue[0] = e.queue[n]
-	e.queue[n] = nil
-	e.queue = e.queue[:n]
-	if n > 0 {
-		e.siftDown(0)
+// earliest returns the time of the earliest queued event and the lowest
+// non-empty bucket, which holds it. The queue must not be empty.
+func (e *Engine) earliest() (time.Duration, int) {
+	i := bits.TrailingZeros64(e.full)
+	return e.buckets[i].min, i
+}
+
+// take removes and returns the first event due at, the earliest time, which
+// lowest non-empty bucket i holds. When i > 0 it moves last to at and
+// redistributes bucket i, in order, into the lower buckets, which are empty;
+// the events due at then form bucket 0.
+func (e *Engine) take(at time.Duration, i int) *event {
+	if i > 0 {
+		ev := e.buckets[i].head
+		e.buckets[i] = bucket{}
+		e.full &^= 1 << i
+		e.last = at
+		for ev != nil {
+			next := ev.next
+			e.push(ev)
+			ev = next
+		}
 	}
+	b := &e.buckets[0]
+	ev := b.head
+	b.head = ev.next
+	if b.head == nil {
+		b.tail = nil
+		e.full &^= 1
+	}
+	e.queued--
 	return ev
 }
 
-// siftDown restores the heap property below index i.
-func (e *Engine) siftDown(i int) {
-	n := len(e.queue)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			return
-		}
-		least := left
-		if right := left + 1; right < n && e.less(right, left) {
-			least = right
-		}
-		if !e.less(least, i) {
-			return
-		}
-		e.queue[i], e.queue[least] = e.queue[least], e.queue[i]
-		i = least
+// rebase moves last back to t, which no queued event precedes, and re-keys
+// every bucket against it. The buckets are emptied first and refilled in
+// bucket order; events due at the same time come from one bucket, in order,
+// so they keep their order.
+func (e *Engine) rebase(t time.Duration) {
+	var lists [64]*event
+	for i := range e.buckets {
+		lists[i] = e.buckets[i].head
 	}
+	e.buckets = [64]bucket{}
+	e.full = 0
+	e.last = t
+	for _, ev := range lists {
+		for ev != nil {
+			next := ev.next
+			e.push(ev)
+			ev = next
+		}
+	}
+}
+
+// maybeCompact filters the cancelled events out of every bucket once they
+// outnumber the live ones, bounding queue growth under heavy Cancel churn
+// (e.g. per-frame ACK timers that almost always cancel). The filter is
+// stable, so the live events keep their order.
+func (e *Engine) maybeCompact() {
+	if e.dead <= e.queued/2 || e.queued < 64 {
+		return
+	}
+	for full := e.full; full != 0; full &= full - 1 {
+		i := bits.TrailingZeros64(full)
+		b := &e.buckets[i]
+		ev := b.head
+		*b = bucket{}
+		for ev != nil {
+			next := ev.next
+			if ev.fn != nil {
+				b.append(ev)
+			} else {
+				e.recycle(ev)
+			}
+			ev = next
+		}
+		if b.head == nil {
+			e.full &^= 1 << i
+		}
+	}
+	e.queued -= e.dead
+	e.dead = 0
 }

@@ -238,8 +238,8 @@ func TestDeadEventCompaction(t *testing.T) {
 		t.Errorf("pending = %d, want 50", e.Pending())
 	}
 	// Compaction must have shrunk the physical queue below the dead count.
-	if len(e.queue) > 120 {
-		t.Errorf("queue not compacted: %d slots for 50 live events", len(e.queue))
+	if e.queued > 120 {
+		t.Errorf("queue not compacted: %d slots for 50 live events", e.queued)
 	}
 	var got int
 	e.At(500*time.Millisecond, func() { got = e.Pending() })
@@ -311,9 +311,15 @@ func TestRunAllocatesNoEventNodesInSteadyState(t *testing.T) {
 // chains schedules its successor a uniform [0, 2 ms) later, and every sixth
 // event arms a 1 ms timeout that the next event cancels. One op is one live
 // event popped and run; the dead pops it drags along are part of its cost.
-func BenchmarkSimEventLoop(b *testing.B) {
+func BenchmarkSimEventLoop(b *testing.B) { benchEventLoop(b, 4250) }
+
+// BenchmarkSimEventLoopShallow is BenchmarkSimEventLoop at the depth of a
+// 400-node lossy query (about 215 events queued on average): 170 chains,
+// about 200 queued events.
+func BenchmarkSimEventLoopShallow(b *testing.B) { benchEventLoop(b, 170) }
+
+func benchEventLoop(b *testing.B, chains int) {
 	const (
-		chains  = 4250
 		maxGap  = 2 * time.Millisecond
 		timeout = time.Millisecond
 	)
@@ -353,6 +359,6 @@ func BenchmarkSimEventLoop(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(len(e.queue)), "queued")
-	b.ReportMetric(100*float64(e.dead)/float64(len(e.queue)), "dead%")
+	b.ReportMetric(float64(e.queued), "queued")
+	b.ReportMetric(100*float64(e.dead)/float64(e.queued), "dead%")
 }
