@@ -1,18 +1,17 @@
 GO ?= go
 
-.PHONY: check vet build test race results-check bench-smoke bench bench-gate perf-matrix f17-smoke f18-smoke trace-smoke service-smoke par-smoke fleet-smoke chaos-smoke metrics-smoke attack-smoke fuzz-smoke
+.PHONY: check vet build test race results-check bench-smoke bench bench-gate f17-smoke f18-smoke trace-smoke service-smoke fleet-smoke chaos-smoke metrics-smoke attack-smoke fuzz-smoke
 
 ## check: the full local verify — vet, build, tests (race on the
 ## concurrency-sensitive packages), quick resilience- and failover-
 ## experiment smokes, a traced-failover forensics smoke, the base-station
 ## service smoke, the fleet-coordinator smoke, the chaos availability
-## drill, the telemetry/exposition smoke, the parallel-determinism smoke,
-## a short fuzz pass over the wire decoders, link crypto, exposition,
-## benchmark-output, fault-plan, attack-spec and request-body parsers, a
-## one-iteration benchmark smoke through the trend harness, the
+## drill, the telemetry/exposition smoke, a short fuzz pass over the wire
+## decoders, link crypto, exposition, benchmark-output, fault-plan,
+## attack-spec and request-body parsers, a one-iteration benchmark smoke through the trend harness, the
 ## deterministic allocation gate on the tracing-disabled hot path, and the
 ## byte-for-byte check of the committed results/ CSVs.
-check: vet build test race results-check f17-smoke f18-smoke trace-smoke service-smoke fleet-smoke chaos-smoke metrics-smoke attack-smoke par-smoke fuzz-smoke bench-smoke bench-gate
+check: vet build test race results-check f17-smoke f18-smoke trace-smoke service-smoke fleet-smoke chaos-smoke metrics-smoke attack-smoke fuzz-smoke bench-smoke bench-gate
 
 ## vet: go vet, fail when gofmt would reformat any file, and fail when an
 ## internal package is an orphan — one that no command, example or the
@@ -146,14 +145,6 @@ attack-smoke:
 		-bench '^BenchmarkRoundCluster$$' -benchtime 5x
 	@echo "attack-smoke OK: forgeries detected, breaches reconstructed, tap seam alloc-free"
 
-## par-smoke: the round engine's determinism gate — a parallel multi-round
-## failover simulation (lossy radio, head crashes, churn repair) must report
-## results bit-identical to the serial run, under the race detector so the
-## share-preparation and batch-solve barriers are swept for data races.
-par-smoke:
-	$(GO) test -race -count=1 -run 'TestParallelMatchesSerial' .
-	@echo "par-smoke OK: parallel rounds bit-identical to serial under -race"
-
 ## fuzz-smoke: run every fuzz target of the wire decoders (which spoofed
 ## frames reach through MAC.Inject) and their append-encoder and
 ## decode-into twins, of the link crypto, of the
@@ -191,19 +182,6 @@ bench-gate:
 		-bench '^BenchmarkRoundCluster$$' -benchtime 5x
 	$(GO) run ./cmd/benchtrend -dry -metric allocs -threshold 0.02 \
 		-bench '^BenchmarkRoundRetained$$/^n=1k$$' -benchtime 5x
-
-## perf-matrix: the measurement behind Config.Parallelism's default — the
-## 10k-node cold and retained rounds and the served SUM on one and two
-## shards, at GOMAXPROCS 1 and 2 (go test -cpu), three runs each. The round
-## benchmarks resolve Parallelism 0 to GOMAXPROCS, so the two columns
-## compare the serial engine with a two-wide worker pool. The rounds run a
-## fixed 3 iterations, so every line averages warm rounds alike. A few
-## minutes; not part of check.
-perf-matrix:
-	$(GO) test -run '^$$' -cpu 1,2 -count 3 -benchtime 3x -benchmem \
-		-bench '^(BenchmarkRound|BenchmarkRoundRetained)$$/^n=10k$$' .
-	$(GO) test -run '^$$' -cpu 1,2 -count 3 -benchmem \
-		-bench '^BenchmarkServeThroughput$$/^shards=[12]$$' .
 
 ## bench: full benchmark run — writes a BENCH_<date>.json snapshot and
 ## gates against the previous one (see README "Performance").

@@ -137,8 +137,8 @@ func scaleHops(n int) int {
 
 // BenchmarkRound gates the scale-out round engine: one full cluster round
 // (formation + shares + assembly + announce) at growing deployment sizes,
-// constant density, GOMAXPROCS worker pool. See DESIGN.md §"Round execution
-// at scale" for what each layer contributes.
+// constant density. See DESIGN.md §"Round execution at scale" for what each
+// layer contributes.
 func BenchmarkRound(b *testing.B) {
 	for _, n := range []int{1_000, 10_000, 100_000} {
 		b.Run(fmt.Sprintf("n=%dk", n/1000), func(b *testing.B) {
@@ -154,16 +154,6 @@ func BenchmarkRound(b *testing.B) {
 			})
 		})
 	}
-}
-
-// BenchmarkRoundSerial pins the Parallelism=1 path at the mid scale so the
-// worker-pool speedup is measurable from one snapshot (compare against
-// BenchmarkRound/n=10k, which runs at GOMAXPROCS).
-func BenchmarkRoundSerial(b *testing.B) {
-	benchRoundN(b, 10_000, false, func(dep *Deployment) error {
-		_, err := dep.RunCluster(ClusterOptions{Parallelism: 1, MaxHops: scaleHops(10_000)})
-		return err
-	})
 }
 
 // BenchmarkRoundRetained measures the steady-state epoch — RunRetaining on a

@@ -24,7 +24,6 @@ import (
 	"net/http"
 	_ "net/http/pprof" // /debug/pprof on the -observe endpoint
 	"os"
-	"runtime"
 	"strings"
 
 	"repro"
@@ -100,7 +99,6 @@ func run(args []string) (*flag.FlagSet, error) {
 		hcrash   = fs.Float64("headcrash", 0, "per-round head fail-stop probability (cluster protocol)")
 		rounds   = fs.Int("rounds", 1, "measurement rounds on one cluster formation (cluster protocol)")
 		nofail   = fs.Bool("nofailover", false, "disable deputy head-failover (cluster protocol)")
-		par      = fs.Int("par", runtime.GOMAXPROCS(0), "round-engine worker pool width (cluster protocol; results identical for every width)")
 		recov    = fs.Bool("recover", false, "crashed nodes reboot at the next repair window (cluster protocol)")
 		count    = fs.Bool("count", false, "COUNT query (unit readings)")
 		grid     = fs.Bool("grid", false, "jittered-grid deployment")
@@ -121,7 +119,7 @@ func run(args []string) (*flag.FlagSet, error) {
 		return fs, cliutil.Usagef("unexpected arguments: %v", fs.Args())
 	}
 	if err := validate(*nodes, *field, *radio, *loss, *crash, *hcrash,
-		*pc, *rounds, *slices, *traceCap, *par, *observe, *protocol); err != nil {
+		*pc, *rounds, *slices, *traceCap, *observe, *protocol); err != nil {
 		return fs, err
 	}
 	if *attackS != "" {
@@ -200,7 +198,7 @@ func run(args []string) (*flag.FlagSet, error) {
 		copts := repro.ClusterOptions{
 			Pc: *pc, Polluter: attacker, PollutionDelta: *delta,
 			NoDegrade: *nodeg, CrashRate: *crash, HeadCrashRate: *hcrash,
-			CrashRecover: *recov, NoFailover: *nofail, Parallelism: *par,
+			CrashRecover: *recov, NoFailover: *nofail,
 		}
 		if *attackS != "" {
 			pols, err := attack.ParseSpec(*attackS)
@@ -261,7 +259,7 @@ func run(args []string) (*flag.FlagSet, error) {
 // errors (exit 2) reported before any deployment is built, not panics or
 // half-run simulations.
 func validate(nodes int, field, radio, loss, crash, hcrash,
-	pc float64, rounds, slices, traceCap, par int, observe, protocol string) error {
+	pc float64, rounds, slices, traceCap int, observe, protocol string) error {
 	err := errors.Join(
 		cliutil.CheckMin("nodes", nodes, 2),
 		cliutil.CheckPositive("field", field),
@@ -270,7 +268,6 @@ func validate(nodes int, field, radio, loss, crash, hcrash,
 		cliutil.CheckRange("headcrash", hcrash, 0, 1),
 		cliutil.CheckMin("slices", slices, 0),
 		cliutil.CheckMin("trace", traceCap, 0),
-		cliutil.CheckMin("par", par, 1),
 	)
 	if loss < 0 || loss >= 1 {
 		err = errors.Join(err, cliutil.Usagef("-loss must be in [0, 1), got %g", loss))

@@ -20,8 +20,7 @@ func TestRunProtocols(t *testing.T) {
 		{"-protocol", "cluster", "-nodes", "120", "-seed", "3", "-ideal",
 			"-rounds", "2", "-headcrash", "0.2", "-nofailover"},
 		{"-protocol", "cluster", "-nodes", "120", "-seed", "3", "-ideal", "-crash", "0.05"},
-		{"-protocol", "cluster", "-nodes", "120", "-seed", "3", "-ideal", "-par", "1"},
-		{"-protocol", "cluster", "-nodes", "120", "-seed", "3", "-par", "4", "-rounds", "2"},
+		{"-protocol", "cluster", "-nodes", "120", "-seed", "3", "-rounds", "2"},
 	}
 	for _, args := range cases {
 		if _, err := run(args); err != nil {
@@ -75,8 +74,6 @@ func TestBadInputsAreUsageErrors(t *testing.T) {
 		{"rounds on sdap", []string{"-protocol", "sdap", "-rounds", "3"}},
 		{"negative slices", []string{"-slices", "-1"}},
 		{"negative trace cap", []string{"-trace", "-5"}},
-		{"zero par", []string{"-par", "0"}},
-		{"negative par", []string{"-par", "-4"}},
 		{"unknown protocol", []string{"-protocol", "bogus"}},
 		{"bad observe addr", []string{"-observe", "nope"}},
 		{"malformed flag value", []string{"-nodes", "many"}},

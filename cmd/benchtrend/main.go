@@ -39,7 +39,7 @@ import (
 
 func main() {
 	var (
-		bench     = flag.String("bench", "^(BenchmarkRound|BenchmarkRoundSerial|BenchmarkRoundRetained|BenchmarkRoundCluster|BenchmarkRoundTAG|BenchmarkRoundIPDA|BenchmarkClusterAlgebra|BenchmarkFieldMul|BenchmarkFieldInv|BenchmarkServeThroughput|BenchmarkServeRecovery)$", "benchmark regexp passed to go test (the suite runs -short, which skips the n=100k scale point; run it explicitly with go test)")
+		bench     = flag.String("bench", "^(BenchmarkRound|BenchmarkRoundRetained|BenchmarkRoundCluster|BenchmarkRoundTAG|BenchmarkRoundIPDA|BenchmarkClusterAlgebra|BenchmarkFieldMul|BenchmarkFieldInv|BenchmarkServeThroughput|BenchmarkServeRecovery)$", "benchmark regexp passed to go test (the suite runs -short, which skips the n=100k scale point; run it explicitly with go test)")
 		benchtime = flag.String("benchtime", "1s", "per-benchmark time passed to go test")
 		dir       = flag.String("dir", ".", "directory holding the package to bench and the BENCH_*.json snapshots")
 		input     = flag.String("input", "", "parse this saved `go test -bench` output instead of running the suite")

@@ -17,9 +17,9 @@ import (
 // scheduleAnnounces arranges every head's single up-tree transmission,
 // deepest flood levels first so children report before their parents, and
 // arms the members' head-silence watchdogs one slot behind each head's own.
-// Before any announce event fires it runs the batch-solve barrier: every
-// cluster whose full report set is already in solves here, grouped by size,
-// so the per-head announce events just read their precomputed sums.
+// Before any announce event fires it runs the batch solve: every cluster
+// whose full report set is already in solves here, grouped by size, so the
+// per-head announce events just read their precomputed sums.
 func (p *Protocol) scheduleAnnounces() {
 	p.phaseMark(trace.PhaseAnnounce, "CH-tree aggregation, witnessing, failover watchdogs")
 	p.preSolveClusters()
@@ -64,19 +64,18 @@ func (p *Protocol) arenaTake(n int) []field.Element {
 	return p.solveArena[base : base+n : base+n]
 }
 
-// preSolveClusters is the announce-phase batch barrier. It collects every
+// preSolveClusters is the announce-phase batch solve. It collects every
 // live, active, viable head whose report set is already complete at full
 // mask — the common case by the time the announce phase opens — groups the
 // clusters by algebra, and solves each group's packed right-hand sides in a
-// single weights pass per group, fanned out across the worker pool.
+// single weights pass per group.
 //
-// Everything else keeps the serial event-time solve: deputies (their state
-// lives on the deputy node, not the head), degraded clusters (Subset()
-// mutates the algebra's cache, which must stay single-threaded), and heads
-// whose reports are still trickling in. Late post-barrier report deliveries
-// cannot desynchronise the solved sums from the announce's F-matrix echo: a
-// full-mask row can only be overwritten by a value-identical re-report
-// (receive masks only grow, and full is full).
+// Everything else keeps the event-time solve: deputies (their state lives
+// on the deputy node, not the head), degraded clusters (they solve over a
+// subset algebra), and heads whose reports are still trickling in. Reports
+// delivered after the batch solve cannot desynchronise the solved sums from
+// the announce's F-matrix echo: a full-mask row can only be overwritten by
+// a value-identical re-report (receive masks only grow, and full is full).
 func (p *Protocol) preSolveClusters() {
 	c := p.nComponents()
 	heads := p.solveHeads[:0]
@@ -139,16 +138,13 @@ func (p *Protocol) preSolveClusters() {
 	p.solveGroups = groups
 	groups = groups[:ng]
 
-	// Pack and solve, one task per group: each task writes only its own
-	// group's arena slices and its own clusters' solved state, so results
-	// are independent of worker scheduling.
 	p.solveArena = p.solveArena[:0]
 	for g := range groups {
 		m, G := groups[g].alg.Size(), len(groups[g].heads)
 		groups[g].rhs = p.arenaTake(m * G * c)
 		groups[g].sums = p.arenaTake(G * c)
+		p.batchSolveGroup(&groups[g])
 	}
-	p.runWorkers(len(groups), func(_, g int) { p.batchSolveGroup(&groups[g]) })
 
 	p.emitRoundEngine(groups)
 }
@@ -177,9 +173,9 @@ func (p *Protocol) batchSolveGroup(g *solveGroup) {
 	}
 }
 
-// emitRoundEngine records the per-round engine telemetry: worker-pool
-// width, batch-solve group layout, and deployment-grid occupancy — what
-// aggtrace -summary needs to explain where round wall-clock went.
+// emitRoundEngine records the per-round engine telemetry: batch-solve group
+// layout and deployment-grid occupancy — what aggtrace -summary needs to
+// explain where round wall-clock went.
 func (p *Protocol) emitRoundEngine(groups []solveGroup) {
 	if p.env.Sink == nil {
 		return
@@ -199,8 +195,8 @@ func (p *Protocol) emitRoundEngine(groups []solveGroup) {
 	}
 	cells, occ, maxo := p.env.Net.GridStats()
 	p.emit(topo.BaseStationID, trace.NoCluster, trace.PhaseAnnounce, trace.TypeRound, "batch-solve",
-		"par=%d presolved=%d groups=[%s] grid: %d/%d cells occupied, max %d nodes/cell",
-		p.par, len(p.solveHeads), sb.String(), occ, cells, maxo)
+		"presolved=%d groups=[%s] grid: %d/%d cells occupied, max %d nodes/cell",
+		len(p.solveHeads), sb.String(), occ, cells, maxo)
 }
 
 // announceTarget picks where a head sends its announce: the shallowest head
@@ -242,7 +238,7 @@ func (p *Protocol) clusterContribution(id topo.NodeID) ([]field.Element, uint32,
 	}
 	if viableCluster(st) {
 		if st.solved {
-			// Solved in the announce-phase batch barrier: by construction a
+			// Solved in the announce-phase batch solve: by construction a
 			// complete full-mask solve, so neither resilience counter moves.
 			st.effMask = message.FullMask(len(st.roster.Entries))
 			return st.solvedSums, uint32(len(st.roster.Entries)), st.effMask

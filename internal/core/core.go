@@ -24,11 +24,8 @@ package core
 import (
 	"cmp"
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/field"
@@ -132,11 +129,10 @@ type Config struct {
 	// this set). Inactive CHs still relay children.
 	ActiveClusters map[topo.NodeID]bool
 
-	// Parallelism caps the worker pool the round engine fans the
-	// share-nothing per-cluster work (share preparation, batched cluster
-	// solves) out to. 0 means runtime.GOMAXPROCS; 1 forces the serial path.
-	// Results are bit-identical for every value — the pool only executes
-	// pure per-node work between deterministic serial passes.
+	// Parallelism is ignored: the round engine runs on one goroutine.
+	//
+	// Deprecated: kept so that existing callers still compile; it has no
+	// effect.
 	Parallelism int
 }
 
@@ -196,7 +192,7 @@ type nodeState struct {
 	fSeenMask uint64
 
 	// solved marks a head whose full-mask cluster solve already ran in the
-	// announce-phase batch barrier; solvedSums (arena-backed) carries the
+	// announce-phase batch solve; solvedSums (arena-backed) carries the
 	// result the announce event reads instead of re-solving.
 	solved     bool
 	solvedSums []field.Element
@@ -289,22 +285,20 @@ type Protocol struct {
 	// round (frames.go).
 	arena arenas
 
-	// par is the resolved worker-pool width (Config.Parallelism, with 0
-	// mapped to GOMAXPROCS by Reconfigure).
-	par int
-
 	// algebras caches one shares.Algebra per canonical cluster size m.
 	// Heads re-seed every roster they publish with position seeds {1..m},
 	// so all clusters of equal size share one algebra — one weights table
 	// per m, which is what makes the announce-phase batch solve possible.
 	algebras map[int]*shares.Algebra
 
-	// Share-exchange barrier state: one sharePrep per participant, plus one
-	// private scratch per worker. All backing arrays are reused per round.
-	sharePreps  []sharePrep
-	prepScratch []shareScratch
+	// Share-exchange state: one sharePrep per participant, and the scratch
+	// a participant's frames are built in — its masking coefficients
+	// (c×(m-1)), reading vector (c), share matrix (c×m, row k = component
+	// k) and per-target column (c). All backing arrays are reused per round.
+	sharePreps                         []sharePrep
+	txCoeffs, txReading, txRows, txVec []field.Element
 
-	// Announce-phase batch-solve state: the heads picked up by the barrier,
+	// Announce-phase batch-solve state: the heads picked up by the solve,
 	// their grouping by algebra, and the arena backing the packed
 	// right-hand sides and solved sums.
 	solveHeads  []topo.NodeID
@@ -350,41 +344,6 @@ func growRows(s [][]field.Element, n int) [][]field.Element {
 	s = growTable(s, n)
 	clear(s)
 	return s
-}
-
-// runWorkers fans fn out over n items on the protocol's worker pool using an
-// atomic work-stealing counter. fn(w, i) receives the worker index w (for
-// per-worker scratch) and the item index i, and must write only to item i's
-// output slot and worker w's scratch — which is what makes the results
-// independent of scheduling and therefore bit-identical to the serial path.
-// With Parallelism 1 (or a single item) it degenerates to an inline loop.
-func (p *Protocol) runWorkers(n int, fn func(w, i int)) {
-	workers := p.par
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(w, i)
-			}
-		}(w)
-	}
-	wg.Wait()
 }
 
 // nComponents returns the active component-vector width.
@@ -436,13 +395,6 @@ func (p *Protocol) Reconfigure(cfg Config) error {
 	if cfg.HeadCrashRate < 0 || cfg.HeadCrashRate >= 1 {
 		return fmt.Errorf("core: head crash rate %g out of [0, 1)", cfg.HeadCrashRate)
 	}
-	if cfg.Parallelism < 0 {
-		return fmt.Errorf("core: parallelism %d must be >= 1 (or 0 for GOMAXPROCS)", cfg.Parallelism)
-	}
-	par := cfg.Parallelism
-	if par == 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
 	// Contention-adaptive schedule: the share and assemble phases carry
 	// O(degree) unicasts per collision domain, so their windows stretch
 	// with density beyond the reference degree the defaults were sized for.
@@ -452,7 +404,7 @@ func (p *Protocol) Reconfigure(cfg Config) error {
 		cfg.AssembleAt = cfg.SharesAt + sharesWin
 		cfg.AggAt = cfg.AssembleAt + asmWin
 	}
-	p.cfg, p.par = cfg, par
+	p.cfg = cfg
 	return nil
 }
 

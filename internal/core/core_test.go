@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/field"
 	"repro/internal/message"
 	"repro/internal/shares"
 	"repro/internal/topo"
@@ -420,5 +421,38 @@ func TestDegradedRecoveryEndToEnd(t *testing.T) {
 	if r.ParticipationRate() <= r2.ParticipationRate() {
 		t.Errorf("degraded recovery did not help: %.3f (on) <= %.3f (off)",
 			r.ParticipationRate(), r2.ParticipationRate())
+	}
+}
+
+// TestSharedAlgebraPerSize pins the canonical-seed invariant the batch
+// solver depends on: after a round, every viable cluster of size m holds
+// the SAME *shares.Algebra pointer, and its roster seeds are {1..m}.
+func TestSharedAlgebraPerSize(t *testing.T) {
+	_, p := run(t, 400, 6, true, nil)
+	if _, err := p.Run(1); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[int]any{}
+	for _, h := range p.Heads() {
+		st := &p.nodes[h]
+		if st.algebra == nil {
+			continue
+		}
+		m := len(st.roster.Entries)
+		for i, e := range st.roster.Entries {
+			if e.Seed != field.New(uint64(i+1)) {
+				t.Fatalf("head %d entry %d seed %v, want canonical %v", h, i, e.Seed, field.New(uint64(i+1)))
+			}
+		}
+		if prev, ok := seen[m]; ok {
+			if prev != st.algebra {
+				t.Errorf("two size-%d clusters hold distinct algebras", m)
+			}
+		} else {
+			seen[m] = st.algebra
+		}
+	}
+	if len(seen) == 0 {
+		t.Fatal("no viable clusters formed")
 	}
 }

@@ -12,32 +12,16 @@ import (
 	"repro/internal/wsncrypto"
 )
 
-// sharePrep carries one participant's share-exchange work across the
-// three-pass barrier in scheduleShareExchange. Pass 1 (serial) fills id,
-// delay and coeffs, and reserves the participant's own share vector, frames
-// and payload bytes in the round's arenas; pass 2 (parallel) fills self,
-// frames and payload; pass 3 (serial) schedules the jittered send events.
-// The slots are protocol-owned and reused every round, and everything they
-// point at lives until the next round starts. Pass 2 runs on the worker
-// pool, so it cannot draw from the arenas itself; it only fills the
-// disjoint regions pass 1 reserved.
+// sharePrep is one participant's prepared share exchange: its send delay,
+// its own share vector (retained by acceptShare) and its frames to its
+// co-members, in roster order. The slots are protocol-owned and reused
+// every round; the vector, the frames and their payloads live in the
+// round's arenas.
 type sharePrep struct {
-	id      topo.NodeID
-	delay   time.Duration
-	coeffs  []field.Element   // c×(m-1) masking coefficients, serial RNG order
-	self    []field.Element   // own share vector (retained by acceptShare)
-	frames  []message.Message // prepared co-member frames, roster order
-	payload []byte            // their sealed shares and relay wrappers
-}
-
-// shareScratch is one worker's private buffers for buildShareFrames.
-type shareScratch struct {
-	reading []field.Element // c: the node's component vector
-	rows    []field.Element // c×m share matrix, row k = component k
-	vec     []field.Element // c: per-target column
-	plain   []byte          // the encoded column
-	sealed  []byte          // its envelope, when it travels relayed
-	inner   []byte          // the marshalled inner frame of a relay
+	id     topo.NodeID
+	delay  time.Duration
+	self   []field.Element
+	frames []message.Message
 }
 
 // shareBytes bounds the payload bytes one outgoing share takes: a relay
@@ -47,26 +31,24 @@ func shareBytes(c int) int {
 	return 2 + message.HeaderSize + wsncrypto.Overhead + 1 + 4*c
 }
 
-// scheduleShareExchange runs the share-generation barrier and schedules
-// every viable participant's jittered send event.
+// scheduleShareExchange builds every viable participant's share frames and
+// schedules their jittered send events, in two loops over the nodes in
+// ascending ID:
 //
-// The work is split into three passes so the expensive part — polynomial
-// evaluation, marshalling, link encryption — fans out across the worker
-// pool while every shared-state touch stays serial and deterministic:
+//	loop 1 draws each participant's jitter and then its masking
+//	       coefficients from the round RNG, and builds and seals its
+//	       frames at once; sealing keys each link on first use, in roster
+//	       order. An undersized cluster's plain-reading send is scheduled
+//	       here too;
+//	loop 2 schedules the prepared sends.
 //
-//	pass 1 (serial, ascending node ID): draw each participant's jitter and
-//	       masking coefficients from the round RNG — a fixed consumption
-//	       order regardless of worker count — and key the link state of
-//	       every (sender, target) pair a worker will read;
-//	pass 2 (parallel): pure per-participant frame construction into the
-//	       participant's own sharePrep slot. No RNG, no map writes, no
-//	       shared buffers — results are independent of scheduling;
-//	pass 3 (serial, ascending node ID): schedule the send events.
+// Loop 2 stays a separate loop so that every plain-reading send precedes
+// every prepared send in the queue: events due at the same nanosecond run
+// in the order they were scheduled.
 //
-// Per-direction nonce streams stay deterministic too: direction a→b of a
-// link is sealed by exactly one sender's pass-2 task (b→a, perhaps on
-// another worker, advances its own counter), and any later sub-exchange
-// Seal on the same pair runs at (serial) event time.
+// Per-direction nonce streams are deterministic: direction a→b of a link
+// is sealed here only by sender a, and any later sub-exchange Seal on the
+// same pair runs at event time.
 func (p *Protocol) scheduleShareExchange() {
 	p.phaseMark(trace.PhaseExchange, "polynomial share distribution")
 	window := p.cfg.AssembleAt - p.cfg.SharesAt
@@ -76,7 +58,7 @@ func (p *Protocol) scheduleShareExchange() {
 		// would otherwise regrow the slice a dozen times.
 		p.sharePreps = make([]sharePrep, 0, p.env.Net.Size())
 	}
-	nprep := 0
+	preps := p.sharePreps[:0]
 	for i := 1; i < p.env.Net.Size(); i++ {
 		id := topo.NodeID(i)
 		st := &p.nodes[i]
@@ -95,61 +77,45 @@ func (p *Protocol) scheduleShareExchange() {
 			}
 			continue
 		}
-		if nprep == len(p.sharePreps) {
-			p.sharePreps = append(p.sharePreps, sharePrep{})
-		}
-		pr := &p.sharePreps[nprep]
-		nprep++
-		pr.id = id
-		pr.delay = p.jitter(window / 2)
+		preps = append(preps, sharePrep{id: id, delay: p.jitter(window / 2)})
 		m := len(st.roster.Entries)
-		pr.coeffs = p.arena.elems.alloc(c * (m - 1))
+		p.txCoeffs = growTable(p.txCoeffs, c*(m-1))
 		for k := 0; k < c; k++ {
-			st.algebra.DrawCoeffs(p.env.Rng, pr.coeffs[k*(m-1):(k+1)*(m-1)])
+			st.algebra.DrawCoeffs(p.env.Rng, p.txCoeffs[k*(m-1):(k+1)*(m-1)])
 		}
-		for _, e := range st.roster.Entries {
-			if e.ID != id {
-				p.env.WarmSealer(id, e.ID)
-			}
-		}
-		pr.self = p.arena.elems.alloc(c)
-		pr.frames = p.arena.frames.run(m - 1)
-		pr.payload = p.arena.payloads.reserve((m - 1) * shareBytes(c))
+		p.buildShareFrames(&preps[len(preps)-1])
 	}
-	preps := p.sharePreps[:nprep]
-	if len(p.prepScratch) < p.par {
-		p.prepScratch = make([]shareScratch, p.par)
-	}
-	p.runWorkers(len(preps), func(w, x int) {
-		p.buildShareFrames(&preps[x], &p.prepScratch[w])
-	})
+	p.sharePreps = preps
 	for x := range preps {
 		pr := &preps[x]
 		p.env.Eng.After(pr.delay, func() { p.sendPreparedShares(pr) })
 	}
 }
 
-// buildShareFrames is the pure pass-2 body: evaluate the participant's
-// masking polynomials at every co-member seed and build the outgoing frames
-// — link-encrypted direct unicast when in radio range, head-relayed (still
-// end-to-end encrypted) otherwise. Writes only to pr and sc.
-func (p *Protocol) buildShareFrames(pr *sharePrep, sc *shareScratch) {
+// buildShareFrames evaluates the participant's masking polynomials, whose
+// coefficients are in p.txCoeffs, at every co-member seed and builds the
+// outgoing frames — link-encrypted direct unicast when in radio range,
+// head-relayed (still end-to-end encrypted) otherwise.
+func (p *Protocol) buildShareFrames(pr *sharePrep) {
 	id := pr.id
 	st := &p.nodes[id]
 	c := p.nComponents()
 	m := len(st.roster.Entries)
-	sc.reading = growTable(sc.reading, c)
-	p.readingVectorInto(sc.reading, id)
-	sc.rows = growTable(sc.rows, c*m)
+	p.txReading = growTable(p.txReading, c)
+	p.readingVectorInto(p.txReading, id)
+	p.txRows = growTable(p.txRows, c*m)
 	for k := 0; k < c; k++ {
-		st.algebra.SharesFromCoeffs(sc.rows[k*m:(k+1)*m], pr.coeffs[k*(m-1):(k+1)*(m-1)], sc.reading[k])
+		st.algebra.SharesFromCoeffs(p.txRows[k*m:(k+1)*m], p.txCoeffs[k*(m-1):(k+1)*(m-1)], p.txReading[k])
 	}
-	sc.vec = growTable(sc.vec, c)
+	pr.self = p.arena.elems.alloc(c)
+	pr.frames = p.arena.frames.run(m - 1)
+	payload := p.arena.payloads.reserve((m - 1) * shareBytes(c))
+	p.txVec = growTable(p.txVec, c)
 	for j, entry := range st.roster.Entries {
 		target := entry.ID
 		if target == id {
 			for k := 0; k < c; k++ {
-				pr.self[k] = sc.rows[k*m+j]
+				pr.self[k] = p.txRows[k*m+j]
 			}
 			continue
 		}
@@ -157,44 +123,43 @@ func (p *Protocol) buildShareFrames(pr *sharePrep, sc *shareScratch) {
 			continue // keyless pair (EG scheme): share lost, cluster will fail
 		}
 		for k := 0; k < c; k++ {
-			sc.vec[k] = sc.rows[k*m+j]
+			p.txVec[k] = p.txRows[k*m+j]
 		}
 		var err error
-		if sc.plain, err = message.AppendValues(sc.plain[:0], sc.vec); err != nil {
+		if p.txPlain, err = message.AppendValues(p.txPlain[:0], p.txVec); err != nil {
 			continue
 		}
-		// Payloads are appended to the participant's reservation, which
-		// pass 1 sized for a relay per target, so they are filled in place.
-		start := len(pr.payload)
+		// Payloads are appended to the participant's reservation, which is
+		// sized for a relay per target, so they are filled in place.
+		start := len(payload)
 		if p.env.Net.InRange(id, target) {
-			if pr.payload, err = p.env.AppendSeal(pr.payload, id, target, sc.plain); err != nil {
+			if payload, err = p.env.AppendSeal(payload, id, target, p.txPlain); err != nil {
 				continue
 			}
 			pr.frames = append(pr.frames, message.Message{Kind: message.KindShare, From: id, To: target,
-				Round: p.round, Payload: pr.payload[start:len(pr.payload):len(pr.payload)]})
+				Round: p.round, Payload: payload[start:len(payload):len(payload)]})
 			continue
 		}
 		// Out of mutual range: relay via the head. The head forwards the
 		// frame verbatim; it cannot read the sealed share.
-		if sc.sealed, err = p.env.AppendSeal(sc.sealed[:0], id, target, sc.plain); err != nil {
+		if p.txSealed, err = p.env.AppendSeal(p.txSealed[:0], id, target, p.txPlain); err != nil {
 			continue
 		}
-		inner := message.Message{Kind: message.KindShare, From: id, To: target, Round: p.round, Payload: sc.sealed}
-		if sc.inner, err = inner.AppendMarshal(sc.inner[:0]); err != nil {
+		inner := message.Message{Kind: message.KindShare, From: id, To: target, Round: p.round, Payload: p.txSealed}
+		if p.txInner, err = inner.AppendMarshal(p.txInner[:0]); err != nil {
 			continue
 		}
-		if pr.payload, err = message.AppendRelay(pr.payload, message.Relay{Inner: sc.inner}); err != nil {
+		if payload, err = message.AppendRelay(payload, message.Relay{Inner: p.txInner}); err != nil {
 			continue
 		}
 		pr.frames = append(pr.frames, message.Message{Kind: message.KindRelay, From: id, To: st.head,
-			Round: p.round, Payload: pr.payload[start:len(pr.payload):len(pr.payload)]})
+			Round: p.round, Payload: payload[start:len(payload):len(payload)]})
 	}
 }
 
-// sendPreparedShares is the pass-3 event body: keep our own share and hand
-// the prepared frames to the MAC. A node that crashed since preparation
-// still runs this — its frames are dropped at the (disabled) MAC, exactly
-// like the old at-event-time generation behaved.
+// sendPreparedShares is the send event: keep our own share and hand the
+// prepared frames to the MAC. A node that crashed since preparation still
+// runs this; its disabled MAC drops the frames.
 func (p *Protocol) sendPreparedShares(pr *sharePrep) {
 	st := &p.nodes[pr.id]
 	p.acceptShare(pr.id, st.myIdx, pr.self)

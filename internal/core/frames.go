@@ -114,8 +114,7 @@ func (a *byteArena) take(b []byte) []byte {
 }
 
 // reserve hands out n bytes as an empty slice of capacity n, so appending
-// up to n bytes fills them in place. Reservations never overlap, so the
-// parallel share pass may fill several at once.
+// up to n bytes fills them in place.
 func (a *byteArena) reserve(n int) []byte {
 	if n > byteChunk {
 		return make([]byte, 0, n)
@@ -149,9 +148,7 @@ func (a *elemArena) alloc(n int) []field.Element {
 // rewind takes every element back.
 func (a *elemArena) rewind() { a.c, a.off = 0, 0 }
 
-// build is message.Build backed by the protocol's frame arena. It runs only
-// on the serial event loop; the parallel share pass fills the frame runs
-// its serial first pass reserved instead.
+// build is message.Build backed by the protocol's frame arena.
 func (p *Protocol) build(kind message.Kind, from, to topo.NodeID, round uint16, payload []byte) *message.Message {
 	m := p.arena.frames.next()
 	*m = message.Message{Kind: kind, From: from, To: to, Round: round, Payload: payload}

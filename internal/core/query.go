@@ -11,10 +11,7 @@ import (
 
 // readingVectorInto writes a node's contribution vector for the round into
 // dst, a buffer of nComponents() elements: the raw sensor reading by
-// default, or one transformed value per active query component. It reads
-// only immutable round inputs (the component closures and the sensor
-// readings), so the parallel share-preparation pass may call it
-// concurrently.
+// default, or one transformed value per active query component.
 func (p *Protocol) readingVectorInto(dst []field.Element, id topo.NodeID) {
 	if len(p.comps) == 0 {
 		dst[0] = p.env.ReadingElement(id)

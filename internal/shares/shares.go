@@ -141,9 +141,8 @@ func (a *Algebra) GenerateInto(rng *rand.Rand, private field.Element, out *Share
 
 // DrawCoeffs draws the m-1 random masking coefficients into buf (reused
 // when it has capacity) and returns the resized slice. Splitting the draw
-// from the evaluation lets a single-threaded caller consume the shared RNG
-// stream deterministically and then fan the pure polynomial evaluations
-// (SharesFromCoeffs) out to a worker pool.
+// from the evaluation (SharesFromCoeffs) lets a caller draw into scratch
+// and evaluate into buffers of its own.
 func (a *Algebra) DrawCoeffs(rng *rand.Rand, buf []field.Element) []field.Element {
 	buf = growElems(buf, a.Size()-1)
 	for k := range buf {

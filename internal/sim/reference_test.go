@@ -12,16 +12,15 @@ import (
 // refEngine is the engine's former event queue, kept as a reference model:
 // a binary min-heap ordered by (time, scheduling sequence), with cancelled
 // events compacted out once they outnumber the live ones. It has the
-// Engine's clock, Run, Stop, horizon, event limit and Reset semantics, and
-// it counts the cases the twin test must reach.
+// Engine's clock, Run, horizon, event limit and Reset semantics, and it
+// counts the cases the twin test must reach.
 type refEngine struct {
-	now     time.Duration
-	seq     uint64
-	queue   []*refEvent
-	dead    int
-	stopped bool
-	ran     uint64
-	limit   uint64
+	now   time.Duration
+	seq   uint64
+	queue []*refEvent
+	dead  int
+	ran   uint64
+	limit uint64
 
 	compactions  int // times the dead events were filtered out
 	deadDrains   int // drained Runs whose last event taken was a cancelled one
@@ -39,7 +38,6 @@ type refEvent struct {
 func (e *refEngine) Now() time.Duration { return e.now }
 func (e *refEngine) Processed() uint64  { return e.ran }
 func (e *refEngine) Pending() int       { return len(e.queue) - e.dead }
-func (e *refEngine) Stop()              { e.stopped = true }
 
 func (e *refEngine) SetEventLimit(n uint64) { e.limit = n }
 
@@ -48,7 +46,7 @@ func (e *refEngine) Reset() {
 		ev.fn = nil // stale handles must not count a dead event
 	}
 	e.queue = e.queue[:0]
-	e.dead, e.now, e.seq, e.ran, e.stopped = 0, 0, 0, 0, false
+	e.dead, e.now, e.seq, e.ran = 0, 0, 0, 0
 }
 
 func (e *refEngine) At(t time.Duration, fn func()) func() {
@@ -75,11 +73,8 @@ func (e *refEngine) At(t time.Duration, fn func()) func() {
 func (e *refEngine) Run(horizon time.Duration) error {
 	lastDead := false
 	for len(e.queue) > 0 {
-		if e.stopped {
-			return ErrStopped
-		}
 		if horizon > 0 && e.queue[0].at > horizon {
-			e.now = horizon
+			e.now = max(e.now, horizon)
 			return nil
 		}
 		ev := e.pop()
@@ -178,7 +173,6 @@ func (e *refEngine) siftDown(i int) {
 type twinEngine interface {
 	At(t time.Duration, fn func()) (cancel func())
 	Run(horizon time.Duration) error
-	Stop()
 	SetEventLimit(n uint64)
 	Reset()
 	Now() time.Duration
@@ -196,12 +190,12 @@ func (e engineTwin) At(t time.Duration, fn func()) func() { return e.Engine.At(t
 // id, so two engines that run events in the same order perform the same
 // actions, and the first divergence shows in the log.
 type twinScript struct {
+	t       *testing.T
 	eng     twinEngine
 	seed    int64
 	log     []string
 	cancels []func() // by event id
 	budget  int      // events that running events may still schedule
-	stops   bool     // events may call Stop
 }
 
 // delay draws a delay: zero, one of a few shared values (so events collide
@@ -263,14 +257,16 @@ func (s *twinScript) fire(id int) {
 			s.cancels[len(s.cancels)-1]()
 		}
 	}
-	if s.stops && rng.Intn(200) == 0 {
-		s.eng.Stop()
-	}
 }
 
-// run runs the engine and logs its result and state.
+// run runs the engine, logs its result and state, and fails the test if
+// the Run moved the clock back.
 func (s *twinScript) run(horizon time.Duration) {
+	before := s.eng.Now()
 	err := s.eng.Run(horizon)
+	if now := s.eng.Now(); now < before {
+		s.t.Errorf("seed %d: %T.Run(%v) moved the clock back from %v to %v", s.seed, s.eng, horizon, before, now)
+	}
 	msg := "<nil>"
 	if err != nil {
 		msg = err.Error()
@@ -316,17 +312,11 @@ func (s *twinScript) play() {
 	s.run(0)
 	s.eng.SetEventLimit(0)
 	s.run(s.eng.Now() + 5*time.Millisecond)
-	// A horizon behind the clock, then schedules from the clock it sets.
+	// A horizon behind the clock, which leaves the clock where it is, then
+	// schedules from that clock.
 	s.run(s.eng.Now() / 2)
 	burst(10)
 	s.run(0)
-	// Stop from inside an event: this Run and every later one return
-	// ErrStopped until Reset.
-	s.stops = true
-	burst(30)
-	s.run(0)
-	s.run(0)
-	s.stops = false
 	// Reset with events queued, then a fresh run on the reset engine.
 	burst(40)
 	s.eng.Reset()
@@ -342,12 +332,12 @@ func (s *twinScript) play() {
 // and Processed after every Run.
 func TestEngineMatchesReference(t *testing.T) {
 	var total refEngine
-	events, stops, limits := 0, 0, 0
+	events, limits := 0, 0
 	for seed := int64(1); seed <= 40; seed++ {
 		ref := &refEngine{}
-		want := &twinScript{eng: ref, seed: seed}
+		want := &twinScript{t: t, eng: ref, seed: seed}
 		want.play()
-		got := &twinScript{eng: engineTwin{NewEngine()}, seed: seed}
+		got := &twinScript{t: t, eng: engineTwin{NewEngine()}, seed: seed}
 		got.play()
 		for i := range min(len(got.log), len(want.log)) {
 			if got.log[i] != want.log[i] {
@@ -359,7 +349,6 @@ func TestEngineMatchesReference(t *testing.T) {
 		}
 		events += len(want.log)
 		for _, line := range want.log {
-			stops += strings.Count(line, ErrStopped.Error())
 			limits += strings.Count(line, "event limit")
 		}
 		total.compactions += ref.compactions
@@ -368,10 +357,10 @@ func TestEngineMatchesReference(t *testing.T) {
 		total.maxDepth = max(total.maxDepth, ref.maxDepth)
 		total.maxDelayBits = max(total.maxDelayBits, ref.maxDelayBits)
 	}
-	t.Logf("%d steps: %d compactions, %d cancelled events taken, %d drains ending on a cancelled event, %d stopped and %d limited Runs, depth up to %d, delays up to 2^%d ns",
-		events, total.compactions, total.deadTakes, total.deadDrains, stops, limits, total.maxDepth, total.maxDelayBits)
-	if total.compactions == 0 || total.deadDrains == 0 || total.deadTakes == 0 || stops == 0 || limits == 0 {
-		t.Errorf("scripts missed a case: %d compactions, %d drains on a cancelled event, %d cancelled events taken, %d stops, %d limits",
-			total.compactions, total.deadDrains, total.deadTakes, stops, limits)
+	t.Logf("%d steps: %d compactions, %d cancelled events taken, %d drains ending on a cancelled event, %d limited Runs, depth up to %d, delays up to 2^%d ns",
+		events, total.compactions, total.deadTakes, total.deadDrains, limits, total.maxDepth, total.maxDelayBits)
+	if total.compactions == 0 || total.deadDrains == 0 || total.deadTakes == 0 || limits == 0 {
+		t.Errorf("scripts missed a case: %d compactions, %d drains on a cancelled event, %d cancelled events taken, %d limits",
+			total.compactions, total.deadDrains, total.deadTakes, limits)
 	}
 }

@@ -19,17 +19,12 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"math/bits"
 	"time"
 
 	"repro/internal/trace"
 )
-
-// ErrStopped is returned by Run when the simulation was stopped explicitly
-// before the event queue drained.
-var ErrStopped = errors.New("sim: stopped")
 
 // event is a scheduled action. Events are pooled: gen increments every time
 // an event is recycled so stale Timer handles cannot cancel an unrelated
@@ -99,7 +94,6 @@ type Engine struct {
 	queued  int    // events in the buckets, cancelled ones included
 	dead    int    // cancelled events still sitting in the buckets
 	free    *event // recycled event nodes, linked through next
-	stopped bool
 	ran     uint64
 	limit   uint64     // safety valve against runaway schedules; 0 = unlimited
 	sink    trace.Sink // flight recorder; nil = disabled
@@ -115,7 +109,7 @@ func NewEngine() *Engine {
 func (e *Engine) SetEventLimit(n uint64) { e.limit = n }
 
 // SetSink installs (or, with nil, removes) the flight-recorder sink. The
-// engine only emits run-lifecycle events — start, drain, stop, limit — so
+// engine only emits run-lifecycle events — start, pause, drain, limit — so
 // the per-event hot loop stays untouched.
 func (e *Engine) SetSink(s trace.Sink) { e.sink = s }
 
@@ -158,7 +152,6 @@ func (e *Engine) Reset() {
 	e.now = 0
 	e.last = 0
 	e.ran = 0
-	e.stopped = false
 }
 
 // alloc takes an event node from the pool or mints a new one.
@@ -201,34 +194,23 @@ func (e *Engine) After(delay time.Duration, fn func()) Timer {
 	return e.At(e.now+delay, fn)
 }
 
-// Stop halts the run loop after the current event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Run processes events until the queue drains, Stop is called, or the
-// optional horizon (0 = none) passes. Events scheduled exactly at the
-// horizon still run.
+// Run processes events until the queue drains or the optional horizon
+// (0 = none) passes. Events scheduled exactly at the horizon still run. A
+// pause moves the clock forward to the horizon, never back: a horizon
+// behind the clock leaves it where it is.
 func (e *Engine) Run(horizon time.Duration) error {
 	if e.sink != nil {
 		e.emitRun("run", "pending=%d horizon=%v", e.Pending(), horizon)
 	}
 	for e.queued > 0 {
-		if e.stopped {
-			if e.sink != nil {
-				e.emitRun("stopped", "processed=%d", e.ran)
-			}
-			return ErrStopped
-		}
 		at, i := e.earliest()
 		if horizon > 0 && at > horizon {
 			// Leave the event queued so a later Run with a larger horizon
-			// resumes exactly where this one paused.
-			e.now = horizon
-			if horizon < e.last {
-				// A horizon behind the clock moved it back: re-key the
-				// queue so events scheduled from the new now are not
-				// earlier than last.
-				e.rebase(horizon)
-			}
+			// resumes exactly where this one paused. The events this Run
+			// took, cancelled ones included, were due at or before the
+			// horizon, and earlier Runs left last at or before now, so
+			// events scheduled from the new now are not earlier than last.
+			e.now = max(e.now, horizon)
 			if e.sink != nil {
 				e.emitRun("paused", "pending=%d", e.Pending())
 			}
@@ -305,27 +287,6 @@ func (e *Engine) take(at time.Duration, i int) *event {
 	}
 	e.queued--
 	return ev
-}
-
-// rebase moves last back to t, which no queued event precedes, and re-keys
-// every bucket against it. The buckets are emptied first and refilled in
-// bucket order; events due at the same time come from one bucket, in order,
-// so they keep their order.
-func (e *Engine) rebase(t time.Duration) {
-	var lists [64]*event
-	for i := range e.buckets {
-		lists[i] = e.buckets[i].head
-	}
-	e.buckets = [64]bucket{}
-	e.full = 0
-	e.last = t
-	for _, ev := range lists {
-		for ev != nil {
-			next := ev.next
-			e.push(ev)
-			ev = next
-		}
-	}
 }
 
 // maybeCompact filters the cancelled events out of every bucket once they

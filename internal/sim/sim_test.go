@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
 	"time"
@@ -98,26 +97,6 @@ func TestTimerCancel(t *testing.T) {
 	}
 	var zero Timer
 	zero.Cancel() // the zero Timer is a valid no-op handle
-}
-
-func TestStop(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := 1; i <= 5; i++ {
-		e.At(time.Duration(i)*time.Millisecond, func() {
-			count++
-			if count == 2 {
-				e.Stop()
-			}
-		})
-	}
-	err := e.Run(0)
-	if !errors.Is(err, ErrStopped) {
-		t.Fatalf("err = %v, want ErrStopped", err)
-	}
-	if count != 2 {
-		t.Errorf("processed %d events, want 2", count)
-	}
 }
 
 func TestHorizonPausesAndResumes(t *testing.T) {
@@ -311,6 +290,7 @@ func TestRunAllocatesNoEventNodesInSteadyState(t *testing.T) {
 // chains schedules its successor a uniform [0, 2 ms) later, and every sixth
 // event arms a 1 ms timeout that the next event cancels. One op is one live
 // event popped and run; the dead pops it drags along are part of its cost.
+// The event limit ends the timed Run after b.N events.
 func BenchmarkSimEventLoop(b *testing.B) { benchEventLoop(b, 4250) }
 
 // BenchmarkSimEventLoopShallow is BenchmarkSimEventLoop at the depth of a
@@ -331,13 +311,10 @@ func benchEventLoop(b *testing.B, chains int) {
 	e := NewEngine()
 	noop := func() {}
 	var armed Timer
-	ran, stopAt := 0, -1
+	ran := 0
 	var fire func()
 	fire = func() {
 		ran++
-		if ran == stopAt {
-			e.Stop()
-		}
 		armed.Cancel()
 		armed = Timer{}
 		if ran%6 == 0 {
@@ -352,11 +329,11 @@ func benchEventLoop(b *testing.B, chains int) {
 	if err := e.Run(10 * maxGap); err != nil {
 		b.Fatal(err)
 	}
-	stopAt = ran + b.N
+	e.SetEventLimit(e.Processed() + uint64(b.N))
 	b.ReportAllocs()
 	b.ResetTimer()
-	if err := e.Run(0); !errors.Is(err, ErrStopped) {
-		b.Fatal(err)
+	if err := e.Run(0); err == nil {
+		b.Fatal("the chains drained before the event limit")
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(e.queued), "queued")

@@ -311,16 +311,6 @@ func (e *Env) linkFor(a, b topo.NodeID) (*wsncrypto.Link, error) {
 	return l, nil
 }
 
-// WarmSealer keys the a<->b link if it is not keyed yet and reports whether
-// the pair shares a key. A round engine that fans Seal calls out to a
-// worker pool calls this serially first: once every link a worker will
-// touch exists, the parallel phase only reads the slab and the map, and
-// the two directions of a link advance separate nonce counters.
-func (e *Env) WarmSealer(a, b topo.NodeID) bool {
-	_, err := e.linkFor(a, b)
-	return err == nil
-}
-
 // AppendSeal encrypts a payload from a to b and appends the envelope to
 // dst (see wsncrypto.Link.AppendSeal). Returns dst unchanged and an error
 // when the key scheme leaves the pair keyless (possible under EG

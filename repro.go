@@ -272,12 +272,6 @@ type ClusterOptions struct {
 	CrashRecover   bool    // crashed nodes reboot at the next round's repair window
 	NoFailover     bool    // disable deputy head-failover (ablation)
 
-	// Parallelism is the round engine's worker-pool width for the
-	// share-preparation and batch-solve barriers. 0 uses GOMAXPROCS, 1 runs
-	// fully serial; every width produces bit-identical results, so this is
-	// purely a wall-clock knob. Negative values are rejected.
-	Parallelism int
-
 	// MaxHops bounds the announce schedule's depth slotting (default 16,
 	// which covers the papers' 400m reference field). Deployments deeper
 	// than this clamp every far head into the same slot and collide; the
@@ -315,7 +309,6 @@ func (o ClusterOptions) config() core.Config {
 	cfg.HeadCrashRate = o.HeadCrashRate
 	cfg.CrashRecover = o.CrashRecover
 	cfg.NoFailover = o.NoFailover
-	cfg.Parallelism = o.Parallelism
 	if o.MaxHops > 0 {
 		cfg.MaxHops = o.MaxHops
 	}

@@ -91,7 +91,6 @@ func TestReusedProtocolMatchesFresh(t *testing.T) {
 			{"crash", ClusterOptions{CrashRate: 0.05}},
 			{"headcrash-recover", ClusterOptions{HeadCrashRate: 0.3, CrashRecover: true}},
 			{"polluter", ClusterOptions{Polluter: polluter, PollutionDelta: 5000}},
-			{"serial", ClusterOptions{Parallelism: 1}},
 		}
 		var out []call
 		v := 0
