@@ -171,17 +171,20 @@ bench-smoke:
 	$(GO) run ./cmd/benchtrend -quick
 
 ## bench-gate: deterministic regression gate for the flight recorder's
-## disabled path and the per-round frame arena — allocs/op of the round
-## benchmark and of the 1k-node retained round must stay within 2% of the
-## newest snapshot. Wall-clock is deliberately not judged here (it flakes
-## on shared machines); `make bench` still gates both at 20%. Two runs,
-## because go test only reports a benchmark without sub-benchmarks when
-## the -bench pattern has a single level.
+## disabled path, the per-round frame arena and the allocation-free warm
+## round — allocs/op of the round benchmark, of the 1k-node retained round
+## and of the served-query mix on a reused deployment must stay within 2%
+## of the newest snapshot. Wall-clock is deliberately not judged here (it
+## flakes on shared machines); `make bench` still gates them at 20%. One
+## run per benchmark, because go test only reports a benchmark without
+## sub-benchmarks when the -bench pattern has a single level.
 bench-gate:
 	$(GO) run ./cmd/benchtrend -dry -metric allocs -threshold 0.02 \
 		-bench '^BenchmarkRoundCluster$$' -benchtime 5x
 	$(GO) run ./cmd/benchtrend -dry -metric allocs -threshold 0.02 \
 		-bench '^BenchmarkRoundRetained$$/^n=1k$$' -benchtime 5x
+	$(GO) run ./cmd/benchtrend -dry -metric allocs -threshold 0.02 \
+		-bench '^BenchmarkQueryMix$$' -benchtime 5x
 
 ## bench: full benchmark run — writes a BENCH_<date>.json snapshot and
 ## gates against the previous one (see README "Performance").

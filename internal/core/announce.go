@@ -34,7 +34,7 @@ func (p *Protocol) scheduleAnnounces() {
 			slot = 0
 		}
 		at := time.Duration(slot)*p.cfg.EpochSlot + p.jitter(p.cfg.EpochSlot/2)
-		p.env.Eng.After(at, func() { p.announce(id) })
+		p.after(at, p.on.announce, id)
 	}
 	p.scheduleWatchdogs()
 }
@@ -256,7 +256,7 @@ func (p *Protocol) clusterContribution(id topo.NodeID) ([]field.Element, uint32,
 	}
 	if p.cfg.Undersized == UndersizedPlain {
 		// Head's own reading plus whatever members reported plainly.
-		sums := make([]field.Element, p.nComponents())
+		sums := p.arena.elems.alloc(p.nComponents())
 		p.readingVectorInto(sums, id)
 		for k := range sums {
 			if k < len(st.plainSums) {
@@ -282,12 +282,15 @@ func (p *Protocol) announce(id topo.NodeID) {
 	}
 	c := p.nComponents()
 	sums, cnt, effMask := p.clusterContribution(id)
+	// Children aliases the head's collected entries: a head appends no more
+	// once it has announced (onAnnounce forwards late ones instead), and
+	// both are reset together with the round.
 	a := message.Announce{
 		Origin:      id,
 		ClusterSums: sums,
 		ClusterCnt:  cnt,
 		Components:  uint8(c),
-		Children:    append([]message.ChildEntry(nil), st.children...),
+		Children:    st.children,
 	}
 	// The announce carries the effective participant set: the full roster
 	// mask after a complete exchange, the strict subset M after degraded
@@ -307,7 +310,7 @@ func (p *Protocol) announce(id topo.NodeID) {
 		delta := field.FromInt(p.cfg.PollutionDelta)
 		polluteOwn := func() {
 			if a.ClusterSums == nil {
-				a.ClusterSums = make([]field.Element, c)
+				a.ClusterSums = p.arena.elems.alloc(c)
 			}
 			a.ClusterSums[0] = a.ClusterSums[0].Add(delta)
 		}
@@ -322,13 +325,15 @@ func (p *Protocol) announce(id topo.NodeID) {
 			}
 		}
 	}
-	st.myAnnounce = &a
+	st.setAnnounce(a)
 	if direct {
 		st.sentTo = target
 	}
-	p.lifecycle(id, id, trace.PhaseAnnounce, trace.StateAnnounced,
-		"sum0=%v cnt=%d children=%d to=%d direct=%v",
-		a.ClusterSumOrZero(), a.ClusterCnt, len(a.Children), target, direct)
+	if p.env.Sink != nil {
+		p.lifecycle(id, id, trace.PhaseAnnounce, trace.StateAnnounced,
+			"sum0=%v cnt=%d children=%d to=%d direct=%v",
+			a.ClusterSumOrZero(), a.ClusterCnt, len(a.Children), target, direct)
+	}
 	payload, err := p.keep(message.AppendAnnounce(p.arena.payloads.spare(), a))
 	if err != nil {
 		return
@@ -345,14 +350,14 @@ func (p *Protocol) announceFMatrix(st *nodeState, effMask uint64) []field.Elemen
 	full := message.FullMask(m)
 	c := p.nComponents()
 	rows := bits.OnesCount64(effMask)
-	fm := make([]field.Element, 0, rows*c)
+	fm := p.arena.elems.alloc(rows * c)[:0]
 	for i := 0; i < m; i++ {
 		if effMask&(uint64(1)<<uint(i)) == 0 {
 			continue
 		}
 		src := st.fSeen[i]
 		if effMask != full {
-			src = st.fSub[i]
+			src, _ = st.fSubAt(i)
 		}
 		fm = append(fm, src.Fs[:c]...)
 	}
@@ -402,7 +407,8 @@ func (p *Protocol) onAnnounce(at topo.NodeID, msg *message.Message) {
 		}
 	}
 	if at == topo.BaseStationID {
-		total := a.Total()
+		total := a.TotalInto(p.scratchElems)
+		p.scratchElems = total
 		for k := 0; k < len(p.bsSums) && k < len(total); k++ {
 			p.bsSums[k] = p.bsSums[k].Add(total[k])
 		}
@@ -425,7 +431,7 @@ func (p *Protocol) onAnnounce(at topo.NodeID, msg *message.Message) {
 		}
 		st.children = append(st.children, message.ChildEntry{
 			Child:  a.Origin,
-			Totals: a.Total(),
+			Totals: a.TotalInto(p.arena.elems.alloc(int(a.Components))),
 			Count:  a.TotalCount(),
 		})
 	case roleMember:
@@ -505,7 +511,8 @@ func (p *Protocol) witnessAnnounce(at topo.NodeID, a message.Announce) {
 				p.raiseAlarm(at, a.Origin, observed, expected, "own-row-forged")
 				return
 			}
-			column := make([]field.Element, k)
+			column := growTable(p.scratchElems, k)
+			p.scratchElems = column
 			for comp := 0; comp < c; comp++ {
 				for i := 0; i < k; i++ {
 					column[i] = a.FMatrix[i*c+comp]
@@ -526,9 +533,10 @@ func (p *Protocol) witnessAnnounce(at topo.NodeID, a message.Announce) {
 	if st.role == roleHead && st.sentTo == a.Origin && st.myAnnounce != nil {
 		want := message.ChildEntry{
 			Child:  at,
-			Totals: st.myAnnounce.Total(),
+			Totals: st.myAnnounce.TotalInto(p.scratchElems),
 			Count:  st.myAnnounce.TotalCount(),
 		}
+		p.scratchElems = want.Totals
 		for _, ch := range a.Children {
 			if ch.Child != at {
 				continue
@@ -564,7 +572,8 @@ func (p *Protocol) ownRowForged(st *nodeState, a message.Announce, full uint64) 
 	// extended one, covering the same nodes at the same indices. Either
 	// commitment is a row this member genuinely sent for this set, so
 	// either vouches for the echo.
-	var candidates []message.Assembled
+	var slots [2]message.Assembled
+	candidates := slots[:0]
 	if a.Mask == full {
 		if o, ok := st.fSeenAt(st.myIdx); ok {
 			candidates = append(candidates, o)
@@ -617,8 +626,10 @@ func (p *Protocol) raiseAlarm(witness, suspect topo.NodeID, observed, expected f
 		if h := p.nodes[witness].head; h >= 0 {
 			cluster = h
 		}
-		p.emit(witness, cluster, trace.PhaseAnnounce, trace.TypeAlarm, cause,
-			"suspect=%d observed=%v expected=%v", suspect, observed, expected)
+		if p.env.Sink != nil {
+			p.emit(witness, cluster, trace.PhaseAnnounce, trace.TypeAlarm, cause,
+				"suspect=%d observed=%v expected=%v", suspect, observed, expected)
+		}
 	}
 	p.env.MAC.Send(p.build(
 		message.KindAlarm, witness, message.BroadcastID, p.round,

@@ -203,16 +203,20 @@ type nodeState struct {
 	subMask     uint64
 	subShares   [][]field.Element // by roster index: received sub-shares
 	subRecvMask uint64
-	subSent     *message.Assembled        // the sub-report this node committed
-	fSub        map[int]message.Assembled // head: sub-reports by roster index
-	effMask     uint64                    // head: participant set actually solved
+	subSent     *message.Assembled  // the sub-report this node committed (points at ownSub)
+	ownSub      message.Assembled   // storage subSent points at
+	fSub        []message.Assembled // collector: sub-reports by roster index, live per fSubMask
+	fSubMask    uint64              // slots of fSub holding a sub-report
+	fSubOn      bool                // collecting sub-reports this round (see collectSub)
+	effMask     uint64              // head: participant set actually solved
 
 	plainSums []field.Element // heads under UndersizedPlain: component sums
 	plainCnt  uint32
 
-	children   []message.ChildEntry // heads: collected child announces
-	myAnnounce *message.Announce    // heads: what we sent (child-side witness state)
-	sentTo     topo.NodeID          // heads: direct head we announced to (-1 = relayed/BS)
+	children    []message.ChildEntry // heads: collected child announces
+	myAnnounce  *message.Announce    // heads: what we sent (child-side witness state; points at ownAnnounce)
+	ownAnnounce message.Announce     // storage myAnnounce points at
+	sentTo      topo.NodeID          // heads: direct head we announced to (-1 = relayed/BS)
 
 	alarmed map[message.Alarm]struct{} // forwarded-alarm dedup, allocated on first alarm
 
@@ -259,12 +263,20 @@ type Protocol struct {
 	// comps, when non-nil, holds the active query's additive components;
 	// the round then aggregates the whole component vector at once
 	// (see query.go). Nil means one component: the raw reading.
-	comps []func(int64) int64
+	comps    []func(int64) int64
+	compsBuf []func(int64) int64 // backing array comps reuses
+
+	// on holds the handlers every scheduled event runs (events.go).
+	on handlers
 
 	// Round-scoped scratch reused across event-time solves (degraded and
-	// takeover paths). Safe because the engine is single-threaded and the
-	// buffer is consumed within one event.
-	scratchRows [][]field.Element
+	// takeover paths), witness checks, announce totals and roster edits.
+	// Safe because the engine is single-threaded and each buffer is
+	// consumed within one event.
+	scratchRows    [][]field.Element
+	scratchElems   []field.Element
+	scratchEntries []message.RosterEntry
+	scratchHeads   []chInfo
 
 	// Receive-path decode scratch: every overheard announce and roster, and
 	// the inner frame of every relay, is decoded into these rather than into
@@ -321,6 +333,39 @@ func (st *nodeState) setFSeen(i int, a message.Assembled) {
 	st.fSeenMask |= uint64(1) << uint(i)
 }
 
+// collectSub starts (or restarts) collecting sub-reports for a roster of m
+// entries, discarding any collected before.
+func (st *nodeState) collectSub(m int) {
+	st.fSub = growTable(st.fSub, m)
+	st.fSubMask = 0
+	st.fSubOn = true
+}
+
+// fSubAt reads the sub-report at roster index i.
+func (st *nodeState) fSubAt(i int) (message.Assembled, bool) {
+	if i < 0 || i >= len(st.fSub) || st.fSubMask&(uint64(1)<<uint(i)) == 0 {
+		return message.Assembled{}, false
+	}
+	return st.fSub[i], true
+}
+
+// setFSub records a sub-report at roster index i (ignored outside the
+// roster the collection started with).
+func (st *nodeState) setFSub(i int, a message.Assembled) {
+	if i < 0 || i >= len(st.fSub) {
+		return
+	}
+	st.fSub[i] = a
+	st.fSubMask |= uint64(1) << uint(i)
+}
+
+// setAnnounce records a as the announce this node sent, in the node's own
+// storage.
+func (st *nodeState) setAnnounce(a message.Announce) {
+	st.ownAnnounce = a
+	st.myAnnounce = &st.ownAnnounce
+}
+
 // minTable is the fewest slots a reused table (heard heads, roster tables,
 // scratch vectors) is allocated with, and twice that for a head's joiners.
 // Most clusters are no larger, so a protocol that is reused round after
@@ -360,6 +405,7 @@ func New(env *wsn.Env, cfg Config) (*Protocol, error) {
 	if err := p.Reconfigure(cfg); err != nil {
 		return nil, err
 	}
+	p.initHandlers()
 	return p, nil
 }
 
@@ -432,8 +478,8 @@ func (p *Protocol) Run(round uint16) (metrics.RoundResult, error) {
 	n := p.env.Net.Size()
 	// The node array and every per-node buffer survive across rounds: the
 	// reset below zeroes the state in place while retaining the backing
-	// arrays (heardCH, joiners, children, fSeen, share tables, alarm dedup),
-	// so steady-state rounds allocate near-zero here.
+	// arrays (heardCH, joiners, roster, children, fSeen, share tables, alarm
+	// dedup), so steady-state rounds allocate near-zero here.
 	if len(p.nodes) != n {
 		p.nodes = make([]nodeState, n)
 	}
@@ -446,9 +492,11 @@ func (p *Protocol) Run(round uint16) (metrics.RoundResult, error) {
 		*st = nodeState{
 			heardCH:       st.heardCH[:0],
 			joiners:       st.joiners[:0],
+			roster:        message.Roster{Entries: st.roster.Entries[:0]},
 			children:      st.children[:0],
 			repairJoiners: st.repairJoiners[:0],
 			fSeen:         st.fSeen[:0],
+			fSub:          st.fSub[:0],
 			recvShares:    st.recvShares[:0],
 			subShares:     st.subShares[:0],
 			alarmed:       alarmed,
@@ -460,10 +508,46 @@ func (p *Protocol) Run(round uint16) (metrics.RoundResult, error) {
 			takeoverBy:    -1,
 		}
 	}
-	p.bsSums = growTable(p.bsSums, p.nComponents())
-	for k := range p.bsSums {
-		p.bsSums[k] = 0
+	p.beginRound()
+
+	for i := 0; i < n; i++ {
+		p.env.MAC.SetReceiver(topo.NodeID(i), p.on.receive)
 	}
+
+	// The base station roots the flood and the head tree. It is not a
+	// cluster head for members; it only accepts announces.
+	bs := &p.nodes[topo.BaseStationID]
+	bs.role = roleHead
+	bs.hops = 0
+	if p.env.Sink != nil {
+		p.phaseMark(trace.PhaseFormation, "round %d: hello flood + Pc election", round)
+	}
+	p.env.Eng.AfterArg(0, p.on.hello, helloArg(topo.BaseStationID, helloBase))
+	p.scheduleCrashes()
+	// Targeted head crashes wait until heads exist: roles are only known
+	// once formation has run, so the draw happens at the shares phase and
+	// the fail-stops land before the announce phase — a crashed head is a
+	// silent head, which is exactly what the failover watchdog detects.
+	if p.cfg.HeadCrashRate > 0 {
+		p.env.Eng.After(p.cfg.SharesAt, p.on.crashHeads)
+	}
+	p.env.Eng.After(p.cfg.RosterAt, p.on.rosters)
+	p.env.Eng.After(p.cfg.SharesAt, p.on.exchange)
+	p.env.Eng.After(p.cfg.AssembleAt, p.on.assembly)
+	p.env.Eng.After(p.cfg.AggAt, p.on.announces)
+
+	if err := p.env.Eng.Run(0); err != nil {
+		return metrics.RoundResult{}, fmt.Errorf("core: %w", err)
+	}
+	return p.result(), nil
+}
+
+// beginRound resets the base station's tallies and the round counters and
+// rewinds the per-round arenas: the part of a round's reset that Run and
+// RunRetaining share.
+func (p *Protocol) beginRound() {
+	p.bsSums = growTable(p.bsSums, p.nComponents())
+	clear(p.bsSums)
 	p.bsCount = 0
 	if p.bsAlarms == nil {
 		p.bsAlarms = make(map[message.Alarm]struct{})
@@ -478,36 +562,6 @@ func (p *Protocol) Run(round uint16) (metrics.RoundResult, error) {
 	p.orphansRejoined = 0
 	p.arena.rewind()
 	p.start = p.env.Rec.Mark()
-
-	recv := p.receive
-	for i := 0; i < n; i++ {
-		p.env.MAC.SetReceiver(topo.NodeID(i), recv)
-	}
-
-	// The base station roots the flood and the head tree. It is not a
-	// cluster head for members; it only accepts announces.
-	bs := &p.nodes[topo.BaseStationID]
-	bs.role = roleHead
-	bs.hops = 0
-	p.phaseMark(trace.PhaseFormation, "round %d: hello flood + Pc election", round)
-	p.env.Eng.After(0, func() { p.sendHello(topo.BaseStationID, helloBase, 0) })
-	p.scheduleCrashes()
-	// Targeted head crashes wait until heads exist: roles are only known
-	// once formation has run, so the draw happens at the shares phase and
-	// the fail-stops land before the announce phase — a crashed head is a
-	// silent head, which is exactly what the failover watchdog detects.
-	if p.cfg.HeadCrashRate > 0 {
-		p.env.Eng.After(p.cfg.SharesAt, func() { p.crashHeads(p.cfg.AggAt - p.cfg.SharesAt) })
-	}
-	p.env.Eng.After(p.cfg.RosterAt, func() { p.broadcastRosters() })
-	p.env.Eng.After(p.cfg.SharesAt, func() { p.scheduleShareExchange() })
-	p.env.Eng.After(p.cfg.AssembleAt, func() { p.scheduleAssembledBroadcasts() })
-	p.env.Eng.After(p.cfg.AggAt, func() { p.scheduleAnnounces() })
-
-	if err := p.env.Eng.Run(0); err != nil {
-		return metrics.RoundResult{}, fmt.Errorf("core: %w", err)
-	}
-	return p.result(), nil
 }
 
 func (p *Protocol) result() metrics.RoundResult {
@@ -572,23 +626,27 @@ func (p *Protocol) scheduleCrashes() {
 
 // crashAt schedules one fail-stop relative to the current engine time.
 func (p *Protocol) crashAt(id topo.NodeID, at time.Duration) {
-	p.env.Eng.After(at, func() {
-		if p.env.Sink != nil {
-			cluster := trace.NoCluster
-			if h := p.nodes[id].head; h >= 0 {
-				cluster = h
-			}
-			p.emit(id, cluster, "", trace.TypeCrash, "fail-stop", "node fail-stopped")
+	p.after(at, p.on.crash, id)
+}
+
+// crash fail-stops a node.
+func (p *Protocol) crash(id topo.NodeID) {
+	if p.env.Sink != nil {
+		cluster := trace.NoCluster
+		if h := p.nodes[id].head; h >= 0 {
+			cluster = h
 		}
-		p.env.MAC.Disable(id)
-	})
+		p.emit(id, cluster, "", trace.TypeCrash, "fail-stop", "node fail-stopped")
+	}
+	p.env.MAC.Disable(id)
 }
 
 // crashHeads fail-stops each live cluster head with probability
-// HeadCrashRate at a uniform instant within the next window (called at the
-// moment the window opens, so a crashed head goes silent before it would
-// have announced).
-func (p *Protocol) crashHeads(window time.Duration) {
+// HeadCrashRate at a uniform instant within the window from the shares
+// phase to the announce phase (called at the moment the window opens, so a
+// crashed head goes silent before it would have announced).
+func (p *Protocol) crashHeads() {
+	window := p.cfg.AggAt - p.cfg.SharesAt
 	for i := 1; i < p.env.Net.Size(); i++ {
 		id := topo.NodeID(i)
 		if p.nodes[i].role != roleHead || p.env.MAC.Disabled(id) {

@@ -73,7 +73,7 @@ func (p *Protocol) scheduleShareExchange() {
 			// Undersized cluster: the plain policy reports readings
 			// link-encrypted to the head; the drop policy sits out.
 			if p.cfg.Undersized == UndersizedPlain && st.role == roleMember {
-				p.env.Eng.After(p.jitter(window/2), func() { p.sendPlainReading(id) })
+				p.after(p.jitter(window/2), p.on.plainReading, id)
 			}
 			continue
 		}
@@ -87,8 +87,7 @@ func (p *Protocol) scheduleShareExchange() {
 	}
 	p.sharePreps = preps
 	for x := range preps {
-		pr := &preps[x]
-		p.env.Eng.After(pr.delay, func() { p.sendPreparedShares(pr) })
+		p.env.Eng.AfterArg(preps[x].delay, p.on.shares, x)
 	}
 }
 
@@ -274,14 +273,14 @@ func (p *Protocol) scheduleAssembledBroadcasts() {
 		if st.algebra == nil || st.myIdx < 0 {
 			continue
 		}
-		p.env.Eng.After(p.jitter(window/4), func() { p.broadcastAssembled(id) })
+		p.after(p.jitter(window/4), p.on.assembled, id)
 		if st.role == roleHead {
 			if p.env.Sink != nil {
 				p.lifecycle(id, id, trace.PhaseAssembly, trace.StateAssembling, "")
 			}
-			p.env.Eng.After(window*3/8, func() { p.repollMissing(id) })
+			p.after(window*3/8, p.on.repoll, id)
 			if !p.cfg.NoDegrade {
-				p.env.Eng.After(window/2, func() { p.maybeDegrade(id) })
+				p.after(window/2, p.on.degrade, id)
 			}
 		}
 	}
@@ -294,10 +293,8 @@ func (p *Protocol) scheduleAssembledBroadcasts() {
 // every co-member directly.
 func (p *Protocol) broadcastAssembled(id topo.NodeID) {
 	st := &p.nodes[id]
-	c := p.nComponents()
-	// fs is retained in fSeen (and shipped inside the Assembled), so it is
-	// allocated fresh rather than drawn from the round's arenas.
-	fs := make([]field.Element, c)
+	// fs is retained in fSeen, which lives for the round.
+	fs := p.arena.elems.alloc(p.nComponents())
 	for i := 0; i < len(st.roster.Entries); i++ {
 		field.AddInto(fs, st.recvShares[i])
 	}
@@ -334,11 +331,22 @@ func (p *Protocol) onAssembled(at topo.NodeID, msg *message.Message) {
 	if senderIdx < 0 {
 		return
 	}
-	a, err := message.UnmarshalAssembled(msg.Payload)
-	if err != nil || len(a.Fs) != p.nComponents() {
+	a, ok := p.decodeAssembled(msg.Payload)
+	if !ok {
 		return
 	}
 	st.setFSeen(senderIdx, a)
+}
+
+// decodeAssembled decodes an assembled report of the round's width into a
+// column vector from the element arena.
+func (p *Protocol) decodeAssembled(payload []byte) (message.Assembled, bool) {
+	c := p.nComponents()
+	a := message.Assembled{Fs: p.arena.elems.alloc(c)}
+	if message.UnmarshalAssembledInto(payload, &a) != nil || len(a.Fs) != c {
+		return message.Assembled{}, false
+	}
+	return a, true
 }
 
 // solveCluster recovers the cluster's component sums, preferring the full
@@ -366,7 +374,7 @@ func (p *Protocol) solveCluster(st *nodeState) ([]field.Element, uint32, uint64,
 		rows[i] = a.Fs
 	}
 	if complete {
-		sums := make([]field.Element, c)
+		sums := p.arena.elems.alloc(c)
 		if err := st.algebra.RecoverSumInto(sums, rows); err != nil {
 			return nil, 0, 0, false
 		}
@@ -388,13 +396,13 @@ func (p *Protocol) solveCluster(st *nodeState) ([]field.Element, uint32, uint64,
 		if mask&(uint64(1)<<uint(i)) == 0 {
 			continue
 		}
-		a, ok := st.fSub[i]
+		a, ok := st.fSubAt(i)
 		if !ok || a.Mask != mask || len(a.Fs) != c {
 			return nil, 0, 0, false
 		}
 		subRows = append(subRows, a.Fs)
 	}
-	sums := make([]field.Element, c)
+	sums := p.arena.elems.alloc(c)
 	if err := sub.RecoverSumInto(sums, subRows); err != nil {
 		return nil, 0, 0, false
 	}
@@ -439,7 +447,7 @@ func (p *Protocol) onRepoll(at topo.NodeID, msg *message.Message) {
 		return
 	}
 	window := p.cfg.AggAt - p.cfg.AssembleAt
-	p.env.Eng.After(p.jitter(window/16), func() { p.broadcastAssembled(at) })
+	p.after(p.jitter(window/16), p.on.assembled, at)
 }
 
 // maybeDegrade is the head's degraded-recovery decision half-way through
@@ -476,18 +484,17 @@ func (p *Protocol) maybeDegrade(id topo.NodeID) {
 	if bits.OnesCount64(mask) < shares.MinClusterSize {
 		return // beyond repair: the cluster fails the round
 	}
-	p.lifecycle(id, id, trace.PhaseAssembly, trace.StateDegraded,
-		"reassemble mask=%#x (%d of %d members)", mask, bits.OnesCount64(mask), m)
-	st.fSub = make(map[int]message.Assembled, bits.OnesCount64(mask))
-	payload := message.MarshalReassemble(message.Reassemble{Mask: mask})
-	window := p.cfg.AggAt - p.cfg.AssembleAt
-	send := func() {
-		p.env.MAC.Send(p.build(message.KindReassemble, id, message.BroadcastID, p.round, payload))
+	if p.env.Sink != nil {
+		p.lifecycle(id, id, trace.PhaseAssembly, trace.StateDegraded,
+			"reassemble mask=%#x (%d of %d members)", mask, bits.OnesCount64(mask), m)
 	}
+	st.collectSub(m)
+	payload := p.arena.payloads.take(message.AppendReassemble(p.arena.payloads.spare(), message.Reassemble{Mask: mask}))
+	window := p.cfg.AggAt - p.cfg.AssembleAt
 	// Broadcast twice, jittered, for loss resilience (a member of M that
 	// misses both copies sends no sub-report, failing the degraded solve).
-	p.env.Eng.After(p.jitter(window/32), send)
-	p.env.Eng.After(window/32+p.jitter(window/32), send)
+	p.broadcastAfter(p.jitter(window/32), message.KindReassemble, id, payload)
+	p.broadcastAfter(window/32+p.jitter(window/32), message.KindReassemble, id, payload)
 	p.startSubExchange(id, mask)
 }
 
@@ -518,7 +525,7 @@ func (p *Protocol) onReassemble(at topo.NodeID, msg *message.Message) {
 				return
 			}
 			frame := p.build(message.KindSubAssembled, at, msg.From, p.round, payload)
-			p.env.Eng.After(p.jitter(p.cfg.EpochSlot/8), func() { p.env.MAC.Send(frame) })
+			p.sendAfter(p.jitter(p.cfg.EpochSlot/8), frame)
 		}
 		return
 	}
@@ -558,8 +565,8 @@ func (p *Protocol) startSubExchangeAfter(id topo.NodeID, mask uint64, delay time
 		return // not in M: the node only relays for the subset exchange
 	}
 	window := p.cfg.AggAt - p.cfg.AssembleAt
-	p.env.Eng.After(delay+p.jitter(window/64), func() { p.exchangeSubShares(id) })
-	p.env.Eng.After(delay+window/8+p.jitter(window/32), func() { p.sendSubAssembled(id) })
+	p.after(delay+p.jitter(window/64), p.on.subShares, id)
+	p.after(delay+window/8+p.jitter(window/32), p.on.subAssembled, id)
 }
 
 // exchangeSubShares distributes one fresh degree-|M|-1 share vector per
@@ -639,7 +646,7 @@ func (p *Protocol) exchangeSubShares(id topo.NodeID) {
 			}
 			frame = p.build(message.KindRelay, id, hub, p.round, relayPayload)
 		}
-		p.env.Eng.After(p.jitter(window/16), func() { p.env.MAC.Send(frame) })
+		p.sendAfter(p.jitter(window/16), frame)
 	}
 }
 
@@ -691,20 +698,20 @@ func (p *Protocol) sendSubAssembled(id topo.NodeID) {
 	if st.subMask == 0 {
 		return
 	}
-	c := p.nComponents()
-	fs := make([]field.Element, c)
+	fs := p.arena.elems.alloc(p.nComponents())
 	for i := range st.subShares {
 		if st.subShares[i] != nil {
 			field.AddInto(fs, st.subShares[i])
 		}
 	}
 	a := message.Assembled{Fs: fs, Mask: st.subRecvMask}
-	st.subSent = &a
+	st.ownSub = a
+	st.subSent = &st.ownSub
 	if st.role == roleHead || st.tookOver {
-		if st.fSub == nil {
-			st.fSub = make(map[int]message.Assembled)
+		if !st.fSubOn {
+			st.collectSub(len(st.roster.Entries))
 		}
-		st.fSub[st.myIdx] = a
+		st.setFSub(st.myIdx, a)
 		return
 	}
 	payload, err := p.keep(message.AppendAssembled(p.arena.payloads.spare(), a))
@@ -725,7 +732,7 @@ func (p *Protocol) onSubAssembled(at topo.NodeID, msg *message.Message) {
 		return
 	}
 	st := &p.nodes[at]
-	if (st.role != roleHead && !st.tookOver) || st.subMask == 0 || st.fSub == nil {
+	if (st.role != roleHead && !st.tookOver) || st.subMask == 0 || !st.fSubOn {
 		return
 	}
 	senderIdx := -1
@@ -738,11 +745,11 @@ func (p *Protocol) onSubAssembled(at topo.NodeID, msg *message.Message) {
 	if senderIdx < 0 || st.subMask&(uint64(1)<<uint(senderIdx)) == 0 {
 		return
 	}
-	a, err := message.UnmarshalAssembled(msg.Payload)
-	if err != nil || len(a.Fs) != p.nComponents() {
+	a, ok := p.decodeAssembled(msg.Payload)
+	if !ok {
 		return
 	}
-	st.fSub[senderIdx] = a
+	st.setFSub(senderIdx, a)
 }
 
 // sendPlainReading implements the UndersizedPlain fallback: the member

@@ -76,7 +76,7 @@ func (p *Protocol) scheduleWatchdogs() {
 		if st.role != roleMember || !viableCluster(st) || st.deputy < 0 {
 			continue
 		}
-		p.env.Eng.After(p.watchdogDelay(st), func() { p.watchdogExpire(id) })
+		p.after(p.watchdogDelay(st), p.on.watchdog, id)
 	}
 }
 
@@ -130,18 +130,17 @@ func (p *Protocol) startTakeover(id topo.NodeID) {
 	st := &p.nodes[id]
 	st.tookOver = true
 	st.takeoverBy = id
-	p.lifecycle(id, st.head, trace.PhaseFailover, trace.StateSilent,
-		"deputy's watchdog expired with no announce from head %d", st.head)
-	p.lifecycle(id, st.head, trace.PhaseFailover, trace.StateTakeover,
-		"deputy claiming takeover of head %d", st.head)
-	payload := message.MarshalTakeover(message.Takeover{Head: st.head})
-	send := func() {
-		p.env.MAC.Send(p.build(message.KindTakeover, id, message.BroadcastID, p.round, payload))
+	if p.env.Sink != nil {
+		p.lifecycle(id, st.head, trace.PhaseFailover, trace.StateSilent,
+			"deputy's watchdog expired with no announce from head %d", st.head)
+		p.lifecycle(id, st.head, trace.PhaseFailover, trace.StateTakeover,
+			"deputy claiming takeover of head %d", st.head)
 	}
+	payload := p.arena.payloads.take(message.AppendTakeover(p.arena.payloads.spare(), message.Takeover{Head: st.head}))
 	slot := p.cfg.EpochSlot
-	p.env.Eng.After(p.jitter(slot/8), send)
-	p.env.Eng.After(slot/8+p.jitter(slot/8), send)
-	p.env.Eng.After(slot/2, func() { p.takeoverDecide(id) })
+	p.broadcastAfter(p.jitter(slot/8), message.KindTakeover, id, payload)
+	p.broadcastAfter(slot/8+p.jitter(slot/8), message.KindTakeover, id, payload)
+	p.after(slot/2, p.on.takeoverDecide, id)
 }
 
 // onTakeover handles a deputy's takeover claim. A member that saw its head
@@ -186,7 +185,7 @@ func (p *Protocol) onTakeover(at topo.NodeID, msg *message.Message) {
 		return
 	}
 	frame := p.build(message.KindAssembled, at, msg.From, p.round, payload)
-	p.env.Eng.After(p.jitter(p.cfg.EpochSlot/8), func() { p.env.MAC.Send(frame) })
+	p.sendAfter(p.jitter(p.cfg.EpochSlot/8), frame)
 }
 
 // rebutTakeover is the live head's answer to a takeover claim: re-broadcast
@@ -211,9 +210,7 @@ func (p *Protocol) rebutTakeover(id topo.NodeID) {
 	}
 	p.lifecycle(id, id, trace.PhaseFailover, trace.StateRebutted,
 		"live head re-broadcasting its announce against a takeover claim")
-	p.env.Eng.After(p.jitter(p.cfg.EpochSlot/16), func() {
-		p.env.MAC.Send(p.build(message.KindAnnounce, id, message.BroadcastID, p.round, payload))
-	})
+	p.broadcastAfter(p.jitter(p.cfg.EpochSlot/16), message.KindAnnounce, id, payload)
 }
 
 // takeoverDecide computes the solvable participant subset from the
@@ -232,7 +229,7 @@ func (p *Protocol) takeoverDecide(id topo.NodeID) {
 		// The compromised deputy does not bother collecting evidence — it
 		// fabricates an aggregate outright (the strongest thing a malicious
 		// deputy can do with the takeover machinery).
-		p.env.Eng.After((p.cfg.AggAt-p.cfg.AssembleAt)/4, func() { p.forgedTakeoverAnnounce(id) })
+		p.after((p.cfg.AggAt-p.cfg.AssembleAt)/4, p.on.forgedAnnounce, id)
 		return
 	}
 	if st.headAnnounced {
@@ -264,38 +261,43 @@ func (p *Protocol) takeoverDecide(id topo.NodeID) {
 		// not a death. Retract the silence verdict or the next round's
 		// repair would promote this deputy over a live head.
 		st.headSilent = false
-		p.lifecycle(id, st.head, trace.PhaseFailover, trace.StateStoodDown,
-			"only %d of %d members corroborate the silence; treating the missed announce as channel loss", votes, m-2)
+		if p.env.Sink != nil {
+			p.lifecycle(id, st.head, trace.PhaseFailover, trace.StateStoodDown,
+				"only %d of %d members corroborate the silence; treating the missed announce as channel loss", votes, m-2)
+		}
 		return
 	}
-	p.lifecycle(id, st.head, trace.PhaseFailover, trace.StateCorroborated,
-		"%d of %d members corroborate the head's silence", votes, m-2)
+	if p.env.Sink != nil {
+		p.lifecycle(id, st.head, trace.PhaseFailover, trace.StateCorroborated,
+			"%d of %d members corroborate the head's silence", votes, m-2)
+	}
 	mask := common & reporters & full
 	if p.cfg.NoDegrade || bits.OnesCount64(mask) < shares.MinClusterSize {
 		p.failedClusters++
-		p.lifecycle(id, st.head, trace.PhaseFailover, trace.StateFailed,
-			"unrecoverable after takeover: mask=%#x", mask)
+		if p.env.Sink != nil {
+			p.lifecycle(id, st.head, trace.PhaseFailover, trace.StateFailed,
+				"unrecoverable after takeover: mask=%#x", mask)
+		}
 		return
 	}
-	p.lifecycle(id, st.head, trace.PhaseFailover, trace.StateDegraded,
-		"takeover reassemble mask=%#x (%d of %d members)", mask, bits.OnesCount64(mask), m)
-	st.fSub = make(map[int]message.Assembled, bits.OnesCount64(mask))
-	payload := message.MarshalReassemble(message.Reassemble{Mask: mask})
-	send := func() {
-		p.env.MAC.Send(p.build(message.KindReassemble, id, message.BroadcastID, p.round, payload))
+	if p.env.Sink != nil {
+		p.lifecycle(id, st.head, trace.PhaseFailover, trace.StateDegraded,
+			"takeover reassemble mask=%#x (%d of %d members)", mask, bits.OnesCount64(mask), m)
 	}
+	st.collectSub(m)
+	payload := p.arena.payloads.take(message.AppendReassemble(p.arena.payloads.spare(), message.Reassemble{Mask: mask}))
 	slot := p.cfg.EpochSlot
-	p.env.Eng.After(p.jitter(slot/8), send)
-	p.env.Eng.After(slot/8+p.jitter(slot/8), send)
+	p.broadcastAfter(p.jitter(slot/8), message.KindReassemble, id, payload)
+	p.broadcastAfter(slot/8+p.jitter(slot/8), message.KindReassemble, id, payload)
 	if st.subMask == mask && st.subSent != nil {
 		// The dead head already ran a sub-exchange over exactly this subset
 		// before going silent; our committed sub-report is reusable.
-		st.fSub[st.myIdx] = *st.subSent
+		st.setFSub(st.myIdx, *st.subSent)
 	} else {
 		st.subMask = 0 // supersede any half-finished exchange of the dead head
 		p.startSubExchangeAfter(id, mask, slot/4)
 	}
-	p.env.Eng.After((p.cfg.AggAt-p.cfg.AssembleAt)/4, func() { p.takeoverAnnounce(id) })
+	p.after((p.cfg.AggAt-p.cfg.AssembleAt)/4, p.on.takeoverAnnounce, id)
 }
 
 // takeoverAnnounce solves the cluster from the deputy's collected state and
@@ -337,7 +339,7 @@ func (p *Protocol) takeoverAnnounce(id topo.NodeID) {
 	if !p.cfg.NoWitness {
 		a.FMatrix = p.announceFMatrix(st, effMask)
 	}
-	st.myAnnounce = &a
+	st.setAnnounce(a)
 	target := p.takeoverTarget(id)
 	if target < 0 {
 		return
@@ -377,7 +379,7 @@ func (p *Protocol) forgedTakeoverAnnounce(id topo.NodeID) {
 		return
 	}
 	mask := message.FullMask(m) &^ (uint64(1) << uint(headIdx))
-	sums := make([]field.Element, c)
+	sums := p.arena.elems.alloc(c)
 	sums[0] = field.FromInt(1 << 20) // arbitrary inflated total
 	a := message.Announce{
 		Origin:      id,
@@ -385,9 +387,9 @@ func (p *Protocol) forgedTakeoverAnnounce(id topo.NodeID) {
 		ClusterCnt:  uint32(bits.OnesCount64(mask)),
 		Components:  uint8(c),
 		Mask:        mask,
-		FMatrix:     make([]field.Element, bits.OnesCount64(mask)*c),
+		FMatrix:     p.arena.elems.alloc(bits.OnesCount64(mask) * c),
 	}
-	st.myAnnounce = &a
+	st.setAnnounce(a)
 	target := p.takeoverTarget(id)
 	if target < 0 {
 		return
@@ -448,17 +450,24 @@ func (p *Protocol) pendingRepair() bool {
 	return false
 }
 
+// repairWindow is the length of the cross-round repair window: the
+// formation roster phase's.
+func (p *Protocol) repairWindow() time.Duration { return p.cfg.SharesAt - p.cfg.RosterAt }
+
 // scheduleRepair runs the cross-round churn repair at the start of a
-// retained round, inside a dedicated window of the given length (the shares
+// retained round, inside a dedicated window of repairWindow (the shares
 // phase starts at its close):
 //
 //	t=0        crashed nodes reboot (CrashRecover); deputies of silent
 //	           heads promote — or dissolve remnants below viability
 //	t=w/2      members still orphaned re-join a neighbouring cluster
 //	t=3w/4     heads that adopted orphans publish their extended rosters
-func (p *Protocol) scheduleRepair(window time.Duration) {
+func (p *Protocol) scheduleRepair() {
+	window := p.repairWindow()
 	p.inRepair = true
-	p.phaseMark(trace.PhaseRepair, "cross-round churn repair window (%v)", window)
+	if p.env.Sink != nil {
+		p.phaseMark(trace.PhaseRepair, "cross-round churn repair window (%v)", window)
+	}
 	if p.cfg.CrashRecover {
 		for i := 1; i < p.env.Net.Size(); i++ {
 			id := topo.NodeID(i)
@@ -479,9 +488,9 @@ func (p *Protocol) scheduleRepair(window time.Duration) {
 		}
 		p.promoteDeputy(id, window)
 	}
-	p.env.Eng.After(window/2, func() { p.repairOrphans() })
-	p.env.Eng.After(window*3/4, func() { p.repairFinalize(window) })
-	p.env.Eng.After(window, func() { p.inRepair = false })
+	p.env.Eng.After(window/2, p.on.repairOrphans)
+	p.env.Eng.After(window*3/4, p.on.repairFinalize)
+	p.env.Eng.After(window, p.on.repairEnd)
 }
 
 // promoteDeputy makes the deputy of a dead head the cluster's permanent
@@ -492,29 +501,31 @@ func (p *Protocol) promoteDeputy(id topo.NodeID, window time.Duration) {
 	st := &p.nodes[id]
 	dead := st.head
 	st.headSilent, st.tookOver = false, false
-	var self message.RosterEntry
-	entries := make([]message.RosterEntry, 0, len(st.roster.Entries))
+	// The promoted roster, built in scratch: the deputy first (the head is
+	// always entry 0), then the other survivors in roster order.
+	entries := append(p.scratchEntries[:0], message.RosterEntry{})
+	found := false
 	for _, e := range st.roster.Entries {
 		switch e.ID {
 		case dead:
 		case id:
-			self = e
+			entries[0], found = e, true
 		default:
 			entries = append(entries, e)
 		}
 	}
-	if self.ID != id {
+	p.scratchEntries = entries
+	if !found {
 		return // corrupt state: we are not in our own roster
 	}
-	entries = append([]message.RosterEntry{self}, entries...)
 	if !shares.Viable(len(entries)) {
-		p.lifecycle(id, dead, trace.PhaseRepair, trace.StateDissolved,
-			"remnant of dead head %d too small (m=%d); dissolving", dead, len(entries))
-		payload, err := message.MarshalRoster(message.Roster{Head: dead})
+		if p.env.Sink != nil {
+			p.lifecycle(id, dead, trace.PhaseRepair, trace.StateDissolved,
+				"remnant of dead head %d too small (m=%d); dissolving", dead, len(entries))
+		}
+		payload, err := p.keep(message.AppendRoster(p.arena.payloads.spare(), message.Roster{Head: dead}))
 		if err == nil {
-			p.env.Eng.After(p.jitter(window/8), func() {
-				p.env.MAC.Send(p.build(message.KindRoster, id, message.BroadcastID, p.round, payload))
-			})
+			p.broadcastAfter(p.jitter(window/8), message.KindRoster, id, payload)
 		}
 		p.forgetHead(st, dead)
 		p.clearClusterState(st)
@@ -525,24 +536,22 @@ func (p *Protocol) promoteDeputy(id topo.NodeID, window time.Duration) {
 	st.head = id
 	p.forgetHead(st, dead)
 	canonicalizeSeeds(entries)
-	promoted := message.Roster{Head: id, Entries: entries}
-	p.installRoster(id, promoted)
+	p.installRoster(id, id, entries)
 	p.promotions++
-	p.lifecycle(id, id, trace.PhaseRepair, trace.StatePromoted,
-		"deputy of dead head %d is now head (m=%d)", dead, len(entries))
-	payload, err := message.MarshalRoster(promoted)
+	if p.env.Sink != nil {
+		p.lifecycle(id, id, trace.PhaseRepair, trace.StatePromoted,
+			"deputy of dead head %d is now head (m=%d)", dead, len(entries))
+	}
+	payload, err := p.keep(message.AppendRoster(p.arena.payloads.spare(), st.roster))
 	if err != nil {
 		return
 	}
 	// Beacon as a head so neighbours learn the new routing/join candidate,
 	// then publish the promoted roster twice, jittered, like formation does.
-	p.sendHello(id, helloHead, st.hops)
+	p.sendHello(id, helloHead)
 	jit := p.jitter(window / 8)
-	send := func() {
-		p.env.MAC.Send(p.build(message.KindRoster, id, message.BroadcastID, p.round, payload))
-	}
-	p.env.Eng.After(jit, send)
-	p.env.Eng.After(jit+window/4, send)
+	p.broadcastAfter(jit, message.KindRoster, id, payload)
+	p.broadcastAfter(jit+window/4, message.KindRoster, id, payload)
 }
 
 // repairOrphans re-homes members whose head stayed silent and whom no
@@ -570,7 +579,8 @@ func (p *Protocol) repairOrphans() {
 
 // repairFinalize publishes the extended roster of every head that adopted
 // orphans during the repair window.
-func (p *Protocol) repairFinalize(window time.Duration) {
+func (p *Protocol) repairFinalize() {
+	window := p.repairWindow()
 	for i := 1; i < p.env.Net.Size(); i++ {
 		id := topo.NodeID(i)
 		st := &p.nodes[i]
@@ -578,35 +588,32 @@ func (p *Protocol) repairFinalize(window time.Duration) {
 			continue
 		}
 		adopted := st.repairJoiners
-		st.repairJoiners = nil
+		st.repairJoiners = st.repairJoiners[:0]
 		if len(st.roster.Entries) == 0 || st.roster.Entries[0].ID != id {
 			continue // no self-rooted roster to extend
 		}
-		roster := message.Roster{Head: id}
-		roster.Entries = append(roster.Entries, st.roster.Entries...)
+		entries := append(p.scratchEntries[:0], st.roster.Entries...)
 		for _, j := range adopted {
-			if len(roster.Entries) >= message.MaxClusterSize {
+			if len(entries) >= message.MaxClusterSize {
 				break
 			}
-			roster.Entries = append(roster.Entries, j)
+			entries = append(entries, j)
 			p.orphansRejoined++
 		}
-		canonicalizeSeeds(roster.Entries)
-		payload, err := message.MarshalRoster(roster)
+		p.scratchEntries = entries
+		canonicalizeSeeds(entries)
+		payload, err := p.keep(message.AppendRoster(p.arena.payloads.spare(), message.Roster{Head: id, Entries: entries}))
 		if err != nil {
 			continue
 		}
-		p.installRoster(id, roster)
+		p.installRoster(id, id, entries)
 		if p.env.Sink != nil {
 			p.lifecycle(id, id, trace.PhaseRepair, trace.StateAdopted,
-				"adopted %d orphans (m=%d)", len(adopted), len(roster.Entries))
+				"adopted %d orphans (m=%d)", len(adopted), len(entries))
 		}
 		jit := p.jitter(window / 16)
-		send := func() {
-			p.env.MAC.Send(p.build(message.KindRoster, id, message.BroadcastID, p.round, payload))
-		}
-		p.env.Eng.After(jit, send)
-		p.env.Eng.After(jit+window/8, send)
+		p.broadcastAfter(jit, message.KindRoster, id, payload)
+		p.broadcastAfter(jit+window/8, message.KindRoster, id, payload)
 	}
 }
 
@@ -625,9 +632,9 @@ func (p *Protocol) forgetHead(st *nodeState, dead topo.NodeID) {
 // state can never drive the share phases; a fresh roster from the adopting
 // head rebuilds it.
 func (p *Protocol) clearClusterState(st *nodeState) {
-	st.roster = message.Roster{}
+	st.roster = message.Roster{Entries: st.roster.Entries[:0]}
 	st.myIdx = -1
 	st.algebra = nil
-	st.recvShares = nil
+	st.recvShares = st.recvShares[:0]
 	st.deputy = -1
 }

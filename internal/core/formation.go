@@ -1,7 +1,6 @@
 package core
 
 import (
-	"slices"
 	"time"
 
 	"repro/internal/field"
@@ -18,15 +17,21 @@ const (
 	helloBase   = 3 // the base station's root beacon
 )
 
-// sendHello broadcasts a formation beacon. Every node forwards the query
-// flood exactly once (CPDA disseminates the query through the whole
-// network); heads mark their rebroadcast so neighbours learn whom they can
-// join.
-func (p *Protocol) sendHello(from topo.NodeID, role uint8, hops int) {
-	p.env.MAC.Send(p.build(
-		message.KindHello, from, message.BroadcastID, p.round,
-		message.MarshalHello(message.Hello{Origin: from, Role: role, Hops: uint16(hops)}),
-	))
+// sendHello broadcasts a formation beacon carrying the sender's flood
+// depth. Every node forwards the query flood exactly once (CPDA
+// disseminates the query through the whole network); heads mark their
+// rebroadcast so neighbours learn whom they can join.
+func (p *Protocol) sendHello(from topo.NodeID, role uint8) {
+	h := message.Hello{Origin: from, Role: role, Hops: uint16(p.nodes[from].hops)}
+	payload := p.arena.payloads.take(message.AppendHello(p.arena.payloads.spare(), h))
+	p.env.MAC.Send(p.build(message.KindHello, from, message.BroadcastID, p.round, payload))
+}
+
+// sendJoin unicasts a Join to head.
+func (p *Protocol) sendJoin(at, head topo.NodeID) {
+	j := message.Join{Head: head, Seed: shares.SeedFor(int(at))}
+	payload := p.arena.payloads.take(message.AppendJoin(p.arena.payloads.spare(), j))
+	p.env.MAC.Send(p.build(message.KindJoin, at, head, p.round, payload))
 }
 
 // receive dispatches every frame delivered to (or overheard by) a node.
@@ -40,8 +45,10 @@ func (p *Protocol) receive(at topo.NodeID, msg *message.Message) {
 		if st := &p.nodes[at]; st.head >= 0 {
 			cluster = st.head
 		}
-		p.emit(at, cluster, "", trace.TypeWitness, "stale-round",
-			"replayed %s from %d round=%d current=%d", msg.Kind, msg.From, msg.Round, p.round)
+		if p.env.Sink != nil {
+			p.emit(at, cluster, "", trace.TypeWitness, "stale-round",
+				"replayed %s from %d round=%d current=%d", msg.Kind, msg.From, msg.Round, p.round)
+		}
 		return
 	}
 	switch msg.Kind {
@@ -103,19 +110,20 @@ func (p *Protocol) onHello(at topo.NodeID, msg *message.Message) {
 	// desynchronises each flood wave.
 	st.helloParent = msg.From
 	st.hops = int(h.Hops) + 1
-	hops := st.hops
 	if p.env.Rng.Float64() < p.cfg.Pc {
 		st.role = roleHead
 		st.head = at
-		p.emit(at, at, trace.PhaseFormation, trace.TypeElection, "pc-draw", "became head at hops=%d", hops)
-		p.env.Eng.After(p.jitter(80*time.Millisecond), func() { p.sendHello(at, helloHead, hops) })
+		if p.env.Sink != nil {
+			p.emit(at, at, trace.PhaseFormation, trace.TypeElection, "pc-draw", "became head at hops=%d", st.hops)
+		}
+		p.env.Eng.AfterArg(p.jitter(80*time.Millisecond), p.on.hello, helloArg(at, helloHead))
 		return
 	}
 	st.role = roleMember
-	p.env.Eng.After(p.jitter(80*time.Millisecond), func() { p.sendHello(at, helloMember, hops) })
+	p.env.Eng.AfterArg(p.jitter(80*time.Millisecond), p.on.hello, helloArg(at, helloMember))
 	if !st.joinOn {
 		st.joinOn = true
-		p.env.Eng.After(p.cfg.JoinWait, func() { p.join(at) })
+		p.after(p.cfg.JoinWait, p.on.join, at)
 	}
 }
 
@@ -132,7 +140,7 @@ func (p *Protocol) join(at topo.NodeID) {
 		st.role = roleHead
 		st.head = at
 		p.emit(at, at, trace.PhaseFormation, trace.TypeElection, "no-head-in-range", "self-promoted")
-		p.sendHello(at, helloHead, st.hops)
+		p.sendHello(at, helloHead)
 		return
 	}
 	best := st.heardCH[p.env.Rng.Intn(len(st.heardCH))]
@@ -140,10 +148,7 @@ func (p *Protocol) join(at topo.NodeID) {
 	if p.env.Sink != nil {
 		p.emit(at, best.id, trace.PhaseFormation, trace.TypeJoin, "", "joining head %d", best.id)
 	}
-	p.env.MAC.Send(p.build(
-		message.KindJoin, at, best.id, p.round,
-		message.MarshalJoin(message.Join{Head: best.id, Seed: shares.SeedFor(int(at))}),
-	))
+	p.sendJoin(at, best.id)
 }
 
 // onJoin records a member at its elected head.
@@ -204,38 +209,34 @@ func (p *Protocol) broadcastRosters() {
 		if st.role != roleHead {
 			continue
 		}
-		if !p.cfg.NoMerge && !shares.Viable(1+len(st.joiners)) && len(p.otherHeads(id)) > 0 {
+		if !p.cfg.NoMerge && !shares.Viable(1+len(st.joiners)) && p.hasOtherHead(id) {
 			p.dissolve(id)
 		}
 	}
-	p.env.Eng.After(window/2, func() { p.finalRosters() })
+	p.env.Eng.After(window/2, p.on.finalRosters)
 }
 
-// otherHeads lists the heads a node heard, excluding itself.
-func (p *Protocol) otherHeads(id topo.NodeID) []chInfo {
-	st := &p.nodes[id]
-	out := make([]chInfo, 0, len(st.heardCH))
-	for _, c := range st.heardCH {
+// hasOtherHead reports whether a node heard a head other than itself.
+func (p *Protocol) hasOtherHead(id topo.NodeID) bool {
+	for _, c := range p.nodes[id].heardCH {
 		if c.id != id {
-			out = append(out, c)
+			return true
 		}
 	}
-	return out
+	return false
 }
 
 // dissolve demotes an undersized head to member: empty-roster broadcast
 // releases its joiners, and the ex-head joins a random neighbouring head.
 func (p *Protocol) dissolve(id topo.NodeID) {
 	st := &p.nodes[id]
-	payload, err := message.MarshalRoster(message.Roster{Head: id})
+	payload, err := p.keep(message.AppendRoster(p.arena.payloads.spare(), message.Roster{Head: id}))
 	if err != nil {
 		return
 	}
-	p.env.Eng.After(p.jitter(50*time.Millisecond), func() {
-		p.env.MAC.Send(p.build(message.KindRoster, id, message.BroadcastID, p.round, payload))
-	})
+	p.broadcastAfter(p.jitter(50*time.Millisecond), message.KindRoster, id, payload)
 	st.role = roleMember
-	st.joiners = nil
+	st.joiners = st.joiners[:0]
 	p.lifecycle(id, id, trace.PhaseRoster, trace.StateDissolved, "undersized cluster released its joiners")
 	p.rejoin(id, id)
 }
@@ -243,22 +244,20 @@ func (p *Protocol) dissolve(id topo.NodeID) {
 // rejoin sends a fresh Join to a random heard head other than `not`.
 func (p *Protocol) rejoin(at, not topo.NodeID) {
 	st := &p.nodes[at]
-	candidates := make([]chInfo, 0, len(st.heardCH))
+	candidates := p.scratchHeads[:0]
 	for _, c := range st.heardCH {
 		if c.id != not && c.id != at {
 			candidates = append(candidates, c)
 		}
 	}
+	p.scratchHeads = candidates
 	if len(candidates) == 0 {
 		st.head = -1
 		return // no alternative: uncovered this round
 	}
 	best := candidates[p.env.Rng.Intn(len(candidates))]
 	st.head = best.id
-	p.env.MAC.Send(p.build(
-		message.KindJoin, at, best.id, p.round,
-		message.MarshalJoin(message.Join{Head: best.id, Seed: shares.SeedFor(int(at))}),
-	))
+	p.sendJoin(at, best.id)
 }
 
 // finalRosters publishes surviving heads' membership.
@@ -270,27 +269,22 @@ func (p *Protocol) finalRosters() {
 		if st.role != roleHead {
 			continue
 		}
-		roster := message.Roster{Head: id}
-		roster.Entries = append(roster.Entries,
-			message.RosterEntry{ID: id, Seed: shares.SeedFor(int(id))})
-		roster.Entries = append(roster.Entries, st.joiners...)
-		canonicalizeSeeds(roster.Entries)
-		payload, err := message.MarshalRoster(roster)
+		entries := append(p.scratchEntries[:0], message.RosterEntry{ID: id})
+		entries = append(entries, st.joiners...)
+		p.scratchEntries = entries
+		canonicalizeSeeds(entries)
+		payload, err := p.keep(message.AppendRoster(p.arena.payloads.spare(), message.Roster{Head: id, Entries: entries}))
 		if err != nil {
 			continue
 		}
-		p.installRoster(id, roster)
+		p.installRoster(id, id, entries)
 		if p.env.Sink != nil {
 			p.lifecycle(id, id, trace.PhaseRoster, trace.StateFormed,
-				"roster published: m=%d deputy=%d", len(roster.Entries), p.nodes[id].deputy)
+				"roster published: m=%d deputy=%d", len(entries), p.nodes[id].deputy)
 		}
 		jitter := p.jitter(window / 4)
-		p.env.Eng.After(jitter, func() {
-			p.env.MAC.Send(p.build(message.KindRoster, id, message.BroadcastID, p.round, payload))
-		})
-		p.env.Eng.After(jitter+window/2, func() {
-			p.env.MAC.Send(p.build(message.KindRoster, id, message.BroadcastID, p.round, payload))
-		})
+		p.broadcastAfter(jitter, message.KindRoster, id, payload)
+		p.broadcastAfter(jitter+window/2, message.KindRoster, id, payload)
 	}
 }
 
@@ -306,7 +300,7 @@ func (p *Protocol) onRoster(at topo.NodeID, msg *message.Message) {
 	if err := message.UnmarshalRosterInto(msg.Payload, &p.rxRoster); err != nil {
 		return
 	}
-	r := p.rxRoster // shares the scratch's entries: copy before keeping them
+	r := p.rxRoster // shares the scratch's entries: installRoster copies them
 	if len(r.Entries) == 0 && r.Head != msg.From {
 		// Deputy-announced dissolution of a dead head's remnant: only that
 		// cluster's members act, and only on their designated deputy's word.
@@ -320,7 +314,7 @@ func (p *Protocol) onRoster(at topo.NodeID, msg *message.Message) {
 			// We are the crashed-and-recovered head itself: the cluster is
 			// gone; stand down and re-join like any orphan.
 			st.role = roleMember
-			st.joiners = nil
+			st.joiners = st.joiners[:0]
 		}
 		st.headSilent = false
 		p.forgetHead(st, r.Head)
@@ -342,15 +336,14 @@ func (p *Protocol) onRoster(at topo.NodeID, msg *message.Message) {
 		// We crashed as head, recovered, and our old deputy has permanently
 		// taken the cluster over: stand down and join it directly.
 		st.role = roleMember
-		st.joiners = nil
+		st.joiners = st.joiners[:0]
 		p.clearClusterState(st)
 		st.head = msg.From
-		p.emit(at, msg.From, trace.PhaseRepair, trace.TypeRecover, "deputy-promoted",
-			"recovered head standing down; deputy %d now heads the cluster", msg.From)
-		p.env.MAC.Send(p.build(
-			message.KindJoin, at, msg.From, p.round,
-			message.MarshalJoin(message.Join{Head: msg.From, Seed: shares.SeedFor(int(at))}),
-		))
+		if p.env.Sink != nil {
+			p.emit(at, msg.From, trace.PhaseRepair, trace.TypeRecover, "deputy-promoted",
+				"recovered head standing down; deputy %d now heads the cluster", msg.From)
+		}
+		p.sendJoin(at, msg.From)
 		return
 	}
 	if st.role != roleMember {
@@ -366,7 +359,7 @@ func (p *Protocol) onRoster(at topo.NodeID, msg *message.Message) {
 		st.head = msg.From
 		st.headSilent = false
 	}
-	p.installRoster(at, message.Roster{Head: r.Head, Entries: slices.Clone(r.Entries)})
+	p.installRoster(at, r.Head, r.Entries)
 }
 
 // canonicalizeSeeds overwrites every roster entry's seed with the position
@@ -418,12 +411,17 @@ func (p *Protocol) algebraFor(entries []message.RosterEntry) (*shares.Algebra, e
 	return a, nil
 }
 
-// installRoster prepares the share algebra for a node's cluster view and
-// designates the failover deputy (highest-seed entry other than the head),
-// which every roster holder computes locally — zero extra wire bytes.
-func (p *Protocol) installRoster(at topo.NodeID, r message.Roster) {
+// installRoster copies a roster into the node's own roster buffer, which
+// outlives the round, prepares the share algebra for the node's cluster
+// view and designates the failover deputy (highest-seed entry other than
+// the head), which every roster holder computes locally — zero extra wire
+// bytes.
+func (p *Protocol) installRoster(at, head topo.NodeID, entries []message.RosterEntry) {
 	st := &p.nodes[at]
-	st.roster = r
+	st.roster.Head = head
+	st.roster.Entries = growTable(st.roster.Entries, len(entries))
+	copy(st.roster.Entries, entries)
+	r := st.roster
 	st.myIdx = -1
 	st.deputy = -1
 	for i, e := range r.Entries {

@@ -7,18 +7,28 @@ import (
 )
 
 // Per-round arenas. Every frame the protocol sends, every payload byte it
-// encodes, seals or opens, and every share vector it decodes comes from the
-// three arenas below. Chunks are never resized, so anything handed out
-// stays where it is until the arenas rewind.
+// encodes, seals or opens, and every share, column-sum, announce and
+// child-total vector it builds or decodes comes from the three arenas
+// below. Chunks are never resized, so anything handed out stays where it
+// is until the arenas rewind.
 //
-// Lifetime rule: a frame, payload or decoded share vector built by a
-// protocol is valid until that protocol's next round starts (Run or
-// RunRetaining rewinds the arenas). That holds because every round drains
-// the engine, so no MAC queue, retransmission or delivery event of round r
-// is still pending when round r+1 begins (mac.Disable purges the queues of
-// crashed nodes), the per-round node state that points at share vectors is
-// reset with the round, and the one holder that keeps a frame across
-// rounds, attack.Replay, records a clone.
+// Lifetime rule: a frame, payload or vector built by a protocol is valid
+// until that protocol's next round starts (Run or RunRetaining rewinds the
+// arenas). That holds because every round drains the engine, so no MAC
+// queue, retransmission or delivery event of round r is still pending when
+// round r+1 begins (mac.Disable purges the queues of crashed nodes), the
+// per-round node state that points into the arenas (received shares,
+// assembled reports, sub-reports, solved sums, the node's own announce and
+// its children's totals) is reset with the round, and the one holder that
+// keeps a frame across rounds, attack.Replay, records a clone. The outbox
+// of frames waiting for a deferred MAC.Send is per round too.
+//
+// What outlives a round lives per node instead, in buffers that Run's reset
+// keeps (truncated) and that grow only when a node meets a larger cluster
+// than before: the roster (RunRetaining reuses it), heard heads, joiners,
+// children, assembled-report slots and share tables. Values consumed within
+// one event (decode targets, a witness's column, an announce total) live in
+// protocol scratch.
 const (
 	frameChunk = 1024     // frames per frame-arena chunk
 	byteChunk  = 64 << 10 // bytes per payload-arena chunk
@@ -34,6 +44,7 @@ type arenas struct {
 	frames   frameArena
 	payloads byteArena
 	elems    elemArena
+	outbox   []*message.Message // frames of pending sendAfter events, by event argument
 }
 
 // rewind takes back everything the last round handed out.
@@ -41,6 +52,7 @@ func (a *arenas) rewind() {
 	a.frames.rewind()
 	a.payloads.rewind()
 	a.elems.rewind()
+	a.outbox = a.outbox[:0]
 }
 
 // frameArena is the chunked slab every protocol frame comes from.

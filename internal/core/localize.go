@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/message"
 	"repro/internal/metrics"
 	"repro/internal/topo"
 )
@@ -40,7 +39,7 @@ func (p *Protocol) RunRetaining(round uint16) (metrics.RoundResult, error) {
 		st.subMask, st.subRecvMask = 0, 0
 		st.subShares = st.subShares[:0]
 		st.subSent = nil
-		st.fSub = nil
+		st.fSub, st.fSubMask, st.fSubOn = st.fSub[:0], 0, false
 		st.effMask = 0
 		st.plainSums, st.plainCnt = nil, 0
 		st.children = st.children[:0]
@@ -54,48 +53,30 @@ func (p *Protocol) RunRetaining(round uint16) (metrics.RoundResult, error) {
 		st.takeoverBy = -1
 		st.deputyClaimed = false
 		st.tookOver = false
-		st.repairJoiners = nil
+		st.repairJoiners = st.repairJoiners[:0]
 		if !repair {
 			st.headSilent = false // nothing will consume the flag; drop it
 		}
 	}
-	p.bsSums = growTable(p.bsSums, p.nComponents())
-	for k := range p.bsSums {
-		p.bsSums[k] = 0
-	}
-	p.bsCount = 0
-	if p.bsAlarms == nil {
-		p.bsAlarms = make(map[message.Alarm]struct{})
-	} else {
-		clear(p.bsAlarms)
-	}
-	p.alarmsRaised = 0
-	p.degradedClusters = 0
-	p.failedClusters = 0
-	p.takeovers = 0
-	p.promotions = 0
-	p.orphansRejoined = 0
-	p.arena.rewind()
-	p.start = p.env.Rec.Mark()
+	p.beginRound()
 
 	base := p.cfg.SharesAt
 	var offset time.Duration
 	if repair {
-		offset = p.cfg.SharesAt - p.cfg.RosterAt
+		offset = p.repairWindow()
 	}
 	p.env.Eng.After(0, func() {}) // anchor the schedule at current time
 	if repair {
-		p.scheduleRepair(offset)
+		p.scheduleRepair()
 	}
 	// Retained rounds draw fresh targeted head crashes too: steady-state
 	// operation is exactly where cross-round failover repair matters.
 	if p.cfg.HeadCrashRate > 0 {
-		at := offset
-		p.env.Eng.After(at, func() { p.crashHeads(p.cfg.AggAt - p.cfg.SharesAt) })
+		p.env.Eng.After(offset, p.on.crashHeads)
 	}
-	p.env.Eng.After(offset+p.cfg.SharesAt-base, func() { p.scheduleShareExchange() })
-	p.env.Eng.After(offset+p.cfg.AssembleAt-base, func() { p.scheduleAssembledBroadcasts() })
-	p.env.Eng.After(offset+p.cfg.AggAt-base, func() { p.scheduleAnnounces() })
+	p.env.Eng.After(offset+p.cfg.SharesAt-base, p.on.exchange)
+	p.env.Eng.After(offset+p.cfg.AssembleAt-base, p.on.assembly)
+	p.env.Eng.After(offset+p.cfg.AggAt-base, p.on.announces)
 
 	if err := p.env.Eng.Run(0); err != nil {
 		return metrics.RoundResult{}, fmt.Errorf("core: %w", err)

@@ -53,7 +53,8 @@ func (p *Protocol) RunQuery(q aggfunc.Query, startRound uint16) (QueryOutcome, e
 	if err != nil {
 		return QueryOutcome{}, fmt.Errorf("core: %w", err)
 	}
-	p.comps = make([]func(int64) int64, len(comps))
+	p.comps = growTable(p.compsBuf, len(comps))
+	p.compsBuf = p.comps
 	for i, c := range comps {
 		p.comps[i] = c
 	}

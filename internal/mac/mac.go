@@ -259,7 +259,9 @@ func (l *Layer) Inject(from topo.NodeID, msg *message.Message) error {
 	return err
 }
 
-// emitDrop records one abandoned frame and its cause.
+// emitDrop records one abandoned frame and its cause. Callers on paths a
+// warm round takes check l.sink first: boxing the arguments allocates even
+// when tracing is off.
 func (l *Layer) emitDrop(id topo.NodeID, cause string, format string, args ...any) {
 	if l.sink == nil {
 		return
@@ -310,7 +312,9 @@ func (l *Layer) Disabled(id topo.NodeID) bool { return l.dead[id] }
 func (l *Layer) Send(msg *message.Message) {
 	if l.dead[msg.From] {
 		l.drops++
-		l.emitDrop(msg.From, "dead-port", "%s to %d queued on crashed node", msg.Kind, msg.To)
+		if l.sink != nil {
+			l.emitDrop(msg.From, "dead-port", "%s to %d queued on crashed node", msg.Kind, msg.To)
+		}
 		return
 	}
 	p := &l.ports[msg.From]
@@ -413,7 +417,9 @@ func (l *Layer) abandon(p *port) {
 		p.pop()
 	}
 	l.drops++
-	l.emitDrop(p.id, "cs-exhausted", "carrier sense gave up after %d deferrals", p.csTries)
+	if l.sink != nil {
+		l.emitDrop(p.id, "cs-exhausted", "carrier sense gave up after %d deferrals", p.csTries)
+	}
 	p.csTries = 0
 	p.txTries = 0
 	p.cw = l.cfg.MinCW
@@ -433,7 +439,9 @@ func (l *Layer) ackTimedOut(p *port) {
 		p.txTries = 0
 		l.drops++
 		p.pending = false
-		l.emitDrop(p.id, "arq-exhausted", "unicast to %d unacked after %d retries", dst, l.cfg.MaxTxRetries)
+		if l.sink != nil {
+			l.emitDrop(p.id, "arq-exhausted", "unicast to %d unacked after %d retries", dst, l.cfg.MaxTxRetries)
+		}
 		l.kick(p)
 		return
 	}

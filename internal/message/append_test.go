@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/field"
+	"repro/internal/topo"
 )
 
 // The append encoders and DecodeValuesInto are the allocation-free forms
@@ -80,6 +81,19 @@ func FuzzAppendEncoders(f *testing.F) {
 		}
 		asm := Assembled{Fs: vs, Mask: 0xF0F0}
 		alarm := Alarm{Suspect: 5, Observed: field.Element(len(data)), Expected: 6}
+		// Roster entries from the data's words: past MaxClusterSize entries
+		// both forms fail.
+		roster := Roster{Head: topo.NodeID(len(data))}
+		for i, v := range vs {
+			roster.Entries = append(roster.Entries, RosterEntry{ID: topo.NodeID(int32(v)), Seed: field.Element(i)})
+		}
+		for range int(extra) % 3 {
+			roster.Entries = append(roster.Entries, roster.Entries...)
+		}
+		hello := Hello{Origin: topo.NodeID(int32(len(data)) - 2), Role: extra, Hops: uint16(len(prefix))}
+		join := Join{Head: topo.NodeID(-int(extra)), Seed: field.Element(len(vs))}
+		reassemble := Reassemble{Mask: uint64(len(data))<<32 | uint64(extra)}
+		takeover := Takeover{Head: topo.NodeID(int32(len(vs)) - 1)}
 		for _, enc := range []struct {
 			name string
 			ref  func() ([]byte, error)
@@ -96,6 +110,16 @@ func FuzzAppendEncoders(f *testing.F) {
 				func(d []byte) ([]byte, error) { return AppendAnnounce(d, ann) }},
 			{"Alarm", func() ([]byte, error) { return MarshalAlarm(alarm), nil },
 				func(d []byte) ([]byte, error) { return AppendAlarm(d, alarm), nil }},
+			{"Roster", func() ([]byte, error) { return MarshalRoster(roster) },
+				func(d []byte) ([]byte, error) { return AppendRoster(d, roster) }},
+			{"Hello", func() ([]byte, error) { return MarshalHello(hello), nil },
+				func(d []byte) ([]byte, error) { return AppendHello(d, hello), nil }},
+			{"Join", func() ([]byte, error) { return MarshalJoin(join), nil },
+				func(d []byte) ([]byte, error) { return AppendJoin(d, join), nil }},
+			{"Reassemble", func() ([]byte, error) { return MarshalReassemble(reassemble), nil },
+				func(d []byte) ([]byte, error) { return AppendReassemble(d, reassemble), nil }},
+			{"Takeover", func() ([]byte, error) { return MarshalTakeover(takeover), nil },
+				func(d []byte) ([]byte, error) { return AppendTakeover(d, takeover), nil }},
 		} {
 			want, wantErr := enc.ref()
 			for _, spare := range []int{0, int(extra), len(want)} {
@@ -128,14 +152,20 @@ func TestAppendIntoCapacityAllocatesNothing(t *testing.T) {
 	}
 	msg := Build(KindShare, 1, 2, 3, inner)
 	ann := Announce{Origin: 1, ClusterSums: vs[:1], ClusterCnt: 4, Components: 1, Mask: 0xF, FMatrix: vs}
+	roster := Roster{Head: 1, Entries: []RosterEntry{{ID: 1, Seed: 1}, {ID: 2, Seed: 2}, {ID: 3, Seed: 3}}}
 	buf := make([]byte, 0, 1024)
 	for name, enc := range map[string]func() ([]byte, error){
-		"AppendValues":    func() ([]byte, error) { return AppendValues(buf, vs) },
-		"AppendMarshal":   func() ([]byte, error) { return msg.AppendMarshal(buf) },
-		"AppendRelay":     func() ([]byte, error) { return AppendRelay(buf, Relay{Inner: inner}) },
-		"AppendAssembled": func() ([]byte, error) { return AppendAssembled(buf, Assembled{Fs: vs, Mask: 3}) },
-		"AppendAnnounce":  func() ([]byte, error) { return AppendAnnounce(buf, ann) },
-		"AppendAlarm":     func() ([]byte, error) { return AppendAlarm(buf, Alarm{Suspect: 1}), nil },
+		"AppendValues":     func() ([]byte, error) { return AppendValues(buf, vs) },
+		"AppendMarshal":    func() ([]byte, error) { return msg.AppendMarshal(buf) },
+		"AppendRelay":      func() ([]byte, error) { return AppendRelay(buf, Relay{Inner: inner}) },
+		"AppendAssembled":  func() ([]byte, error) { return AppendAssembled(buf, Assembled{Fs: vs, Mask: 3}) },
+		"AppendAnnounce":   func() ([]byte, error) { return AppendAnnounce(buf, ann) },
+		"AppendAlarm":      func() ([]byte, error) { return AppendAlarm(buf, Alarm{Suspect: 1}), nil },
+		"AppendRoster":     func() ([]byte, error) { return AppendRoster(buf, roster) },
+		"AppendHello":      func() ([]byte, error) { return AppendHello(buf, Hello{Origin: 1, Role: 1, Hops: 2}), nil },
+		"AppendJoin":       func() ([]byte, error) { return AppendJoin(buf, Join{Head: 1, Seed: 2}), nil },
+		"AppendReassemble": func() ([]byte, error) { return AppendReassemble(buf, Reassemble{Mask: 7}), nil },
+		"AppendTakeover":   func() ([]byte, error) { return AppendTakeover(buf, Takeover{Head: 3}), nil },
 	} {
 		if n := testing.AllocsPerRun(100, func() { _, _ = enc() }); n != 0 {
 			t.Errorf("%s: %v allocs into spare capacity, want 0", name, n)

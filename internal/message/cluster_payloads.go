@@ -45,11 +45,15 @@ type Roster struct {
 }
 
 // MarshalRoster encodes a Roster payload.
-func MarshalRoster(r Roster) ([]byte, error) {
+func MarshalRoster(r Roster) ([]byte, error) { return AppendRoster(nil, r) }
+
+// AppendRoster appends the encoding of a Roster payload to dst. On error
+// dst is returned unchanged.
+func AppendRoster(dst []byte, r Roster) ([]byte, error) {
 	if len(r.Entries) > MaxClusterSize {
-		return nil, fmt.Errorf("message: roster of %d exceeds max %d", len(r.Entries), MaxClusterSize)
+		return dst, fmt.Errorf("message: roster of %d exceeds max %d", len(r.Entries), MaxClusterSize)
 	}
-	buf := make([]byte, 4+1+len(r.Entries)*8)
+	dst, buf := extend(dst, 4+1+len(r.Entries)*8)
 	binary.BigEndian.PutUint32(buf, uint32(int32(r.Head)))
 	buf[4] = byte(len(r.Entries))
 	off := 5
@@ -58,7 +62,7 @@ func MarshalRoster(r Roster) ([]byte, error) {
 		binary.BigEndian.PutUint32(buf[off+4:], uint32(e.Seed))
 		off += 8
 	}
-	return buf, nil
+	return dst, nil
 }
 
 // UnmarshalRoster decodes a Roster payload.
@@ -175,6 +179,28 @@ func UnmarshalAssembled(buf []byte) (Assembled, error) {
 	return a, nil
 }
 
+// UnmarshalAssembledInto decodes an Assembled payload into *a, reusing the
+// capacity of a.Fs, so a receiver that hands it a vector of the round's
+// width allocates nothing. It accepts and rejects exactly what
+// UnmarshalAssembled does and yields an equal value; on error *a is left
+// unchanged.
+func UnmarshalAssembledInto(buf []byte, a *Assembled) error {
+	if len(buf) < 9 {
+		return ErrTruncated
+	}
+	c := int(buf[0])
+	if c == 0 || c > MaxComponents {
+		return fmt.Errorf("message: bad component count %d", c)
+	}
+	if len(buf) < 9+c*4 {
+		return ErrTruncated
+	}
+	a.Mask = binary.BigEndian.Uint64(buf[1:])
+	a.Fs = resize(a.Fs, c)
+	getElems(buf, 9, a.Fs)
+	return nil
+}
+
 // Reassemble is a cluster head's degraded-recovery announcement: the round's
 // full share exchange could not be completed consistently, so the head asks
 // the members named by Mask (roster-index bits) to run a fresh sub-share
@@ -185,10 +211,11 @@ type Reassemble struct {
 }
 
 // MarshalReassemble encodes a Reassemble payload.
-func MarshalReassemble(r Reassemble) []byte {
-	buf := make([]byte, 8)
-	binary.BigEndian.PutUint64(buf, r.Mask)
-	return buf
+func MarshalReassemble(r Reassemble) []byte { return AppendReassemble(nil, r) }
+
+// AppendReassemble appends the encoding of a Reassemble payload to dst.
+func AppendReassemble(dst []byte, r Reassemble) []byte {
+	return binary.BigEndian.AppendUint64(dst, r.Mask)
 }
 
 // UnmarshalReassemble decodes a Reassemble payload.
@@ -270,12 +297,15 @@ func (a Announce) ClusterSumOrZero() field.Element { return a.clusterSum(0) }
 
 // Total returns the full aggregate vector the announce carries upward,
 // sized to the announce's component count.
-func (a Announce) Total() []field.Element {
+func (a Announce) Total() []field.Element { return a.TotalInto(nil) }
+
+// TotalInto is Total written into dst, reusing its capacity, and returned.
+func (a Announce) TotalInto(dst []field.Element) []field.Element {
 	c := int(a.Components)
 	if c == 0 {
 		c = 1
 	}
-	out := make([]field.Element, c)
+	out := resize(dst, c)
 	for k := range out {
 		out[k] = a.clusterSum(k)
 		for _, ch := range a.Children {
@@ -482,10 +512,11 @@ type Takeover struct {
 }
 
 // MarshalTakeover encodes a Takeover payload.
-func MarshalTakeover(t Takeover) []byte {
-	buf := make([]byte, 4)
-	binary.BigEndian.PutUint32(buf, uint32(int32(t.Head)))
-	return buf
+func MarshalTakeover(t Takeover) []byte { return AppendTakeover(nil, t) }
+
+// AppendTakeover appends the encoding of a Takeover payload to dst.
+func AppendTakeover(dst []byte, t Takeover) []byte {
+	return binary.BigEndian.AppendUint32(dst, uint32(int32(t.Head)))
 }
 
 // UnmarshalTakeover decodes a Takeover payload.

@@ -89,12 +89,19 @@ func FuzzUnmarshalAnnounce(f *testing.F) {
 			back.Components != a.Components || len(back.Children) != len(a.Children) {
 			t.Fatalf("announce round trip mismatch")
 		}
-		// Totals must agree.
+		// Totals must agree, and TotalInto must overwrite a dirty buffer.
 		ta, tb := a.Total(), back.Total()
 		for i := range ta {
 			if ta[i] != tb[i] {
 				t.Fatalf("totals diverge: %v vs %v", ta, tb)
 			}
+		}
+		dirty := make([]field.Element, MaxComponents)
+		for i := range dirty {
+			dirty[i] = 0xDEAD
+		}
+		if into := a.TotalInto(dirty); !slices.Equal(into, ta) {
+			t.Fatalf("TotalInto into a dirty buffer = %v, Total = %v", into, ta)
 		}
 	})
 }
@@ -274,6 +281,39 @@ func FuzzUnmarshalRosterInto(f *testing.F) {
 	})
 }
 
+// FuzzUnmarshalAssembledInto pins the decode-into assembled decoder to the
+// allocating one, into a fresh and into a dirty destination.
+func FuzzUnmarshalAssembledInto(f *testing.F) {
+	wide, _ := MarshalAssembled(Assembled{Fs: make([]field.Element, MaxComponents), Mask: ^uint64(0)})
+	f.Add(wide)
+	f.Add(wide[:len(wide)-1])
+	seed, _ := MarshalAssembled(Assembled{Fs: []field.Element{1, 2, 3}, Mask: 7})
+	f.Add(seed)
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, wantErr := UnmarshalAssembled(data)
+		var dirty Assembled
+		if err := UnmarshalAssembledInto(wide, &dirty); err != nil {
+			t.Fatal(err)
+		}
+		dirty.Fs[0] = 0xDEAD
+		for name, dst := range map[string]*Assembled{"fresh": {}, "dirty": &dirty} {
+			before := Assembled{Fs: slices.Clone(dst.Fs), Mask: dst.Mask}
+			err := UnmarshalAssembledInto(data, dst)
+			if !sameError(err, wantErr) {
+				t.Fatalf("%s: err = %v, reference err = %v", name, err, wantErr)
+			}
+			got := want
+			if err != nil {
+				got = before
+			}
+			if dst.Mask != got.Mask || !slices.Equal(dst.Fs, got.Fs) {
+				t.Fatalf("%s: decoded %+v, want %+v (err %v)", name, *dst, got, err)
+			}
+		}
+	})
+}
+
 // TestWarmDecodeIntoAllocatesNothing gates the receive path's decoders:
 // decoding into warm scratch or a caller's vector, and viewing a relay's
 // inner frame, allocate nothing.
@@ -291,18 +331,24 @@ func TestWarmDecodeIntoAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	asm, err := MarshalAssembled(Assembled{Fs: []field.Element{8, 9}, Mask: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var (
 		a   Announce
 		r   Roster
 		m   Message
 		rel Relay
+		as  Assembled
 		vs  = make([]field.Element, 3)
 	)
 	for name, decode := range map[string]func() error{
-		"UnmarshalAnnounceInto": func() error { return UnmarshalAnnounceInto(ann, &a) },
-		"UnmarshalRosterInto":   func() error { return UnmarshalRosterInto(ros, &r) },
-		"UnmarshalInto":         func() error { return UnmarshalInto(frame, &m) },
-		"DecodeValuesInto":      func() error { return DecodeValuesInto(vs, vals) },
+		"UnmarshalAnnounceInto":  func() error { return UnmarshalAnnounceInto(ann, &a) },
+		"UnmarshalRosterInto":    func() error { return UnmarshalRosterInto(ros, &r) },
+		"UnmarshalInto":          func() error { return UnmarshalInto(frame, &m) },
+		"DecodeValuesInto":       func() error { return DecodeValuesInto(vs, vals) },
+		"UnmarshalAssembledInto": func() error { return UnmarshalAssembledInto(asm, &as) },
 		"UnmarshalRelay": func() (err error) {
 			rel, err = UnmarshalRelay(relay)
 			return err
@@ -316,7 +362,7 @@ func TestWarmDecodeIntoAllocatesNothing(t *testing.T) {
 		}
 	}
 	if !bytes.Equal(rel.Inner, frame) || m.Kind != KindShare || len(r.Entries) != MaxClusterSize ||
-		len(a.Children) != 12 || vs[2] != 7 {
+		len(a.Children) != 12 || vs[2] != 7 || as.Mask != 3 || len(as.Fs) != 2 || as.Fs[1] != 9 {
 		t.Fatal("warm decodes produced the wrong values")
 	}
 }

@@ -24,12 +24,15 @@ type Hello struct {
 const helloSize = 4 + 1 + 2
 
 // MarshalHello encodes a Hello payload.
-func MarshalHello(h Hello) []byte {
-	buf := make([]byte, helloSize)
+func MarshalHello(h Hello) []byte { return AppendHello(nil, h) }
+
+// AppendHello appends the encoding of a Hello payload to dst.
+func AppendHello(dst []byte, h Hello) []byte {
+	dst, buf := extend(dst, helloSize)
 	binary.BigEndian.PutUint32(buf, uint32(int32(h.Origin)))
 	buf[4] = h.Role
 	binary.BigEndian.PutUint16(buf[5:], h.Hops)
-	return buf
+	return dst
 }
 
 // UnmarshalHello decodes a Hello payload.
@@ -53,11 +56,14 @@ type Join struct {
 const joinSize = 4 + 4
 
 // MarshalJoin encodes a Join payload.
-func MarshalJoin(j Join) []byte {
-	buf := make([]byte, joinSize)
+func MarshalJoin(j Join) []byte { return AppendJoin(nil, j) }
+
+// AppendJoin appends the encoding of a Join payload to dst.
+func AppendJoin(dst []byte, j Join) []byte {
+	dst, buf := extend(dst, joinSize)
 	binary.BigEndian.PutUint32(buf, uint32(int32(j.Head)))
 	binary.BigEndian.PutUint32(buf[4:], uint32(j.Seed))
-	return buf
+	return dst
 }
 
 // UnmarshalJoin decodes a Join payload.

@@ -13,7 +13,8 @@ import (
 // a binary min-heap ordered by (time, scheduling sequence), with cancelled
 // events compacted out once they outnumber the live ones. It has the
 // Engine's clock, Run, horizon, event limit and Reset semantics, and it
-// counts the cases the twin test must reach.
+// counts the cases the twin test must reach. An argument-carrying event is
+// modelled as the closure that calls fn(arg).
 type refEngine struct {
 	now   time.Duration
 	seq   uint64
@@ -27,12 +28,17 @@ type refEngine struct {
 	deadTakes    int // cancelled events taken from the queue
 	maxDepth     int // most events queued at once
 	maxDelayBits int // bits of the largest delay scheduled
+	argRuns      int // argument-carrying events run
+	mixedTies    int // events run at the same time as the one before, in the other form
+
+	last refEvent // the event run most recently
 }
 
 type refEvent struct {
 	at  time.Duration
 	seq uint64
 	fn  func()
+	arg bool // scheduled through AtArg
 }
 
 func (e *refEngine) Now() time.Duration { return e.now }
@@ -49,14 +55,20 @@ func (e *refEngine) Reset() {
 	e.dead, e.now, e.seq, e.ran = 0, 0, 0, 0
 }
 
-func (e *refEngine) At(t time.Duration, fn func()) func() {
+func (e *refEngine) AtArg(t time.Duration, fn func(int), arg int) func() {
+	return e.schedule(t, func() { fn(arg) }, true)
+}
+
+func (e *refEngine) At(t time.Duration, fn func()) func() { return e.schedule(t, fn, false) }
+
+func (e *refEngine) schedule(t time.Duration, fn func(), arg bool) func() {
 	if t < e.now {
 		t = e.now
 	}
 	if d := t - e.now; d > 0 {
 		e.maxDelayBits = max(e.maxDelayBits, bits.Len64(uint64(d)))
 	}
-	ev := &refEvent{at: t, seq: e.seq, fn: fn}
+	ev := &refEvent{at: t, seq: e.seq, fn: fn, arg: arg}
 	e.seq++
 	e.push(ev)
 	e.maxDepth = max(e.maxDepth, len(e.queue))
@@ -92,6 +104,13 @@ func (e *refEngine) Run(horizon time.Duration) error {
 		if e.limit > 0 && e.ran > e.limit {
 			return fmt.Errorf("sim: event limit %d exceeded at t=%v", e.limit, e.now)
 		}
+		if ev.arg {
+			e.argRuns++
+		}
+		if e.ran > 1 && ev.at == e.last.at && ev.arg != e.last.arg {
+			e.mixedTies++
+		}
+		e.last = *ev
 		fn()
 	}
 	if lastDead {
@@ -172,6 +191,7 @@ func (e *refEngine) siftDown(i int) {
 // twinEngine is what the twin scripts drive: the Engine or the reference.
 type twinEngine interface {
 	At(t time.Duration, fn func()) (cancel func())
+	AtArg(t time.Duration, fn func(int), arg int) (cancel func())
 	Run(horizon time.Duration) error
 	SetEventLimit(n uint64)
 	Reset()
@@ -185,6 +205,10 @@ type engineTwin struct{ *Engine }
 
 func (e engineTwin) At(t time.Duration, fn func()) func() { return e.Engine.At(t, fn).Cancel }
 
+func (e engineTwin) AtArg(t time.Duration, fn func(int), arg int) func() {
+	return e.Engine.AtArg(t, fn, arg).Cancel
+}
+
 // twinScript drives one engine with a seeded random script. Every event
 // draws its actions from a generator seeded by the script seed and its own
 // id, so two engines that run events in the same order perform the same
@@ -196,6 +220,7 @@ type twinScript struct {
 	log     []string
 	cancels []func() // by event id
 	budget  int      // events that running events may still schedule
+	fireArg func(int)
 }
 
 // delay draws a delay: zero, one of a few shared values (so events collide
@@ -214,7 +239,10 @@ func delay(rng *rand.Rand) time.Duration {
 }
 
 // schedule queues event id at now+d (or, with abs, at the absolute time d,
-// which the engine clamps to now when it is in the past).
+// which the engine clamps to now when it is in the past). Events whose id
+// is not a multiple of 3 carry their id as the argument of one shared
+// func(int); the rest are closures, so the two forms interleave in every
+// bucket, tie at equal times and are cancelled and compacted alike.
 func (s *twinScript) schedule(d time.Duration, abs bool) {
 	id := len(s.cancels)
 	at := d
@@ -222,6 +250,13 @@ func (s *twinScript) schedule(d time.Duration, abs bool) {
 		at += s.eng.Now()
 	}
 	s.cancels = append(s.cancels, nil)
+	if id%3 != 0 {
+		if s.fireArg == nil {
+			s.fireArg = s.fire
+		}
+		s.cancels[id] = s.eng.AtArg(at, s.fireArg, id)
+		return
+	}
 	s.cancels[id] = s.eng.At(at, func() { s.fire(id) })
 }
 
@@ -356,11 +391,14 @@ func TestEngineMatchesReference(t *testing.T) {
 		total.deadTakes += ref.deadTakes
 		total.maxDepth = max(total.maxDepth, ref.maxDepth)
 		total.maxDelayBits = max(total.maxDelayBits, ref.maxDelayBits)
+		total.argRuns += ref.argRuns
+		total.mixedTies += ref.mixedTies
 	}
-	t.Logf("%d steps: %d compactions, %d cancelled events taken, %d drains ending on a cancelled event, %d limited Runs, depth up to %d, delays up to 2^%d ns",
-		events, total.compactions, total.deadTakes, total.deadDrains, limits, total.maxDepth, total.maxDelayBits)
-	if total.compactions == 0 || total.deadDrains == 0 || total.deadTakes == 0 || limits == 0 {
-		t.Errorf("scripts missed a case: %d compactions, %d drains on a cancelled event, %d cancelled events taken, %d limits",
-			total.compactions, total.deadDrains, total.deadTakes, limits)
+	t.Logf("%d steps: %d compactions, %d cancelled events taken, %d drains ending on a cancelled event, %d limited Runs, depth up to %d, delays up to 2^%d ns, %d argument events run, %d equal-time ties across the two forms",
+		events, total.compactions, total.deadTakes, total.deadDrains, limits, total.maxDepth, total.maxDelayBits, total.argRuns, total.mixedTies)
+	if total.compactions == 0 || total.deadDrains == 0 || total.deadTakes == 0 || limits == 0 ||
+		total.argRuns == 0 || total.mixedTies == 0 {
+		t.Errorf("scripts missed a case: %d compactions, %d drains on a cancelled event, %d cancelled events taken, %d limits, %d argument events, %d mixed ties",
+			total.compactions, total.deadDrains, total.deadTakes, limits, total.argRuns, total.mixedTies)
 	}
 }

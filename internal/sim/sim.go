@@ -1,7 +1,9 @@
-// Package sim is a deterministic discrete-event simulation engine. Events
-// are closures scheduled at virtual times; the engine runs them in time
-// order, and events due at the same time in the order they were scheduled,
-// so runs with equal seeds replay identically.
+// Package sim is a deterministic discrete-event simulation engine. An event
+// is a function scheduled at a virtual time: either a func() (At, After) or a
+// func(int) with the int argument it is called with (AtArg, AfterArg). The
+// engine runs events in time order, and events due at the same time in the
+// order they were scheduled, whichever form they take, so runs with equal
+// seeds replay identically.
 //
 // The engine is deliberately single-threaded: determinism is worth more to a
 // protocol evaluation than parallelism inside one trial, and the experiment
@@ -12,8 +14,11 @@
 // scheduling is O(1), finding the earliest event is O(1), and an event moves
 // between buckets at most once per bit of its delay before it runs. Events are
 // pooled nodes threaded into the queue's buckets as intrusive FIFO lists, so
-// a steady-state protocol round allocates nothing for its queue. Cancelled
-// events release their closure immediately (the captured state becomes
+// a steady-state protocol round allocates nothing for its queue. The
+// argument-carrying form lets a caller that schedules one action for many
+// nodes or items build its func(int) once and pass the node or item as the
+// argument, instead of allocating a closure per event. Cancelled events
+// release their function immediately (the state it captures becomes
 // collectable before the event is reached) and are filtered out of the queue
 // in bulk when they outnumber the live ones.
 package sim
@@ -26,16 +31,23 @@ import (
 	"repro/internal/trace"
 )
 
-// event is a scheduled action. Events are pooled: gen increments every time
-// an event is recycled so stale Timer handles cannot cancel an unrelated
-// later event that happens to reuse the same node. next links the event
-// into its queue bucket, or into the free list once recycled.
+// event is a scheduled action: fn, or fnArg called with arg. Exactly one of
+// fn and fnArg is set while the event is live; a cancelled or recycled event
+// has neither. Events are pooled: gen increments every time an event is
+// recycled so stale Timer handles cannot cancel an unrelated later event
+// that happens to reuse the same node. next links the event into its queue
+// bucket, or into the free list once recycled.
 type event struct {
-	at   time.Duration
-	next *event
-	gen  uint32
-	fn   func()
+	at    time.Duration
+	next  *event
+	gen   uint32
+	arg   int
+	fn    func()
+	fnArg func(int)
 }
+
+// live reports whether the event still has an action to run.
+func (ev *event) live() bool { return ev.fn != nil || ev.fnArg != nil }
 
 // Timer handles allow cancelling a scheduled event. Timers are small
 // values (not heap handles): copying one is fine, the zero Timer is a valid
@@ -48,14 +60,14 @@ type Timer struct {
 }
 
 // Cancel prevents the timer's event from firing and releases the event's
-// closure immediately, so state captured by it is collectable without
+// function immediately, so state captured by it is collectable without
 // waiting for the queue to drain. Safe to call multiple times, on the zero
 // Timer, and after the event fired (no-op).
 func (t Timer) Cancel() {
-	if t.ev == nil || t.ev.gen != t.gen || t.ev.fn == nil {
+	if t.ev == nil || t.ev.gen != t.gen || !t.ev.live() {
 		return
 	}
-	t.ev.fn = nil
+	t.ev.fn, t.ev.fnArg = nil, nil
 	t.eng.dead++
 	t.eng.maybeCompact()
 }
@@ -163,10 +175,10 @@ func (e *Engine) alloc() *event {
 	return &event{}
 }
 
-// recycle invalidates outstanding Timer handles to ev, drops its closure,
+// recycle invalidates outstanding Timer handles to ev, drops its function,
 // and returns the node to the pool.
 func (e *Engine) recycle(ev *event) {
-	ev.fn = nil
+	ev.fn, ev.fnArg = nil, nil
 	ev.gen++
 	ev.next = e.free
 	e.free = ev
@@ -176,11 +188,8 @@ func (e *Engine) recycle(ev *event) {
 // to now: running the event earlier than time already processed would break
 // causality.
 func (e *Engine) At(t time.Duration, fn func()) Timer {
-	if t < e.now {
-		t = e.now
-	}
 	ev := e.alloc()
-	ev.at, ev.fn = t, fn
+	ev.at, ev.fn = max(t, e.now), fn
 	e.push(ev)
 	e.queued++
 	return Timer{eng: e, ev: ev, gen: ev.gen}
@@ -188,10 +197,24 @@ func (e *Engine) At(t time.Duration, fn func()) Timer {
 
 // After schedules fn delay after the current virtual time.
 func (e *Engine) After(delay time.Duration, fn func()) Timer {
-	if delay < 0 {
-		delay = 0
-	}
-	return e.At(e.now+delay, fn)
+	return e.At(e.now+max(delay, 0), fn)
+}
+
+// AtArg schedules fn(arg) at absolute virtual time t, clamped to now like
+// At. A caller that schedules the same action for many nodes builds fn once
+// and passes the node as arg, so scheduling allocates nothing. It orders
+// against At events exactly as another At would.
+func (e *Engine) AtArg(t time.Duration, fn func(int), arg int) Timer {
+	ev := e.alloc()
+	ev.at, ev.fnArg, ev.arg = max(t, e.now), fn, arg
+	e.push(ev)
+	e.queued++
+	return Timer{eng: e, ev: ev, gen: ev.gen}
+}
+
+// AfterArg schedules fn(arg) delay after the current virtual time.
+func (e *Engine) AfterArg(delay time.Duration, fn func(int), arg int) Timer {
+	return e.AtArg(e.now+max(delay, 0), fn, arg)
 }
 
 // Run processes events until the queue drains or the optional horizon
@@ -217,7 +240,7 @@ func (e *Engine) Run(horizon time.Duration) error {
 			return nil
 		}
 		ev := e.take(at, i)
-		if ev.fn == nil {
+		if !ev.live() {
 			e.dead--
 			e.recycle(ev)
 			continue
@@ -231,12 +254,16 @@ func (e *Engine) Run(horizon time.Duration) error {
 			}
 			return fmt.Errorf("sim: event limit %d exceeded at t=%v", e.limit, e.now)
 		}
-		fn := ev.fn
+		fn, fnArg, arg := ev.fn, ev.fnArg, ev.arg
 		// Recycle before running: a Cancel issued from inside fn (or any
 		// later holder of this event's Timer) sees a bumped generation and
 		// no-ops instead of touching the pooled node.
 		e.recycle(ev)
-		fn()
+		if fn != nil {
+			fn()
+		} else {
+			fnArg(arg)
+		}
 	}
 	// The last events taken may have been cancelled ones due after now.
 	// Rebase the empty queue on now, or the next Run's schedules between
@@ -304,7 +331,7 @@ func (e *Engine) maybeCompact() {
 		*b = bucket{}
 		for ev != nil {
 			next := ev.next
-			if ev.fn != nil {
+			if ev.live() {
 				b.append(ev)
 			} else {
 				e.recycle(ev)

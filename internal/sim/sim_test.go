@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -97,6 +98,44 @@ func TestTimerCancel(t *testing.T) {
 	}
 	var zero Timer
 	zero.Cancel() // the zero Timer is a valid no-op handle
+}
+
+func TestArgEvents(t *testing.T) {
+	e := NewEngine()
+	var got []int
+	record := func(i int) { got = append(got, i) }
+	e.AfterArg(time.Second, record, 1)
+	e.After(time.Second, func() { got = append(got, 2) })
+	e.AtArg(time.Second, record, 3)
+	e.AfterArg(-time.Second, record, 0) // clamps to now, like After
+	tm := e.AfterArg(time.Second, record, 4)
+	tm.Cancel()
+	if tm.ev.fnArg != nil {
+		t.Error("Cancel kept the argument event's function")
+	}
+	if err := e.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{0, 1, 2, 3}; !slices.Equal(got, want) {
+		t.Errorf("ran %v, want %v (time order, then scheduling order across both forms)", got, want)
+	}
+	for ev := e.free; ev != nil; ev = ev.next {
+		if ev.fn != nil || ev.fnArg != nil {
+			t.Fatal("a pooled event kept its function")
+		}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		for i := range 100 {
+			e.AfterArg(time.Duration(i), record, i)
+		}
+		got = got[:0]
+		if err := e.Run(0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("allocs per 100 warm argument events = %.0f, want 0", allocs)
+	}
 }
 
 func TestHorizonPausesAndResumes(t *testing.T) {

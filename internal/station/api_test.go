@@ -196,6 +196,77 @@ func TestQueryOutlivesReadTimeout(t *testing.T) {
 	}
 }
 
+// TestSlowBodyClientIsCutOff: a client that sends complete headers
+// announcing a 64-byte body and then dribbles the body must be cut off once
+// the server's ReadTimeout lapses, no job may be admitted for it, and a
+// well-formed query sent meanwhile must still be served.
+func TestSlowBodyClientIsCutOff(t *testing.T) {
+	const readTimeout = 300 * time.Millisecond
+	st := newStation(t, testConfig(1, 4))
+	srv := NewServer(NewAPI(st).Handler())
+	srv.ReadTimeout = readTimeout
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+
+	slow, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer slow.Close()
+	start := time.Now()
+	if _, err := io.WriteString(slow, "POST /v1/query HTTP/1.1\r\nHost: station\r\n"+
+		"Content-Type: application/json\r\nContent-Length: 64\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	// One byte per tenth of the read timeout: the body would take 6.4
+	// timeouts to arrive.
+	body := fmt.Sprintf("%-64s", `{"kind":"sum"}`)
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() {
+		for i := 0; i < len(body); i++ {
+			select {
+			case <-stop:
+				return
+			case <-time.After(readTimeout / 10):
+			}
+			if _, err := slow.Write([]byte{body[i]}); err != nil {
+				return
+			}
+		}
+	}()
+
+	resp, data := postJSON(t, "http://"+ln.Addr().String()+"/v1/query", `{"kind":"sum"}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("query next to a dribbling client: %d %s", resp.StatusCode, data)
+	}
+
+	// The server must hang up (after at most an error response) within the
+	// read timeout plus scheduling slack; a reset counts as hanging up.
+	const slack = 5 * time.Second
+	if err := slow.SetReadDeadline(start.Add(readTimeout + slack)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(slow)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("dribbling connection still open after %v", time.Since(start))
+	}
+	if strings.HasPrefix(string(got), "HTTP/1.1 2") {
+		t.Errorf("dribbled body answered %q", got)
+	}
+	if waited := time.Since(start); waited < readTimeout {
+		t.Errorf("dribbling connection closed after %v, before the %v read timeout", waited, readTimeout)
+	}
+	if m := scrape(t, st); m.Sum("agg_station_submitted_total", "result", "accepted") != 1 {
+		t.Errorf("accepted submissions = %v, want 1 (the well-formed query only)",
+			m.Sum("agg_station_submitted_total", "result", "accepted"))
+	}
+}
+
 func TestQueueFullReturns503WithRetryAfter(t *testing.T) {
 	st, srv := newTestServer(t, testConfig(1, 1))
 	started, release := blockWorkers(st)
