@@ -226,31 +226,34 @@ func BenchmarkRoundIPDA(b *testing.B) {
 // of the serve-mix-400 workload.
 var queryMixKinds = []QueryKind{QuerySum, QueryCount, QueryAverage, QueryVariance, QueryStdDev, QueryMin, QueryMax}
 
-// BenchmarkQueryMix is the round path of a served query on a reused
-// deployment: 400 nodes, seed 7, the default lossy radio; iteration i Resets
-// to seed 1 + i%8 and runs RunQuery for kind i%7. One untimed pass over the
-// eight seeds warms the protocol, so allocs/op counts what a warm round
-// allocates, not the first growth of its buffers.
+// BenchmarkQueryMix is the round path of served queries on a reused
+// deployment: 400 nodes, seed 7, the default lossy radio. Op i serves the
+// whole kind cycle on seed 1 + i%8: for each of the seven kinds in turn it
+// Resets and runs RunQuery. An untimed pass over all eight seeds first
+// grows every buffer the cycle needs, so every op allocates the same and
+// allocs/op does not depend on b.N.
 func BenchmarkQueryMix(b *testing.B) {
 	dep, err := NewDeployment(Options{Nodes: 400, Seed: 7})
 	if err != nil {
 		b.Fatal(err)
 	}
-	query := func(i int) {
-		if err := dep.Reset(int64(1 + i%8)); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := dep.RunQuery(queryMixKinds[i%len(queryMixKinds)], ClusterOptions{}); err != nil {
-			b.Fatal(err)
+	op := func(i int) {
+		for _, kind := range queryMixKinds {
+			if err := dep.Reset(int64(1 + i%8)); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := dep.RunQuery(kind, ClusterOptions{}); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 	for i := 0; i < 8; i++ {
-		query(i)
+		op(i)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		query(i)
+		op(i)
 	}
 }
 

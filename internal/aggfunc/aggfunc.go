@@ -135,6 +135,29 @@ func (q Query) Components() ([]Component, error) {
 }
 
 // histogramComponents builds one indicator component per bucket.
+// width returns how many components Components compiles q to, without
+// building them.
+func (q Query) width() (int, error) {
+	if err := q.Validate(); err != nil {
+		return 0, err
+	}
+	switch q.Kind {
+	case Sum, Count:
+		return 1, nil
+	case Average:
+		return 2, nil
+	case Variance, StdDev:
+		return 3, nil
+	case Max, Min:
+		if q.Method == MethodPower {
+			return 1, nil
+		}
+		return BucketCount, nil
+	default:
+		return 0, fmt.Errorf("aggfunc: unhandled kind %v", q.Kind)
+	}
+}
+
 func (q Query) histogramComponents() []Component {
 	comps := make([]Component, BucketCount)
 	for b := 0; b < BucketCount; b++ {
@@ -190,12 +213,12 @@ func (q Query) powerComponent(invert bool) Component {
 // Finish combines the component sums (in component order) into the query's
 // answer. n is implicit in the component sums where needed.
 func (q Query) Finish(sums []int64) (float64, error) {
-	comps, err := q.Components()
+	width, err := q.width()
 	if err != nil {
 		return 0, err
 	}
-	if len(sums) != len(comps) {
-		return 0, fmt.Errorf("aggfunc: %d sums for %d components", len(sums), len(comps))
+	if len(sums) != width {
+		return 0, fmt.Errorf("aggfunc: %d sums for %d components", len(sums), width)
 	}
 	switch q.Kind {
 	case Sum, Count:

@@ -95,6 +95,24 @@ func TestEmptyPopulationErrors(t *testing.T) {
 	}
 }
 
+// width, which Finish checks the sums against, counts exactly what
+// Components compiles, for every kind and MIN/MAX method.
+func TestWidthMatchesComponents(t *testing.T) {
+	for k := Sum; k <= Max; k++ {
+		for _, m := range []Method{MethodHistogram, MethodPower} {
+			query := q(k)
+			query.Method = m
+			comps, err := query.Components()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w, err := query.width(); err != nil || w != len(comps) {
+				t.Errorf("%v method %d: width %d (err %v), %d components", k, m, w, err, len(comps))
+			}
+		}
+	}
+}
+
 func TestFinishLengthMismatch(t *testing.T) {
 	if _, err := q(Average).Finish([]int64{1}); err == nil {
 		t.Error("wrong sums length should error")

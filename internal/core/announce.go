@@ -112,31 +112,39 @@ func (p *Protocol) preSolveClusters() {
 
 	// Group by algebra pointer: same algebra ⇒ same size and weights.
 	// Group count is the number of distinct cluster sizes, so the linear
-	// scan stays cheap.
+	// scans stay cheap. Groups take their algebras in order of first
+	// appearance, and then each group's heads, ascending, are carved from
+	// one buffer, which stops growing once it holds a round's heads.
 	groups := p.solveGroups
 	ng := 0
 	for _, id := range heads {
 		alg := p.nodes[id].algebra
-		gi := -1
-		for g := 0; g < ng; g++ {
-			if groups[g].alg == alg {
-				gi = g
-				break
-			}
+		known := false
+		for g := 0; g < ng && !known; g++ {
+			known = groups[g].alg == alg
 		}
-		if gi < 0 {
+		if !known {
 			if ng == len(groups) {
 				groups = append(groups, solveGroup{})
 			}
-			gi = ng
-			groups[gi].alg = alg
-			groups[gi].heads = groups[gi].heads[:0]
+			groups[ng].alg = alg
 			ng++
 		}
-		groups[gi].heads = append(groups[gi].heads, id)
 	}
 	p.solveGroups = groups
 	groups = groups[:ng]
+	order := growTable(p.solveOrder, len(heads))
+	p.solveOrder = order
+	off := 0
+	for g := range groups {
+		groups[g].heads = order[off:off]
+		for _, id := range heads {
+			if p.nodes[id].algebra == groups[g].alg {
+				groups[g].heads = append(groups[g].heads, id)
+			}
+		}
+		off += len(groups[g].heads)
+	}
 
 	p.solveArena = p.solveArena[:0]
 	for g := range groups {
@@ -498,7 +506,7 @@ func (p *Protocol) witnessAnnounce(at topo.NodeID, a message.Announce) {
 		default:
 			solver := st.algebra
 			if a.Mask != full {
-				sub, err := st.algebra.Subset(a.Mask)
+				sub, err := p.subsetAlgebra(st, a.Mask)
 				if err != nil {
 					// Unsolvable claimed subset (e.g. below the viability
 					// minimum): an honest head never announces one.

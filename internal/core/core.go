@@ -28,6 +28,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/aggfunc"
 	"repro/internal/field"
 	"repro/internal/message"
 	"repro/internal/metrics"
@@ -181,13 +182,13 @@ type nodeState struct {
 	myIdx   int // index in roster, -1 if excluded
 	algebra *shares.Algebra
 
-	recvShares [][]field.Element // by roster index: component vector
+	recvShares [][]field.Element // by roster index: component vector (round arena)
 	recvMask   uint64
 
 	// fSeen holds the assembled reports by roster index; fSeenMask says
-	// which slots are live. A dense slice (sized by installRoster, backing
-	// array reused across rounds) instead of a map: the per-round churn of
-	// map allocation dominated the old allocation profile.
+	// which slots are live. A dense slice from the round's arena (see
+	// frames.go) instead of a map: the per-round churn of map allocation
+	// dominated the old allocation profile.
 	fSeen     []message.Assembled
 	fSeenMask uint64
 
@@ -201,13 +202,12 @@ type nodeState struct {
 	// announced common participant subset M (0 = no degradation this round);
 	// the sub* fields hold the fresh degree-|M|-1 exchange restricted to M.
 	subMask     uint64
-	subShares   [][]field.Element // by roster index: received sub-shares
+	subShares   [][]field.Element // by roster index: received sub-shares (round arena)
 	subRecvMask uint64
 	subSent     *message.Assembled  // the sub-report this node committed (points at ownSub)
 	ownSub      message.Assembled   // storage subSent points at
-	fSub        []message.Assembled // collector: sub-reports by roster index, live per fSubMask
+	fSub        []message.Assembled // collector: sub-reports by roster index, live per fSubMask; empty until collectSub
 	fSubMask    uint64              // slots of fSub holding a sub-report
-	fSubOn      bool                // collecting sub-reports this round (see collectSub)
 	effMask     uint64              // head: participant set actually solved
 
 	plainSums []field.Element // heads under UndersizedPlain: component sums
@@ -224,14 +224,19 @@ type nodeState struct {
 	// fallback head every member computes locally; headSilent survives the
 	// round boundary so the next round's repair phase can promote the deputy
 	// or re-home orphans.
-	deputy          topo.NodeID           // roster's deputy head (-1 = none designated)
-	headAnnounced   bool                  // overheard our head's own announce this round
-	headContributed bool                  // that announce carried a nonzero count
-	headSilent      bool                  // watchdog expired with no announce from the head
-	takeoverBy      topo.NodeID           // deputy whose takeover this member accepted (-1 = none)
-	deputyClaimed   bool                  // the deputy claimed a takeover of OUR head this round
-	tookOver        bool                  // deputies: stood in for the silent head this round
-	repairJoiners   []message.RosterEntry // heads: orphans adopted during repair
+	deputy          topo.NodeID // roster's deputy head (-1 = none designated)
+	headAnnounced   bool        // overheard our head's own announce this round
+	headContributed bool        // that announce carried a nonzero count
+	headSilent      bool        // watchdog expired with no announce from the head
+	takeoverBy      topo.NodeID // deputy whose takeover this member accepted (-1 = none)
+	deputyClaimed   bool        // the deputy claimed a takeover of OUR head this round
+	tookOver        bool        // deputies: stood in for the silent head this round
+}
+
+// adoption is an orphan's join a head queued during a repair window.
+type adoption struct {
+	head  topo.NodeID // -1 once repairFinalize consumed it
+	entry message.RosterEntry
 }
 
 // Protocol is one instance of the cluster-based protocol over an Env.
@@ -263,8 +268,7 @@ type Protocol struct {
 	// comps, when non-nil, holds the active query's additive components;
 	// the round then aggregates the whole component vector at once
 	// (see query.go). Nil means one component: the raw reading.
-	comps    []func(int64) int64
-	compsBuf []func(int64) int64 // backing array comps reuses
+	comps []aggfunc.Component
 
 	// on holds the handlers every scheduled event runs (events.go).
 	on handlers
@@ -277,6 +281,7 @@ type Protocol struct {
 	scratchElems   []field.Element
 	scratchEntries []message.RosterEntry
 	scratchHeads   []chInfo
+	scratchSub     shares.Algebra // subsetAlgebra's result
 
 	// Receive-path decode scratch: every overheard announce and roster, and
 	// the inner frame of every relay, is decoded into these rather than into
@@ -297,11 +302,12 @@ type Protocol struct {
 	// round (frames.go).
 	arena arenas
 
-	// algebras caches one shares.Algebra per canonical cluster size m.
-	// Heads re-seed every roster they publish with position seeds {1..m},
-	// so all clusters of equal size share one algebra — one weights table
-	// per m, which is what makes the announce-phase batch solve possible.
-	algebras map[int]*shares.Algebra
+	// rosters holds every node's roster (frames.go).
+	rosters rosterSlabs
+
+	// adoptions queues, in arrival order, the orphans heads adopt in a
+	// repair window, for repairFinalize to publish (failover.go).
+	adoptions []adoption
 
 	// Share-exchange state: one sharePrep per participant, and the scratch
 	// a participant's frames are built in — its masking coefficients
@@ -314,6 +320,7 @@ type Protocol struct {
 	// their grouping by algebra, and the arena backing the packed
 	// right-hand sides and solved sums.
 	solveHeads  []topo.NodeID
+	solveOrder  []topo.NodeID // solveHeads by group: backs every group's heads
 	solveGroups []solveGroup
 	solveArena  []field.Element
 }
@@ -333,12 +340,11 @@ func (st *nodeState) setFSeen(i int, a message.Assembled) {
 	st.fSeenMask |= uint64(1) << uint(i)
 }
 
-// collectSub starts (or restarts) collecting sub-reports for a roster of m
-// entries, discarding any collected before.
-func (st *nodeState) collectSub(m int) {
-	st.fSub = growTable(st.fSub, m)
+// collectSub starts (or restarts) collecting sub-reports at st for its
+// roster, discarding any collected before.
+func (p *Protocol) collectSub(st *nodeState) {
+	st.fSub = p.arena.reports.alloc(len(st.roster.Entries))
 	st.fSubMask = 0
-	st.fSubOn = true
 }
 
 // fSubAt reads the sub-report at roster index i.
@@ -359,6 +365,16 @@ func (st *nodeState) setFSub(i int, a message.Assembled) {
 	st.fSubMask |= uint64(1) << uint(i)
 }
 
+// subsetAlgebra builds the algebra over the participant subset mask of st's
+// cluster into protocol scratch. The result is valid until the next call,
+// so a caller uses it within the event it runs in.
+func (p *Protocol) subsetAlgebra(st *nodeState, mask uint64) (*shares.Algebra, error) {
+	if err := st.algebra.SubsetInto(&p.scratchSub, mask); err != nil {
+		return nil, err
+	}
+	return &p.scratchSub, nil
+}
+
 // setAnnounce records a as the announce this node sent, in the node's own
 // storage.
 func (st *nodeState) setAnnounce(a message.Announce) {
@@ -366,7 +382,7 @@ func (st *nodeState) setAnnounce(a message.Announce) {
 	st.myAnnounce = &st.ownAnnounce
 }
 
-// minTable is the fewest slots a reused table (heard heads, roster tables,
+// minTable is the fewest slots a reused table (heard heads, children,
 // scratch vectors) is allocated with, and twice that for a head's joiners.
 // Most clusters are no larger, so a protocol that is reused round after
 // round stops growing these tables after its first few rounds instead of
@@ -383,14 +399,6 @@ func growTable[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// growRows is growTable with every row nil'd: stale rows from a previous
-// round must never read as received shares.
-func growRows(s [][]field.Element, n int) [][]field.Element {
-	s = growTable(s, n)
-	clear(s)
-	return s
-}
-
 // nComponents returns the active component-vector width.
 func (p *Protocol) nComponents() int {
 	if len(p.comps) == 0 {
@@ -401,7 +409,7 @@ func (p *Protocol) nComponents() int {
 
 // New wires a protocol instance onto the environment's MAC.
 func New(env *wsn.Env, cfg Config) (*Protocol, error) {
-	p := &Protocol{env: env}
+	p := &Protocol{env: env, adoptions: make([]adoption, 0, message.MaxClusterSize)}
 	if err := p.Reconfigure(cfg); err != nil {
 		return nil, err
 	}
@@ -478,8 +486,9 @@ func (p *Protocol) Run(round uint16) (metrics.RoundResult, error) {
 	n := p.env.Net.Size()
 	// The node array and every per-node buffer survive across rounds: the
 	// reset below zeroes the state in place while retaining the backing
-	// arrays (heardCH, joiners, roster, children, fSeen, share tables, alarm
-	// dedup), so steady-state rounds allocate near-zero here.
+	// arrays (heardCH, joiners, roster, children, alarm dedup), so
+	// steady-state rounds allocate nothing here. Share tables and report
+	// slots come from the round's arena as rosters install.
 	if len(p.nodes) != n {
 		p.nodes = make([]nodeState, n)
 	}
@@ -490,22 +499,16 @@ func (p *Protocol) Run(round uint16) (metrics.RoundResult, error) {
 			clear(alarmed)
 		}
 		*st = nodeState{
-			heardCH:       st.heardCH[:0],
-			joiners:       st.joiners[:0],
-			roster:        message.Roster{Entries: st.roster.Entries[:0]},
-			children:      st.children[:0],
-			repairJoiners: st.repairJoiners[:0],
-			fSeen:         st.fSeen[:0],
-			fSub:          st.fSub[:0],
-			recvShares:    st.recvShares[:0],
-			subShares:     st.subShares[:0],
-			alarmed:       alarmed,
-			helloParent:   -1,
-			head:          -1,
-			myIdx:         -1,
-			sentTo:        -1,
-			deputy:        -1,
-			takeoverBy:    -1,
+			heardCH:     st.heardCH[:0],
+			joiners:     st.joiners[:0],
+			children:    st.children[:0],
+			alarmed:     alarmed,
+			helloParent: -1,
+			head:        -1,
+			myIdx:       -1,
+			sentTo:      -1,
+			deputy:      -1,
+			takeoverBy:  -1,
 		}
 	}
 	p.beginRound()
@@ -542,9 +545,10 @@ func (p *Protocol) Run(round uint16) (metrics.RoundResult, error) {
 	return p.result(), nil
 }
 
-// beginRound resets the base station's tallies and the round counters and
-// rewinds the per-round arenas: the part of a round's reset that Run and
-// RunRetaining share.
+// beginRound resets the base station's tallies and the round counters,
+// rewinds the per-round arenas and flips the roster slab: the part of a
+// round's reset that Run and RunRetaining share. The last round's rosters
+// stay valid, in the slab just left, until the next flip.
 func (p *Protocol) beginRound() {
 	p.bsSums = growTable(p.bsSums, p.nComponents())
 	clear(p.bsSums)
@@ -561,6 +565,8 @@ func (p *Protocol) beginRound() {
 	p.promotions = 0
 	p.orphansRejoined = 0
 	p.arena.rewind()
+	p.rosters.flip()
+	p.adoptions = p.adoptions[:0]
 	p.start = p.env.Rec.Mark()
 }
 

@@ -361,7 +361,7 @@ func (p *Protocol) solveCluster(st *nodeState) ([]field.Element, uint32, uint64,
 	c := p.nComponents()
 	full := message.FullMask(m)
 	if cap(p.scratchRows) < m {
-		p.scratchRows = make([][]field.Element, m)
+		p.scratchRows = make([][]field.Element, max(m, message.MaxClusterSize))
 	}
 	rows := p.scratchRows[:m]
 	complete := true
@@ -387,7 +387,7 @@ func (p *Protocol) solveCluster(st *nodeState) ([]field.Element, uint32, uint64,
 	if p.cfg.NoDegrade || mask == 0 {
 		return nil, 0, 0, false
 	}
-	sub, err := st.algebra.Subset(mask)
+	sub, err := p.subsetAlgebra(st, mask)
 	if err != nil {
 		return nil, 0, 0, false
 	}
@@ -488,7 +488,7 @@ func (p *Protocol) maybeDegrade(id topo.NodeID) {
 		p.lifecycle(id, id, trace.PhaseAssembly, trace.StateDegraded,
 			"reassemble mask=%#x (%d of %d members)", mask, bits.OnesCount64(mask), m)
 	}
-	st.collectSub(m)
+	p.collectSub(st)
 	payload := p.arena.payloads.take(message.AppendReassemble(p.arena.payloads.spare(), message.Reassemble{Mask: mask}))
 	window := p.cfg.AggAt - p.cfg.AssembleAt
 	// Broadcast twice, jittered, for loss resilience (a member of M that
@@ -559,7 +559,7 @@ func (p *Protocol) startSubExchangeAfter(id topo.NodeID, mask uint64, delay time
 	}
 	st.subMask = mask
 	st.subRecvMask = 0
-	st.subShares = growRows(st.subShares, m)
+	st.subShares = p.arena.rows.alloc(m)
 	st.subSent = nil
 	if mask&(uint64(1)<<uint(st.myIdx)) == 0 {
 		return // not in M: the node only relays for the subset exchange
@@ -581,7 +581,7 @@ func (p *Protocol) exchangeSubShares(id topo.NodeID) {
 	if mask == 0 || st.algebra == nil {
 		return
 	}
-	sub, err := st.algebra.Subset(mask)
+	sub, err := p.subsetAlgebra(st, mask)
 	if err != nil {
 		return
 	}
@@ -590,7 +590,15 @@ func (p *Protocol) exchangeSubShares(id topo.NodeID) {
 	reading := p.arena.elems.alloc(c)
 	p.readingVectorInto(reading, id)
 	if cap(p.subOuts) < c {
+		// Sized for the largest subset a mask selects, so no later subset
+		// grows them.
 		p.subOuts = make([]shares.Shares, c)
+		for k := range p.subOuts {
+			p.subOuts[k] = shares.Shares{
+				ForMember: make([]field.Element, 0, message.MaxClusterSize),
+				Coeffs:    make([]field.Element, 0, message.MaxClusterSize),
+			}
+		}
 	}
 	outs := p.subOuts[:c]
 	for k := 0; k < c; k++ {
@@ -708,8 +716,8 @@ func (p *Protocol) sendSubAssembled(id topo.NodeID) {
 	st.ownSub = a
 	st.subSent = &st.ownSub
 	if st.role == roleHead || st.tookOver {
-		if !st.fSubOn {
-			st.collectSub(len(st.roster.Entries))
+		if len(st.fSub) == 0 {
+			p.collectSub(st)
 		}
 		st.setFSub(st.myIdx, a)
 		return
@@ -732,7 +740,7 @@ func (p *Protocol) onSubAssembled(at topo.NodeID, msg *message.Message) {
 		return
 	}
 	st := &p.nodes[at]
-	if (st.role != roleHead && !st.tookOver) || st.subMask == 0 || !st.fSubOn {
+	if (st.role != roleHead && !st.tookOver) || st.subMask == 0 || len(st.fSub) == 0 {
 		return
 	}
 	senderIdx := -1

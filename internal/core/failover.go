@@ -284,7 +284,7 @@ func (p *Protocol) takeoverDecide(id topo.NodeID) {
 		p.lifecycle(id, st.head, trace.PhaseFailover, trace.StateDegraded,
 			"takeover reassemble mask=%#x (%d of %d members)", mask, bits.OnesCount64(mask), m)
 	}
-	st.collectSub(m)
+	p.collectSub(st)
 	payload := p.arena.payloads.take(message.AppendReassemble(p.arena.payloads.spare(), message.Reassemble{Mask: mask}))
 	slot := p.cfg.EpochSlot
 	p.broadcastAfter(p.jitter(slot/8), message.KindReassemble, id, payload)
@@ -584,23 +584,33 @@ func (p *Protocol) repairFinalize() {
 	for i := 1; i < p.env.Net.Size(); i++ {
 		id := topo.NodeID(i)
 		st := &p.nodes[i]
-		if st.role != roleHead || len(st.repairJoiners) == 0 || p.env.MAC.Disabled(id) {
+		if st.role != roleHead || p.env.MAC.Disabled(id) {
 			continue
 		}
-		adopted := st.repairJoiners
-		st.repairJoiners = st.repairJoiners[:0]
+		adopted := 0
+		for _, a := range p.adoptions {
+			if a.head == id {
+				adopted++
+			}
+		}
+		if adopted == 0 {
+			continue
+		}
+		// Consume the head's adoptions, in arrival order, onto its roster.
+		entries := append(p.scratchEntries[:0], st.roster.Entries...)
+		for i := range p.adoptions {
+			if a := &p.adoptions[i]; a.head == id {
+				a.head = -1
+				if len(entries) < message.MaxClusterSize {
+					entries = append(entries, a.entry)
+				}
+			}
+		}
+		p.scratchEntries = entries
 		if len(st.roster.Entries) == 0 || st.roster.Entries[0].ID != id {
 			continue // no self-rooted roster to extend
 		}
-		entries := append(p.scratchEntries[:0], st.roster.Entries...)
-		for _, j := range adopted {
-			if len(entries) >= message.MaxClusterSize {
-				break
-			}
-			entries = append(entries, j)
-			p.orphansRejoined++
-		}
-		p.scratchEntries = entries
+		p.orphansRejoined += len(entries) - len(st.roster.Entries)
 		canonicalizeSeeds(entries)
 		payload, err := p.keep(message.AppendRoster(p.arena.payloads.spare(), message.Roster{Head: id, Entries: entries}))
 		if err != nil {
@@ -609,7 +619,7 @@ func (p *Protocol) repairFinalize() {
 		p.installRoster(id, id, entries)
 		if p.env.Sink != nil {
 			p.lifecycle(id, id, trace.PhaseRepair, trace.StateAdopted,
-				"adopted %d orphans (m=%d)", len(adopted), len(entries))
+				"adopted %d orphans (m=%d)", adopted, len(entries))
 		}
 		jit := p.jitter(window / 16)
 		p.broadcastAfter(jit, message.KindRoster, id, payload)
@@ -632,9 +642,9 @@ func (p *Protocol) forgetHead(st *nodeState, dead topo.NodeID) {
 // state can never drive the share phases; a fresh roster from the adopting
 // head rebuilds it.
 func (p *Protocol) clearClusterState(st *nodeState) {
-	st.roster = message.Roster{Entries: st.roster.Entries[:0]}
+	st.roster = message.Roster{}
 	st.myIdx = -1
 	st.algebra = nil
-	st.recvShares = st.recvShares[:0]
+	st.recvShares = nil
 	st.deputy = -1
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"time"
 
 	"repro/internal/field"
@@ -173,15 +174,20 @@ func (p *Protocol) onJoin(at topo.NodeID, msg *message.Message) {
 				return
 			}
 		}
-		for _, e := range st.repairJoiners {
-			if e.ID == msg.From {
+		queued := 0
+		for _, a := range p.adoptions {
+			if a.head != at {
+				continue
+			}
+			if a.entry.ID == msg.From {
 				return
 			}
+			queued++
 		}
-		if len(st.roster.Entries)+len(st.repairJoiners) >= message.MaxClusterSize {
+		if len(st.roster.Entries)+queued >= message.MaxClusterSize {
 			return
 		}
-		st.repairJoiners = append(st.repairJoiners, message.RosterEntry{ID: msg.From, Seed: j.Seed})
+		p.adoptions = append(p.adoptions, adoption{head: at, entry: message.RosterEntry{ID: msg.From, Seed: j.Seed}})
 		return
 	}
 	if len(st.joiners) >= message.MaxClusterSize-1 {
@@ -376,21 +382,21 @@ func canonicalizeSeeds(entries []message.RosterEntry) {
 	}
 }
 
-// algebraFor returns the share algebra for a roster, serving canonical
-// position-seeded rosters ({1..m}) from a per-size cache so all clusters of
-// one size share a single weights table and Lagrange-subset cache.
-// Non-canonical rosters (none are produced by this code, but the wire format
-// permits them) get a private algebra as before.
+// algebraFor returns the share algebra for a roster. Canonical
+// position-seeded rosters ({1..m}) get the shared algebra of their size (see
+// canonicalAlgebras), so all clusters of one size share a single weights
+// table. Non-canonical rosters (none are produced by this code, but the wire
+// format permits them) get a private algebra.
 func (p *Protocol) algebraFor(entries []message.RosterEntry) (*shares.Algebra, error) {
-	canonical := true
+	canonical := len(entries) <= message.MaxClusterSize
 	for i, e := range entries {
-		if e.Seed != shares.SeedFor(i) {
-			canonical = false
+		if !canonical {
 			break
 		}
+		canonical = e.Seed == shares.SeedFor(i)
 	}
 	if canonical {
-		if a, ok := p.algebras[len(entries)]; ok {
+		if a := canonicalAlgebras()[len(entries)]; a != nil {
 			return a, nil
 		}
 	}
@@ -398,28 +404,40 @@ func (p *Protocol) algebraFor(entries []message.RosterEntry) (*shares.Algebra, e
 	for i, e := range entries {
 		seeds[i] = e.Seed
 	}
-	a, err := shares.NewAlgebra(seeds)
-	if err != nil {
-		return nil, err
-	}
-	if canonical {
-		if p.algebras == nil {
-			p.algebras = make(map[int]*shares.Algebra)
-		}
-		p.algebras[len(entries)] = a
-	}
-	return a, nil
+	return shares.NewAlgebra(seeds)
 }
 
-// installRoster copies a roster into the node's own roster buffer, which
-// outlives the round, prepares the share algebra for the node's cluster
+// canonicalAlgebras holds the algebra of every canonical roster size from 2
+// to message.MaxClusterSize, built once per process. Heads re-seed every
+// roster they publish with position seeds {1..m}, so all clusters of equal
+// size share one algebra — one weights table per m, which is what makes
+// the announce-phase batch solve possible. An algebra is immutable, so
+// every protocol shares these, and no round meets a size it must build.
+var canonicalAlgebras = sync.OnceValue(func() *[message.MaxClusterSize + 1]*shares.Algebra {
+	var algebras [message.MaxClusterSize + 1]*shares.Algebra
+	for m := 2; m <= message.MaxClusterSize; m++ {
+		seeds := make([]field.Element, m)
+		for i := range seeds {
+			seeds[i] = shares.SeedFor(i)
+		}
+		a, err := shares.NewAlgebra(seeds)
+		if err != nil {
+			panic(err) // position seeds are distinct and non-zero
+		}
+		algebras[m] = a
+	}
+	return &algebras
+})
+
+// installRoster copies a roster into the round's roster slab, where it
+// outlives the round (see rosterSlabs), prepares the share algebra for the node's cluster
 // view and designates the failover deputy (highest-seed entry other than
 // the head), which every roster holder computes locally — zero extra wire
 // bytes.
 func (p *Protocol) installRoster(at, head topo.NodeID, entries []message.RosterEntry) {
 	st := &p.nodes[at]
 	st.roster.Head = head
-	st.roster.Entries = growTable(st.roster.Entries, len(entries))
+	st.roster.Entries = p.rosters.alloc(len(entries))
 	copy(st.roster.Entries, entries)
 	r := st.roster
 	st.myIdx = -1
@@ -441,8 +459,8 @@ func (p *Protocol) installRoster(at, head topo.NodeID, entries []message.RosterE
 		return // corrupt roster (duplicate seeds); cluster cannot run
 	}
 	st.algebra = algebra
-	st.recvShares = growRows(st.recvShares, len(r.Entries))
-	st.fSeen = growTable(st.fSeen, len(r.Entries)) // slots gated by fSeenMask
+	st.recvShares = p.arena.rows.alloc(len(r.Entries))
+	st.fSeen = p.arena.reports.alloc(len(r.Entries)) // slots gated by fSeenMask
 	st.fSeenMask = 0
 	if !p.cfg.NoFailover {
 		st.deputy = deputyOf(r)

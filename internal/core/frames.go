@@ -7,10 +7,11 @@ import (
 )
 
 // Per-round arenas. Every frame the protocol sends, every payload byte it
-// encodes, seals or opens, and every share, column-sum, announce and
-// child-total vector it builds or decodes comes from the three arenas
-// below. Chunks are never resized, so anything handed out stays where it
-// is until the arenas rewind.
+// encodes, seals or opens, every share, column-sum, announce and
+// child-total vector it builds or decodes, and every node's tables of
+// received shares and collected reports come from the arenas below. Chunks
+// are never resized, so anything handed out stays where it is until the
+// arenas rewind.
 //
 // Lifetime rule: a frame, payload or vector built by a protocol is valid
 // until that protocol's next round starts (Run or RunRetaining rewinds the
@@ -19,20 +20,23 @@ import (
 // round r+1 begins (mac.Disable purges the queues of crashed nodes), the
 // per-round node state that points into the arenas (received shares,
 // assembled reports, sub-reports, solved sums, the node's own announce and
-// its children's totals) is reset with the round, and the one holder that
+// its children's totals, its share and sub-share tables and its assembled
+// and sub-report slots) is reset with the round, and the one holder that
 // keeps a frame across rounds, attack.Replay, records a clone. The outbox
-// of frames waiting for a deferred MAC.Send is per round too.
+// of frames waiting for a deferred MAC.Send is per round too. A round hands
+// every node with a cluster algebra fresh share and report tables: Run as
+// its roster installs, RunRetaining when it resets the node.
 //
 // What outlives a round lives per node instead, in buffers that Run's reset
 // keeps (truncated) and that grow only when a node meets a larger cluster
-// than before: the roster (RunRetaining reuses it), heard heads, joiners,
-// children, assembled-report slots and share tables. Values consumed within
-// one event (decode targets, a witness's column, an announce total) live in
-// protocol scratch.
+// than before: heard heads, joiners and children. Rosters outlive a round
+// too, in a pair of slabs (rosterSlabs). Values consumed within one event (decode targets, a
+// witness's column, an announce total, a subset algebra) live in protocol
+// scratch.
 const (
 	frameChunk = 1024     // frames per frame-arena chunk
 	byteChunk  = 64 << 10 // bytes per payload-arena chunk
-	elemChunk  = 4096     // elements per element-arena chunk
+	slabChunk  = 4096     // values per chunk of a slab
 	// minSpare is the free space spare offers a serial-loop encoder. It
 	// covers every payload but an announce echoing dozens of 16-component
 	// children, which then lands on the heap.
@@ -43,8 +47,10 @@ const (
 type arenas struct {
 	frames   frameArena
 	payloads byteArena
-	elems    elemArena
-	outbox   []*message.Message // frames of pending sendAfter events, by event argument
+	elems    slab[field.Element]
+	rows     slab[[]field.Element]   // share tables, by roster index
+	reports  slab[message.Assembled] // assembled and sub-report slots, by roster index
+	outbox   []*message.Message      // frames of pending sendAfter events, by event argument
 }
 
 // rewind takes back everything the last round handed out.
@@ -52,6 +58,8 @@ func (a *arenas) rewind() {
 	a.frames.rewind()
 	a.payloads.rewind()
 	a.elems.rewind()
+	a.rows.rewind()
+	a.reports.rewind()
 	a.outbox = a.outbox[:0]
 }
 
@@ -137,28 +145,70 @@ func (a *byteArena) reserve(n int) []byte {
 // rewind takes every byte back.
 func (a *byteArena) rewind() { a.c, a.off = 0, 0 }
 
-// elemArena is the chunked slab decoded share vectors come from.
-type elemArena struct {
-	chunks [][]field.Element
-	c, off int // cursor: chunk and offset of the next free element
+// slab is a chunked arena of values of one type: decoded share vectors,
+// share tables, report slots.
+type slab[T any] struct {
+	chunks [][]T
+	c, off int // cursor: chunk and offset of the next free value
 }
 
-// alloc hands out n zeroed elements (n <= elemChunk).
-func (a *elemArena) alloc(n int) []field.Element {
-	if a.off+n > elemChunk {
+// alloc hands out n zeroed values. A run longer than a chunk comes from the
+// heap.
+func (a *slab[T]) alloc(n int) []T {
+	if n > slabChunk {
+		return make([]T, n)
+	}
+	if a.off+n > slabChunk {
 		a.c, a.off = a.c+1, 0
 	}
 	if a.c == len(a.chunks) {
-		a.chunks = append(a.chunks, make([]field.Element, elemChunk))
+		a.chunks = append(a.chunks, make([]T, slabChunk))
 	}
 	s := a.chunks[a.c][a.off : a.off+n : a.off+n]
 	a.off += n
-	clear(s)
 	return s
 }
 
-// rewind takes every element back.
-func (a *elemArena) rewind() { a.c, a.off = 0, 0 }
+// rewind takes every value back, zeroing what was handed out: alloc then
+// returns zeroed values, and nothing the last round stored stays reachable.
+func (a *slab[T]) rewind() {
+	for c := 0; c < a.c && c < len(a.chunks); c++ {
+		clear(a.chunks[c])
+	}
+	if a.c < len(a.chunks) {
+		clear(a.chunks[a.c][:a.off])
+	}
+	a.c, a.off = 0, 0
+}
+
+// rosterSlabs holds the nodes' rosters. Rosters outlive a round under
+// RunRetaining, so they cannot come from the per-round arenas. Instead each
+// round flips to the slab the round before last used, rewinds it and
+// installs rosters there; RunRetaining first copies across the rosters it
+// keeps. The two slabs grow together, so the copy never grows the slab it
+// copies into: a first retained round needs no more than the round that
+// formed the clusters.
+type rosterSlabs struct {
+	slabs [2]slab[message.RosterEntry]
+	cur   int
+}
+
+// flip makes the other slab current and rewinds it. Rosters of the last
+// round stay valid, in the slab just left, until the next flip.
+func (r *rosterSlabs) flip() {
+	r.cur ^= 1
+	r.slabs[r.cur].rewind()
+}
+
+// alloc hands out n zeroed entries from the current slab.
+func (r *rosterSlabs) alloc(n int) []message.RosterEntry {
+	s := r.slabs[r.cur].alloc(n)
+	twin := &r.slabs[r.cur^1]
+	for len(twin.chunks) < len(r.slabs[r.cur].chunks) {
+		twin.chunks = append(twin.chunks, make([]message.RosterEntry, slabChunk))
+	}
+	return s
+}
 
 // build is message.Build backed by the protocol's frame arena.
 func (p *Protocol) build(kind message.Kind, from, to topo.NodeID, round uint16, payload []byte) *message.Message {

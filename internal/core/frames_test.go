@@ -80,7 +80,7 @@ func TestFrameArenaRuns(t *testing.T) {
 
 // TestElemArenaZeroes checks that reused elements come back zeroed.
 func TestElemArenaZeroes(t *testing.T) {
-	var a elemArena
+	var a slab[field.Element]
 	v := a.alloc(3)
 	copy(v, []field.Element{7, 8, 9})
 	a.rewind()
@@ -105,4 +105,62 @@ func TestAlarmsSorted(t *testing.T) {
 	if got := p.Alarms(); !slices.Equal(got, want) {
 		t.Errorf("Alarms() = %v, want %v", got, want)
 	}
+}
+
+// TestRosterSlabsGrowTogether checks that a roster outlives one flip
+// untouched, that the twin slab grows with the current one, and that the
+// second flip takes the first slab's memory back.
+func TestRosterSlabsGrowTogether(t *testing.T) {
+	var r rosterSlabs
+	r.flip()
+	kept := r.alloc(3)
+	copy(kept, []message.RosterEntry{{ID: 1}, {ID: 2}, {ID: 3}})
+	for i := 0; i < slabChunk; i += 64 {
+		r.alloc(64) // spill into a second chunk
+	}
+	if a, b := len(r.slabs[0].chunks), len(r.slabs[1].chunks); a != 2 || b != 2 {
+		t.Fatalf("chunks %d and %d, want 2 and 2", a, b)
+	}
+	r.flip()
+	copied := r.alloc(3)
+	copy(copied, kept)
+	if kept[2].ID != 3 || &copied[0] == &kept[0] {
+		t.Fatalf("roster lost across one flip: %v", kept)
+	}
+	r.flip()
+	if again := r.alloc(3); &again[0] != &kept[0] || again[0].ID != 0 {
+		t.Errorf("second flip did not rewind the first slab: %v", again)
+	}
+}
+
+// TestWarmRetainedEpochAllocatesNothing pins the allocation-free warm
+// round on the steady-state path: once a few retained epochs have grown
+// every buffer, a retained epoch on a lossy deployment allocates nothing,
+// degraded clusters and repair windows included.
+func TestWarmRetainedEpochAllocatesNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a few dozen 300-node rounds")
+	}
+	_, p := run(t, 300, 3, false, nil)
+	if _, err := p.Run(1); err != nil {
+		t.Fatal(err)
+	}
+	round := uint16(2)
+	degraded, promotions := 0, 0
+	epoch := func() {
+		res, err := p.RunRetaining(round)
+		if err != nil {
+			t.Fatal(err)
+		}
+		round++
+		degraded += res.DegradedClusters
+		promotions += res.Promotions
+	}
+	for i := 0; i < 10; i++ {
+		epoch()
+	}
+	if n := testing.AllocsPerRun(10, epoch); n != 0 {
+		t.Errorf("warm retained epoch: %v allocs, want 0", n)
+	}
+	t.Logf("%d epochs: %d degraded clusters, %d promotions", round-2, degraded, promotions)
 }

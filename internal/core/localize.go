@@ -27,19 +27,28 @@ func (p *Protocol) RunRetaining(round uint16) (metrics.RoundResult, error) {
 	}
 	p.round = round
 	repair := p.pendingRepair()
+	p.beginRound()
 	for i := range p.nodes {
 		st := &p.nodes[i]
+		if n := len(st.roster.Entries); n > 0 {
+			kept := p.rosters.alloc(n)
+			copy(kept, st.roster.Entries)
+			st.roster.Entries = kept
+		}
 		st.recvMask = 0
-		for j := range st.recvShares {
-			st.recvShares[j] = nil
+		st.recvShares, st.fSeen = nil, nil
+		if st.algebra != nil {
+			// The rewound arena hands the retained cluster fresh tables.
+			st.recvShares = p.arena.rows.alloc(len(st.roster.Entries))
+			st.fSeen = p.arena.reports.alloc(len(st.roster.Entries))
 		}
 		st.fSeenMask = 0
 		st.solved = false
 		st.solvedSums = nil
 		st.subMask, st.subRecvMask = 0, 0
-		st.subShares = st.subShares[:0]
+		st.subShares = nil
 		st.subSent = nil
-		st.fSub, st.fSubMask, st.fSubOn = st.fSub[:0], 0, false
+		st.fSub, st.fSubMask = nil, 0
 		st.effMask = 0
 		st.plainSums, st.plainCnt = nil, 0
 		st.children = st.children[:0]
@@ -53,12 +62,10 @@ func (p *Protocol) RunRetaining(round uint16) (metrics.RoundResult, error) {
 		st.takeoverBy = -1
 		st.deputyClaimed = false
 		st.tookOver = false
-		st.repairJoiners = st.repairJoiners[:0]
 		if !repair {
 			st.headSilent = false // nothing will consume the flag; drop it
 		}
 	}
-	p.beginRound()
 
 	base := p.cfg.SharesAt
 	var offset time.Duration

@@ -53,11 +53,7 @@ func (p *Protocol) RunQuery(q aggfunc.Query, startRound uint16) (QueryOutcome, e
 	if err != nil {
 		return QueryOutcome{}, fmt.Errorf("core: %w", err)
 	}
-	p.comps = growTable(p.compsBuf, len(comps))
-	p.compsBuf = p.comps
-	for i, c := range comps {
-		p.comps[i] = c
-	}
+	p.comps = comps
 	defer func() { p.comps = nil }()
 	res, err := p.Run(startRound)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/field"
 	"repro/internal/message"
+	"repro/internal/shares"
 	"repro/internal/topo"
 )
 
@@ -236,8 +237,8 @@ func TestWitnessCatchesForgedEffectiveMask(t *testing.T) {
 			rows = append(rows, a.FMatrix[i*c:(i+1)*c]...)
 		}
 	}
-	sub, err := st.algebra.Subset(mask)
-	if err != nil {
+	var sub shares.Algebra
+	if err := st.algebra.SubsetInto(&sub, mask); err != nil {
 		t.Fatal(err)
 	}
 	a.Mask = mask

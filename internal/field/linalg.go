@@ -117,7 +117,7 @@ func SolveVandermonde(seeds, assembled []Element) ([]Element, error) {
 //
 //	w_j = L_j(0) = Π_{k≠j} x_k / (x_k − x_j),
 //
-// computed in O(m²) multiplications plus one inversion per seed. Seeds
+// computed in O(m²) multiplications plus one inversion. Seeds
 // must be distinct and non-zero (ErrSingular otherwise), which also
 // guarantees every denominator is invertible.
 func RecoveryWeights(seeds []Element) ([]Element, error) {
@@ -125,18 +125,52 @@ func RecoveryWeights(seeds []Element) ([]Element, error) {
 		return nil, err
 	}
 	w := make([]Element, len(seeds))
+	RecoveryWeightsInto(w, seeds)
+	return w, nil
+}
+
+// RecoveryWeightsInto writes the recovery weights of seeds into dst, which
+// must hold len(seeds) elements, without allocating. It does not check the
+// seeds: the caller must know them distinct and non-zero, as any subset of
+// a seed set that RecoveryWeights accepted is. One field inversion serves
+// every weight: dst first holds the running products of the denominators,
+// and a backward pass peels one denominator's inverse off the inverted
+// total at a time.
+func RecoveryWeightsInto(dst, seeds []Element) {
+	dst = dst[:len(seeds)]
+	acc := Element(1)
 	for j, xj := range seeds {
-		num, den := Element(1), Element(1)
+		acc = acc.Mul(denominator(seeds, j, xj))
+		dst[j] = acc
+	}
+	inv := acc.Inv() // 1 / Π_j den_j
+	for j := len(seeds) - 1; j >= 0; j-- {
+		xj := seeds[j]
+		num := Element(1)
 		for k, xk := range seeds {
-			if k == j {
-				continue
+			if k != j {
+				num = num.Mul(xk)
 			}
-			num = num.Mul(xk)
+		}
+		invDen := inv // 1 / den_j once the later denominators are peeled off
+		if j > 0 {
+			invDen = inv.Mul(dst[j-1])
+		}
+		inv = inv.Mul(denominator(seeds, j, xj))
+		dst[j] = num.Mul(invDen)
+	}
+}
+
+// denominator returns Π_{k≠j} (x_k − x_j), the Lagrange denominator of
+// seed j.
+func denominator(seeds []Element, j int, xj Element) Element {
+	den := Element(1)
+	for k, xk := range seeds {
+		if k != j {
 			den = den.Mul(xk.Sub(xj))
 		}
-		w[j] = num.Mul(den.Inv())
 	}
-	return w, nil
+	return den
 }
 
 // BatchSolver recovers the constant coefficient of many Vandermonde systems

@@ -3,6 +3,7 @@ package field
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -156,6 +157,18 @@ func TestRecoveryWeightsMatchInverseFirstRow(t *testing.T) {
 		w, err := RecoveryWeights(seeds)
 		if err != nil {
 			t.Fatalf("m=%d: %v", m, err)
+		}
+		// The in-place form, into a dirty buffer, agrees and allocates
+		// nothing.
+		dirty := make([]Element, m)
+		for i := range dirty {
+			dirty[i] = New(rng.Uint64())
+		}
+		if n := testing.AllocsPerRun(10, func() { RecoveryWeightsInto(dirty, seeds) }); n != 0 {
+			t.Errorf("m=%d: RecoveryWeightsInto %v allocs, want 0", m, n)
+		}
+		if !slices.Equal(dirty, w) {
+			t.Errorf("m=%d: RecoveryWeightsInto %v, RecoveryWeights %v", m, dirty, w)
 		}
 		// For random coefficient vectors, w·(V·c) must equal c[0].
 		coeffs := make([]Element, m)

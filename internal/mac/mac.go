@@ -98,6 +98,10 @@ type Layer struct {
 	// sender) pair that has no radio link: frames injected under the name
 	// of a non-adjacent node or of a phantom ID outside the network.
 	spoofSeq map[[2]topo.NodeID]uint16
+
+	// spare is the unused rest of the slab the latest grown transmit queue
+	// came from (see growQueue).
+	spare []*message.Message
 }
 
 // port holds one node's transmit and ARQ state. A reception loads it only
@@ -161,6 +165,25 @@ func (p *port) clearQueue() {
 
 // queueRun is the transmit-queue capacity every port starts with.
 const queueRun = 8
+
+// queueSlab is the fewest queue slots growQueue allocates at once.
+const queueSlab = 1024
+
+// growQueue moves p's transmit queue into a run twice as long, carved from
+// a layer-wide slab as NewLayer carves the first runs: ports whose backlog
+// deepens for the first time share one allocation instead of each growing
+// its own. The old run is cleared and left unused.
+func (l *Layer) growQueue(p *port) {
+	n := 2 * cap(p.queue)
+	if len(l.spare) < n {
+		l.spare = make([]*message.Message, max(n, queueSlab))
+	}
+	run := l.spare[:len(p.queue):n]
+	l.spare = l.spare[n:]
+	copy(run, p.queue)
+	clear(p.queue)
+	p.queue = run
+}
 
 // NewLayer builds the MAC over a medium for a network of n nodes and takes
 // ownership of the medium's receive handler.
@@ -322,6 +345,9 @@ func (l *Layer) Send(msg *message.Message) {
 	msg.Seq = p.seq
 	if l.tap != nil {
 		l.tap.OnSend(msg)
+	}
+	if len(p.queue) == cap(p.queue) {
+		l.growQueue(p)
 	}
 	p.queue = append(p.queue, msg)
 	l.kick(p)

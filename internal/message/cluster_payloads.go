@@ -468,7 +468,7 @@ func UnmarshalAnnounceInto(buf []byte, a *Announce) error {
 	off := getElems(buf, 20, a.ClusterSums)
 	a.FMatrix = resize(a.FMatrix, members*c)
 	off = getElems(buf, off, a.FMatrix)
-	a.Children = resize(a.Children, nc)
+	a.Children = growChildren(a.Children, nc)
 	for i := range a.Children {
 		ch := &a.Children[i]
 		ch.Child = topo.NodeID(int32(binary.BigEndian.Uint32(buf[off:])))
@@ -477,6 +477,22 @@ func UnmarshalAnnounceInto(buf []byte, a *Announce) error {
 		off = getElems(buf, off+8, ch.Totals)
 	}
 	return nil
+}
+
+// growChildren returns children resized to n entries, keeping the entries
+// it held, Totals buffers included. Entries it adds share one block of
+// MaxComponents-wide Totals buffers, so a decode that meets more children
+// than ever before allocates twice rather than once per new child.
+func growChildren(children []ChildEntry, n int) []ChildEntry {
+	if have := cap(children); have < n {
+		children = append(children[:have], make([]ChildEntry, n-have)...)
+		block := make([]field.Element, (n-have)*MaxComponents)
+		for i := have; i < n; i++ {
+			j := (i - have) * MaxComponents
+			children[i].Totals = block[j : j : j+MaxComponents]
+		}
+	}
+	return children[:n]
 }
 
 // getElems fills dst from the big-endian words at buf[off:] and returns the

@@ -2,6 +2,7 @@ package shares
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -135,6 +136,7 @@ func TestPropertySubsetRecoveryMatchesReference(t *testing.T) {
 		for i := range privates {
 			privates[i] = field.New(rng.Uint64())
 		}
+		scratch := new(Algebra)
 		for mask := uint64(0); mask < uint64(1)<<uint(m); mask++ {
 			members := make([]int, 0, m)
 			var want field.Element
@@ -144,7 +146,8 @@ func TestPropertySubsetRecoveryMatchesReference(t *testing.T) {
 					want = want.Add(privates[i])
 				}
 			}
-			sub, err := algebra.Subset(mask)
+			sub := new(Algebra)
+			err := algebra.SubsetInto(sub, mask)
 			if len(members) < MinClusterSize {
 				if err == nil && len(members) < m {
 					t.Fatalf("m=%d mask=%#x: undersized subset accepted", m, mask)
@@ -154,12 +157,12 @@ func TestPropertySubsetRecoveryMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("m=%d mask=%#x: %v", m, mask, err)
 			}
-			if len(members) == m && sub != algebra {
-				t.Fatalf("m=%d: full mask must return the parent algebra", m)
-			}
-			again, err := algebra.Subset(mask)
-			if err != nil || again != sub {
-				t.Fatalf("m=%d mask=%#x: subset not cached", m, mask)
+			// SubsetInto over the scratch the previous mask left behind
+			// builds the same algebra.
+			if err := algebra.SubsetInto(scratch, mask); err != nil ||
+				!slices.Equal(scratch.seeds, sub.seeds) || !slices.Equal(scratch.weights, sub.weights) {
+				t.Fatalf("m=%d mask=%#x: into scratch %v/%v, into a fresh algebra %v/%v (err=%v)",
+					m, mask, scratch.seeds, scratch.weights, sub.seeds, sub.weights, err)
 			}
 			k := len(members)
 			all := make([]Shares, k)
@@ -189,8 +192,44 @@ func TestPropertySubsetRecoveryMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := algebra.Subset(0b1011); err == nil {
-		t.Error("out-of-range subset mask accepted")
+	dst, err := NewAlgebra([]field.Element{SeedFor(5), SeedFor(6), SeedFor(7)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds, weights := slices.Clone(dst.seeds), slices.Clone(dst.weights)
+	if err := algebra.SubsetInto(dst, 0b1011); err == nil {
+		t.Error("SubsetInto accepted an out-of-range mask")
+	}
+	if !slices.Equal(dst.seeds, seeds) || !slices.Equal(dst.weights, weights) {
+		t.Error("SubsetInto changed its destination on error")
+	}
+}
+
+// SubsetInto into a destination whose buffers are large enough allocates
+// nothing: a round engine builds every degraded subset it meets into one
+// scratch algebra.
+func TestSubsetIntoWarmAllocatesNothing(t *testing.T) {
+	seeds := make([]field.Element, 12)
+	for i := range seeds {
+		seeds[i] = SeedFor(i)
+	}
+	algebra, err := NewAlgebra(seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := new(Algebra)
+	if err := algebra.SubsetInto(dst, 0b1111_1111_1110); err != nil {
+		t.Fatal(err)
+	}
+	masks := []uint64{0b0111, 0b1011_0110_0001, 0b1111_1111_1110}
+	i := 0
+	if n := testing.AllocsPerRun(100, func() {
+		if err := algebra.SubsetInto(dst, masks[i%len(masks)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); n != 0 {
+		t.Errorf("warm SubsetInto: %v allocs, want 0", n)
 	}
 }
 

@@ -34,11 +34,6 @@ const MinClusterSize = 3
 type Algebra struct {
 	seeds   []field.Element
 	weights []field.Element
-
-	// subsets caches the degraded-recovery sub-algebras by participant mask
-	// (bit i = seed index i), so a witness re-solving many announces against
-	// the same subset pays the Vandermonde inversion once.
-	subsets map[uint64]*Algebra
 }
 
 // NewAlgebra validates the seeds (distinct, non-zero), precomputes the
@@ -60,44 +55,44 @@ func NewAlgebra(seeds []field.Element) (*Algebra, error) {
 // Size returns the cluster size m.
 func (a *Algebra) Size() int { return len(a.seeds) }
 
-// Subset returns the algebra over the seeds selected by mask (bit i = seed
-// index i): the Lagrange-at-zero recovery weights for the degraded-recovery
-// subset M. The subset must keep the cluster viable (|M| >= MinClusterSize)
-// and must not exceed the parent's size. Results are cached per mask.
-func (a *Algebra) Subset(mask uint64) (*Algebra, error) {
+// SubsetInto makes dst the algebra over the seeds selected by mask (bit i =
+// seed index i): the Lagrange-at-zero recovery weights for the
+// degraded-recovery subset M. The subset must keep the cluster viable
+// (|M| >= MinClusterSize, or all of a smaller cluster) and must not exceed
+// the parent's size. dst's buffers are reused: SubsetInto allocates only
+// when they are too small, so a round engine builds every subset it solves
+// over into one scratch algebra. dst must not be a. On error dst is
+// unchanged.
+func (a *Algebra) SubsetInto(dst *Algebra, mask uint64) error {
 	m := a.Size()
 	full := ^uint64(0)
 	if m < 64 {
 		full = uint64(1)<<uint(m) - 1
 	}
 	if mask&^full != 0 {
-		return nil, fmt.Errorf("shares: subset mask %#x exceeds cluster of %d", mask, m)
-	}
-	if mask == full {
-		return a, nil
+		return fmt.Errorf("shares: subset mask %#x exceeds cluster of %d", mask, m)
 	}
 	k := bits.OnesCount64(mask)
-	if k < MinClusterSize {
-		return nil, fmt.Errorf("shares: subset of %d below minimum %d", k, MinClusterSize)
+	if k < MinClusterSize && k < m {
+		return fmt.Errorf("shares: subset of %d below minimum %d", k, MinClusterSize)
 	}
-	if sub, ok := a.subsets[mask]; ok {
-		return sub, nil
+	// A mask selects at most 64 seeds, so buffers of that size never grow.
+	if cap(dst.seeds) < k {
+		dst.seeds = make([]field.Element, 0, max(k, 64))
 	}
-	seeds := make([]field.Element, 0, k)
+	if cap(dst.weights) < k {
+		dst.weights = make([]field.Element, max(k, 64))
+	}
+	dst.seeds = dst.seeds[:0]
 	for i := 0; i < m; i++ {
 		if mask&(uint64(1)<<uint(i)) != 0 {
-			seeds = append(seeds, a.seeds[i])
+			dst.seeds = append(dst.seeds, a.seeds[i])
 		}
 	}
-	sub, err := NewAlgebra(seeds)
-	if err != nil {
-		return nil, err
-	}
-	if a.subsets == nil {
-		a.subsets = make(map[uint64]*Algebra)
-	}
-	a.subsets[mask] = sub
-	return sub, nil
+	// A subset of distinct non-zero seeds is distinct and non-zero.
+	dst.weights = dst.weights[:k]
+	field.RecoveryWeightsInto(dst.weights, dst.seeds)
+	return nil
 }
 
 // Seeds returns a copy of the public seeds.

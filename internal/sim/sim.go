@@ -106,6 +106,7 @@ type Engine struct {
 	queued  int    // events in the buckets, cancelled ones included
 	dead    int    // cancelled events still sitting in the buckets
 	free    *event // recycled event nodes, linked through next
+	minted  int    // event nodes allocated over the engine's life
 	ran     uint64
 	limit   uint64     // safety valve against runaway schedules; 0 = unlimited
 	sink    trace.Sink // flight recorder; nil = disabled
@@ -166,14 +167,25 @@ func (e *Engine) Reset() {
 	e.ran = 0
 }
 
-// alloc takes an event node from the pool or mints a new one.
+// alloc takes an event node from the pool, first refilling an empty pool
+// with a block as large as every node minted so far (at least minBlock), so
+// a queue that keeps deepening allocates a logarithmic number of times.
 func (e *Engine) alloc() *event {
-	if ev := e.free; ev != nil {
-		e.free = ev.next
-		return ev
+	if e.free == nil {
+		block := make([]event, max(minBlock, e.minted))
+		e.minted += len(block)
+		for i := range block[:len(block)-1] {
+			block[i].next = &block[i+1]
+		}
+		e.free = &block[0]
 	}
-	return &event{}
+	ev := e.free
+	e.free = ev.next
+	return ev
 }
+
+// minBlock is the fewest event nodes the pool mints at once.
+const minBlock = 64
 
 // recycle invalidates outstanding Timer handles to ev, drops its function,
 // and returns the node to the pool.

@@ -212,12 +212,14 @@ func TestSlowBodyClientIsCutOff(t *testing.T) {
 	go srv.Serve(ln)
 	t.Cleanup(func() { srv.Close() })
 
+	// The server's read deadline starts when it accepts, which can be
+	// before Dial returns: take the clock first.
+	start := time.Now()
 	slow, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer slow.Close()
-	start := time.Now()
 	if _, err := io.WriteString(slow, "POST /v1/query HTTP/1.1\r\nHost: station\r\n"+
 		"Content-Type: application/json\r\nContent-Length: 64\r\n\r\n"); err != nil {
 		t.Fatal(err)
