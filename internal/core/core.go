@@ -306,7 +306,9 @@ type Protocol struct {
 	rosters rosterSlabs
 
 	// adoptions queues, in arrival order, the orphans heads adopt in a
-	// repair window, for repairFinalize to publish (failover.go).
+	// repair window, for repairFinalize to publish (failover.go). New sizes
+	// it for a full cluster's worth, so a first repair window need not
+	// grow it.
 	adoptions []adoption
 
 	// Share-exchange state: one sharePrep per participant, and the scratch
@@ -343,7 +345,7 @@ func (st *nodeState) setFSeen(i int, a message.Assembled) {
 // collectSub starts (or restarts) collecting sub-reports at st for its
 // roster, discarding any collected before.
 func (p *Protocol) collectSub(st *nodeState) {
-	st.fSub = p.arena.reports.alloc(len(st.roster.Entries))
+	st.fSub = renew(&p.arena.reports, st.fSub, len(st.roster.Entries))
 	st.fSubMask = 0
 }
 
@@ -486,9 +488,10 @@ func (p *Protocol) Run(round uint16) (metrics.RoundResult, error) {
 	n := p.env.Net.Size()
 	// The node array and every per-node buffer survive across rounds: the
 	// reset below zeroes the state in place while retaining the backing
-	// arrays (heardCH, joiners, roster, children, alarm dedup), so
-	// steady-state rounds allocate nothing here. Share tables and report
-	// slots come from the round's arena as rosters install.
+	// arrays (heardCH, joiners, children, alarm dedup), so steady-state
+	// rounds allocate nothing here. Rosters come from the roster slab, which
+	// rewinds below, and share tables and report slots from the round's
+	// arena, as rosters install.
 	if len(p.nodes) != n {
 		p.nodes = make([]nodeState, n)
 	}
@@ -512,6 +515,7 @@ func (p *Protocol) Run(round uint16) (metrics.RoundResult, error) {
 		}
 	}
 	p.beginRound()
+	p.rosters.rewind()
 
 	for i := 0; i < n; i++ {
 		p.env.MAC.SetReceiver(topo.NodeID(i), p.on.receive)
@@ -545,10 +549,9 @@ func (p *Protocol) Run(round uint16) (metrics.RoundResult, error) {
 	return p.result(), nil
 }
 
-// beginRound resets the base station's tallies and the round counters,
-// rewinds the per-round arenas and flips the roster slab: the part of a
-// round's reset that Run and RunRetaining share. The last round's rosters
-// stay valid, in the slab just left, until the next flip.
+// beginRound resets the base station's tallies and the round counters and
+// rewinds the per-round arenas: the part of a round's reset that Run and
+// RunRetaining share.
 func (p *Protocol) beginRound() {
 	p.bsSums = growTable(p.bsSums, p.nComponents())
 	clear(p.bsSums)
@@ -565,7 +568,6 @@ func (p *Protocol) beginRound() {
 	p.promotions = 0
 	p.orphansRejoined = 0
 	p.arena.rewind()
-	p.rosters.flip()
 	p.adoptions = p.adoptions[:0]
 	p.start = p.env.Rec.Mark()
 }

@@ -559,7 +559,7 @@ func (p *Protocol) startSubExchangeAfter(id topo.NodeID, mask uint64, delay time
 	}
 	st.subMask = mask
 	st.subRecvMask = 0
-	st.subShares = p.arena.rows.alloc(m)
+	st.subShares = renew(&p.arena.rows, st.subShares, m)
 	st.subSent = nil
 	if mask&(uint64(1)<<uint(st.myIdx)) == 0 {
 		return // not in M: the node only relays for the subset exchange

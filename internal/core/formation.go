@@ -390,10 +390,10 @@ func canonicalizeSeeds(entries []message.RosterEntry) {
 func (p *Protocol) algebraFor(entries []message.RosterEntry) (*shares.Algebra, error) {
 	canonical := len(entries) <= message.MaxClusterSize
 	for i, e := range entries {
-		if !canonical {
+		if e.Seed != shares.SeedFor(i) {
+			canonical = false
 			break
 		}
-		canonical = e.Seed == shares.SeedFor(i)
 	}
 	if canonical {
 		if a := canonicalAlgebras()[len(entries)]; a != nil {
@@ -429,15 +429,21 @@ var canonicalAlgebras = sync.OnceValue(func() *[message.MaxClusterSize + 1]*shar
 	return &algebras
 })
 
-// installRoster copies a roster into the round's roster slab, where it
-// outlives the round (see rosterSlabs), prepares the share algebra for the node's cluster
-// view and designates the failover deputy (highest-seed entry other than
-// the head), which every roster holder computes locally — zero extra wire
-// bytes.
+// installRoster copies a roster into the node's roster (from the roster
+// slab, where it outlives the round, unless the node's last roster has the
+// room), takes the node's share and report tables from the round's arena
+// (or reuses the round's earlier ones), prepares the share algebra for the node's
+// cluster view and designates the failover deputy (highest-seed entry
+// other than the head), which every roster holder computes locally — zero
+// extra wire bytes.
 func (p *Protocol) installRoster(at, head topo.NodeID, entries []message.RosterEntry) {
 	st := &p.nodes[at]
 	st.roster.Head = head
-	st.roster.Entries = p.rosters.alloc(len(entries))
+	if cap(st.roster.Entries) >= len(entries) {
+		st.roster.Entries = st.roster.Entries[:len(entries)]
+	} else {
+		st.roster.Entries = p.rosters.alloc(len(entries))
+	}
 	copy(st.roster.Entries, entries)
 	r := st.roster
 	st.myIdx = -1
@@ -459,8 +465,8 @@ func (p *Protocol) installRoster(at, head topo.NodeID, entries []message.RosterE
 		return // corrupt roster (duplicate seeds); cluster cannot run
 	}
 	st.algebra = algebra
-	st.recvShares = p.arena.rows.alloc(len(r.Entries))
-	st.fSeen = p.arena.reports.alloc(len(r.Entries)) // slots gated by fSeenMask
+	st.recvShares = renew(&p.arena.rows, st.recvShares, len(r.Entries))
+	st.fSeen = renew(&p.arena.reports, st.fSeen, len(r.Entries)) // slots gated by fSeenMask
 	st.fSeenMask = 0
 	if !p.cfg.NoFailover {
 		st.deputy = deputyOf(r)

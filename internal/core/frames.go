@@ -18,10 +18,10 @@ import (
 // arenas). That holds because every round drains the engine, so no MAC
 // queue, retransmission or delivery event of round r is still pending when
 // round r+1 begins (mac.Disable purges the queues of crashed nodes), the
-// per-round node state that points into the arenas (received shares,
-// assembled reports, sub-reports, solved sums, the node's own announce and
-// its children's totals, its share and sub-share tables and its assembled
-// and sub-report slots) is reset with the round, and the one holder that
+// per-round node state that points into the arenas (received shares and
+// their tables, assembled reports and sub-reports and their slots, solved
+// sums, the node's own announce and its children's totals) is reset with
+// the round, and the one holder that
 // keeps a frame across rounds, attack.Replay, records a clone. The outbox
 // of frames waiting for a deferred MAC.Send is per round too. A round hands
 // every node with a cluster algebra fresh share and report tables: Run as
@@ -30,9 +30,9 @@ import (
 // What outlives a round lives per node instead, in buffers that Run's reset
 // keeps (truncated) and that grow only when a node meets a larger cluster
 // than before: heard heads, joiners and children. Rosters outlive a round
-// too, in a pair of slabs (rosterSlabs). Values consumed within one event (decode targets, a
-// witness's column, an announce total, a subset algebra) live in protocol
-// scratch.
+// too, in a pair of slabs (rosterSlabs). Values consumed within one event
+// (decode targets, a witness's column, an announce total, a subset
+// algebra) live in protocol scratch.
 const (
 	frameChunk = 1024     // frames per frame-arena chunk
 	byteChunk  = 64 << 10 // bytes per payload-arena chunk
@@ -182,31 +182,53 @@ func (a *slab[T]) rewind() {
 }
 
 // rosterSlabs holds the nodes' rosters. Rosters outlive a round under
-// RunRetaining, so they cannot come from the per-round arenas. Instead each
-// round flips to the slab the round before last used, rewinds it and
-// installs rosters there; RunRetaining first copies across the rosters it
-// keeps. The two slabs grow together, so the copy never grows the slab it
-// copies into: a first retained round needs no more than the round that
-// formed the clusters.
+// RunRetaining, so they cannot come from the per-round arenas. Run rewinds
+// the current slab, since it drops every roster; RunRetaining keeps it, and
+// the rosters repair installs are added to it. Once the rosters nodes have
+// replaced take more room than the live ones, compact moves the live ones
+// to the other slab and makes it current.
 type rosterSlabs struct {
 	slabs [2]slab[message.RosterEntry]
 	cur   int
 }
 
-// flip makes the other slab current and rewinds it. Rosters of the last
-// round stay valid, in the slab just left, until the next flip.
-func (r *rosterSlabs) flip() {
+// alloc hands out n zeroed entries from the current slab.
+func (r *rosterSlabs) alloc(n int) []message.RosterEntry { return r.slabs[r.cur].alloc(n) }
+
+// rewind takes every entry of the current slab back.
+func (r *rosterSlabs) rewind() { r.slabs[r.cur].rewind() }
+
+// compact moves the rosters of nodes to the other slab, which it rewinds
+// first, when the current slab has handed out more than twice the entries
+// they hold.
+func (r *rosterSlabs) compact(nodes []nodeState) {
+	live := 0
+	for i := range nodes {
+		live += len(nodes[i].roster.Entries)
+	}
+	if s := &r.slabs[r.cur]; s.c*slabChunk+s.off <= 2*live {
+		return
+	}
 	r.cur ^= 1
-	r.slabs[r.cur].rewind()
+	r.rewind()
+	for i := range nodes {
+		if st := &nodes[i]; len(st.roster.Entries) > 0 {
+			kept := r.alloc(len(st.roster.Entries))
+			copy(kept, st.roster.Entries)
+			st.roster.Entries = kept
+		}
+	}
 }
 
-// alloc hands out n zeroed entries from the current slab.
-func (r *rosterSlabs) alloc(n int) []message.RosterEntry {
-	s := r.slabs[r.cur].alloc(n)
-	twin := &r.slabs[r.cur^1]
-	for len(twin.chunks) < len(r.slabs[r.cur].chunks) {
-		twin.chunks = append(twin.chunks, make([]message.RosterEntry, slabChunk))
+// renew returns s cleared, when it has room for n values, and otherwise n
+// fresh values from a: a node that installs a second roster in one round
+// reuses the tables of its first.
+func renew[T any](a *slab[T], s []T, n int) []T {
+	if cap(s) < n {
+		return a.alloc(n)
 	}
+	s = s[:n]
+	clear(s)
 	return s
 }
 

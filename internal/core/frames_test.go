@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/field"
 	"repro/internal/message"
+	"repro/internal/topo"
 )
 
 // TestByteArenaReservationsStayPut fills reservations that straddle a chunk
@@ -107,29 +108,34 @@ func TestAlarmsSorted(t *testing.T) {
 	}
 }
 
-// TestRosterSlabsGrowTogether checks that a roster outlives one flip
-// untouched, that the twin slab grows with the current one, and that the
-// second flip takes the first slab's memory back.
-func TestRosterSlabsGrowTogether(t *testing.T) {
+// TestRosterSlabsCompact checks that compact leaves rosters in place while
+// the slab holds no more than twice their entries, and past that moves
+// them, intact, to the other slab.
+func TestRosterSlabsCompact(t *testing.T) {
 	var r rosterSlabs
-	r.flip()
-	kept := r.alloc(3)
-	copy(kept, []message.RosterEntry{{ID: 1}, {ID: 2}, {ID: 3}})
-	for i := 0; i < slabChunk; i += 64 {
-		r.alloc(64) // spill into a second chunk
+	nodes := make([]nodeState, 3)
+	for i := range nodes {
+		nodes[i].roster.Entries = r.alloc(2)
+		copy(nodes[i].roster.Entries, []message.RosterEntry{{ID: topo.NodeID(i)}, {ID: 9}})
 	}
-	if a, b := len(r.slabs[0].chunks), len(r.slabs[1].chunks); a != 2 || b != 2 {
-		t.Fatalf("chunks %d and %d, want 2 and 2", a, b)
+	first := &nodes[0].roster.Entries[0]
+	r.alloc(6) // replaced rosters: 12 handed out for 6 live
+	r.compact(nodes)
+	if &nodes[0].roster.Entries[0] != first || r.cur != 0 {
+		t.Fatal("compacted at twice the live entries")
 	}
-	r.flip()
-	copied := r.alloc(3)
-	copy(copied, kept)
-	if kept[2].ID != 3 || &copied[0] == &kept[0] {
-		t.Fatalf("roster lost across one flip: %v", kept)
+	r.alloc(1)
+	r.compact(nodes)
+	if r.cur != 1 || &nodes[0].roster.Entries[0] == first {
+		t.Fatal("did not compact past twice the live entries")
 	}
-	r.flip()
-	if again := r.alloc(3); &again[0] != &kept[0] || again[0].ID != 0 {
-		t.Errorf("second flip did not rewind the first slab: %v", again)
+	for i := range nodes {
+		if e := nodes[i].roster.Entries; len(e) != 2 || e[0].ID != topo.NodeID(i) || e[1].ID != 9 {
+			t.Errorf("node %d roster after compaction: %v", i, e)
+		}
+	}
+	if s := &r.slabs[1]; s.c*slabChunk+s.off != 6 {
+		t.Errorf("compacted slab holds %d entries, want 6", s.c*slabChunk+s.off)
 	}
 }
 

@@ -28,13 +28,9 @@ func (p *Protocol) RunRetaining(round uint16) (metrics.RoundResult, error) {
 	p.round = round
 	repair := p.pendingRepair()
 	p.beginRound()
+	p.rosters.compact(p.nodes)
 	for i := range p.nodes {
 		st := &p.nodes[i]
-		if n := len(st.roster.Entries); n > 0 {
-			kept := p.rosters.alloc(n)
-			copy(kept, st.roster.Entries)
-			st.roster.Entries = kept
-		}
 		st.recvMask = 0
 		st.recvShares, st.fSeen = nil, nil
 		if st.algebra != nil {
