@@ -30,8 +30,8 @@ import (
 // What outlives a round lives per node instead, in buffers that Run's reset
 // keeps (truncated) and that grow only when a node meets a larger cluster
 // than before: heard heads, joiners and children. Rosters outlive a round
-// too, in a pair of slabs (rosterSlabs). Values consumed within one event
-// (decode targets, a witness's column, an announce total, a subset
+// too, in a slab of their own (rosterSlabs). Values consumed within one
+// event (decode targets, a witness's column, an announce total, a subset
 // algebra) live in protocol scratch.
 const (
 	frameChunk = 1024     // frames per frame-arena chunk

@@ -139,6 +139,28 @@ func TestRosterSlabsCompact(t *testing.T) {
 	}
 }
 
+// TestRepeatedRosterReusesBuffers checks that the second copy of a roster
+// every member hears takes no new room: after a clean formation round the
+// roster slab holds exactly the live rosters.
+func TestRepeatedRosterReusesBuffers(t *testing.T) {
+	_, p := run(t, 200, 1, true, nil)
+	if _, err := p.Run(1); err != nil {
+		t.Fatal(err)
+	}
+	live, tables := 0, 0
+	for i := range p.nodes {
+		live += len(p.nodes[i].roster.Entries)
+		tables += len(p.nodes[i].recvShares)
+	}
+	s := &p.rosters.slabs[p.rosters.cur]
+	if used := s.c*slabChunk + s.off; used != live || live == 0 {
+		t.Errorf("roster slab handed out %d entries for %d live", used, live)
+	}
+	if rows := p.arena.rows.c*slabChunk + p.arena.rows.off; rows != tables {
+		t.Errorf("share-table slab handed out %d rows for %d in use", rows, tables)
+	}
+}
+
 // TestWarmRetainedEpochAllocatesNothing pins the allocation-free warm
 // round on the steady-state path: once a few retained epochs have grown
 // every buffer, a retained epoch on a lossy deployment allocates nothing,
