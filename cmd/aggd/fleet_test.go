@@ -3,8 +3,6 @@ package main
 import (
 	"encoding/json"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
@@ -107,53 +105,6 @@ func TestShardedFleetServesAndDrains(t *testing.T) {
 	}
 	if got := m.Sum("agg_station_workers"); got != 2 {
 		t.Errorf("fleet workers = %v, want 2", got)
-	}
-
-	drainAll(t, errCh)
-}
-
-// TestSingleStationChaosRunsAsOneShardFleet: -chaos without -shards serves
-// through a one-shard fleet, so the plan's shard-0 queue-full window is
-// enforced at the fleet gate (503 with Retry-After while it is open) and
-// job ids carry the fleet's s0- prefix once it closes.
-func TestSingleStationChaosRunsAsOneShardFleet(t *testing.T) {
-	plan := filepath.Join(t.TempDir(), "plan.json")
-	if err := os.WriteFile(plan, []byte(`{"seed":7,"faults":[{"shard":0,"kind":"queue-full","at":0,"dwell":"300ms"}]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	addr, errCh := bootDaemon(t,
-		"-addr", "127.0.0.1:0", "-chaos", plan, "-workers", "1", "-queue", "8",
-		"-nodes", "80", "-seed", "7", "-ideal", "-draintimeout", "30s")
-	armed := time.Now()
-	query := func() (*http.Response, station.JobStatus) {
-		t.Helper()
-		resp, err := http.Post("http://"+addr+"/v1/query", "application/json",
-			strings.NewReader(`{"kind":"sum"}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var status station.JobStatus
-		if resp.StatusCode == http.StatusOK {
-			if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return resp, status
-	}
-
-	resp, _ := query()
-	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
-		t.Fatalf("query inside the queue-full window = %d (Retry-After %q), want 503 with Retry-After",
-			resp.StatusCode, resp.Header.Get("Retry-After"))
-	}
-	time.Sleep(time.Until(armed.Add(400 * time.Millisecond)))
-	resp, status := query()
-	if resp.StatusCode != http.StatusOK || status.State != "done" {
-		t.Fatalf("query after the window = %d %+v, want 200 done", resp.StatusCode, status)
-	}
-	if !strings.HasPrefix(status.ID, "s0-") {
-		t.Errorf("job id %q lacks the one-shard fleet's s0- prefix", status.ID)
 	}
 
 	drainAll(t, errCh)

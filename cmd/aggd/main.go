@@ -8,19 +8,14 @@
 //
 //	aggd -addr :8080 -workers 4 -nodes 400 -seed 7
 //	aggd -addr :8080 -shards 4 -workers 2            # in-process fleet
-//	aggd -addr :8080 -shards 3 -chaos plan.json -traceout fleet.jsonl
+//	aggd -addr :8080 -shards 3 -traceout fleet.jsonl
 //	curl -d '{"kind":"sum"}' http://localhost:8080/v1/query
 //	curl -d '{"kind":"sum","fanout":true}' 'http://localhost:8080/v1/query?partial=1'
 //	curl http://localhost:8080/metricsz
 //
-// -chaos arms a deterministic fault-injection plan (internal/chaos JSON:
-// seed + per-shard crash/latency/errors/queue-full windows) against the
-// fleet's shard gate. Without -shards a chaos daemon serves through a
-// one-shard fleet, so kill windows really tear the station down and job
-// ids gain "s0-". -traceout streams fleet events (faults, shard states,
-// degraded answers) plus per-request serve spans as JSONL
-// for aggtrace -why outage and -why request <id>. ?partial=1 lets a
-// fan-out degrade to the surviving shards instead of failing.
+// -traceout streams per-request serve spans plus the fleet's degraded
+// fan-out events as JSONL for aggtrace -why request <id>. ?partial=1 lets
+// a fan-out degrade to the shards that admit it instead of failing.
 //
 // Every response carries an X-Agg-Request-Id header minted at ingress;
 // /metricsz serves Prometheus text-format telemetry on every topology —
@@ -50,7 +45,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/chaos"
 	"repro/internal/cliutil"
 	"repro/internal/fleet"
 	"repro/internal/station"
@@ -71,7 +65,7 @@ func run(args []string) (*flag.FlagSet, error) {
 	fs := flag.NewFlagSet("aggd", flag.ContinueOnError)
 	var (
 		addr       = fs.String("addr", ":8080", "HTTP listen address (host:port)")
-		shards     = fs.Int("shards", 1, "station shards behind an in-process fleet coordinator (1 = plain station unless -chaos)")
+		shards     = fs.Int("shards", 1, "station shards behind an in-process fleet coordinator (1 = plain station)")
 		workers    = fs.Int("workers", 4, "deployment pool size per shard")
 		queue      = fs.Int("queue", 64, "admission queue depth per shard")
 		keepjobs   = fs.Int("keepjobs", 1024, "finished jobs retained for polling")
@@ -85,8 +79,7 @@ func run(args []string) (*flag.FlagSet, error) {
 		draintmo   = fs.Duration("draintimeout", 30*time.Second, "graceful-drain bound on shutdown")
 		tracestats = fs.Bool("tracestats", false, "count every worker's flight-recorder events into /metricsz (agg_trace_*)")
 		observe    = fs.String("observe", "", "serve pprof on this second address, e.g. :6060")
-		chaosPlan  = fs.String("chaos", "", "arm a fault-injection plan from this JSON file (see internal/chaos)")
-		traceout   = fs.String("traceout", "", "append fleet events (faults, shard health) and request spans to this JSONL file for aggtrace -why outage / -why request")
+		traceout   = fs.String("traceout", "", "append request spans and fleet events to this JSONL file for aggtrace -why request")
 	)
 	if err := cliutil.Parse(fs, args); err != nil {
 		return fs, err
@@ -127,7 +120,7 @@ func run(args []string) (*flag.FlagSet, error) {
 		TraceStats: *tracestats,
 		// Trace is filled in below once the -traceout sink exists; every
 		// topology shares one stream so request spans interleave with
-		// fleet incident events.
+		// fleet events.
 		Deploy: repro.Options{
 			Nodes:     *nodes,
 			FieldSize: *field,
@@ -138,10 +131,8 @@ func run(args []string) (*flag.FlagSet, error) {
 		},
 	}
 
-	// Fault-injection wiring, shared by every topology: a controller armed
-	// from the plan file, and a JSONL sink for the fleet's incident events.
+	// The JSONL sink, shared by every topology.
 	var (
-		ctl        *chaos.Controller
 		sink       trace.Sink
 		traceFlush func() error
 	)
@@ -160,30 +151,17 @@ func run(args []string) (*flag.FlagSet, error) {
 		}()
 	}
 	stCfg.Trace = sink
-	if *chaosPlan != "" {
-		plan, err := chaos.LoadPlan(*chaosPlan)
-		if err != nil {
-			return fs, err
-		}
-		if ctl, err = chaos.NewController(plan); err != nil {
-			return fs, err
-		}
-		ctl.Trace(sink)
-	}
 
 	// Build whichever topology was asked for. Both serve the identical HTTP
-	// surface; only the /metricsz series differ. The chaos controller
-	// attaches at the fleet's shard gate; a single station with a plan
-	// armed runs as a one-shard fleet, so a kill window really tears the
-	// station down and the supervisor rebuilds it.
+	// surface; only the /metricsz series differ.
 	var (
 		handler http.Handler
 		drainer interface{ Drain(context.Context) error }
 		banner  string
 	)
 	switch {
-	case *shards > 1 || ctl != nil:
-		fl, err := fleet.New(fleet.Config{Shards: *shards, Station: stCfg, Chaos: ctl, Trace: sink})
+	case *shards > 1:
+		fl, err := fleet.New(fleet.Config{Shards: *shards, Station: stCfg, Trace: sink})
 		if err != nil {
 			return fs, err
 		}
@@ -201,9 +179,6 @@ func run(args []string) (*flag.FlagSet, error) {
 		banner = fmt.Sprintf("%d workers, queue %d, %d-node deployments, seed %d",
 			*workers, *queue, *nodes, *seed)
 	}
-	if ctl != nil {
-		banner += fmt.Sprintf(", chaos plan armed (%d fault windows)", len(ctl.Plan().Faults))
-	}
 
 	if *observe != "" {
 		if err := serveObserve(*observe); err != nil {
@@ -217,7 +192,6 @@ func run(args []string) (*flag.FlagSet, error) {
 	}
 	srv := station.NewServer(handler)
 	fmt.Printf("aggd: serving on http://%s (%s)\n", ln.Addr(), banner)
-	ctl.Start() // arm the fault windows the instant traffic can arrive
 	if listening != nil {
 		listening(ln.Addr().String())
 	}

@@ -92,7 +92,6 @@ func TestMetricsSmoke(t *testing.T) {
 		`agg_station_jobs_total{shard="1",kind="sum",outcome="done"}`,
 		`agg_station_queue_wait_seconds_count{shard="0"}`,
 		`agg_station_run_seconds_count{shard="1"}`,
-		`agg_fleet_shard_state{shard="0",state="healthy"}`,
 		`agg_fleet_availability_ratio`,
 	} {
 		if first[key] < 1 {

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"context"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -52,29 +50,6 @@ func TestLoadRunPrintsSummary(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("summary lacks %q:\n%s", want, out)
 		}
-	}
-}
-
-// TestChaosPlanPastLastShardIsRuntimeError: a plan whose window names a
-// shard the 3-shard drill fleet does not have fails the run (exit 1)
-// instead of reporting a clean drill for a fault that never fired.
-func TestChaosPlanPastLastShardIsRuntimeError(t *testing.T) {
-	plan := filepath.Join(t.TempDir(), "plan.json")
-	if err := os.WriteFile(plan, []byte(`{"seed":7,"faults":[{"shard":3,"kind":"crash","at":"100ms"}]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var stdout bytes.Buffer
-	_, err := run([]string{
-		"-chaos", plan, "-d", "1s", "-workers", "1", "-nodes", "80", "-ideal", "-seed", "7",
-	}, &stdout)
-	if err == nil {
-		t.Fatalf("plan naming shard 3 ran a clean drill:\n%s", stdout.String())
-	}
-	if cliutil.IsUsage(err) {
-		t.Fatalf("want runtime error (exit 1), got usage error: %v", err)
-	}
-	if !strings.Contains(err.Error(), "shard 3") {
-		t.Errorf("error does not name the out-of-range shard: %v", err)
 	}
 }
 

@@ -10,7 +10,6 @@
 //	aggtrace -round 3 -why alarm trace.jsonl      # causal chain per alarm
 //	aggtrace -why takeover trace.jsonl            # reconstructed takeovers
 //	aggtrace -why drop trace.jsonl                # drops grouped by cause
-//	aggtrace -why outage fleet.jsonl              # serving-fleet incidents
 //	aggtrace -why breach trace.jsonl              # attacker action → witness → verdict
 //	aggtrace -why request <id> serve.jsonl        # one request's span tree
 //	aggtrace -expect takeover trace.jsonl         # exit 1 unless present
@@ -42,7 +41,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		summary   = fs.Bool("summary", false, "print event counts by type/phase/state")
 		timeline  = fs.Bool("timeline", false, "print phase windows with durations")
 		lifecycle = fs.Bool("lifecycle", false, "print per-cluster state-machine chains")
-		why       = fs.String("why", "", "causal forensics: alarm, takeover, drop, outage, breach, or request <id>")
+		why       = fs.String("why", "", "causal forensics: alarm, takeover, drop, breach, or request <id>")
 		expect    = fs.String("expect", "", "exit nonzero unless a matching event of this type exists")
 		maxCtx    = fs.Int("context", 40, "max context lines per -why chain (0 = unlimited)")
 	)
@@ -50,9 +49,9 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	switch *why {
-	case "", "alarm", "takeover", "drop", "outage", "breach", "request":
+	case "", "alarm", "takeover", "drop", "breach", "request":
 	default:
-		fmt.Fprintf(stderr, "aggtrace: -why wants alarm, takeover, drop, outage, breach, or request (got %q)\n", *why)
+		fmt.Fprintf(stderr, "aggtrace: -why wants alarm, takeover, drop, breach, or request (got %q)\n", *why)
 		return 2
 	}
 	// -why request consumes the first positional argument as the request
@@ -121,8 +120,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			chains = trace.TakeoverChains(events, q)
 		case "drop":
 			chains = trace.DropChains(events, q)
-		case "outage":
-			chains = trace.OutageChains(events, q)
 		case "breach":
 			chains = trace.BreachChains(events, q)
 		}

@@ -17,9 +17,6 @@ import (
 	"time"
 
 	"repro/internal/experiment"
-	// Registers the serving-layer drills (F19-availability), which live in
-	// the fleet package because the registry cannot import it (cycle).
-	_ "repro/internal/fleet"
 )
 
 func main() {

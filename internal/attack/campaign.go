@@ -18,8 +18,7 @@ import (
 )
 
 // This file is the campaign engine: composable attacker policies injected at
-// the radio/MAC seam (mac.Tap), mirroring how internal/chaos wraps the
-// serving stack's backend and transport seams. A Campaign drives a set of
+// the radio/MAC seam (mac.Tap). A Campaign drives a set of
 // Policies through a seeded, deterministic schedule of per-round
 // activations, correlates every attacker action with the witness alarms the
 // protocol raised against it, and renders the outcome as a typed Report.
@@ -246,7 +245,7 @@ type Campaign struct {
 }
 
 // Interface checks: the campaign slots into the MAC tap seam and the trace
-// fan exactly like chaos slots into the serving seams.
+// fan.
 var (
 	_ mac.Tap    = (*Campaign)(nil)
 	_ trace.Sink = (*Campaign)(nil)

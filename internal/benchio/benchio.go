@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -20,14 +21,11 @@ import (
 // the round benches' custom "allocs/node" metric — allocations normalised by
 // deployment size, the number that stays comparable when a bench's node
 // count changes; zero when the benchmark does not report it.
-// AllocsPerQuery is the serving drills' "allocs/query": allocations per
-// served query, for a benchmark whose op is a fixed-length burst.
 type Metrics struct {
-	NsPerOp        float64 `json:"ns_op"`
-	BytesPerOp     float64 `json:"b_op"`
-	AllocsPerOp    float64 `json:"allocs_op"`
-	AllocsPerNode  float64 `json:"allocs_node,omitempty"`
-	AllocsPerQuery float64 `json:"allocs_query,omitempty"`
+	NsPerOp       float64 `json:"ns_op"`
+	BytesPerOp    float64 `json:"b_op"`
+	AllocsPerOp   float64 `json:"allocs_op"`
+	AllocsPerNode float64 `json:"allocs_node,omitempty"`
 }
 
 // Snapshot is one recorded benchmark run.
@@ -71,8 +69,6 @@ func Parse(r io.Reader) (map[string]Metrics, error) {
 				m.AllocsPerOp = v
 			case "allocs/node":
 				m.AllocsPerNode = v
-			case "allocs/query":
-				m.AllocsPerQuery = v
 			}
 		}
 		if ok {
@@ -92,11 +88,10 @@ func Parse(r io.Reader) (map[string]Metrics, error) {
 // medians returns the median of each metric over samples.
 func medians(ms []Metrics) Metrics {
 	return Metrics{
-		NsPerOp:        median(ms, func(m Metrics) float64 { return m.NsPerOp }),
-		BytesPerOp:     median(ms, func(m Metrics) float64 { return m.BytesPerOp }),
-		AllocsPerOp:    median(ms, func(m Metrics) float64 { return m.AllocsPerOp }),
-		AllocsPerNode:  median(ms, func(m Metrics) float64 { return m.AllocsPerNode }),
-		AllocsPerQuery: median(ms, func(m Metrics) float64 { return m.AllocsPerQuery }),
+		NsPerOp:       median(ms, func(m Metrics) float64 { return m.NsPerOp }),
+		BytesPerOp:    median(ms, func(m Metrics) float64 { return m.BytesPerOp }),
+		AllocsPerOp:   median(ms, func(m Metrics) float64 { return m.AllocsPerOp }),
+		AllocsPerNode: median(ms, func(m Metrics) float64 { return m.AllocsPerNode }),
 	}
 }
 
@@ -209,24 +204,33 @@ func NextPath(dir, date string) string {
 }
 
 // Delta is one benchmark's change between two snapshots. Ratio is
-// current/previous for the metric; ratios above 1+threshold regress.
+// current/previous for the metric (+Inf over a zero baseline).
 type Delta struct {
 	Name   string
-	Metric string // "ns/op", "allocs/op" or "allocs/query"
+	Metric string // "ns/op", "allocs/op" or "allocs/node"
 	Prev   float64
 	Cur    float64
 	Ratio  float64
 }
 
+// Absolute allowances for a benchmark whose previous allocs/op was 0,
+// where no ratio can grow. A buffer's first growth still shows up now and
+// then as about one allocation per op; one allocation per node or per
+// cluster member per round is a hundred times the per-node bound, and at
+// least the node count per op.
+const (
+	zeroBaseAllocsPerNode = 0.01
+	zeroBaseAllocsPerOp   = 1
+)
+
 // CompareBy reports every benchmark present in both snapshots whose ns/op
 // or allocs/op grew by more than threshold (e.g. 0.2 = 20%). Setting time
-// or allocs false exempts that metric; allocation counts are judged only
-// when the previous count was non-zero. A benchmark that reports
-// allocs/query in either snapshot is judged on that instead of allocs/op,
-// which for it counts queries served, and so only once both report it.
-// Gating on allocs alone gives a deterministic regression check usable on
-// noisy shared machines, where wall-clock thresholds tight enough to be
-// useful would flake.
+// or allocs false exempts that metric. Over a zero allocs/op baseline a
+// benchmark regresses when its allocs/node exceeds zeroBaseAllocsPerNode,
+// or, if it does not report allocs/node, when its allocs/op exceeds
+// zeroBaseAllocsPerOp. Gating on allocs alone gives a deterministic
+// regression check usable on noisy shared machines, where wall-clock
+// thresholds tight enough to be useful would flake.
 func CompareBy(prev, cur Snapshot, threshold float64, time, allocs bool) []Delta {
 	var regressions []Delta
 	names := make([]string, 0, len(cur.Benchmarks))
@@ -246,13 +250,27 @@ func CompareBy(prev, cur Snapshot, threshold float64, time, allocs bool) []Delta
 				Prev: p.NsPerOp, Cur: c.NsPerOp, Ratio: c.NsPerOp / p.NsPerOp,
 			})
 		}
-		metric, pa, ca := "allocs/op", p.AllocsPerOp, c.AllocsPerOp
-		if p.AllocsPerQuery > 0 || c.AllocsPerQuery > 0 {
-			metric, pa, ca = "allocs/query", p.AllocsPerQuery, c.AllocsPerQuery
+		if !allocs {
+			continue
 		}
-		if allocs && pa > 0 && ca > pa*(1+threshold) {
+		pa, ca := p.AllocsPerOp, c.AllocsPerOp
+		switch {
+		case pa > 0:
+			if ca > pa*(1+threshold) {
+				regressions = append(regressions, Delta{
+					Name: name, Metric: "allocs/op", Prev: pa, Cur: ca, Ratio: ca / pa,
+				})
+			}
+		case c.AllocsPerNode > 0:
+			if c.AllocsPerNode > zeroBaseAllocsPerNode {
+				regressions = append(regressions, Delta{
+					Name: name, Metric: "allocs/node", Prev: p.AllocsPerNode,
+					Cur: c.AllocsPerNode, Ratio: c.AllocsPerNode / p.AllocsPerNode,
+				})
+			}
+		case ca > zeroBaseAllocsPerOp:
 			regressions = append(regressions, Delta{
-				Name: name, Metric: metric, Prev: pa, Cur: ca, Ratio: ca / pa,
+				Name: name, Metric: "allocs/op", Cur: ca, Ratio: math.Inf(1),
 			})
 		}
 	}

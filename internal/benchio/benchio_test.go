@@ -1,6 +1,7 @@
 package benchio
 
 import (
+	"math"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -63,8 +64,8 @@ BenchmarkB-2   10  900 ns/op
 BenchmarkA-2   10  100 ns/op  32 B/op  1 allocs/op
 BenchmarkB-2   10  100 ns/op
 BenchmarkA-2   10 5000 ns/op  16 B/op  2 allocs/op
-BenchmarkServeRecovery-2  1  4.2e8 ns/op  110.5 allocs/query  9e6 B/op  90000 allocs/op
-BenchmarkServeRecovery-2  1  3.9e8 ns/op  100.5 allocs/query  8e6 B/op  80000 allocs/op
+BenchmarkR-2  1  4.2e8 ns/op  0.5 allocs/node  9e6 B/op  90000 allocs/op
+BenchmarkR-2  1  3.9e8 ns/op  0.3 allocs/node  8e6 B/op  80000 allocs/op
 `
 	m, err := Parse(strings.NewReader(out))
 	if err != nil {
@@ -76,30 +77,42 @@ BenchmarkServeRecovery-2  1  3.9e8 ns/op  100.5 allocs/query  8e6 B/op  80000 al
 	if b := m["BenchmarkB"]; b.NsPerOp != 500 {
 		t.Errorf("even count: B = %+v, want the mean of the two middle values", b)
 	}
-	if r := m["BenchmarkServeRecovery"]; r.AllocsPerQuery != 105.5 || r.AllocsPerOp != 85000 || r.NsPerOp != 4.05e8 {
-		t.Errorf("allocs/query line = %+v", r)
+	if r := m["BenchmarkR"]; r.AllocsPerNode != 0.4 || r.AllocsPerOp != 85000 || r.NsPerOp != 4.05e8 {
+		t.Errorf("allocs/node line = %+v", r)
 	}
 }
 
-// TestCompareGatesPerQueryAllocs: a benchmark reporting allocs/query is
-// judged on it, not on allocs/op, which for a fixed-length burst counts the
-// queries served.
-func TestCompareGatesPerQueryAllocs(t *testing.T) {
+// TestCompareZeroBaselineAllowance: over a zero allocs/op baseline no ratio
+// can grow, so an absolute allowance judges instead — allocs/node where the
+// benchmark reports it, allocs/op otherwise. An occasional first-growth
+// allocation passes; one allocation per node does not.
+func TestCompareZeroBaselineAllowance(t *testing.T) {
 	prev := Snapshot{Benchmarks: map[string]Metrics{
-		"BenchmarkBurst": {NsPerOp: 100, AllocsPerOp: 1000, AllocsPerQuery: 10},
-		"BenchmarkOld":   {NsPerOp: 100, AllocsPerOp: 1000},
+		"BenchmarkRound":     {NsPerOp: 100, AllocsPerNode: 0.0005},
+		"BenchmarkRetained":  {NsPerOp: 100, AllocsPerNode: 0.0005},
+		"BenchmarkPerMember": {NsPerOp: 100, AllocsPerNode: 0.0005},
+		"BenchmarkMul":       {NsPerOp: 1},
+		"BenchmarkInv":       {NsPerOp: 1},
 	}}
 	cur := Snapshot{Benchmarks: map[string]Metrics{
-		"BenchmarkBurst": {NsPerOp: 100, AllocsPerOp: 1500, AllocsPerQuery: 10.5}, // more queries served
-		"BenchmarkOld":   {NsPerOp: 100, AllocsPerOp: 1500, AllocsPerQuery: 10},   // first per-query sample
+		"BenchmarkRound":     {NsPerOp: 100, AllocsPerOp: 1, AllocsPerNode: 0.0025}, // first growth
+		"BenchmarkRetained":  {NsPerOp: 100, AllocsPerOp: 4, AllocsPerNode: 0.01},   // at the bound
+		"BenchmarkPerMember": {NsPerOp: 100, AllocsPerOp: 420, AllocsPerNode: 1.05},
+		"BenchmarkMul":       {NsPerOp: 1, AllocsPerOp: 1},
+		"BenchmarkInv":       {NsPerOp: 1, AllocsPerOp: 2},
 	}}
-	if regs := CompareBy(prev, cur, 0.2, false, true); len(regs) != 0 {
-		t.Errorf("allocs/op growth gated despite allocs/query: %+v", regs)
+	regs := CompareBy(prev, cur, 0.02, false, true)
+	if len(regs) != 2 {
+		t.Fatalf("regressions = %+v, want BenchmarkInv and BenchmarkPerMember", regs)
 	}
-	cur.Benchmarks["BenchmarkBurst"] = Metrics{NsPerOp: 100, AllocsPerOp: 900, AllocsPerQuery: 13}
-	regs := CompareBy(prev, cur, 0.2, false, true)
-	if len(regs) != 1 || regs[0].Name != "BenchmarkBurst" || regs[0].Metric != "allocs/query" || regs[0].Ratio != 1.3 {
-		t.Errorf("regressions = %+v, want BenchmarkBurst allocs/query 1.3x", regs)
+	if r := regs[0]; r.Name != "BenchmarkInv" || r.Metric != "allocs/op" || r.Prev != 0 || r.Cur != 2 || !math.IsInf(r.Ratio, 1) {
+		t.Errorf("regs[0] = %+v, want BenchmarkInv allocs/op 0 -> 2", r)
+	}
+	if r := regs[1]; r.Name != "BenchmarkPerMember" || r.Metric != "allocs/node" || r.Cur != 1.05 {
+		t.Errorf("regs[1] = %+v, want BenchmarkPerMember allocs/node 1.05", r)
+	}
+	if regs := CompareBy(prev, cur, 0.02, true, false); len(regs) != 0 {
+		t.Errorf("allocs exempted, yet regressions = %+v", regs)
 	}
 }
 
@@ -190,7 +203,7 @@ func TestCompareFlagsRegressions(t *testing.T) {
 	cur := Snapshot{Benchmarks: map[string]Metrics{
 		"BenchmarkA":   {NsPerOp: 150, AllocsPerOp: 10}, // time regression
 		"BenchmarkB":   {NsPerOp: 90, AllocsPerOp: 13},  // alloc regression
-		"BenchmarkC":   {NsPerOp: 110, AllocsPerOp: 5},  // within threshold; zero-alloc base ignored
+		"BenchmarkC":   {NsPerOp: 110, AllocsPerOp: 1},  // within threshold and the zero-base allowance
 		"BenchmarkNew": {NsPerOp: 999},                  // no baseline: skipped
 	}}
 	regs := CompareBy(prev, cur, 0.2, true, true)
@@ -219,7 +232,7 @@ func FuzzParse(f *testing.F) {
 	f.Add("BenchmarkX/n-4-8 \t 10\t 5 ns/op\n")
 	f.Add("BenchmarkY-99999999999999999999 1 2 ns/op 3 B/op 4 allocs/op\n")
 	f.Add("Benchmark 1 ns/op\nBenchmarkZ- 1 1 ns/op\n")
-	f.Add("BenchmarkR-2 1 3 ns/op 2 allocs/query\nBenchmarkR-2 1 NaN ns/op -1 allocs/query\n")
+	f.Add("BenchmarkR-2 1 3 ns/op 2 allocs/node\nBenchmarkR-2 1 NaN ns/op -1 allocs/node\n")
 	f.Fuzz(func(t *testing.T, text string) {
 		m, err := Parse(strings.NewReader(text))
 		if err != nil {

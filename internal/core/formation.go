@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -364,6 +365,9 @@ func (p *Protocol) onRoster(at topo.NodeID, msg *message.Message) {
 		// the F-row witnessing, which survives the promotion unchanged.
 		st.head = msg.From
 		st.headSilent = false
+	}
+	if st.roster.Head == r.Head && slices.Equal(st.roster.Entries, r.Entries) {
+		return // a repeat of the roster already installed (heads send two copies)
 	}
 	p.installRoster(at, r.Head, r.Entries)
 }

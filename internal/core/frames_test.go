@@ -161,6 +161,43 @@ func TestRepeatedRosterReusesBuffers(t *testing.T) {
 	}
 }
 
+// TestRepeatedRosterIsNoOp: heads send each roster twice, and a member
+// that already holds it must ignore the repeat rather than reinstall (which
+// clears its share tables); a roster that differs still installs.
+func TestRepeatedRosterIsNoOp(t *testing.T) {
+	_, p := run(t, 200, 1, true, nil)
+	if _, err := p.Run(1); err != nil {
+		t.Fatal(err)
+	}
+	for i := range p.nodes {
+		st := &p.nodes[i]
+		if st.role != roleMember || st.algebra == nil || st.head != st.roster.Head {
+			continue
+		}
+		at := topo.NodeID(i)
+		deliver := func(r message.Roster) {
+			payload, err := message.AppendRoster(nil, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.onRoster(at, &message.Message{Kind: message.KindRoster, From: r.Head, Payload: payload})
+		}
+		st.fSeenMask = 1 // installRoster clears it
+		deliver(st.roster)
+		if st.fSeenMask != 1 {
+			t.Fatalf("node %d reinstalled a repeat of its roster", at)
+		}
+		changed := message.Roster{Head: st.roster.Head, Entries: slices.Clone(st.roster.Entries)}
+		changed.Entries[len(changed.Entries)-1].Seed += 1000 // still distinct
+		deliver(changed)
+		if st.fSeenMask != 0 {
+			t.Fatalf("node %d ignored a changed roster", at)
+		}
+		return
+	}
+	t.Fatal("no member holds a viable roster")
+}
+
 // TestWarmRetainedEpochAllocatesNothing pins the allocation-free warm
 // round on the steady-state path: once a few retained epochs have grown
 // every buffer, a retained epoch on a lossy deployment allocates nothing,

@@ -12,28 +12,20 @@
 //     land on the same shard. Because every shard is built from the same
 //     deployment template, any shard can serve any query with an answer
 //     bit-identical to a single station's (make fleet-smoke proves it).
-//   - Shedding: a draining, full, or down owner sheds the query to the
-//     next shard clockwise on the ring. Clients see a 503 only when the
-//     whole fleet refuses.
+//   - Shedding: a draining or full owner sheds the query to the next
+//     shard clockwise on the ring. Clients see a 503 only when the whole
+//     fleet refuses.
 //   - Composed admission: backpressure hints do not multiply across
 //     shards. One walk, one rejection, one Retry-After — coordinator-level
 //     admission, not N stacked 503s.
 //   - Fan-out: SubmitAll places one job on every shard (fleet-spanning
 //     queries); schedule registration fans out by hashing each schedule to
 //     one owner shard so recurring load spreads across pools.
-//   - Self-healing: each shard sits in a supervised slot with a health
-//     state machine (healthy/suspect/down/restarting) driven by active
-//     probes and passive request outcomes; down shards leave the rotation,
-//     are restarted with exponential backoff + jitter, and re-admitted
-//     only after K consecutive healthy probes (supervisor.go). Faults are
-//     injected on purpose through Config.Chaos (internal/chaos), which is
-//     also what starts the supervisor; its tuning is constants. A
-//     single station under chaos runs as a one-shard fleet, so this gate
-//     is the only in-process injection seam.
 //   - Observation: WriteMetrics serves the coordinator's registry and every
 //     shard's under a shard="i" label as one exposition (metrics.go);
-//     health and fault transitions are emitted as typed trace events for
-//     aggtrace -why outage.
+//     fan-out and merge stages join the shards' request spans in one
+//     trace stream for aggtrace -why request, and a partial fan-out emits
+//     a degraded event.
 package fleet
 
 import (
@@ -46,7 +38,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/station"
 	"repro/internal/topo"
 	"repro/internal/trace"
@@ -62,50 +53,16 @@ type Config struct {
 	// ScheduleOrdinalBase per shard.
 	Station station.Config
 
-	// Chaos, when non-nil, injects the controller's fault plan at the
-	// shard seam: every admission consults the target shard's verdict
-	// before touching it, and the shard supervisor runs (self-healing is
-	// pointless without a way for shards to get hurt, and keeping it off
-	// otherwise leaves the no-chaos fleet exactly as cheap). Nil costs one
-	// pointer check per shard visited.
-	Chaos *chaos.Controller
-
-	// Trace receives fleet-level events (fault edges, shard health
-	// transitions, degraded answers). Must be safe for concurrent use —
-	// wrap single-threaded sinks with trace.NewLocked.
+	// Trace receives fleet-level events (fan-out and merge stages,
+	// degraded answers). Must be safe for concurrent use — wrap
+	// single-threaded sinks with trace.NewLocked.
 	Trace trace.Sink
-}
-
-// slot is one supervised shard position: the station (nil while killed)
-// plus its health state. Routing reads state lock-free via the atomics;
-// the supervisor owns transitions.
-type slot struct {
-	id    int
-	st    atomic.Pointer[station.Station]
-	state atomic.Pointer[string]
-	// passive counts request-path failures (injected crashes observed at
-	// the seam) since the last supervisor tick — the passive half of the
-	// health signal.
-	passive atomic.Int64
-}
-
-// State returns the slot's current health state (a trace.Shard* constant).
-func (s *slot) State() string { return *s.state.Load() }
-
-func (s *slot) setState(state string) { s.state.Store(&state) }
-
-// serving reports whether routing may send work to the slot: healthy or
-// suspect (suspect is failing probes but not yet evicted). Down and
-// restarting (probation) slots receive no traffic.
-func (s *slot) serving() bool {
-	st := s.State()
-	return st == trace.ShardHealthy || st == trace.ShardSuspect
 }
 
 // Fleet is the coordinator. It implements station.Backend.
 type Fleet struct {
 	cfg     Config
-	slots   []*slot
+	shards  []*station.Station
 	ring    *ring
 	started time.Time
 	metrics *metrics
@@ -120,13 +77,9 @@ type Fleet struct {
 	// draining check could Add after Drain's Wait already returned.
 	watchMu  sync.Mutex
 	watchers sync.WaitGroup
-
-	supStop chan struct{}
-	supDone chan struct{}
 }
 
-// New builds Shards stations and the hash ring over them, and starts the
-// supervisor when a chaos controller is attached.
+// New builds Shards stations and the hash ring over them.
 func New(cfg Config) (*Fleet, error) {
 	if cfg.Shards == 0 {
 		cfg.Shards = 2
@@ -134,43 +87,24 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.Shards < 0 {
 		return nil, fmt.Errorf("fleet: shards must be positive, got %d", cfg.Shards)
 	}
-	// A window aimed past the last shard would never fire, and the drill
-	// would report full availability for a fault that never happened.
-	for i, w := range cfg.Chaos.Plan().Faults {
-		if w.Shard >= cfg.Shards {
-			return nil, fmt.Errorf("fleet: chaos fault %d targets shard %d, but the fleet has %d shard(s)", i, w.Shard, cfg.Shards)
-		}
-	}
 	f := &Fleet{cfg: cfg, ring: newRing(cfg.Shards), started: time.Now()}
 	for i := 0; i < cfg.Shards; i++ {
 		st, err := station.New(f.shardConfig(i))
 		if err != nil {
 			// Unwind the shards already serving.
-			for _, prev := range f.slots {
-				if s := prev.st.Load(); s != nil {
-					_ = s.Drain(context.Background())
-				}
+			for _, prev := range f.shards {
+				_ = prev.Drain(context.Background())
 			}
 			return nil, fmt.Errorf("fleet: shard %d: %w", i, err)
 		}
-		sl := &slot{id: i}
-		sl.st.Store(st)
-		sl.setState(trace.ShardHealthy)
-		f.slots = append(f.slots, sl)
+		f.shards = append(f.shards, st)
 	}
 	f.metrics = f.newMetrics()
-	if cfg.Chaos != nil && cfg.Trace != nil {
-		cfg.Chaos.Trace(cfg.Trace)
-	}
-	if cfg.Chaos != nil {
-		f.startSupervisor()
-	}
 	return f, nil
 }
 
-// shardConfig is the station config for shard i — also what a supervisor
-// restart rebuilds from, so restarted shards are indistinguishable from
-// the originals (same prefix, same ordinal window, same template).
+// shardConfig is the station config for shard i: the template with the
+// shard's ID prefix and ordinal window.
 func (f *Fleet) shardConfig(i int) station.Config {
 	scfg := f.cfg.Station
 	scfg.IDPrefix = fmt.Sprintf("s%d-", i)
@@ -187,29 +121,11 @@ func (f *Fleet) shardConfig(i int) station.Config {
 	return scfg
 }
 
-// emit sends one fleet event if a sink is attached. Callers nil-check via
-// this method's guard; the event is only built past it.
-func (f *Fleet) emit(shard int, typ, cause, detail string) {
-	if f.cfg.Trace == nil {
-		return
-	}
-	f.cfg.Trace.Emit(trace.Event{
-		At:      time.Since(f.started),
-		Node:    topo.NodeID(shard),
-		Cluster: trace.NoCluster,
-		Phase:   trace.PhaseFleet,
-		Type:    typ,
-		Cause:   cause,
-		Detail:  detail,
-	})
-}
-
 // Shards returns the shard count.
-func (f *Fleet) Shards() int { return len(f.slots) }
+func (f *Fleet) Shards() int { return len(f.shards) }
 
-// Shard exposes one shard's current station (nil while the shard is
-// killed).
-func (f *Fleet) Shard(i int) *station.Station { return f.slots[i].st.Load() }
+// Shard exposes one shard's station.
+func (f *Fleet) Shard(i int) *station.Station { return f.shards[i] }
 
 // Owner returns the ring owner for a spec — which shard the query lands on
 // when nothing is shedding.
@@ -221,56 +137,17 @@ func (f *Fleet) key(spec station.QuerySpec) uint64 {
 	return queryKey(int64(spec.Kind), spec.EffectiveSeed(f.cfg.Station.Deploy.Seed))
 }
 
-// gate applies the chaos verdict for shard idx to one admission attempt.
-// Returns the injected error (nil = proceed). Crashes count as passive
-// health failures so the supervisor sees what routing saw.
-func (f *Fleet) gate(idx int) error {
-	d := f.cfg.Chaos.Decide(idx)
-	if d.Latency > 0 {
-		time.Sleep(d.Latency)
-	}
-	switch {
-	case d.Crash:
-		f.slots[idx].passive.Add(1)
-		return station.ErrUnavailable
-	case d.QueueFull:
-		return station.ErrQueueFull
-	case d.Err:
-		return chaos.ErrInjected
-	}
-	return nil
-}
-
 // Submit admits one query: the ring owner first, shedding clockwise past
-// draining, full, or down shards, rejecting only when every shard refuses.
-// Like station.Submit it never blocks.
+// draining or full shards, rejecting only when every shard refuses. Like
+// station.Submit it never blocks.
 func (f *Fleet) Submit(spec station.QuerySpec) (*station.Job, error) {
 	if f.draining.Load() {
 		return nil, station.ErrDraining
 	}
-	sawFull, sawDown := false, false
-	order := f.ring.walk(f.key(spec))
-	for n, idx := range order {
-		sl := f.slots[idx]
-		if !sl.serving() {
-			sawDown = true
-			continue // shed past the downed shard to its ring successor
-		}
-		if err := f.gate(idx); err != nil {
-			switch {
-			case errors.Is(err, station.ErrUnavailable):
-				sawDown = true
-			case errors.Is(err, station.ErrQueueFull):
-				sawFull = true
-			default:
-				f.metrics.avail.Record(false)
-				return nil, err // injected error burst: fail this request
-			}
-			continue
-		}
-		sh := sl.st.Load()
-		if sh == nil || sh.Draining() {
-			sawDown = sawDown || sh == nil
+	sawFull := false
+	for n, idx := range f.ring.walk(f.key(spec)) {
+		sh := f.shards[idx]
+		if sh.Draining() {
 			continue // shed to the next ring owner
 		}
 		job, err := sh.Submit(spec)
@@ -289,19 +166,14 @@ func (f *Fleet) Submit(spec station.QuerySpec) (*station.Job, error) {
 			return nil, err // invalid spec — no shard will take it
 		}
 	}
-	// The whole fleet refused: compose ONE rejection. Full beats down
-	// beats draining — both leading conditions are the retryable ones the
-	// backoff hint exists for, and full implies capacity will free first.
+	// The whole fleet refused: compose ONE rejection. Full beats draining:
+	// full is the retryable condition the backoff hint exists for.
 	f.metrics.rejected.Inc()
 	f.metrics.avail.Record(false)
-	switch {
-	case sawFull:
+	if sawFull {
 		return nil, station.ErrQueueFull
-	case sawDown:
-		return nil, station.ErrUnavailable
-	default:
-		return nil, station.ErrDraining
 	}
+	return nil, station.ErrDraining
 }
 
 // SubmitAll fans one query out to every shard — the fleet-spanning form.
@@ -310,18 +182,17 @@ func (f *Fleet) Submit(spec station.QuerySpec) (*station.Job, error) {
 //
 // Admission is all-or-nothing by default: if any shard refuses, the
 // already-admitted jobs are canceled and the error surfaces once. With
-// partial set, unreachable or refusing shards are skipped and their
-// ordinals returned as missing — the degraded-answer contract clients opt
-// into with ?partial=1 — and only a fleet with zero reachable shards
-// errors.
+// partial set, refusing shards are skipped and their ordinals returned as
+// missing — the degraded-answer contract clients opt into with
+// ?partial=1 — and only a fan-out no shard admits errors.
 func (f *Fleet) SubmitAll(spec station.QuerySpec, partial bool) ([]*station.Job, []int, error) {
 	if f.draining.Load() {
 		return nil, nil, station.ErrDraining
 	}
-	jobs := make([]*station.Job, 0, len(f.slots))
-	shards := make([]int, 0, len(f.slots))
+	jobs := make([]*station.Job, 0, len(f.shards))
+	shards := make([]int, 0, len(f.shards))
 	var missing []int
-	refuse := func(i int, err error) ([]*station.Job, []int, error) {
+	refuse := func(err error) ([]*station.Job, []int, error) {
 		for _, j := range jobs {
 			j.Cancel()
 		}
@@ -331,43 +202,36 @@ func (f *Fleet) SubmitAll(spec station.QuerySpec, partial bool) ([]*station.Job,
 		}
 		return nil, nil, err
 	}
-	for i, sl := range f.slots {
-		var err error
-		switch {
-		case !sl.serving():
-			err = station.ErrUnavailable
-		default:
-			err = f.gate(i)
-		}
+	for i, sh := range f.shards {
+		job, err := sh.Submit(spec)
 		if err == nil {
-			sh := sl.st.Load()
-			if sh == nil {
-				err = station.ErrUnavailable
-			} else {
-				var job *station.Job
-				if job, err = sh.Submit(spec); err == nil {
-					jobs = append(jobs, job)
-					shards = append(shards, i)
-					f.emitRequest(spec.RequestID, i, trace.StageFanout,
-						fmt.Sprintf("shard=%d", i))
-					continue
-				}
-			}
+			jobs = append(jobs, job)
+			shards = append(shards, i)
+			f.emitRequest(spec.RequestID, i, trace.StageFanout,
+				fmt.Sprintf("shard=%d", i))
+			continue
 		}
 		if !partial {
-			return refuse(i, err)
+			return refuse(err)
 		}
 		missing = append(missing, i)
 	}
 	if len(jobs) == 0 {
 		// Nothing answered; a fully-missing "partial" answer is no answer.
-		return refuse(-1, station.ErrUnavailable)
+		return refuse(station.ErrUnavailable)
 	}
 	if len(missing) > 0 {
 		f.metrics.degraded.Inc()
 		if f.cfg.Trace != nil {
-			f.emit(missing[0], trace.TypeDegraded, "partial-fanout",
-				fmt.Sprintf("missing=%v served=%d", missing, len(jobs)))
+			f.cfg.Trace.Emit(trace.Event{
+				At:      time.Since(f.started),
+				Node:    topo.NodeID(missing[0]),
+				Cluster: trace.NoCluster,
+				Phase:   trace.PhaseFleet,
+				Type:    trace.TypeDegraded,
+				Cause:   "partial-fanout",
+				Detail:  fmt.Sprintf("missing=%v served=%d", missing, len(jobs)),
+			})
 		}
 	}
 	f.metrics.avail.Record(true)
@@ -432,16 +296,11 @@ func (f *Fleet) emitRequest(reqID string, shard int, stage, extra string) {
 // directly; anything else falls back to scanning every shard.
 func (f *Fleet) Job(id string) *station.Job {
 	if i, ok := f.shardOf(id); ok {
-		if sh := f.slots[i].st.Load(); sh != nil {
-			return sh.Job(id)
-		}
-		return nil
+		return f.shards[i].Job(id)
 	}
-	for _, sl := range f.slots {
-		if sh := sl.st.Load(); sh != nil {
-			if job := sh.Job(id); job != nil {
-				return job
-			}
+	for _, sh := range f.shards {
+		if job := sh.Job(id); job != nil {
+			return job
 		}
 	}
 	return nil
@@ -458,7 +317,7 @@ func (f *Fleet) shardOf(id string) (int, bool) {
 		return 0, false
 	}
 	var i int
-	if _, err := fmt.Sscanf(rest[:cut], "%d", &i); err != nil || i < 0 || i >= len(f.slots) {
+	if _, err := fmt.Sscanf(rest[:cut], "%d", &i); err != nil || i < 0 || i >= len(f.shards) {
 		return 0, false
 	}
 	return i, true
@@ -466,7 +325,7 @@ func (f *Fleet) shardOf(id string) (int, bool) {
 
 // AddSchedule registers a recurring query on one shard, chosen by hashing
 // the schedule's fleet-wide ordinal so standing load spreads across pools;
-// a draining or down owner sheds registration clockwise like a query would.
+// a draining owner sheds registration clockwise like a query would.
 func (f *Fleet) AddSchedule(spec station.ScheduleSpec) (*station.Schedule, error) {
 	if f.draining.Load() {
 		return nil, station.ErrDraining
@@ -474,13 +333,8 @@ func (f *Fleet) AddSchedule(spec station.ScheduleSpec) (*station.Schedule, error
 	ordinal := f.nextSched.Add(1)
 	var lastErr error = station.ErrDraining
 	for _, idx := range f.ring.walk(queryKey(^int64(spec.Kind), ordinal)) {
-		sl := f.slots[idx]
-		if !sl.serving() {
-			lastErr = station.ErrUnavailable
-			continue
-		}
-		sh := sl.st.Load()
-		if sh == nil || sh.Draining() {
+		sh := f.shards[idx]
+		if sh.Draining() {
 			continue
 		}
 		sc, err := sh.AddSchedule(spec)
@@ -498,16 +352,11 @@ func (f *Fleet) AddSchedule(spec station.ScheduleSpec) (*station.Schedule, error
 // Schedule resolves a schedule handle across shards.
 func (f *Fleet) Schedule(id string) *station.Schedule {
 	if i, ok := f.shardOf(id); ok {
-		if sh := f.slots[i].st.Load(); sh != nil {
-			return sh.Schedule(id)
-		}
-		return nil
+		return f.shards[i].Schedule(id)
 	}
-	for _, sl := range f.slots {
-		if sh := sl.st.Load(); sh != nil {
-			if sc := sh.Schedule(id); sc != nil {
-				return sc
-			}
+	for _, sh := range f.shards {
+		if sc := sh.Schedule(id); sc != nil {
+			return sc
 		}
 	}
 	return nil
@@ -516,13 +365,10 @@ func (f *Fleet) Schedule(id string) *station.Schedule {
 // RemoveSchedule stops and removes a schedule wherever it lives.
 func (f *Fleet) RemoveSchedule(id string) bool {
 	if i, ok := f.shardOf(id); ok {
-		if sh := f.slots[i].st.Load(); sh != nil {
-			return sh.RemoveSchedule(id)
-		}
-		return false
+		return f.shards[i].RemoveSchedule(id)
 	}
-	for _, sl := range f.slots {
-		if sh := sl.st.Load(); sh != nil && sh.RemoveSchedule(id) {
+	for _, sh := range f.shards {
+		if sh.RemoveSchedule(id) {
 			return true
 		}
 	}
@@ -532,10 +378,8 @@ func (f *Fleet) RemoveSchedule(id string) bool {
 // ScheduleStatuses lists every shard's schedules, sorted by ID.
 func (f *Fleet) ScheduleStatuses() []station.ScheduleStatus {
 	var out []station.ScheduleStatus
-	for _, sl := range f.slots {
-		if sh := sl.st.Load(); sh != nil {
-			out = append(out, sh.ScheduleStatuses()...)
-		}
+	for _, sh := range f.shards {
+		out = append(out, sh.ScheduleStatuses()...)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
@@ -545,28 +389,24 @@ func (f *Fleet) ScheduleStatuses() []station.ScheduleStatus {
 func (f *Fleet) Draining() bool { return f.draining.Load() }
 
 // Health reports the fleet's per-shard states: ok when every shard is
-// healthy, degraded while any is not, draining during shutdown.
+// healthy, degraded while any shard drains, draining during shutdown.
 func (f *Fleet) Health() station.Health {
-	h := station.Health{Status: "ok", Shards: make([]station.ShardHealth, 0, len(f.slots))}
+	h := station.Health{Status: "ok", Shards: make([]station.ShardHealth, 0, len(f.shards))}
 	if f.draining.Load() {
 		h.Status = "draining"
 	}
-	for _, sl := range f.slots {
-		state := sl.State()
-		if sh := sl.st.Load(); state == trace.ShardHealthy && (sh == nil || sh.Draining()) {
-			state = "draining"
-		}
+	for i, sh := range f.shards {
+		state := sh.Health().Shards[0].State
 		if state != trace.ShardHealthy && h.Status == "ok" {
 			h.Status = "degraded"
 		}
-		h.Shards = append(h.Shards, station.ShardHealth{ID: sl.id, State: state})
+		h.Shards = append(h.Shards, station.ShardHealth{ID: i, State: state})
 	}
 	return h
 }
 
-// Drain gracefully shuts the whole fleet down: the supervisor stops (so
-// it cannot restart what is being stopped), fleet admission closes, then
-// every shard drains concurrently (schedules stop, admitted epochs
+// Drain gracefully shuts the whole fleet down: fleet admission closes,
+// then every shard drains concurrently (schedules stop, admitted epochs
 // finish). Idempotent; the context bounds the wait.
 func (f *Fleet) Drain(ctx context.Context) error {
 	// The flip shares watchMu with watchFanout: any watcher registered
@@ -575,14 +415,9 @@ func (f *Fleet) Drain(ctx context.Context) error {
 	f.watchMu.Lock()
 	f.draining.Store(true)
 	f.watchMu.Unlock()
-	f.stopSupervisor()
-	errs := make([]error, len(f.slots))
+	errs := make([]error, len(f.shards))
 	var wg sync.WaitGroup
-	for i, sl := range f.slots {
-		sh := sl.st.Load()
-		if sh == nil {
-			continue // killed by chaos; nothing to drain
-		}
+	for i, sh := range f.shards {
 		wg.Add(1)
 		go func(i int, sh *station.Station) {
 			defer wg.Done()

@@ -15,6 +15,7 @@ import (
 
 	"repro"
 	"repro/internal/station"
+	"repro/internal/trace"
 )
 
 // testConfig is a small, fast per-shard template: 80 ideal-channel nodes
@@ -44,6 +45,16 @@ func newFleet(t *testing.T, cfg Config) *Fleet {
 		}
 	})
 	return f
+}
+
+// drainShard drains one shard of f, leaving the others serving.
+func drainShard(t *testing.T, f *Fleet, i int) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := f.Shard(i).Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestFleetSmoke is the `make fleet-smoke` gate: a 3-shard fleet must
@@ -196,11 +207,7 @@ func TestFleetShedsToNextOwnerOnDrain(t *testing.T) {
 	f := newFleet(t, testConfig(3, 1, 8))
 	spec := station.QuerySpec{Kind: repro.QuerySum}
 	owner := f.Owner(spec)
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	if err := f.Shard(owner).Drain(ctx); err != nil {
-		t.Fatal(err)
-	}
+	drainShard(t, f, owner)
 	job, err := f.Submit(spec)
 	if err != nil {
 		t.Fatalf("submit with draining owner: %v", err)
@@ -322,6 +329,156 @@ func TestFleetDrainSubmitCancelRace(t *testing.T) {
 		default:
 			t.Fatalf("job %s not terminal after drain", job.ID())
 		}
+	}
+}
+
+// TestFleetDrainSubmitAllRace is the -race gate at the fan-out seam:
+// SubmitAll races Drain under -race, and every call must either admit on
+// EVERY shard before the drain completes or surface exactly one composed
+// rejection — never a partial fan-out, never a stacked error.
+func TestFleetDrainSubmitAllRace(t *testing.T) {
+	f, err := New(testConfig(2, 1, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		wg   sync.WaitGroup
+		mu   sync.Mutex
+		jobs []*station.Job
+	)
+	stop := make(chan struct{})
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				admitted, missing, err := f.SubmitAll(station.QuerySpec{Kind: repro.QuerySum, Seed: int64(g*1000 + i)}, false)
+				if err != nil {
+					if !errors.Is(err, station.ErrQueueFull) && !errors.Is(err, station.ErrDraining) &&
+						!errors.Is(err, station.ErrUnavailable) {
+						t.Errorf("SubmitAll surfaced a non-composed error: %v", err)
+						return
+					}
+					if admitted != nil {
+						t.Error("rejected fan-out leaked job handles")
+					}
+					continue
+				}
+				if len(missing) != 0 || len(admitted) != f.Shards() {
+					t.Errorf("strict fan-out admitted %d/%d with missing=%v", len(admitted), f.Shards(), missing)
+				}
+				mu.Lock()
+				jobs = append(jobs, admitted...)
+				mu.Unlock()
+			}
+		}(g)
+	}
+	time.Sleep(20 * time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	drainErr := f.Drain(ctx)
+	close(stop)
+	wg.Wait()
+	if drainErr != nil {
+		t.Fatalf("Drain: %v", drainErr)
+	}
+	if _, _, err := f.SubmitAll(station.QuerySpec{Kind: repro.QuerySum}, false); !errors.Is(err, station.ErrDraining) {
+		t.Errorf("SubmitAll after drain = %v, want ONE ErrDraining", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, job := range jobs {
+		select {
+		case <-job.Done():
+		default:
+			t.Fatalf("job %s not terminal after drain", job.ID())
+		}
+	}
+}
+
+// TestFleetPartialFanoutDegrades: with one shard drained, strict fan-out
+// refuses while ?partial-style fan-out serves the other shards and names
+// the missing ordinal, counting the degraded answer.
+func TestFleetPartialFanoutDegrades(t *testing.T) {
+	col := &trace.Collector{}
+	cfg := testConfig(3, 1, 8)
+	cfg.Trace = col
+	f := newFleet(t, cfg)
+	drainShard(t, f, 1)
+
+	if jobs, _, err := f.SubmitAll(station.QuerySpec{Kind: repro.QuerySum}, false); !errors.Is(err, station.ErrDraining) || jobs != nil {
+		t.Fatalf("strict fan-out with a drained shard = %d jobs, %v; want ErrDraining", len(jobs), err)
+	}
+	jobs, missing, err := f.SubmitAll(station.QuerySpec{Kind: repro.QuerySum}, true)
+	if err != nil {
+		t.Fatalf("partial fan-out: %v", err)
+	}
+	if len(jobs) != 2 || len(missing) != 1 || missing[0] != 1 {
+		t.Fatalf("partial fan-out = %d jobs, missing %v; want 2 jobs, missing [1]", len(jobs), missing)
+	}
+	for _, j := range jobs {
+		if _, err := j.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := scrapeFleet(t, f)["agg_fleet_degraded_total"]; got != 1 {
+		t.Errorf("degraded counter = %v, want 1", got)
+	}
+	found := false
+	for _, ev := range col.Events() {
+		if ev.Type == trace.TypeDegraded {
+			found = true
+		}
+	}
+	if !found {
+		t.Error("no degraded event emitted for the partial fan-out")
+	}
+}
+
+// TestFleetHealthDetail: the /healthz payload carries per-shard states.
+func TestFleetHealthDetail(t *testing.T) {
+	f := newFleet(t, testConfig(3, 1, 8))
+	srv := httptest.NewServer(station.NewAPI(f).Handler())
+	t.Cleanup(srv.Close)
+
+	resp, err := http.Get(srv.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h station.Health
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || h.Status != "ok" {
+		t.Fatalf("healthz = %d %q", resp.StatusCode, h.Status)
+	}
+	if len(h.Shards) != 3 {
+		t.Fatalf("healthz lists %d shards, want 3", len(h.Shards))
+	}
+	for i, sh := range h.Shards {
+		if sh.ID != i || sh.State != trace.ShardHealthy {
+			t.Errorf("shard %d health = %+v", i, sh)
+		}
+	}
+
+	// A drained shard degrades the fleet without failing the endpoint.
+	drainShard(t, f, 2)
+	resp, err = http.Get(srv.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || h.Status != "degraded" || h.Shards[2].State != "draining" {
+		t.Fatalf("degraded healthz = %d %q %+v", resp.StatusCode, h.Status, h.Shards)
 	}
 }
 

@@ -6,11 +6,10 @@ import (
 	"time"
 
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // Fleet-level telemetry. The coordinator's registry holds what no shard
-// can see — shedding, composed rejections, supervisor activity, fan-out
+// can see — shedding, composed rejections, degraded fan-outs, fan-out
 // latency per shard, and the rolling availability window — while each
 // shard's own registry is merged in under a shard="i" label at exposition
 // time, so one scrape reads the whole fleet with no merge code.
@@ -20,8 +19,8 @@ import (
 const availTarget = 0.999
 
 // availWindow and availRes size the rolling availability window: a
-// minute of per-second buckets — long enough to smooth one chaos crash
-// window, short enough that recovery is visible while watching.
+// minute of per-second buckets — long enough to smooth a burst of
+// refusals, short enough that recovery is visible while watching.
 const (
 	availWindow = time.Minute
 	availRes    = time.Second
@@ -34,13 +33,7 @@ type metrics struct {
 
 	shed     *telemetry.Counter // admissions served by a non-owner shard
 	rejected *telemetry.Counter // admissions rejected by the whole fleet
-	restarts *telemetry.Counter // supervisor-initiated shard restarts
 	degraded *telemetry.Counter // fan-outs answered partially
-}
-
-// shardStates are the supervisor states exposed as 0/1 gauges.
-var shardStates = []string{
-	trace.ShardHealthy, trace.ShardSuspect, trace.ShardDown, trace.ShardRestarting,
 }
 
 func (f *Fleet) newMetrics() *metrics {
@@ -52,29 +45,14 @@ func (f *Fleet) newMetrics() *metrics {
 			"Admissions served by a non-owner shard after shedding."),
 		rejected: reg.Counter("agg_fleet_rejected_total",
 			"Admissions the whole fleet refused (one composed rejection each)."),
-		restarts: reg.Counter("agg_fleet_restarts_total",
-			"Supervisor-initiated shard restarts."),
 		degraded: reg.Counter("agg_fleet_degraded_total",
 			"Fan-outs answered partially (some shards missing)."),
 	}
 
-	for _, sl := range f.slots {
-		sl := sl
-		ord := strconv.Itoa(sl.id)
-		for _, state := range shardStates {
-			state := state
-			reg.GaugeFunc("agg_fleet_shard_state",
-				"1 while the shard is in the labeled supervisor state.",
-				func() float64 {
-					if sl.State() == state {
-						return 1
-					}
-					return 0
-				}, "shard", ord, "state", state)
-		}
+	for i := range f.shards {
 		m.fanout = append(m.fanout, reg.Histogram("agg_fleet_fanout_seconds",
 			"Fan-out latency per shard: SubmitAll admission to job completion.",
-			"shard", ord))
+			"shard", strconv.Itoa(i)))
 	}
 
 	reg.GaugeFunc("agg_fleet_availability_ratio",
@@ -87,18 +65,16 @@ func (f *Fleet) newMetrics() *metrics {
 }
 
 // WriteMetrics renders the fleet exposition: the coordinator's registry
-// plus every live shard's registry stamped with its shard label. Families
+// plus every shard's registry stamped with its shard label. Families
 // shared across shards (agg_station_*) merge under one TYPE header.
 func (f *Fleet) WriteMetrics(w io.Writer) error {
-	groups := make([]telemetry.Labeled, 0, len(f.slots)+1)
+	groups := make([]telemetry.Labeled, 0, len(f.shards)+1)
 	groups = append(groups, telemetry.Labeled{Registry: f.metrics.reg})
-	for _, sl := range f.slots {
-		if sh := sl.st.Load(); sh != nil {
-			groups = append(groups, telemetry.Labeled{
-				Registry: sh.MetricsRegistry(),
-				Labels:   []string{"shard", strconv.Itoa(sl.id)},
-			})
-		}
+	for i, sh := range f.shards {
+		groups = append(groups, telemetry.Labeled{
+			Registry: sh.MetricsRegistry(),
+			Labels:   []string{"shard", strconv.Itoa(i)},
+		})
 	}
 	return telemetry.WriteAll(w, groups...)
 }

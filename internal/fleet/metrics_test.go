@@ -16,7 +16,6 @@ import (
 	"repro"
 	"repro/internal/station"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // postJSON POSTs body to url and returns the status and response body.
@@ -90,10 +89,6 @@ func TestFleetMetricsShardLabels(t *testing.T) {
 			t.Errorf("%s = %v, want exactly the fan-out job", key, samples[key])
 		}
 		doneFromMetrics += samples[key]
-		state := fmt.Sprintf(`agg_fleet_shard_state{shard="%d",state="healthy"}`, shard)
-		if samples[state] != 1 {
-			t.Errorf("%s = %v, want 1", state, samples[state])
-		}
 	}
 	if want := float64(len(jobs)); doneFromMetrics != want {
 		t.Errorf("metrics count %v done jobs, the fan-out finished %v", doneFromMetrics, want)
@@ -122,7 +117,7 @@ func checkRows(t *testing.T, rows []seriesRow) {
 // TestNoSeriesLost is the one-metrics-surface gate. Every field the
 // retired JSON stats endpoint served — station pool shape, admission,
 // outcomes, protocol events, per-worker rounds and traffic, trace counts,
-// fleet shed/reject/restart/degraded — must have a /metricsz series, and
+// fleet shed/reject/degraded — must have a /metricsz series, and
 // each series must read exactly what this test drove through a single
 // station and a 2-shard fleet.
 func TestNoSeriesLost(t *testing.T) {
@@ -300,38 +295,30 @@ func TestNoSeriesLost(t *testing.T) {
 			t.Fatal(err)
 		}
 		finish(jobs...)
-		// A down owner sheds to its successor.
+		// A drained owner sheds to its successor.
 		spec := station.QuerySpec{Kind: repro.QueryCount}
-		f.slots[f.Owner(spec)].setState(trace.ShardDown)
+		drainShard(t, f, f.Owner(spec))
 		job, err := f.Submit(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		finish(job)
-		// A partial fan-out past the down shard degrades.
+		// A partial fan-out past the drained shard degrades.
 		jobs, missing, err := f.SubmitAll(station.QuerySpec{Kind: repro.QuerySum}, true)
 		if err != nil || len(missing) != 1 {
 			t.Fatalf("partial fan-out: %v missing=%v", err, missing)
 		}
 		finish(jobs...)
-		// With every shard down the fleet composes one rejection, and one
-		// supervisor tick restarts each shard.
-		for _, sl := range f.slots {
-			sl.setState(trace.ShardDown)
-		}
-		if _, err := f.Submit(spec); !errors.Is(err, station.ErrUnavailable) {
-			t.Fatalf("submit to a downed fleet = %v, want ErrUnavailable", err)
-		}
-		for _, sl := range f.slots {
-			f.superviseSlot(sl, &supSlot{})
-			sl.setState(trace.ShardHealthy)
+		// With every shard drained the fleet composes one rejection.
+		drainShard(t, f, 1-f.Owner(spec))
+		if _, err := f.Submit(spec); !errors.Is(err, station.ErrDraining) {
+			t.Fatalf("submit to a drained fleet = %v, want ErrDraining", err)
 		}
 
 		fm := scrapeFleet(t, f)
 		checkRows(t, []seriesRow{
 			{"shed", fm["agg_fleet_shed_total"], 1},
 			{"rejected", fm["agg_fleet_rejected_total"], 1},
-			{"restarts", fm["agg_fleet_restarts_total"], 2},
 			{"degraded", fm["agg_fleet_degraded_total"], 1},
 			{"merged.workers", fm.Sum("agg_station_workers"), 2},
 			{"merged.completed", fm.Sum("agg_station_jobs_total", "outcome", "done"), 4},

@@ -30,8 +30,7 @@ import (
 type Receiver func(at topo.NodeID, msg *message.Message)
 
 // Tap is the adversary seam: a single observer/interceptor sitting between
-// the MAC and the protocol receivers, mirroring how internal/chaos wraps
-// the serving stack's backend and transport seams. OnSend observes every
+// the MAC and the protocol receivers. OnSend observes every
 // frame a port queues (after the sequence number is assigned, so the tap
 // sees the wire frame). OnDeliver runs once per (node, frame) delivery,
 // after ACKing and duplicate suppression but before the protocol receiver:

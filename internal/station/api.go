@@ -278,7 +278,7 @@ func writeSubmitError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrUnavailable):
 		// Both are transient refusals worth retrying after a beat: a full
-		// queue drains at pool speed, a down shard is being restarted.
+		// queue drains at pool speed.
 		w.Header().Set("Retry-After", retryAfterHeader)
 		writeJSON(w, http.StatusServiceUnavailable,
 			apiError{Error: err.Error(), RetryAfterMs: retryAfterMs})

@@ -90,16 +90,15 @@ type Config struct {
 var (
 	ErrQueueFull = errors.New("station: admission queue full")
 	ErrDraining  = errors.New("station: draining, not accepting work")
-	// ErrUnavailable marks work refused because the owning shard is down or
-	// restarting (fleet supervision) — retryable, like ErrQueueFull, but a
-	// health fact rather than a backpressure fact.
+	// ErrUnavailable marks a partial fleet fan-out that no shard admitted
+	// — retryable, like ErrQueueFull.
 	ErrUnavailable = errors.New("station: shard unavailable")
 )
 
 // ShardHealth is one shard's health detail inside a Health payload.
 type ShardHealth struct {
 	ID    int    `json:"id"`
-	State string `json:"state"` // trace.Shard* (healthy/suspect/down/restarting) or "draining"
+	State string `json:"state"` // trace.ShardHealthy or "draining"
 }
 
 // Health is the /healthz payload: an overall status plus per-shard detail.

@@ -366,57 +366,6 @@ func DropChains(events []Event, q Query) []Chain {
 	return out
 }
 
-// OutageChains reconstructs serving-fleet incidents: one chain per shard
-// ordinal that the trace shows going unhealthy. The culprit is the event
-// that started the outage — an injected crash fault or a shard leaving
-// healthy, whichever came first for that ordinal — and the context is
-// every fleet-phase event for the same ordinal in time order: fault on/off
-// edges, shard health transitions, and degraded answers that name the
-// shard. A chain whose context reaches ShardHealthy after the culprit
-// reads as a full incident: crash → down → restarting → … → healthy.
-func OutageChains(events []Event, q Query) []Chain {
-	fq := q
-	fq.Phase = PhaseFleet
-	byNode := make(map[topo.NodeID][]Event)
-	var order []topo.NodeID
-	for _, e := range events {
-		if !fq.Match(e) {
-			continue
-		}
-		switch e.Type {
-		case TypeFault, TypeShard, TypeDegraded:
-		default:
-			continue
-		}
-		if _, seen := byNode[e.Node]; !seen {
-			order = append(order, e.Node)
-		}
-		byNode[e.Node] = append(byNode[e.Node], e)
-	}
-	sort.Slice(order, func(a, b int) bool { return order[a] < order[b] })
-	var out []Chain
-	for _, n := range order {
-		evs := byNode[n]
-		sort.SliceStable(evs, func(a, b int) bool { return evs[a].At < evs[b].At })
-		culprit := -1
-		for i, e := range evs {
-			bad := e.Type == TypeFault && !strings.HasSuffix(e.Cause, "-lifted") ||
-				e.Type == TypeShard && e.Cause != ShardHealthy
-			if bad {
-				culprit = i
-				break
-			}
-		}
-		if culprit < 0 {
-			continue // this ordinal never went unhealthy; not an outage
-		}
-		ctx := append([]Event{}, evs[:culprit]...)
-		ctx = append(ctx, evs[culprit+1:]...)
-		out = append(out, Chain{Culprit: evs[culprit], Context: ctx})
-	}
-	return out
-}
-
 // actionOf extracts the campaign action id an attack or breach event's
 // detail names (the "action=<id>" token every campaign event leads with).
 func actionOf(e Event) (int, bool) {

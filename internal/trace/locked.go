@@ -3,8 +3,8 @@ package trace
 import "sync"
 
 // The simulation's sinks assume the single-threaded event loop; the
-// serving fleet emits from many goroutines (supervisor probes, request
-// paths, the chaos controller). Locked and Collector are the
+// serving layer emits from many goroutines (request handlers, station
+// workers, fan-out watchers). Locked and Collector are the
 // concurrency-safe adapters for that side of the house.
 
 // Locked serialises emissions into a sink that is not itself safe for
@@ -34,8 +34,8 @@ func (l *Locked) Emit(ev Event) {
 }
 
 // Collector is an unbounded concurrency-safe event accumulator — the
-// test-and-forensics sink for fleet components, where the bounded ring
-// Tracer would silently evict the early events an outage chain needs.
+// test sink for serving components, where the bounded ring Tracer would
+// silently evict the early events a request's span tree needs.
 type Collector struct {
 	mu     sync.Mutex
 	events []Event

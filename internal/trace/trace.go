@@ -38,7 +38,7 @@ const (
 	PhaseRadio     = "radio"     // medium-level events (drops and their causes)
 	PhaseMAC       = "mac"       // MAC-level events (queue drops, ARQ exhaustion)
 	PhaseEngine    = "engine"    // simulation-engine events (run lifecycle)
-	PhaseFleet     = "fleet"     // serving-fleet events (faults, shard health)
+	PhaseFleet     = "fleet"     // serving-fleet events (degraded fan-outs)
 	PhaseServe     = "serve"     // request lifecycle across fleet and station
 	PhaseAttack    = "attack"    // adversary campaign events (actions, breaches)
 )
@@ -58,8 +58,6 @@ const (
 	TypeDrop      = "drop"      // a frame was lost (cause: collision/fading/loss/queue)
 	TypeEngine    = "engine"    // engine run started/drained/hit its limit
 	TypeRound     = "round"     // per-round engine telemetry (workers, batch groups, grid)
-	TypeFault     = "fault"     // an injected chaos fault window turned on or off
-	TypeShard     = "shard"     // a supervised shard's health state advanced (state in Cause)
 	TypeDegraded  = "degraded"  // a fan-out answered partially (missing shards in Detail)
 	TypeRequest   = "request"   // a served request advanced one stage (stage in Cause)
 	TypeAttack    = "attack"    // an adversary policy acted (policy in Cause, action id in Detail)
@@ -105,15 +103,9 @@ const (
 	StateAdopted      = "adopted"      // head published an extended roster with orphans
 )
 
-// Serving-fleet shard health (Cause of TypeShard events, fleet supervisor
-// §DESIGN "Failure domains"): healthy → suspect → down → restarting →
-// healthy.
-const (
-	ShardHealthy    = "healthy"    // probes pass; in the serving rotation
-	ShardSuspect    = "suspect"    // probes failing, not yet evicted
-	ShardDown       = "down"       // evicted from routing; restart pending
-	ShardRestarting = "restarting" // restarted; on probation until K healthy probes
-)
+// ShardHealthy is the /healthz state of a shard that is serving (the
+// other state is "draining").
+const ShardHealthy = "healthy"
 
 // Event is one recorded protocol action: who did what, when (virtual
 // time), in which round, phase, and cluster, and why.
