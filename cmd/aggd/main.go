@@ -8,14 +8,12 @@
 //
 //	aggd -addr :8080 -workers 4 -nodes 400 -seed 7
 //	aggd -addr :8080 -shards 4 -workers 2            # in-process fleet
-//	aggd -addr :8080 -shards 3 -traceout fleet.jsonl
+//	aggd -addr :8080 -shards 3 -traceout serve.jsonl
 //	curl -d '{"kind":"sum"}' http://localhost:8080/v1/query
-//	curl -d '{"kind":"sum","fanout":true}' 'http://localhost:8080/v1/query?partial=1'
 //	curl http://localhost:8080/metricsz
 //
-// -traceout streams per-request serve spans plus the fleet's degraded
-// fan-out events as JSONL for aggtrace -why request <id>. ?partial=1 lets
-// a fan-out degrade to the shards that admit it instead of failing.
+// -traceout streams every request's admit/run/done stages as JSONL for
+// aggtrace -why request <id>.
 //
 // Every response carries an X-Agg-Request-Id header minted at ingress;
 // /metricsz serves Prometheus text-format telemetry on every topology —
@@ -79,7 +77,7 @@ func run(args []string) (*flag.FlagSet, error) {
 		draintmo   = fs.Duration("draintimeout", 30*time.Second, "graceful-drain bound on shutdown")
 		tracestats = fs.Bool("tracestats", false, "count every worker's flight-recorder events into /metricsz (agg_trace_*)")
 		observe    = fs.String("observe", "", "serve pprof on this second address, e.g. :6060")
-		traceout   = fs.String("traceout", "", "append request spans and fleet events to this JSONL file for aggtrace -why request")
+		traceout   = fs.String("traceout", "", "append request spans to this JSONL file for aggtrace -why request")
 	)
 	if err := cliutil.Parse(fs, args); err != nil {
 		return fs, err
@@ -119,8 +117,7 @@ func run(args []string) (*flag.FlagSet, error) {
 		JobTimeout: *timeout,
 		TraceStats: *tracestats,
 		// Trace is filled in below once the -traceout sink exists; every
-		// topology shares one stream so request spans interleave with
-		// fleet events.
+		// shard of a fleet shares the one stream.
 		Deploy: repro.Options{
 			Nodes:     *nodes,
 			FieldSize: *field,
@@ -161,7 +158,7 @@ func run(args []string) (*flag.FlagSet, error) {
 	)
 	switch {
 	case *shards > 1:
-		fl, err := fleet.New(fleet.Config{Shards: *shards, Station: stCfg, Trace: sink})
+		fl, err := fleet.New(fleet.Config{Shards: *shards, Station: stCfg})
 		if err != nil {
 			return fs, err
 		}

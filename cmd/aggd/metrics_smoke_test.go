@@ -50,11 +50,9 @@ func scrape(t *testing.T, addr string) telemetry.Samples {
 // with a trace sink, push a mixed-kind burst through it, and require that
 // (1) /metricsz parses with the per-shard series dashboards key on,
 // (2) counters are monotone across scrapes under live traffic,
-// (3) the done jobs it counts equal the 200s the test itself received —
-// one per shard for each fan-out plus one per burst request — and
-// (4) after drain, the trace file reconstructs a correlated request's span
-// tree — fan-out, per-shard admit/run/done, merge — from the id the HTTP
-// layer returned.
+// (3) the done jobs it counts equal the 200s the test itself received, and
+// (4) after drain, the trace file reconstructs a plain query's span tree
+// — request → job → admit/run/done — from the id the HTTP layer returned.
 func TestMetricsSmoke(t *testing.T) {
 	traceOut := filepath.Join(t.TempDir(), "serve.jsonl")
 	addr, errCh := bootDaemon(t,
@@ -78,13 +76,7 @@ func TestMetricsSmoke(t *testing.T) {
 		served += int(rep.Requests)
 	}
 
-	// A fan-out first guarantees BOTH shards serve at least one job — plain
-	// queries stick to their kind's ring owner.
-	code, _ := postBody(t, "http://"+addr+"/v1/query", `{"kind":"sum","fanout":true}`)
-	if code != http.StatusOK {
-		t.Fatalf("fanout warm-up: %d", code)
-	}
-	served += 2 // one job per shard
+	served += queryEveryShard(t, addr, 2)
 	burst(30)
 	first := scrape(t, addr)
 	for _, key := range []string{
@@ -92,7 +84,6 @@ func TestMetricsSmoke(t *testing.T) {
 		`agg_station_jobs_total{shard="1",kind="sum",outcome="done"}`,
 		`agg_station_queue_wait_seconds_count{shard="0"}`,
 		`agg_station_run_seconds_count{shard="1"}`,
-		`agg_fleet_availability_ratio`,
 	} {
 		if first[key] < 1 {
 			t.Errorf("%s = %v, want >= 1", key, first[key])
@@ -116,11 +107,11 @@ func TestMetricsSmoke(t *testing.T) {
 		t.Errorf("metrics count %v done jobs, the client was served %d", done, served)
 	}
 
-	// One correlated fan-out, id captured from the response header.
-	code, hdr := postBody(t, "http://"+addr+"/v1/query", `{"kind":"sum","fanout":true}`)
+	// One correlated plain query, id captured from the response header.
+	code, hdr := postBody(t, "http://"+addr+"/v1/query", `{"kind":"max"}`)
 	rid := hdr.Get(station.RequestIDHeader)
 	if code != http.StatusOK || rid == "" {
-		t.Fatalf("fanout query: %d, request id %q", code, rid)
+		t.Fatalf("traced query: %d, request id %q", code, rid)
 	}
 
 	drainAll(t, errCh) // flushes the JSONL sink on the way out
@@ -138,7 +129,7 @@ func TestMetricsSmoke(t *testing.T) {
 	if err := trace.WriteRequestTree(&tree, events, rid); err != nil {
 		t.Fatalf("span tree for %s: %v", rid, err)
 	}
-	for _, want := range []string{"request " + rid, "fanout", "merge", "admit", "run", "done"} {
+	for _, want := range []string{"request " + rid + ": 3 stages", "job s", "admit", "run", "done", "queue_wait="} {
 		if !strings.Contains(tree.String(), want) {
 			t.Errorf("span tree missing %q:\n%s", want, tree.String())
 		}

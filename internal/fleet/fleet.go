@@ -18,14 +18,12 @@
 //   - Composed admission: backpressure hints do not multiply across
 //     shards. One walk, one rejection, one Retry-After — coordinator-level
 //     admission, not N stacked 503s.
-//   - Fan-out: SubmitAll places one job on every shard (fleet-spanning
-//     queries); schedule registration fans out by hashing each schedule to
-//     one owner shard so recurring load spreads across pools.
+//   - Schedules: registration hashes each schedule to one owner shard so
+//     recurring load spreads across pools.
 //   - Observation: WriteMetrics serves the coordinator's registry and every
-//     shard's under a shard="i" label as one exposition (metrics.go);
-//     fan-out and merge stages join the shards' request spans in one
-//     trace stream for aggtrace -why request, and a partial fan-out emits
-//     a degraded event.
+//     shard's under a shard="i" label as one exposition (metrics.go). The
+//     coordinator emits no trace events: each shard traces its own request
+//     stages into the Station template's sink.
 package fleet
 
 import (
@@ -36,11 +34,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/station"
-	"repro/internal/topo"
-	"repro/internal/trace"
 )
 
 // Config sizes the fleet.
@@ -50,13 +45,8 @@ type Config struct {
 	// deployments — plus a distinct ID prefix ("s3-job-17").
 	Shards int
 	// Station is the per-shard template. The fleet sets IDPrefix and
-	// ScheduleOrdinalBase per shard.
+	// ScheduleOrdinalBase per shard; every shard shares its Trace sink.
 	Station station.Config
-
-	// Trace receives fleet-level events (fan-out and merge stages,
-	// degraded answers). Must be safe for concurrent use — wrap
-	// single-threaded sinks with trace.NewLocked.
-	Trace trace.Sink
 }
 
 // Fleet is the coordinator. It implements station.Backend.
@@ -64,19 +54,10 @@ type Fleet struct {
 	cfg     Config
 	shards  []*station.Station
 	ring    *ring
-	started time.Time
 	metrics *metrics
 
 	draining  atomic.Bool
 	nextSched atomic.Int64
-
-	// watchers tracks fan-out observer goroutines (per-shard latency plus
-	// the merge event) so Drain can wait for the last emit before the
-	// caller closes the trace sink. watchMu makes registration atomic with
-	// Drain's draining flip: without it a SubmitAll that passed the
-	// draining check could Add after Drain's Wait already returned.
-	watchMu  sync.Mutex
-	watchers sync.WaitGroup
 }
 
 // New builds Shards stations and the hash ring over them.
@@ -87,7 +68,7 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.Shards < 0 {
 		return nil, fmt.Errorf("fleet: shards must be positive, got %d", cfg.Shards)
 	}
-	f := &Fleet{cfg: cfg, ring: newRing(cfg.Shards), started: time.Now()}
+	f := &Fleet{cfg: cfg, ring: newRing(cfg.Shards), metrics: newMetrics()}
 	for i := 0; i < cfg.Shards; i++ {
 		st, err := station.New(f.shardConfig(i))
 		if err != nil {
@@ -99,7 +80,6 @@ func New(cfg Config) (*Fleet, error) {
 		}
 		f.shards = append(f.shards, st)
 	}
-	f.metrics = f.newMetrics()
 	return f, nil
 }
 
@@ -112,12 +92,6 @@ func (f *Fleet) shardConfig(i int) station.Config {
 	// same-kind schedules placed on different shards never alias onto
 	// the same epoch-seed stream (they would both start at ordinal 1).
 	scfg.ScheduleOrdinalBase = int64(i) << 16
-	// Shard stations share the fleet's sink so one request's admit/run/done
-	// stages land in the same stream as the fleet's fan-out and merge — the
-	// span tree aggtrace -why request rebuilds needs all of them together.
-	if scfg.Trace == nil {
-		scfg.Trace = f.cfg.Trace
-	}
 	return scfg
 }
 
@@ -156,7 +130,6 @@ func (f *Fleet) Submit(spec station.QuerySpec) (*station.Job, error) {
 			if n > 0 {
 				f.metrics.shed.Inc()
 			}
-			f.metrics.avail.Record(true)
 			return job, nil
 		case errors.Is(err, station.ErrQueueFull):
 			sawFull = true
@@ -169,127 +142,10 @@ func (f *Fleet) Submit(spec station.QuerySpec) (*station.Job, error) {
 	// The whole fleet refused: compose ONE rejection. Full beats draining:
 	// full is the retryable condition the backoff hint exists for.
 	f.metrics.rejected.Inc()
-	f.metrics.avail.Record(false)
 	if sawFull {
 		return nil, station.ErrQueueFull
 	}
 	return nil, station.ErrDraining
-}
-
-// SubmitAll fans one query out to every shard — the fleet-spanning form.
-// All shards share the deployment template, so the fan-in answers must
-// agree bit-for-bit; disagreement means a shard diverged.
-//
-// Admission is all-or-nothing by default: if any shard refuses, the
-// already-admitted jobs are canceled and the error surfaces once. With
-// partial set, refusing shards are skipped and their ordinals returned as
-// missing — the degraded-answer contract clients opt into with
-// ?partial=1 — and only a fan-out no shard admits errors.
-func (f *Fleet) SubmitAll(spec station.QuerySpec, partial bool) ([]*station.Job, []int, error) {
-	if f.draining.Load() {
-		return nil, nil, station.ErrDraining
-	}
-	jobs := make([]*station.Job, 0, len(f.shards))
-	shards := make([]int, 0, len(f.shards))
-	var missing []int
-	refuse := func(err error) ([]*station.Job, []int, error) {
-		for _, j := range jobs {
-			j.Cancel()
-		}
-		if errors.Is(err, station.ErrQueueFull) || errors.Is(err, station.ErrUnavailable) {
-			f.metrics.rejected.Inc()
-			f.metrics.avail.Record(false)
-		}
-		return nil, nil, err
-	}
-	for i, sh := range f.shards {
-		job, err := sh.Submit(spec)
-		if err == nil {
-			jobs = append(jobs, job)
-			shards = append(shards, i)
-			f.emitRequest(spec.RequestID, i, trace.StageFanout,
-				fmt.Sprintf("shard=%d", i))
-			continue
-		}
-		if !partial {
-			return refuse(err)
-		}
-		missing = append(missing, i)
-	}
-	if len(jobs) == 0 {
-		// Nothing answered; a fully-missing "partial" answer is no answer.
-		return refuse(station.ErrUnavailable)
-	}
-	if len(missing) > 0 {
-		f.metrics.degraded.Inc()
-		if f.cfg.Trace != nil {
-			f.cfg.Trace.Emit(trace.Event{
-				At:      time.Since(f.started),
-				Node:    topo.NodeID(missing[0]),
-				Cluster: trace.NoCluster,
-				Phase:   trace.PhaseFleet,
-				Type:    trace.TypeDegraded,
-				Cause:   "partial-fanout",
-				Detail:  fmt.Sprintf("missing=%v served=%d", missing, len(jobs)),
-			})
-		}
-	}
-	f.metrics.avail.Record(true)
-	f.watchFanout(spec.RequestID, jobs, shards)
-	return jobs, missing, nil
-}
-
-// watchFanout observes each fan-out job's completion latency into its
-// shard's histogram and emits the merge stage once every job settles —
-// the fleet-side half of the request span tree.
-func (f *Fleet) watchFanout(reqID string, jobs []*station.Job, shards []int) {
-	// Register under watchMu so Drain's watchers.Wait cannot return with a
-	// registration in flight; once draining is set the caller may be about
-	// to close the sink, so skip the async observers entirely.
-	f.watchMu.Lock()
-	if f.draining.Load() {
-		f.watchMu.Unlock()
-		return
-	}
-	f.watchers.Add(1)
-	f.watchMu.Unlock()
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i, job := range jobs {
-		wg.Add(1)
-		go func(shard int, job *station.Job) {
-			defer wg.Done()
-			<-job.Done()
-			f.metrics.fanout[shard].Observe(time.Since(start))
-		}(shards[i], job)
-	}
-	go func() {
-		defer f.watchers.Done()
-		wg.Wait()
-		f.emitRequest(reqID, -1, trace.StageMerge, fmt.Sprintf("shards=%d", len(jobs)))
-	}()
-}
-
-// emitRequest records one fleet-side request lifecycle stage (fan-out,
-// merge). Requests with no correlation id — scheduled epochs — are
-// skipped; their per-shard jobs are still traced by the stations.
-func (f *Fleet) emitRequest(reqID string, shard int, stage, extra string) {
-	if f.cfg.Trace == nil || reqID == "" {
-		return
-	}
-	detail := "req=" + reqID
-	if extra != "" {
-		detail += " " + extra
-	}
-	f.cfg.Trace.Emit(trace.Event{
-		At:      time.Since(f.started),
-		Node:    topo.NodeID(shard),
-		Cluster: trace.NoCluster,
-		Phase:   trace.PhaseServe,
-		Type:    trace.TypeRequest,
-		Cause:   stage,
-		Detail:  detail,
-	})
 }
 
 // Job resolves a job handle. Shard-prefixed IDs ("s2-job-17") route
@@ -397,7 +253,7 @@ func (f *Fleet) Health() station.Health {
 	}
 	for i, sh := range f.shards {
 		state := sh.Health().Shards[0].State
-		if state != trace.ShardHealthy && h.Status == "ok" {
+		if state != station.ShardHealthy && h.Status == "ok" {
 			h.Status = "degraded"
 		}
 		h.Shards = append(h.Shards, station.ShardHealth{ID: i, State: state})
@@ -409,12 +265,7 @@ func (f *Fleet) Health() station.Health {
 // then every shard drains concurrently (schedules stop, admitted epochs
 // finish). Idempotent; the context bounds the wait.
 func (f *Fleet) Drain(ctx context.Context) error {
-	// The flip shares watchMu with watchFanout: any watcher registered
-	// before it is seen by the Wait below, any after it sees draining and
-	// bails — no registration can slip between Wait and the sink close.
-	f.watchMu.Lock()
 	f.draining.Store(true)
-	f.watchMu.Unlock()
 	errs := make([]error, len(f.shards))
 	var wg sync.WaitGroup
 	for i, sh := range f.shards {
@@ -425,15 +276,5 @@ func (f *Fleet) Drain(ctx context.Context) error {
 		}(i, sh)
 	}
 	wg.Wait()
-	// Fan-out watchers finish once their jobs do (just drained above); wait
-	// for the last merge emit so the caller can safely close the sink, but
-	// never past the drain deadline.
-	watched := make(chan struct{})
-	go func() { f.watchers.Wait(); close(watched) }()
-	select {
-	case <-watched:
-	case <-ctx.Done():
-		errs = append(errs, fmt.Errorf("fleet: fan-out watchers still running: %w", ctx.Err()))
-	}
 	return errors.Join(errs...)
 }

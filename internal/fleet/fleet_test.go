@@ -15,7 +15,6 @@ import (
 
 	"repro"
 	"repro/internal/station"
-	"repro/internal/trace"
 )
 
 // testConfig is a small, fast per-shard template: 80 ideal-channel nodes
@@ -57,11 +56,25 @@ func drainShard(t *testing.T, f *Fleet, i int) {
 	}
 }
 
+// seedOn returns the first explicit seed whose kind query the ring places
+// on shard: placement is deterministic in (kind, seed), so a test reaches
+// every shard with ordinary queries.
+func seedOn(t *testing.T, f *Fleet, kind repro.QueryKind, shard int) int64 {
+	t.Helper()
+	for seed := int64(1); seed < 1000; seed++ {
+		if f.Owner(station.QuerySpec{Kind: kind, Seed: seed, SeedSet: true}) == shard {
+			return seed
+		}
+	}
+	t.Fatalf("no seed below 1000 places %v on shard %d", kind, shard)
+	return 0
+}
+
 // TestFleetSmoke is the `make fleet-smoke` gate: a 3-shard fleet must
 // serve answers bit-identical to a single station AND to the offline
-// deployment for the same seeds — including a fanout query where every
-// shard answers the same epoch — and the consistent-hash placement must
-// route identical queries to the same shard.
+// deployment for the same seeds — on the hashed path and on every shard
+// asked directly — and the consistent-hash placement must route identical
+// queries to the same shard.
 func TestFleetSmoke(t *testing.T) {
 	cfg := testConfig(3, 1, 8)
 	f := newFleet(t, cfg)
@@ -126,24 +139,19 @@ func TestFleetSmoke(t *testing.T) {
 		t.Errorf("repeat query moved shards: %s vs prefix %s", job2.ID(), wantPrefix)
 	}
 
-	// Fan-out: one job per shard, every answer bit-identical.
-	jobs, missing, err := f.SubmitAll(spec, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(missing) != 0 {
-		t.Fatalf("healthy fan-out reported missing shards %v", missing)
-	}
-	if len(jobs) != 3 {
-		t.Fatalf("SubmitAll admitted %d jobs, want 3", len(jobs))
-	}
-	for _, j := range jobs {
+	// Every shard asked directly: bit-identical to the single station
+	// (already held equal to offline above).
+	for i := 0; i < f.Shards(); i++ {
+		j, err := f.Shard(i).Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
 		got, err := j.Wait(context.Background())
 		if err != nil {
-			t.Fatalf("fanout job %s: %v", j.ID(), err)
+			t.Fatalf("shard %d job %s: %v", i, j.ID(), err)
 		}
-		if got != want {
-			t.Fatalf("fanout job %s diverged: %+v != %+v", j.ID(), got, want)
+		if got != sans {
+			t.Fatalf("shard %d diverged from the single station: %+v != %+v", i, got, sans)
 		}
 	}
 
@@ -318,9 +326,6 @@ func TestFleetDrainSubmitCancelRace(t *testing.T) {
 	if _, err := f.Submit(station.QuerySpec{Kind: repro.QuerySum}); !errors.Is(err, station.ErrDraining) {
 		t.Errorf("submit after drain = %v, want ErrDraining", err)
 	}
-	if _, _, err := f.SubmitAll(station.QuerySpec{Kind: repro.QuerySum}, false); !errors.Is(err, station.ErrDraining) {
-		t.Errorf("SubmitAll after drain = %v, want ErrDraining", err)
-	}
 	mu.Lock()
 	defer mu.Unlock()
 	for _, job := range jobs {
@@ -329,114 +334,6 @@ func TestFleetDrainSubmitCancelRace(t *testing.T) {
 		default:
 			t.Fatalf("job %s not terminal after drain", job.ID())
 		}
-	}
-}
-
-// TestFleetDrainSubmitAllRace is the -race gate at the fan-out seam:
-// SubmitAll races Drain under -race, and every call must either admit on
-// EVERY shard before the drain completes or surface exactly one composed
-// rejection — never a partial fan-out, never a stacked error.
-func TestFleetDrainSubmitAllRace(t *testing.T) {
-	f, err := New(testConfig(2, 1, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		jobs []*station.Job
-	)
-	stop := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				admitted, missing, err := f.SubmitAll(station.QuerySpec{Kind: repro.QuerySum, Seed: int64(g*1000 + i)}, false)
-				if err != nil {
-					if !errors.Is(err, station.ErrQueueFull) && !errors.Is(err, station.ErrDraining) &&
-						!errors.Is(err, station.ErrUnavailable) {
-						t.Errorf("SubmitAll surfaced a non-composed error: %v", err)
-						return
-					}
-					if admitted != nil {
-						t.Error("rejected fan-out leaked job handles")
-					}
-					continue
-				}
-				if len(missing) != 0 || len(admitted) != f.Shards() {
-					t.Errorf("strict fan-out admitted %d/%d with missing=%v", len(admitted), f.Shards(), missing)
-				}
-				mu.Lock()
-				jobs = append(jobs, admitted...)
-				mu.Unlock()
-			}
-		}(g)
-	}
-	time.Sleep(20 * time.Millisecond)
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	drainErr := f.Drain(ctx)
-	close(stop)
-	wg.Wait()
-	if drainErr != nil {
-		t.Fatalf("Drain: %v", drainErr)
-	}
-	if _, _, err := f.SubmitAll(station.QuerySpec{Kind: repro.QuerySum}, false); !errors.Is(err, station.ErrDraining) {
-		t.Errorf("SubmitAll after drain = %v, want ONE ErrDraining", err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	for _, job := range jobs {
-		select {
-		case <-job.Done():
-		default:
-			t.Fatalf("job %s not terminal after drain", job.ID())
-		}
-	}
-}
-
-// TestFleetPartialFanoutDegrades: with one shard drained, strict fan-out
-// refuses while ?partial-style fan-out serves the other shards and names
-// the missing ordinal, counting the degraded answer.
-func TestFleetPartialFanoutDegrades(t *testing.T) {
-	col := &trace.Collector{}
-	cfg := testConfig(3, 1, 8)
-	cfg.Trace = col
-	f := newFleet(t, cfg)
-	drainShard(t, f, 1)
-
-	if jobs, _, err := f.SubmitAll(station.QuerySpec{Kind: repro.QuerySum}, false); !errors.Is(err, station.ErrDraining) || jobs != nil {
-		t.Fatalf("strict fan-out with a drained shard = %d jobs, %v; want ErrDraining", len(jobs), err)
-	}
-	jobs, missing, err := f.SubmitAll(station.QuerySpec{Kind: repro.QuerySum}, true)
-	if err != nil {
-		t.Fatalf("partial fan-out: %v", err)
-	}
-	if len(jobs) != 2 || len(missing) != 1 || missing[0] != 1 {
-		t.Fatalf("partial fan-out = %d jobs, missing %v; want 2 jobs, missing [1]", len(jobs), missing)
-	}
-	for _, j := range jobs {
-		if _, err := j.Wait(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := scrapeFleet(t, f)["agg_fleet_degraded_total"]; got != 1 {
-		t.Errorf("degraded counter = %v, want 1", got)
-	}
-	found := false
-	for _, ev := range col.Events() {
-		if ev.Type == trace.TypeDegraded {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("no degraded event emitted for the partial fan-out")
 	}
 }
 
@@ -462,7 +359,7 @@ func TestFleetHealthDetail(t *testing.T) {
 		t.Fatalf("healthz lists %d shards, want 3", len(h.Shards))
 	}
 	for i, sh := range h.Shards {
-		if sh.ID != i || sh.State != trace.ShardHealthy {
+		if sh.ID != i || sh.State != station.ShardHealthy {
 			t.Errorf("shard %d health = %+v", i, sh)
 		}
 	}
@@ -574,7 +471,7 @@ func TestFleetSameKindSchedulesDistinctAcrossShards(t *testing.T) {
 // TestFleetHTTP drives the fleet through the stock station.API handler:
 // the wire surface must be indistinguishable from a single station, a job
 // handle must resolve back to its shard (and a bogus one must 404), and a
-// fanout query must report cross-shard agreement.
+// plain query placed on the other shard must be served there.
 func TestFleetHTTP(t *testing.T) {
 	f := newFleet(t, testConfig(2, 1, 8))
 	srv := httptest.NewServer(station.NewAPI(f).Handler())
@@ -618,24 +515,14 @@ func TestFleetHTTP(t *testing.T) {
 		t.Errorf("bogus job poll = %d, want 404", resp.StatusCode)
 	}
 
-	resp, err = http.Post(srv.URL+"/v1/query", "application/json",
-		strings.NewReader(`{"kind":"sum","fanout":true}`))
-	if err != nil {
-		t.Fatal(err)
+	other := 1 - f.Owner(station.QuerySpec{Kind: repro.QuerySum})
+	code, data := postJSON(t, srv.URL+"/v1/query",
+		fmt.Sprintf(`{"kind":"sum","seed":%d}`, seedOn(t, f, repro.QuerySum, other)))
+	if err := json.Unmarshal(data, &js); code != http.StatusOK || err != nil || js.Answer == nil {
+		t.Fatalf("query placed on shard %d: %d %s", other, code, data)
 	}
-	var fan station.FanoutResponse
-	if err := json.NewDecoder(resp.Body).Decode(&fan); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("fanout status = %d", resp.StatusCode)
-	}
-	if len(fan.Jobs) != 2 || !fan.Agree {
-		t.Fatalf("fanout = %d jobs, agree=%v; want 2 jobs agreeing", len(fan.Jobs), fan.Agree)
-	}
-	if fan.Jobs[0].Answer == nil || *fan.Jobs[0].Answer != *fan.Jobs[1].Answer {
-		t.Fatal("fanout answers not bit-identical across shards")
+	if want := fmt.Sprintf("s%d-", other); !strings.HasPrefix(js.ID, want) {
+		t.Errorf("job %s not served by its ring owner %s", js.ID, want)
 	}
 
 	m := scrapeURL(t, srv.URL)
@@ -644,8 +531,8 @@ func TestFleetHTTP(t *testing.T) {
 			t.Errorf("shard %s workers = %v, want 1 (one series per shard)", shard, got)
 		}
 	}
-	if done := m.Sum("agg_station_jobs_total", "outcome", "done"); done < 3 {
-		t.Errorf("fleet-wide completed = %v, want >= 3 (1 sync + 2 fanout)", done)
+	if done := m.Sum("agg_station_jobs_total", "outcome", "done"); done != 2 {
+		t.Errorf("fleet-wide completed = %v, want 2", done)
 	}
 }
 

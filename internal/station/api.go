@@ -19,10 +19,6 @@ import (
 // the load driver cannot tell one shard from N.
 type Backend interface {
 	Submit(QuerySpec) (*Job, error)
-	// SubmitAll fans a query out to every shard. With partial set, a fleet
-	// admits what it can past down shards and returns the missing shard
-	// ordinals alongside; without it admission is all-or-nothing.
-	SubmitAll(spec QuerySpec, partial bool) ([]*Job, []int, error)
 	Job(id string) *Job
 	AddSchedule(ScheduleSpec) (*Schedule, error)
 	Schedule(id string) *Schedule
@@ -128,9 +124,6 @@ type queryRequest struct {
 	Seed      *int64 `json:"seed,omitempty"`
 	Async     bool   `json:"async,omitempty"`
 	TimeoutMs int64  `json:"timeout_ms,omitempty"`
-	// Fanout submits the query to every shard of a fleet backend (one job
-	// on a single station) and fans the answers back in.
-	Fanout bool `json:"fanout,omitempty"`
 }
 
 // spec converts the wire request into an admission spec, carrying the
@@ -152,19 +145,6 @@ type apiError struct {
 	RetryAfterMs int64  `json:"retry_after_ms,omitempty"`
 }
 
-// FanoutResponse is the POST /v1/query payload when fanout is requested:
-// one job per shard, plus whether every finished answer is bit-identical —
-// the fleet's serving-correctness invariant (same seed, same template,
-// same answer on every shard). With ?partial=1 a fleet with down shards
-// answers what it has, flags Degraded, and lists the missing ordinals;
-// Agree then covers the answering shards only.
-type FanoutResponse struct {
-	Jobs     []JobStatus `json:"jobs"`
-	Agree    bool        `json:"agree"`
-	Degraded bool        `json:"degraded,omitempty"`
-	Missing  []int       `json:"missing,omitempty"`
-}
-
 func (a *API) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
 	if err := decodeBody(r, &req); err != nil {
@@ -178,10 +158,6 @@ func (a *API) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.TimeoutMs < 0 {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: "timeout_ms must be non-negative"})
-		return
-	}
-	if req.Fanout {
-		a.handleFanout(w, r, req.spec(kind, r))
 		return
 	}
 	job, err := a.st.Submit(req.spec(kind, r))
@@ -223,62 +199,11 @@ func jobStatusCode(job *Job) int {
 	}
 }
 
-// handleFanout submits one job per shard and (synchronously) fans the
-// answers back in, reporting whether they agree bit-for-bit. All-or-
-// nothing by default; ?partial=1 opts into a degraded answer that skips
-// down shards and names them in the response.
-func (a *API) handleFanout(w http.ResponseWriter, r *http.Request, spec QuerySpec) {
-	partial := r.URL.Query().Get("partial") == "1"
-	jobs, missing, err := a.st.SubmitAll(spec, partial)
-	if err != nil {
-		writeSubmitError(w, err)
-		return
-	}
-	out := FanoutResponse{
-		Jobs:     make([]JobStatus, 0, len(jobs)),
-		Degraded: len(missing) > 0,
-		Missing:  missing,
-	}
-	for _, job := range jobs {
-		if _, err := job.Wait(r.Context()); err != nil && !job.Finished() {
-			job.Cancel()
-		}
-	}
-	for _, job := range jobs {
-		out.Jobs = append(out.Jobs, job.Status())
-	}
-	out.Agree = answersAgree(jobs)
-	writeJSON(w, http.StatusOK, out)
-}
-
-// answersAgree reports whether every job finished done with the same
-// answer — the cross-shard determinism check fanout exists for.
-func answersAgree(jobs []*Job) bool {
-	if len(jobs) == 0 {
-		return false
-	}
-	var first repro.QueryAnswer
-	for i, job := range jobs {
-		ans, err, ok := job.Answer()
-		if !ok || err != nil {
-			return false
-		}
-		if i == 0 {
-			first = ans
-			continue
-		}
-		if ans != first {
-			return false
-		}
-	}
-	return true
-}
-
 func writeSubmitError(w http.ResponseWriter, err error) {
 	switch {
-	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrUnavailable):
-		// Both are transient refusals worth retrying after a beat: a full
-		// queue drains at pool speed.
+	case errors.Is(err, ErrQueueFull):
+		// A transient refusal worth retrying after a beat: a full queue
+		// drains at pool speed.
 		w.Header().Set("Retry-After", retryAfterHeader)
 		writeJSON(w, http.StatusServiceUnavailable,
 			apiError{Error: err.Error(), RetryAfterMs: retryAfterMs})

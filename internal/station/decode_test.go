@@ -50,7 +50,7 @@ func FuzzDecodeBody(f *testing.F) {
 		f.Fatal("decodeBody accepted a body over 1 MiB")
 	}
 	for _, s := range []string{
-		`{"kind":"sum","seed":7,"async":true,"timeout_ms":500,"fanout":true}`,
+		`{"kind":"sum","seed":7,"async":true,"timeout_ms":500}`,
 		`{"kind":"max","period_ms":250,"jitter":0.2,"keep":4}`,
 		`{"kind":"sum","seed":null}`, `null`, ` {"KIND":"avg"} `,
 		`{"kind":"sum","bogus":1}`, `{"kind":"sum"}}`, `{"kind":"sum"}]`,

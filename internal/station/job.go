@@ -160,17 +160,6 @@ func (j *Job) Cancel() {
 	}
 }
 
-// Answer returns the result of a finished job; ok is false while the job
-// is still queued or running.
-func (j *Job) Answer() (ans repro.QueryAnswer, err error, ok bool) {
-	if !j.Finished() {
-		return repro.QueryAnswer{}, nil, false
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.answer, j.err, true
-}
-
 func (j *Job) setRunning(worker int) {
 	j.mu.Lock()
 	j.state = JobRunning

@@ -76,7 +76,9 @@ type Config struct {
 	// (PhaseServe/TypeRequest: admit → run → done/failed/canceled), each
 	// stamped with the job's request id so aggtrace -why request can
 	// reconstruct the span tree. Distinct from TraceStats, which counts
-	// protocol events inside the worker deployments.
+	// protocol events inside the worker deployments. Workers, and every
+	// shard of a fleet, emit into it concurrently: wrap a single-threaded
+	// sink with trace.NewLocked.
 	Trace trace.Sink
 
 	// RunningHook, when non-nil, fires after a job transitions to Running
@@ -90,20 +92,21 @@ type Config struct {
 var (
 	ErrQueueFull = errors.New("station: admission queue full")
 	ErrDraining  = errors.New("station: draining, not accepting work")
-	// ErrUnavailable marks a partial fleet fan-out that no shard admitted
-	// — retryable, like ErrQueueFull.
-	ErrUnavailable = errors.New("station: shard unavailable")
 )
+
+// ShardHealthy is the /healthz state of a shard that is serving (the
+// other state is "draining").
+const ShardHealthy = "healthy"
 
 // ShardHealth is one shard's health detail inside a Health payload.
 type ShardHealth struct {
 	ID    int    `json:"id"`
-	State string `json:"state"` // trace.ShardHealthy or "draining"
+	State string `json:"state"` // ShardHealthy or "draining"
 }
 
 // Health is the /healthz payload: an overall status plus per-shard detail.
 // A single station reports one shard (itself); a fleet reports one entry
-// per supervised shard.
+// per shard.
 type Health struct {
 	Status string        `json:"status"` // "ok", "degraded" (some shards out), "draining"
 	Shards []ShardHealth `json:"shards"`
@@ -272,23 +275,9 @@ func (s *Station) Submit(spec QuerySpec) (*Job, error) {
 	return job, nil
 }
 
-// SubmitAll is the fan-out form of Submit. On a single station it admits
-// exactly one job; a fleet coordinator admits one per shard, which is how
-// fleet-spanning queries (and the bit-identical fleet smoke) fan out.
-// With partial set a fleet admits what it can and reports the ordinals of
-// shards it could not reach (the degraded-answer contract); a single
-// station has no partial mode — one shard either admits or refuses.
-func (s *Station) SubmitAll(spec QuerySpec, partial bool) ([]*Job, []int, error) {
-	job, err := s.Submit(spec)
-	if err != nil {
-		return nil, nil, err
-	}
-	return []*Job{job}, nil, nil
-}
-
 // Health reports the station as one shard: ok or draining.
 func (s *Station) Health() Health {
-	state, status := trace.ShardHealthy, "ok"
+	state, status := ShardHealthy, "ok"
 	if s.Draining() {
 		state, status = "draining", "draining"
 	}

@@ -219,7 +219,7 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...s
 }
 
 // GaugeFunc registers a gauge series computed at exposition time (queue
-// depth, availability ratios, shard states). fn must be safe for
+// depth, pool size, drain state). fn must be safe for
 // concurrent use.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...string) {
 	r.lookup(name, help, kindGauge, labels, func(s *series) {

@@ -238,55 +238,6 @@ func TestParseTextRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestWindowAvailability(t *testing.T) {
-	now := time.Unix(1000, 0)
-	w := NewWindow(10*time.Second, time.Second)
-	w.now = func() time.Time { return now }
-
-	if w.Availability() != 1 {
-		t.Fatal("empty window must read 1.0")
-	}
-	for i := 0; i < 9; i++ {
-		w.Record(true)
-	}
-	w.Record(false)
-	if got := w.Availability(); got != 0.9 {
-		t.Fatalf("Availability = %v, want 0.9", got)
-	}
-	// Burn rate: 10% errors against a 99.9% target = 100x budget.
-	if got := w.BudgetBurn(0.999); got < 99.9 || got > 100.1 {
-		t.Fatalf("BudgetBurn = %v, want ~100", got)
-	}
-	if w.BudgetBurn(0) != 0 || w.BudgetBurn(1) != 0 {
-		t.Fatal("degenerate targets must read 0")
-	}
-	// Advance past the window span: the failure ages out.
-	now = now.Add(11 * time.Second)
-	w.Record(true)
-	if got := w.Availability(); got != 1 {
-		t.Fatalf("Availability after expiry = %v, want 1", got)
-	}
-	if got := w.BudgetBurn(0.999); got != 0 {
-		t.Fatalf("BudgetBurn after expiry = %v, want 0", got)
-	}
-}
-
-func TestWindowPartialExpiry(t *testing.T) {
-	now := time.Unix(2000, 0)
-	w := NewWindow(4*time.Second, time.Second)
-	w.now = func() time.Time { return now }
-	w.Record(false) // t=0
-	now = now.Add(2 * time.Second)
-	w.Record(true) // t=2
-	if got := w.Availability(); got != 0.5 {
-		t.Fatalf("Availability = %v, want 0.5", got)
-	}
-	now = now.Add(2 * time.Second) // t=4: the failure bucket rotates out
-	if got := w.Availability(); got != 1 {
-		t.Fatalf("Availability after partial expiry = %v, want 1", got)
-	}
-}
-
 func TestGaugeSetMax(t *testing.T) {
 	var g Gauge
 	g.SetMax(7)

@@ -4,7 +4,7 @@ import "sync"
 
 // The simulation's sinks assume the single-threaded event loop; the
 // serving layer emits from many goroutines (request handlers, station
-// workers, fan-out watchers). Locked and Collector are the
+// workers). Locked and Collector are the
 // concurrency-safe adapters for that side of the house.
 
 // Locked serialises emissions into a sink that is not itself safe for

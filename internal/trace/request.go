@@ -5,14 +5,13 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Request-correlation forensics: reconstruct one served query's journey
-// across the serving stack from its TypeRequest events. The fleet and the
-// station each stamp the request id into Detail as a req=<id> token,
-// so a span tree needs nothing but the recorded stream — no in-band
-// context propagation beyond the X-Agg-Request-Id header.
+// through the serving stack from its TypeRequest events. The station
+// stamps the request id into Detail as a req=<id> token, so a span tree
+// needs nothing but the recorded stream — no in-band context propagation
+// beyond the X-Agg-Request-Id header.
 
 // Token extracts the value of a space-separated k=v token from an event
 // Detail string.
@@ -76,47 +75,14 @@ func RequestIDs(events []Event) []string {
 	return out
 }
 
-// RequestSpan is one node of a request's span tree: either a standalone
-// stage (fleet fan-out/merge) or a job grouping the
-// station-side stages that share a job=<id> token.
-type RequestSpan struct {
-	Job    string  // job id, "" for standalone stages
-	Events []Event // the span's stages in time order
-}
-
-// Start returns the span's first event time.
-func (s RequestSpan) Start() time.Duration { return s.Events[0].At }
-
-// RequestTree groups one request's events into spans: events carrying a
-// job= token collapse into one span per job (ordered by the job's first
-// event); the rest stand alone. The result is the tree aggtrace renders —
-// fan-out/merge at the top level, per-job admit→run→done nested.
-func RequestTree(events []Event, id string) []RequestSpan {
-	evs := RequestEvents(events, id)
-	byJob := make(map[string]int)
-	var spans []RequestSpan
-	for _, e := range evs {
-		if job, ok := Token(e.Detail, "job"); ok {
-			i, seen := byJob[job]
-			if !seen {
-				i = len(spans)
-				byJob[job] = i
-				spans = append(spans, RequestSpan{Job: job})
-			}
-			spans[i].Events = append(spans[i].Events, e)
-			continue
-		}
-		spans = append(spans, RequestSpan{Events: []Event{e}})
-	}
-	return spans
-}
-
-// WriteRequestTree renders one request's span tree with per-stage timings
-// offset from the request's first recorded event. Unknown ids return an
-// error naming the ids the trace does hold.
+// WriteRequestTree renders one request's stages with timings offset from
+// its first recorded event. Ingress mints a fresh id for every HTTP
+// request and each request is served by one job, so the tree is request →
+// job → admit/run/done. Unknown ids return an error naming the ids the
+// trace does hold.
 func WriteRequestTree(w io.Writer, events []Event, id string) error {
-	spans := RequestTree(events, id)
-	if len(spans) == 0 {
+	evs := RequestEvents(events, id)
+	if len(evs) == 0 {
 		ids := RequestIDs(events)
 		if len(ids) == 0 {
 			return fmt.Errorf("trace holds no request events")
@@ -126,26 +92,12 @@ func WriteRequestTree(w io.Writer, events []Event, id string) error {
 		}
 		return fmt.Errorf("no events for request %s (trace holds: %s)", id, strings.Join(ids, ", "))
 	}
-	start := spans[0].Start()
-	var end time.Duration
-	n := 0
-	for _, s := range spans {
-		n += len(s.Events)
-		if last := s.Events[len(s.Events)-1].At; last > end {
-			end = last
-		}
-	}
-	fmt.Fprintf(w, "request %s: %d stages, %v end-to-end\n", id, n, end-start)
-	for _, s := range spans {
-		if s.Job == "" {
-			e := s.Events[0]
-			fmt.Fprintf(w, "  %-9s +%-12v %s\n", e.Cause, e.At-start, stripTokens(e.Detail, "req"))
-			continue
-		}
-		fmt.Fprintf(w, "  job %s\n", s.Job)
-		for _, e := range s.Events {
-			fmt.Fprintf(w, "    %-9s +%-12v %s\n", e.Cause, e.At-start, stripTokens(e.Detail, "req", "job"))
-		}
+	start := evs[0].At
+	job, _ := Token(evs[0].Detail, "job")
+	fmt.Fprintf(w, "request %s: %d stages, %v end-to-end\n", id, len(evs), evs[len(evs)-1].At-start)
+	fmt.Fprintf(w, "  job %s\n", job)
+	for _, e := range evs {
+		fmt.Fprintf(w, "    %-9s +%-12v %s\n", e.Cause, e.At-start, stripTokens(e.Detail, "req", "job"))
 	}
 	return nil
 }

@@ -15,13 +15,10 @@ func serveEvent(at time.Duration, stage, detail string) Event {
 
 func sampleRequestTrace() []Event {
 	return []Event{
-		serveEvent(0, StageFanout, "req=r1 shard=0"),
 		serveEvent(1*time.Millisecond, StageAdmit, "req=r1 job=s0-q-1 kind=query"),
-		serveEvent(2*time.Millisecond, StageRun, "req=r1 job=s0-q-1 worker=0 queue_wait=1ms"),
+		// Recorded out of order: a sink may see the done stage first.
 		serveEvent(8*time.Millisecond, StageDone, "req=r1 job=s0-q-1 ran=6ms"),
-		serveEvent(1*time.Millisecond, StageAdmit, "req=r1 job=s1-q-1 kind=query"),
-		serveEvent(9*time.Millisecond, StageDone, "req=r1 job=s1-q-1 ran=7ms"),
-		serveEvent(10*time.Millisecond, StageMerge, "req=r1 shards=2"),
+		serveEvent(2*time.Millisecond, StageRun, "req=r1 job=s0-q-1 worker=0 queue_wait=1ms"),
 		// A second request interleaved — must not leak into r1's tree.
 		serveEvent(3*time.Millisecond, StageAdmit, "req=r2 job=s0-q-2 kind=epoch"),
 		// A non-request event with a coincidental req= token.
@@ -47,8 +44,8 @@ func TestToken(t *testing.T) {
 
 func TestRequestEventsFiltersAndOrders(t *testing.T) {
 	evs := RequestEvents(sampleRequestTrace(), "r1")
-	if len(evs) != 7 {
-		t.Fatalf("got %d events, want 7", len(evs))
+	if len(evs) != 3 {
+		t.Fatalf("got %d events, want 3", len(evs))
 	}
 	for i := 1; i < len(evs); i++ {
 		if evs[i].At < evs[i-1].At {
@@ -69,23 +66,22 @@ func TestRequestIDs(t *testing.T) {
 	}
 }
 
-func TestRequestTreeGroupsJobs(t *testing.T) {
-	spans := RequestTree(sampleRequestTrace(), "r1")
-	// fanout, job s0-q-1, job s1-q-1, merge.
-	if len(spans) != 4 {
-		t.Fatalf("got %d spans, want 4: %+v", len(spans), spans)
+// TestRequestTreeNestsJobStages: a request id names one job, so the tree
+// is the request line, its job, and the job's stages in time order.
+func TestRequestTreeNestsJobStages(t *testing.T) {
+	var sb strings.Builder
+	if err := WriteRequestTree(&sb, sampleRequestTrace(), "r1"); err != nil {
+		t.Fatal(err)
 	}
-	if spans[0].Job != "" || spans[0].Events[0].Cause != StageFanout {
-		t.Fatalf("span 0 = %+v, want fanout", spans[0])
+	lines := strings.Split(strings.TrimSuffix(sb.String(), "\n"), "\n")
+	want := []string{"request r1", "  job s0-q-1", "    admit ", "    run ", "    done "}
+	if len(lines) != len(want) {
+		t.Fatalf("tree has %d lines, want %d:\n%s", len(lines), len(want), sb.String())
 	}
-	if spans[1].Job != "s0-q-1" || len(spans[1].Events) != 3 {
-		t.Fatalf("span 1 = %+v, want job s0-q-1 with 3 stages", spans[1])
-	}
-	if spans[2].Job != "s1-q-1" || len(spans[2].Events) != 2 {
-		t.Fatalf("span 2 = %+v, want job s1-q-1 with 2 stages", spans[2])
-	}
-	if spans[3].Events[0].Cause != StageMerge {
-		t.Fatalf("span 3 = %+v, want merge", spans[3])
+	for i, prefix := range want {
+		if !strings.HasPrefix(lines[i], prefix) {
+			t.Errorf("line %d = %q, want prefix %q", i, lines[i], prefix)
+		}
 	}
 }
 
@@ -96,12 +92,9 @@ func TestWriteRequestTree(t *testing.T) {
 	}
 	out := sb.String()
 	for _, want := range []string{
-		"request r1: 7 stages, 10ms end-to-end",
-		"job s0-q-1",
+		"request r1: 3 stages, 7ms end-to-end",
 		"queue_wait=1ms",
 		"ran=6ms",
-		"merge",
-		"shards=2",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("tree missing %q:\n%s", want, out)

@@ -38,8 +38,7 @@ const (
 	PhaseRadio     = "radio"     // medium-level events (drops and their causes)
 	PhaseMAC       = "mac"       // MAC-level events (queue drops, ARQ exhaustion)
 	PhaseEngine    = "engine"    // simulation-engine events (run lifecycle)
-	PhaseFleet     = "fleet"     // serving-fleet events (degraded fan-outs)
-	PhaseServe     = "serve"     // request lifecycle across fleet and station
+	PhaseServe     = "serve"     // request lifecycle in a station
 	PhaseAttack    = "attack"    // adversary campaign events (actions, breaches)
 )
 
@@ -58,7 +57,6 @@ const (
 	TypeDrop      = "drop"      // a frame was lost (cause: collision/fading/loss/queue)
 	TypeEngine    = "engine"    // engine run started/drained/hit its limit
 	TypeRound     = "round"     // per-round engine telemetry (workers, batch groups, grid)
-	TypeDegraded  = "degraded"  // a fan-out answered partially (missing shards in Detail)
 	TypeRequest   = "request"   // a served request advanced one stage (stage in Cause)
 	TypeAttack    = "attack"    // an adversary policy acted (policy in Cause, action id in Detail)
 	TypeBreach    = "breach"    // an attack succeeded silently (reconstruction or accepted tamper)
@@ -70,8 +68,6 @@ const (
 // group per-job work, and timing stages add their measured durations
 // (queue_wait=…, ran=…, took=…).
 const (
-	StageFanout   = "fanout"   // fleet submitted one shard's slice of a fan-out
-	StageMerge    = "merge"    // fleet merged fan-out answers
 	StageAdmit    = "admit"    // station accepted the job into its queue
 	StageRun      = "run"      // a worker picked the job up (queue_wait=…)
 	StageDone     = "done"     // the job finished successfully (ran=…)
@@ -102,10 +98,6 @@ const (
 	StateOrphaned     = "orphaned"     // member re-joined after its cluster died
 	StateAdopted      = "adopted"      // head published an extended roster with orphans
 )
-
-// ShardHealthy is the /healthz state of a shard that is serving (the
-// other state is "draining").
-const ShardHealthy = "healthy"
 
 // Event is one recorded protocol action: who did what, when (virtual
 // time), in which round, phase, and cluster, and why.
